@@ -23,7 +23,7 @@ from .numerics import (
     Tolerance,
     check_finite,
     is_antisymmetric,
-    pseudoinverse,
+    pinv_rank,
     rank_tol,
     skew_solve,
     symplectic_block,
@@ -57,13 +57,13 @@ def first_order_artifacts(
     at = cs.spec.point(at)
     cs.require_on_surface(at, tol)
     z1 = cs.z1_at(at)
-    if rank_tol(z1, tol) != cs.m1:
+    abar, rank_z1 = pinv_rank(z1, tol)
+    if rank_z1 != cs.m1:
         raise InvalidInputError(
             "Z1 columns must be independent for an order-1 system"
         )
     g = cs.gradients(at)
     c1 = g.T @ cs.spec.poisson @ g
-    abar = pseudoinverse(z1, tol)
     d = np.eye(cs.m0) - z1 @ abar
     m1 = skew_solve(c1, d, tol)
     return FirstOrderArtifacts(c1=c1, abar=abar, d=d, m1=m1, point=at)

@@ -93,18 +93,39 @@ def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     m = check_finite(m)
     if m.size == 0:
         return 0
-    s = scipy.linalg.svdvals(m)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_rel * s[0]))
+    return _rank_of(scipy.linalg.svdvals(m), tol)
+
+
+def _rank_of(s: np.ndarray, tol: Tolerance) -> int:
+    """Count of the descending singular values s above rank_rel * s[0]."""
+    return int(np.sum(s > tol.rank_rel * s[0])) if s.size else 0
+
+
+def _svd_kept(m: np.ndarray, tol: Tolerance):
+    """Thin SVD factors of m truncated to the rank cutoff of rank_tol."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    r = _rank_of(s, tol)
+    return u[:, :r], s[:r], vt[:r]
+
+
+def pinv_rank(
+    m: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> tuple[np.ndarray, int]:
+    """Pseudoinverse and numerical rank of m from a single SVD.
+
+    The rank counts singular values above rank_rel * sigma_max, as in
+    rank_tol, and the pseudoinverse inverts exactly those.
+    """
+    m = check_finite(m)
+    if m.size == 0:
+        return m.T.copy(), 0
+    u, s, vt = _svd_kept(m, tol)
+    return (vt.T / s) @ u.T, s.size
 
 
 def pseudoinverse(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the shared rank cutoff."""
-    m = check_finite(m)
-    if m.size == 0:
-        return m.T.copy()
-    return np.linalg.pinv(m, rcond=tol.rank_rel)
+    return pinv_rank(m, tol)[0]
 
 
 def null_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -116,8 +137,7 @@ def null_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if m.shape[0] == 0 or not m.any():
         return np.eye(m.shape[1])
     _, s, vt = np.linalg.svd(m)
-    r = int(np.sum(s > tol.rank_rel * s[0])) if s.size else 0
-    return vt[r:].T.copy()
+    return vt[_rank_of(s, tol):].T.copy()
 
 
 def skew_part(m: np.ndarray) -> np.ndarray:
@@ -148,26 +168,26 @@ def symplectic_block(n: int) -> np.ndarray:
 
 def range_projector(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the numerical column space of m."""
-    m = check_finite(m)
-    if not m.any():
-        return np.zeros((m.shape[0], m.shape[0]))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = int(np.sum(s > tol.rank_rel * s[0]))
-    ur = u[:, :r]
-    return ur @ ur.T
+    u = _svd_kept(check_finite(m), tol)[0]
+    return u @ u.T
 
 
 def skew_solve(
     c: np.ndarray, target: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """Antisymmetric solution M of ``M @ c ~= target``.
+    """Minimum-norm antisymmetric solution M of ``M @ c ~= target``.
 
-    ``c`` must be square and antisymmetric to within weak_eq.  When the
-    target is (numerically) the orthogonal projector onto range(c), the
-    canonical representative pinv(c) is returned; otherwise the system is
-    solved in least-squares sense over the space of antisymmetric matrices.
-    The result is exactly antisymmetric.  Raises NoSolutionError when the
-    best residual exceeds ``weak_eq * (1 + |target|)``.
+    ``c`` must be square and antisymmetric within weak_eq.  One SVD of c
+    gives X = target @ pinv(c) and the projector P_ker onto ker(c); M is
+    the antisymmetric part of X - (P_ker X)^T, which is
+    skew_part(target @ pinv(c)) when range(target) lies in range(c).
+
+    Precondition: some antisymmetric M solves the equation, i.e. target
+    vanishes on ker(c) and P target pinv(c) P is antisymmetric for P the
+    projector onto range(c).  Oblique targets I - Z Abar with Z spanning
+    ker(c) and Abar Z = I qualify.  Otherwise NoSolutionError is raised,
+    as |M c - target| exceeds ``weak_eq * (1 + |target|)``.  The result
+    is exactly antisymmetric.
     """
     c = check_finite(c, "c")
     target = check_finite(target, "target")
@@ -177,33 +197,13 @@ def skew_solve(
     if not is_antisymmetric(c, tol):
         raise InvalidInputError("c is not antisymmetric within weak_eq")
 
-    scale = 1.0 + np.linalg.norm(target)
-
-    proj = range_projector(c, tol)
-    if np.linalg.norm(proj - target) <= tol.weak_eq * scale:
-        m = skew_part(pseudoinverse(c, tol))
-        return m
-
-    # Least squares over antisymmetric M: unknowns m_ij for i < j.
-    # Row equation (M c)_{ik} = sum_j M_ij c_jk.
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pairs) > 4000:
-        raise InvalidInputError(
-            "general antisymmetric solve is limited to small systems; "
-            "target does not match the range projector of c"
-        )
-    a = np.zeros((n * n, len(pairs)))
-    for col, (i, j) in enumerate(pairs):
-        # M_ij = +x contributes x * c[j, :] to row block i,
-        # M_ji = -x contributes -x * c[i, :] to row block j.
-        a[i * n:(i + 1) * n, col] += c[j, :]
-        a[j * n:(j + 1) * n, col] -= c[i, :]
-    x, *_ = np.linalg.lstsq(a, target.reshape(-1), rcond=None)
-    m = np.zeros((n, n))
-    for col, (i, j) in enumerate(pairs):
-        m[i, j] = x[col]
-        m[j, i] = -x[col]
+    u, s, vt = _svd_kept(c, tol)
+    y = target @ (vt.T / s)  # X = target @ pinv(c) = y @ u.T
+    # P_ker X is the block of M mapping range(c) into ker(c); X lacks its
+    # mirrored block -(P_ker X)^T
+    y_ker = y - u @ (u.T @ y)
+    m = skew_part(y @ u.T - u @ y_ker.T)
     residual = float(np.linalg.norm(m @ c - target))
-    if residual > tol.weak_eq * scale:
+    if residual > tol.weak_eq * (1.0 + np.linalg.norm(target)):
         raise NoSolutionError("target is not reachable as M @ c", residual)
     return m

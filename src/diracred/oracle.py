@@ -2,8 +2,8 @@
 the textbook Dirac bracket built from them.
 
 Every other bracket formulation in the package is certified against this
-one, so the subset selection is deliberately boring: greedy, pivoted,
-deterministic.
+one, so the subset selection is deliberately boring: QR with column
+pivoting on the constraint gradients, deterministic.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .constraints import ConstraintSet
 from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
     Tolerance,
-    pseudoinverse,
-    rank_tol,
+    pinv_rank,
 )
 from .phase import PhaseFunction
 
@@ -43,52 +43,43 @@ def independent_subset(
 ) -> SubsetSelection:
     """Pick a maximal independent constraint subset at a point.
 
-    Greedy column pivoting on the gradient matrix: repeatedly take the
-    constraint whose gradient has the largest residual after projecting
-    out the span of those already chosen, breaking ties by lowest index.
-    ``order`` optionally permutes the candidate ranking (used to test
-    invariance of the bracket under subset choice).
+    QR with column pivoting (Businger-Golub) on the gradient matrix: each
+    step takes the constraint whose gradient has the largest residual
+    after projecting out the span of those already chosen, ties going to
+    the earliest column.  ``order`` permutes the columns before the QR,
+    so it sets the candidate ranking (used to test invariance of the
+    bracket under subset choice).  A pivot with
+    ``|R_kk| <= rank_rel * (1 + |grad chi_k|)`` within the expected count
+    raises DegenerateSystemError.
     """
     at = cs.spec.point(at)
     cs.require_on_surface(at, tol)
     target = cs.n_independent
     g = cs.gradients(at)
     m0 = cs.m0
-    candidates = list(range(m0)) if order is None else list(order)
-    if sorted(candidates) != list(range(m0)):
+    perm = np.arange(m0) if order is None else np.asarray(order)
+    if sorted(perm.tolist()) != list(range(m0)):
         raise InvalidInputError("order must be a permutation of 0..M0-1")
 
-    residual = g.copy()
-    chosen: list[int] = []
-    available = set(candidates)
-    for _ in range(target):
-        norms = np.linalg.norm(residual, axis=0)
-        best = None
-        best_norm = -1.0
-        for i in candidates:
-            if i not in available:
-                continue
-            if norms[i] > best_norm * (1.0 + 1e-12):
-                best, best_norm = i, norms[i]
-        scale = np.linalg.norm(g[:, best]) if best is not None else 0.0
-        if best is None or best_norm <= tol.rank_rel * (1.0 + scale):
-            raise DegenerateSystemError(
-                f"only {len(chosen)} independent constraints found, "
-                f"expected {target}"
-            )
-        chosen.append(best)
-        available.discard(best)
-        col = residual[:, best] / np.linalg.norm(residual[:, best])
-        residual = residual - np.outer(col, col @ residual)
+    r, piv = scipy.linalg.qr(g[:, perm], mode="r", pivoting=True)
+    picked = perm[piv[:target]]
+    pivots = np.abs(np.diag(r))[:target]
+    scales = np.linalg.norm(g[:, picked], axis=0)
+    weak = np.flatnonzero(pivots <= tol.rank_rel * (1.0 + scales))
+    if pivots.size < target or weak.size:
+        found = weak[0] if weak.size else pivots.size
+        raise DegenerateSystemError(
+            f"only {found} independent constraints found, expected {target}"
+        )
 
-    indices = tuple(sorted(chosen))
+    indices = tuple(sorted(picked.tolist()))
     sub = g[:, indices]
     cab = sub.T @ cs.spec.poisson @ sub
-    if rank_tol(cab, tol) != target:
+    cab_inv, rank = pinv_rank(cab, tol)
+    if rank != target:
         raise DegenerateSystemError(
             "selected subset is not second class: C_AB rank deficient"
         )
-    cab_inv = pseudoinverse(cab, tol)
     return SubsetSelection(indices=indices, cab=cab, cab_inv=cab_inv)
 
 

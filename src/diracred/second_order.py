@@ -31,6 +31,7 @@ from .numerics import (
     Tolerance,
     check_finite,
     is_antisymmetric,
+    pinv_rank,
     pseudoinverse,
     rank_tol,
     rel_residual,
@@ -193,12 +194,13 @@ def omega_tilde_pair(
         raise InvalidInputError("seed2 must be invertible")
 
     omega_bar = art.d11.T @ seed_low @ art.d11
-    if rank_tol(omega_bar, tol) != m1 - m2:
+    omega_bar_pinv, rank_bar = pinv_rank(omega_bar, tol)
+    if rank_bar != m1 - m2:
         raise NoSolutionError(
             "restricted seed is rank deficient, reseed required",
-            float(rank_tol(omega_bar, tol)),
+            float(rank_bar),
         )
-    omega_hat = art.d11 @ pseudoinverse(omega_bar, tol) @ art.d11
+    omega_hat = art.d11 @ omega_bar_pinv @ art.d11
     # enforce exact antisymmetry against rounding
     omega_bar = skew_part(omega_bar)
     omega_hat = skew_part(omega_hat)

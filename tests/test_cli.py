@@ -144,3 +144,46 @@ def test_evolve_toy(toy_file, capsys):
     rc = main(["evolve", toy_file, "--h", "0.5*q9^2",
                "--steps", "1", "--dt", "0.01"])
     assert rc == 2
+
+
+THREEFORM_ENGINE_CHECKS = [
+    "eq_11x", "eq_11d_rank", "eq_21q", "eq_p11", "eq_32", "eq_v23", "eq_29",
+    "eq_30", "eq_12a", "eq_30_trace", "eq_w23", "eq_x23",
+]
+PAPER_CHOICES_CHECKS = {
+    "fd": ["eq_27qq", "eq_p11", "eq_58", "eq_59", "eq_72", "locality",
+           "eq_27ww", "eq_27qw", "eq_14r", "eq_v23"],
+    "spectral": ["eq_27qq", "eq_p11", "eq_58", "eq_59", "eq_72", "locality",
+                 "eq_27ww", "eq_27qw", "eq_y23", "eq_q31", "eq_q30",
+                 "eq_14r", "eq_v23"],
+}
+ANALYZE_CHECKS = [
+    "eq_2", "eq_11d_rank", "eq_11x", "z2_rank", "z1_rank", "eq_11e", "eq_a2",
+    "eq_ay", "eq_a8", "eq_1qa", "eq_15", "eq_17", "eq_12k", "eq_12b",
+    "eq_11c", "eq_a3", "eq_a18", "eq_a18a", "eq_21q", "eq_20", "eq_27qq",
+    "eq_p11", "rank_c_delta", "eq_27x", "eq_27z", "eq_27wp", "eq_24",
+    "eq_28", "eq_32y", "eq_32",
+]
+
+
+@pytest.mark.parametrize("derivative", ["fd", "spectral"])
+def test_threeform_check_names_fixed(tmp_path, capsys, derivative):
+    # every check record stays in the report, in order and passing
+    out = str(tmp_path / "tf.json")
+    assert main(["threeform", "--dim", "3", "--lattice", "3",
+                 "--derivative", derivative, "--paper-choices",
+                 "--json", out]) == 0
+    doc = json.loads(open(out).read())
+    engine = [c["name"] for c in doc["engine"]["checks"]]
+    paper = [c["name"] for c in doc["paper_choices"]["checks"]]
+    assert engine == THREEFORM_ENGINE_CHECKS
+    assert paper == PAPER_CHOICES_CHECKS[derivative]
+    capsys.readouterr()
+
+
+def test_analyze_check_names_fixed(toy_file, tmp_path, capsys):
+    out = str(tmp_path / "an.json")
+    assert main(["analyze", toy_file, "--json", out]) == 0
+    doc = json.loads(open(out).read())
+    assert [c["name"] for c in doc["checks"]] == ANALYZE_CHECKS
+    capsys.readouterr()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diracred.numerics import (
     DEFAULT_TOL,
@@ -118,3 +120,44 @@ def test_skew_part():
     s = skew_part(m)
     assert np.allclose(s, -s.T)
     assert np.allclose(s + 0.5 * (m + m.T), m)
+
+
+@st.composite
+def antisymmetric_of_even_rank(draw):
+    """(c, basis of ker c) for a random antisymmetric c of even rank < n."""
+    n = draw(st.integers(3, 10))
+    r = 2 * draw(st.integers(1, (n - 1) // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    b = rng.standard_normal((n, r))
+    c = b @ symplectic_block(r) @ b.T
+    return c, null_basis(c), rng
+
+
+def _solves(c, target):
+    m = skew_solve(c, target)
+    assert np.array_equal(m, -m.T)
+    scale = 1.0 + np.linalg.norm(target)
+    assert np.linalg.norm(m @ c - target) <= DEFAULT_TOL.weak_eq * scale
+
+
+@given(antisymmetric_of_even_rank())
+def test_skew_solve_property_projector_and_oblique(system):
+    c, ker, rng = system
+    _solves(c, range_projector(c))
+    # oblique: I - Z Abar with Z spanning ker(c) and Abar Z = I, so the
+    # range of the target leaves range(c)
+    w = ker + 0.5 * rng.standard_normal(ker.shape)
+    abar = np.linalg.solve(w.T @ ker, w.T)
+    oblique = np.eye(c.shape[0]) - ker @ abar
+    assert np.linalg.norm(ker.T @ oblique) > 1e-3
+    _solves(c, oblique)
+
+
+@given(antisymmetric_of_even_rank())
+def test_skew_solve_property_outside_range_fails(system):
+    c, ker, rng = system
+    # rows with a component along ker(c): M @ c can never produce them
+    v = rng.standard_normal(c.shape[0])
+    target = range_projector(c) + np.outer(v, ker[:, 0])
+    with pytest.raises(NoSolutionError):
+        skew_solve(c, target)

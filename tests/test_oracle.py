@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from diracred.constraints import sample_surface, synth_linear, toy_system
+from diracred.constraints import (
+    ConstraintSet,
+    sample_surface,
+    synth_linear,
+    toy_system,
+)
 from diracred.numerics import DEFAULT_TOL, InvalidInputError, rank_tol
 from diracred.oracle import (
     DegenerateSystemError,
@@ -10,7 +17,41 @@ from diracred.oracle import (
     fundamental_matrix_oracle,
     independent_subset,
 )
-from diracred.phase import coordinate
+from diracred.phase import PhaseSpec, affine, coordinate
+
+
+@st.composite
+def synth_systems(draw):
+    """A synth_linear system and one of its surface points."""
+    m2 = draw(st.sampled_from([2, 4]))
+    m1 = m2 + 2 * draw(st.integers(1, 3))
+    n_ind = 2 * draw(st.integers(m2 // 2, 5))
+    n_pairs = draw(st.integers(n_ind // 2, n_ind // 2 + 3))
+    seed = draw(st.integers(0, 10_000))
+    cs = synth_linear(n_pairs, n_ind + m1 - m2, m1, m2, seed=seed)
+    return cs, sample_surface(cs, seed=seed, count=1)[0]
+
+
+def with_scaled_pair(cs, scale):
+    """cs plus one canonical pair (q, p) constrained by scale*q and p/scale.
+
+    The q gradient has norm ``scale`` and is orthogonal to every other
+    gradient, so it is the last QR pivot and that pivot equals ``scale``;
+    the bracket {scale*q, p/scale} = 1 keeps C_AB well conditioned.
+    """
+    n = cs.spec.n_pairs
+    spec = PhaseSpec(n_pairs=n + 1)
+    b, c = cs.affine_matrix()
+    # old coordinates q_0..q_{n-1}, p_0..p_{n-1} go to their new slots
+    old = np.r_[0:n, n + 1:2 * n + 1]
+    rows = np.zeros((cs.m0 + 2, spec.dim))
+    rows[:cs.m0, old] = b
+    rows[cs.m0, n] = scale
+    rows[cs.m0 + 1, 2 * n + 1] = 1.0 / scale
+    assert spec.poisson[n, 2 * n + 1] == 1.0
+    chi = [affine(row, ci) for row, ci in zip(rows, np.r_[c, 0.0, 0.0])]
+    z1 = np.vstack([cs.z1, np.zeros((2, cs.m1))])
+    return ConstraintSet(spec=spec, chi=chi, z1=z1, z2=cs.z2), old
 
 
 def test_subset_size_and_invertibility():
@@ -69,3 +110,36 @@ def test_compare_fundamental_keys():
     )
     assert out["vs_same"] == 0.0
     assert out["max_pairwise"] == 0.0
+
+
+@given(synth_systems())
+def test_subset_property_full_rank(system):
+    cs, at = system
+    sel = independent_subset(cs, at)
+    assert len(set(sel.indices)) == cs.n_independent
+    assert rank_tol(sel.cab) == cs.n_independent
+    assert np.allclose(sel.cab @ sel.cab_inv, np.eye(cs.n_independent),
+                       atol=1e-8)
+
+
+@given(synth_systems(), st.data())
+def test_subset_property_order_invariance(system, data):
+    cs, at = system
+    order = data.draw(st.permutations(range(cs.m0)))
+    base = fundamental_matrix_oracle(cs, at)
+    alt = fundamental_matrix_oracle(cs, at, order=order)
+    assert np.abs(alt - base).max() < 1e-9
+
+
+@given(synth_systems())
+def test_subset_property_pivot_cutoff(system):
+    cs, at = system
+    rank_rel = DEFAULT_TOL.rank_rel
+    weak, old = with_scaled_pair(cs, 0.1 * rank_rel)
+    at_ext = np.zeros(weak.spec.dim)
+    at_ext[old] = at
+    with pytest.raises(DegenerateSystemError):
+        independent_subset(weak, at_ext)
+    strong, _ = with_scaled_pair(cs, 10.0 * rank_rel)
+    sel = independent_subset(strong, at_ext)
+    assert {cs.m0, cs.m0 + 1} <= set(sel.indices)
