@@ -6,12 +6,17 @@ first-order reducibility matrix Z1 (M0 x M1, ``Z1.T @ chi == 0``) and,
 for order-2 systems, the second-order matrix Z2 (M1 x M2,
 ``Z1 @ Z2 ~= 0`` on the surface).  Z matrices may be constant arrays or
 point-valued callables; all bundled generators produce constant ones.
+
+A set whose chi are all affine stores them natively as (B, c) with
+chi = B z + c.  With constant Z matrices as well it is a constant
+system (``is_constant``): every derived artifact is then the same at
+every point, which later stages use to build them once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -30,6 +35,10 @@ from .numerics import (
 from .phase import PhaseFunction, PhaseSpec
 
 MatrixOrMap = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+
+
+def _sup_norm(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values))) if values.size else 0.0
 
 
 class OffSurfaceError(ValueError):
@@ -52,9 +61,26 @@ class ConstraintSet:
     z2: Optional[MatrixOrMap] = None
     order: int = 2
     name: str = ""
+    # (B, c) with chi = B z + c when every chi is affine, else None
+    _affine: Optional[tuple] = field(
+        init=False, default=None, repr=False, compare=False
+    )
+    # pinv(B) per tolerance, for affine systems
+    _b_pinv: dict = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "chi", tuple(self.chi))
+        if all(f.kind == "affine" for f in self.chi):
+            b = (np.vstack([f.b for f in self.chi]) if self.chi
+                 else np.zeros((0, self.spec.dim)))
+            if b.shape[1] != self.spec.dim:
+                raise InvalidInputError(
+                    "constraint dimension does not match the phase space"
+                )
+            c = np.array([f.c for f in self.chi], dtype=float)
+            object.__setattr__(self, "_affine", (b, c))
         if self.order not in (1, 2):
             raise InvalidInputError("order must be 1 or 2")
         if self.order == 2 and self.z2 is None:
@@ -95,7 +121,16 @@ class ConstraintSet:
 
     @property
     def is_affine(self) -> bool:
-        return all(f.kind == "affine" for f in self.chi)
+        return self._affine is not None
+
+    @property
+    def is_constant(self) -> bool:
+        """Affine chi and constant Z matrices: nothing depends on the point."""
+        return (
+            self.is_affine
+            and isinstance(self.z1, np.ndarray)
+            and (self.z2 is None or isinstance(self.z2, np.ndarray))
+        )
 
     def z1_at(self, at: np.ndarray) -> np.ndarray:
         return self.z1 if isinstance(self.z1, np.ndarray) else np.asarray(
@@ -111,23 +146,35 @@ class ConstraintSet:
 
     def values(self, at: np.ndarray) -> np.ndarray:
         at = self.spec.point(at)
+        if self._affine is not None:
+            b, c = self._affine
+            return b @ at + c
         return np.array([f(at) for f in self.chi])
 
     def gradients(self, at: np.ndarray) -> np.ndarray:
         """Gradient matrix, 2N x M0: column a0 is grad(chi_{a0})."""
         at = self.spec.point(at)
+        if self._affine is not None:
+            return self._affine[0].T.copy()
         return np.column_stack([f.gradient(at) for f in self.chi])
 
     def affine_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """(B, c) with chi = B z + c for fully affine systems."""
-        if not self.is_affine:
+        if self._affine is None:
             raise InvalidInputError("constraint set is not affine")
-        b = np.vstack([f.b for f in self.chi])
-        c = np.array([f.c for f in self.chi])
-        return b, c
+        b, c = self._affine
+        return b.copy(), c.copy()
+
+    def _jacobian_pinv(self, at: np.ndarray, tol: Tolerance) -> np.ndarray:
+        """Pseudoinverse of the M0 x 2N constraint Jacobian at a point."""
+        if self._affine is None:
+            return pseudoinverse(self.gradients(at).T, tol)
+        if tol not in self._b_pinv:
+            self._b_pinv[tol] = pseudoinverse(self._affine[0], tol)
+        return self._b_pinv[tol]
 
     def surface_residual(self, at: np.ndarray) -> float:
-        return float(np.max(np.abs(self.values(at)))) if self.m0 else 0.0
+        return _sup_norm(self.values(at))
 
     def require_on_surface(self, at: np.ndarray, tol: Tolerance) -> None:
         r = self.surface_residual(at)
@@ -211,19 +258,20 @@ def project_to_surface(
 ) -> np.ndarray:
     """Gauss-Newton projection onto the constraint surface.
 
-    For affine systems this is a single exact minimum-norm correction.
+    For affine systems the Jacobian is B everywhere: its pseudoinverse is
+    computed once per system and tolerance, and a single step is the
+    exact minimum-norm correction.
     """
     z = cs.spec.point(start).copy()
-    residual = cs.surface_residual(z)
-    if residual <= tol.surface:
-        return z
-    for _ in range(max_iter):
-        vals = cs.values(z)
-        jac = cs.gradients(z).T  # M0 x 2N
-        z = z - pseudoinverse(jac, tol) @ vals
-        residual = cs.surface_residual(z)
+    vals = cs.values(z)
+    for step in range(max_iter + 1):
+        residual = _sup_norm(vals)
         if residual <= tol.surface:
             return z
+        if step == max_iter:
+            break
+        z = z - cs._jacobian_pinv(z, tol) @ vals
+        vals = cs.values(z)
     raise ProjectionError("surface projection did not converge", residual)
 
 

@@ -9,13 +9,20 @@ for the independent set
 whose bracket matrix c_delta is invertible with the closed-form inverse
 c_delta_inv.  The Dirac bracket built from them weakly reproduces the
 reducible one for functions of the original coordinates.
+
+An IrreducibleSystem holds artifacts built at one point.  On a constant
+base (affine chi, constant Z) they hold everywhere, and its bracket
+kernels are computed once and read at every point; otherwise brackets
+are available only at the build point, and any other point raises
+BuildPointError.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +44,11 @@ from .report import CheckReport
 
 class OffSurfaceExtendedError(ValueError):
     """Extended point violates the irreducible constraints."""
+
+
+class BuildPointError(ValueError):
+    """A system with a non-constant base is evaluated away from the point
+    where its artifacts were built, where they do not hold."""
 
 
 @dataclass(frozen=True)
@@ -126,6 +138,51 @@ class IrreducibleSystem:
         """Pad a z-space gradient with zero y components."""
         return np.concatenate([np.asarray(grad_z, float),
                                np.zeros(self.dim_y)])
+
+    def require_build_point(self, z: np.ndarray, tol: Tolerance) -> None:
+        """Refuse a base point other than the build point, unless the base
+        is constant and the artifacts hold everywhere."""
+        if self.base.is_constant:
+            return
+        p = self.artifacts.point
+        if np.abs(z - p).max() > tol.surface * (1.0 + np.abs(p).max()):
+            raise BuildPointError(
+                "the artifacts of a system with a non-constant base hold "
+                "only at their build point; rebuild them at this point"
+            )
+
+    @property
+    def build_point(self) -> np.ndarray:
+        """Extended point (z, y = 0) at which the artifacts were built."""
+        return self.join(self.artifacts.point, np.zeros(self.dim_y))
+
+    @cached_property
+    def _irred_kernel(self) -> np.ndarray:
+        """Irreducible fundamental matrix at the build point, read-only."""
+        jext = self.extended_poisson()
+        gt = self.chi_tilde_gradients(self.build_point)
+        out = jext - (jext @ gt) @ self.c_delta_inv @ (gt.T @ jext)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _inter_kernel(self) -> np.ndarray:
+        """Intermediate-system fundamental matrix at the build point,
+        read-only."""
+        jext = self.extended_poisson()
+        nz, ny = self.dim_z, self.dim_y
+        gchi = np.zeros((nz + ny, self.base.m0))
+        gchi[:nz, :] = self.base.gradients(self.artifacts.point)
+        gy = np.zeros((nz + ny, ny))
+        gy[nz:, :] = np.eye(ny)
+        out = jext - (jext @ gchi) @ self.artifacts.mu2 @ (gchi.T @ jext)
+        out = out - (jext @ gy) @ self.omega_y_inv @ (gy.T @ jext)
+        out.setflags(write=False)
+        return out
+
+    def _valid_at(self, at: np.ndarray, tol: Tolerance) -> None:
+        self.require_on_surface(at, tol)
+        self.require_build_point(self.split(at)[0], tol)
 
 
 def build_irreducible(
@@ -220,15 +277,11 @@ def dirac_irred(
     Functions of the original coordinates alone are accepted and padded
     with vanishing y derivatives.
     """
-    sys.require_on_surface(at, tol)
+    sys._valid_at(at, tol)
     z, _ = sys.split(at)
     gf = _ext_gradient(sys, f, at, z)
     gg = _ext_gradient(sys, g, at, z)
-    jext = sys.extended_poisson()
-    gt = sys.chi_tilde_gradients(at)
-    u = gf @ jext @ gt
-    v = gt.T @ jext @ gg
-    return float(gf @ jext @ gg) - float(u @ sys.c_delta_inv @ v)
+    return float(gf @ sys._irred_kernel @ gg)
 
 
 def _ext_gradient(
@@ -251,12 +304,12 @@ def fundamental_matrix_irred(
     """Irreducible Dirac brackets among ALL extended coordinates.
 
     The leading 2N x 2N block is the fundamental matrix of the original
-    coordinates; the y rows and columns vanish weakly.
+    coordinates; the y rows and columns vanish weakly.  The matrix is
+    built once per system and returned read-only; away from the build
+    point of a non-constant base this raises BuildPointError.
     """
-    sys.require_on_surface(at, tol)
-    jext = sys.extended_poisson()
-    gt = sys.chi_tilde_gradients(at)
-    return jext - (jext @ gt) @ sys.c_delta_inv @ (gt.T @ jext)
+    sys._valid_at(at, tol)
+    return sys._irred_kernel
 
 
 def intermediate_bracket_matrix(
@@ -264,19 +317,14 @@ def intermediate_bracket_matrix(
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Fundamental brackets of the intermediate system (chi, y) extended."""
-    sys.require_on_surface(at, tol)
-    z, _ = sys.split(at)
-    jext = sys.extended_poisson()
-    gz = sys.base.gradients(z)
-    nz, ny = sys.dim_z, sys.dim_y
-    gchi = np.zeros((nz + ny, sys.base.m0))
-    gchi[:nz, :] = gz
-    gy = np.zeros((nz + ny, ny))
-    gy[nz:, :] = np.eye(ny)
-    mu2 = sys.artifacts.mu2
-    out = jext - (jext @ gchi) @ mu2 @ (gchi.T @ jext)
-    return out - (jext @ gy) @ sys.omega_y_inv @ (gy.T @ jext)
+    """Fundamental brackets of the intermediate system (chi, y) extended.
+
+    Built once per system and read-only, like fundamental_matrix_irred,
+    and refused likewise away from the build point of a non-constant
+    base.
+    """
+    sys._valid_at(at, tol)
+    return sys._inter_kernel
 
 
 def equivalence_report(
@@ -286,13 +334,21 @@ def equivalence_report(
     n_points: int = 20,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
+    points: Optional[Sequence[np.ndarray]] = None,
 ) -> CheckReport:
     """Certify that all bracket formulations agree for z-only functions.
 
-    At each on-surface point (y = 0) the fundamental matrices of the
-    oracle, the reducible brackets in both modes, the intermediate system
-    and the irreducible system are compared; random quadratic function
-    pairs then contract those matrices.
+    Built once, from sys: the reducible fundamental matrices in both
+    modes (from sys.artifacts), the intermediate one and the irreducible
+    one, and their pairwise deviations.  Run at each on-surface point
+    (y = 0): the oracle, from the raw constraint gradients there, so the
+    certification stays independent of what it certifies, compared with
+    each of the four.  Random gradient pairs, standing in for quadratic
+    functions, contract every difference matrix as well.
+
+    The points are drawn with sample_surface(cs, seed, n_points) unless
+    given.  On a non-constant base every point other than the build
+    point raises BuildPointError, as sys holds only there.
     """
     rep = CheckReport(
         system=cs.name or "constraint-system",
@@ -302,40 +358,37 @@ def equivalence_report(
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 1)
     dim = cs.spec.dim
-    grads = []
-    for _ in range(n_pairs_of_functions):
-        # gradients of random quadratic functions at a point are generic
-        # vectors; sampling them directly is equivalent and cheaper
-        grads.append((rng.standard_normal(dim), rng.standard_normal(dim)))
+    # gradients of random quadratic functions at a point are generic
+    # vectors; sampling them directly is equivalent and cheaper
+    pairs = rng.standard_normal((n_pairs_of_functions, 2, dim))
+    gf_rows, gg_rows = pairs[:, 0], pairs[:, 1]
 
-    points = sample_surface(cs, seed, n_points, tol)
-    dev_modes = 0.0   # noninvertible vs invertible
-    dev_inter = 0.0   # intermediate vs reducible
-    dev_irred = 0.0   # irreducible vs intermediate
-    dev_all = 0.0     # worst pairwise including the oracle
+    def deviation(a: np.ndarray, b: np.ndarray) -> float:
+        diff = a - b
+        contracted = np.einsum("ij,ij->i", gf_rows @ diff, gg_rows)
+        return max(float(np.abs(diff).max()),
+                   float(np.abs(contracted).max(initial=0.0)))
+
+    if points is None:
+        points = sample_surface(cs, seed, n_points, tol)
+    art = sys.artifacts
+    j = cs.spec.poisson
+    gz = sys.base.gradients(art.point)
+    f_non = j - (j @ gz) @ art.m2 @ (gz.T @ j)
+    f_inv = j - (j @ gz) @ art.mu2 @ (gz.T @ j)
+    f_inter = intermediate_bracket_matrix(sys, sys.build_point, tol)
+    f_irr = fundamental_matrix_irred(sys, sys.build_point, tol)
+    f_inter, f_irr = f_inter[:dim, :dim], f_irr[:dim, :dim]
+    mats = [f_non, f_inv, f_inter, f_irr]
+    dev_all = max(deviation(a, b)
+                  for i, a in enumerate(mats) for b in mats[i + 1:])
     for z in points:
+        sys.require_build_point(z, tol)
         f_oracle = oracle_mod.fundamental_matrix_oracle(cs, z, tol)
-        art = so.full_artifacts(cs, z, tol)
-        j = cs.spec.poisson
-        gz = cs.gradients(z)
-        f_non = j - (j @ gz) @ art.m2 @ (gz.T @ j)
-        f_inv = j - (j @ gz) @ art.mu2 @ (gz.T @ j)
-        ext = sys.join(z, np.zeros(sys.dim_y))
-        f_inter = intermediate_bracket_matrix(sys, ext, tol)[:dim, :dim]
-        f_irr = fundamental_matrix_irred(sys, ext, tol)[:dim, :dim]
-        mats = [f_oracle, f_non, f_inv, f_inter, f_irr]
-        dev_modes = max(dev_modes, float(np.abs(f_non - f_inv).max()))
-        dev_inter = max(dev_inter, float(np.abs(f_inter - f_inv).max()))
-        dev_irred = max(dev_irred, float(np.abs(f_irr - f_inter).max()))
-        for i, a in enumerate(mats):
-            for b in mats[i + 1:]:
-                entry = float(np.abs(a - b).max())
-                for gf, gg in grads:
-                    entry = max(entry, abs(float(gf @ (a - b) @ gg)))
-                dev_all = max(dev_all, entry)
-    rep.add("eq_24", dev_modes, tol.weak_eq)
-    rep.add("eq_28", dev_inter, tol.weak_eq)
-    rep.add("eq_32y", dev_irred, tol.weak_eq)
+        dev_all = max([dev_all] + [deviation(f_oracle, m) for m in mats])
+    rep.add("eq_24", float(np.abs(f_non - f_inv).max()), tol.weak_eq)
+    rep.add("eq_28", float(np.abs(f_inter - f_inv).max()), tol.weak_eq)
+    rep.add("eq_32y", float(np.abs(f_irr - f_inter).max()), tol.weak_eq)
     rep.add("eq_32", dev_all, tol.weak_eq)
     rep.timings["equivalence"] = time.perf_counter() - t0
     return rep
@@ -351,19 +404,24 @@ def eom_step(
 ) -> np.ndarray:
     """One fixed-step RK4 step of z' = [z, h]* with y held fixed.
 
-    The bracket kernel at each stage is assembled at the nearest
-    on-surface point, so small integrator drift does not poison the
-    construction; the state itself is only reprojected when asked.
+    The bracket kernel, the z block of the irreducible fundamental
+    matrix, is built once per system and is the same at every point of
+    a constant base, so each stage is one matrix-vector product with
+    grad h.  A non-constant base raises BuildPointError: its kernel
+    holds only at the build point, which the stages leave.  The state is
+    reprojected onto the surface only when asked.
     """
     if dt <= 0.0:
         raise InvalidInputError("dt must be positive")
+    if not sys.base.is_constant:
+        raise BuildPointError(
+            "eom_step needs a constant base: the bracket kernel of a "
+            "non-constant base holds only at its build point"
+        )
     z, y = sys.split(at)
+    kernel = sys._irred_kernel[:sys.dim_z, :sys.dim_z]
 
     def velocity(zs: np.ndarray) -> np.ndarray:
-        zk = project_to_surface(sys.base, zs, tol)
-        ext = sys.join(zk, y * 0.0)
-        kernel = fundamental_matrix_irred(sys, ext, tol)[:sys.dim_z,
-                                                         :sys.dim_z]
         return kernel @ h.gradient(zs)
 
     k1 = velocity(z)

@@ -189,6 +189,14 @@ def skew_solve(
     as |M c - target| exceeds ``weak_eq * (1 + |target|)``.  The result
     is exactly antisymmetric.
     """
+    return skew_solve_product(c, target, tol)[0]
+
+
+def skew_solve_product(
+    c: np.ndarray, target: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """skew_solve's M together with the product M @ c formed for its
+    residual test, so callers checking M @ c need not form it again."""
     c = check_finite(c, "c")
     target = check_finite(target, "target")
     n = c.shape[0]
@@ -203,7 +211,8 @@ def skew_solve(
     # mirrored block -(P_ker X)^T
     y_ker = y - u @ (u.T @ y)
     m = skew_part(y @ u.T - u @ y_ker.T)
-    residual = float(np.linalg.norm(m @ c - target))
+    mc = m @ c
+    residual = float(np.linalg.norm(mc - target))
     if residual > tol.weak_eq * (1.0 + np.linalg.norm(target)):
         raise NoSolutionError("target is not reachable as M @ c", residual)
-    return m
+    return m, mc

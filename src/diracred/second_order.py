@@ -36,7 +36,7 @@ from .numerics import (
     rank_tol,
     rel_residual,
     skew_part,
-    skew_solve,
+    skew_solve_product,
     symplectic_block,
 )
 from .phase import PhaseFunction
@@ -156,8 +156,8 @@ def second_order_artifacts(
         rel_residual(d00 @ z1, z1 @ a12 @ dbar2 @ z2.T), tol.weak_eq,
     )
 
-    m2 = skew_solve(c2, d00, tol)
-    _check(residuals, "eq_11c", rel_residual(m2 @ c2, d00), tol.weak_eq)
+    m2, m2_c2 = skew_solve_product(c2, d00, tol)
+    _check(residuals, "eq_11c", rel_residual(m2_c2, d00), tol.weak_eq)
 
     return SecondOrderArtifacts(
         c2=c2, a12=a12, dbar2=dbar2, d11=d11, abar01=abar01, d00=d00,

@@ -14,7 +14,7 @@ from diracred.constraints import (
     toy_system,
     validate,
 )
-from diracred.numerics import DEFAULT_TOL, InvalidInputError
+from diracred.numerics import DEFAULT_TOL, InvalidInputError, pseudoinverse
 from diracred.phase import PhaseSpec, affine
 
 
@@ -125,3 +125,75 @@ def test_constraint_set_structure_checks():
         ConstraintSet(spec=spec, chi=chi, z1=np.ones((1, 1)), order=2)
     with pytest.raises(InvalidInputError):
         ConstraintSet(spec=spec, chi=chi, z1=np.ones((2, 1)), order=1)
+
+
+def _per_function(cs, z):
+    """Values and gradient matrix evaluated one constraint at a time."""
+    values = np.array([f(z) for f in cs.chi])
+    gradients = np.column_stack([f.gradient(z) for f in cs.chi])
+    return values, gradients
+
+
+def _shifted_toy():
+    """The toy system on the surface q1 = 1, p1 = -2 (nonzero c)."""
+    toy = toy_system()
+    chi = tuple(affine(f.b, c=-1.0 if i < 3 else 2.0)
+                for i, f in enumerate(toy.chi))
+    return ConstraintSet(spec=toy.spec, chi=chi, z1=toy.z1, z2=toy.z2)
+
+
+@pytest.mark.parametrize("cs", [
+    toy_system(),
+    _shifted_toy(),
+    synth_linear(10, 12, 8, 2, seed=3),
+    synth_linear(100, 150, 60, 10, seed=0),
+])
+def test_native_affine_arithmetic_matches_per_function_loop(cs):
+    rng = np.random.default_rng(11)
+    b, c = cs.affine_matrix()
+    z = sample_surface(cs, seed=2, count=1)[0]
+    for at in (z, z + rng.standard_normal(cs.spec.dim), 1e3 * z):
+        vals_ref, grads_ref = _per_function(cs, at)
+        # B z sums in another order than the per-function dot products:
+        # relative to the summed magnitudes, both are exact to 1e-12
+        terms = 1.0 + np.abs(b) @ np.abs(at) + np.abs(c)
+        assert np.all(np.abs(cs.values(at) - vals_ref) <= 1e-12 * terms)
+        assert np.array_equal(cs.gradients(at), grads_ref)
+    # the returned arrays are copies of the stored (B, c)
+    b[:] = 0.0
+    c[:] = 1.0
+    assert np.array_equal(cs.gradients(z), grads_ref)
+    assert cs.surface_residual(z) <= DEFAULT_TOL.surface
+
+
+def test_constant_detected_from_structure():
+    toy = toy_system()
+    assert toy.is_affine and toy.is_constant
+    assert duplicated_pair_system().is_constant
+    curved = curved_first_order_system()
+    assert not curved.is_affine and not curved.is_constant
+    # affine chi with a point-valued Z1 is not constant
+    mapped = ConstraintSet(spec=toy.spec, chi=toy.chi,
+                           z1=lambda z: toy.z1, z2=toy.z2)
+    assert mapped.is_affine and not mapped.is_constant
+
+
+def test_sample_surface_factors_affine_matrix_once(monkeypatch):
+    import diracred.constraints as con
+
+    calls = []
+
+    def counting(m, tol=DEFAULT_TOL):
+        calls.append(m.shape)
+        return pseudoinverse(m, tol)
+
+    monkeypatch.setattr(con, "pseudoinverse", counting)
+    cs = synth_linear(10, 12, 8, 2, seed=1)
+    pts = sample_surface(cs, seed=0, count=6)
+    pts += [project_to_surface(cs, 3.0 * pts[0] + 1.0)]
+    assert calls == [(cs.m0, cs.spec.dim)]
+    assert max(cs.surface_residual(p) for p in pts) <= DEFAULT_TOL.surface
+    # opaque constraints still take a Gauss-Newton step per iterate
+    calls.clear()
+    sample_surface(curved_first_order_system(), seed=0, count=2)
+    assert len(calls) >= 2

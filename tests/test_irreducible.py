@@ -1,8 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from diracred.constraints import sample_surface, synth_linear, toy_system
+from diracred.constraints import (
+    ConstraintSet,
+    project_to_surface,
+    sample_surface,
+    synth_linear,
+    toy_system,
+)
 from diracred.irreducible import (
+    BuildPointError,
     build_irreducible,
     dirac_irred,
     eom_step,
@@ -12,7 +23,7 @@ from diracred.irreducible import (
 )
 from diracred.numerics import DEFAULT_TOL, NoSolutionError, rank_tol
 from diracred.oracle import fundamental_matrix_oracle
-from diracred.phase import affine, coordinate, quadratic
+from diracred.phase import affine, coordinate, opaque, quadratic
 from diracred.second_order import full_artifacts
 
 
@@ -140,3 +151,160 @@ def test_eom_step_preserves_surface_and_y():
     t = 0.1
     assert z[1] == pytest.approx(np.cos(t), abs=1e-8)
     assert z[3] == pytest.approx(-np.sin(t), abs=1e-8)
+
+
+def curved_toy_system():
+    """The toy system with its first copy of q1 replaced by q1 e^{q2}.
+
+    Row 0 of Z1 takes the factor e^{-q2}, so Z1^T chi = 0 and Z1 Z2 = 0
+    still hold everywhere, while Z1 and the gradients vary with q2.
+    """
+    toy = toy_system()
+    dim = toy.spec.dim
+
+    def grad(z):
+        g = np.zeros(dim)
+        g[0] = np.exp(z[1])
+        g[1] = z[0] * np.exp(z[1])
+        return g
+
+    chi = (opaque(lambda z: z[0] * np.exp(z[1]), dim, grad=grad),)
+    chi += toy.chi[1:]
+
+    def z1_at(z):
+        z1 = toy.z1.copy()
+        z1[0] *= np.exp(-z[1])
+        return z1
+
+    return ConstraintSet(spec=toy.spec, chi=chi, z1=z1_at, z2=toy.z2,
+                         name="curved-toy")
+
+
+def test_curved_order2_valid_only_at_build_point():
+    cs = curved_toy_system()
+    assert cs.order == 2 and not cs.is_constant
+    pts = sample_surface(cs, seed=3, count=2)
+    for p in pts:
+        assert np.abs(cs.z1_at(p) @ cs.z2_at(p)).max() < 1e-12
+        assert np.abs(cs.z1_at(p).T @ cs.values(p)).max() < 1e-12
+    irs = build_irreducible(cs, full_artifacts(cs, pts[0]))
+    nz = irs.dim_z
+    f0 = fundamental_matrix_irred(irs, irs.build_point)[:nz, :nz]
+    assert np.abs(f0 - fundamental_matrix_oracle(cs, pts[0])).max() < 1e-9
+    # the frozen artifacts give a wrong bracket elsewhere: refuse it
+    other = irs.join(pts[1], np.zeros(irs.dim_y))
+    assert abs(pts[1][1] - pts[0][1]) > 0.1
+    for evaluate in (fundamental_matrix_irred, intermediate_bracket_matrix):
+        with pytest.raises(BuildPointError):
+            evaluate(irs, other)
+    with pytest.raises(BuildPointError):
+        dirac_irred(irs, coordinate(nz, 1), coordinate(nz, 3), other)
+    with pytest.raises(BuildPointError):
+        equivalence_report(cs, irs, n_points=2, seed=3)
+    h = quadratic(np.diag([0.0, 1.0, 0.0, 1.0]))
+    with pytest.raises(BuildPointError):
+        eom_step(irs, h, irs.build_point, 0.01)
+    # rebuilt at the second point, the system is right there
+    irs1 = build_irreducible(cs, full_artifacts(cs, pts[1]))
+    f1 = fundamental_matrix_irred(irs1, other)[:nz, :nz]
+    assert np.abs(f1 - fundamental_matrix_oracle(cs, pts[1])).max() < 1e-9
+
+
+def test_eom_step_constant_kernel_matches_per_stage_rebuild():
+    cs = toy_system()
+    z0 = sample_surface(cs, seed=2, count=1)[0]
+    irs = build_irreducible(cs, full_artifacts(cs, z0))
+    nz = irs.dim_z
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal((nz, nz))
+    h = quadratic(s + s.T, rng.standard_normal(nz))
+
+    def per_stage_step(state, dt):
+        # each stage projects onto the surface and rebuilds the kernel
+        z, y = irs.split(state)
+        jext = irs.extended_poisson()
+
+        def velocity(zs):
+            zk = project_to_surface(cs, zs)
+            gt = irs.chi_tilde_gradients(irs.join(zk, 0.0 * y))
+            kernel = jext - (jext @ gt) @ irs.c_delta_inv @ (gt.T @ jext)
+            return kernel[:nz, :nz] @ h.gradient(zs)
+
+        k1 = velocity(z)
+        k2 = velocity(z + 0.5 * dt * k1)
+        k3 = velocity(z + 0.5 * dt * k2)
+        k4 = velocity(z + dt * k3)
+        return irs.join(z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), y)
+
+    state = ref = irs.join(z0, np.full(irs.dim_y, 0.5))
+    for _ in range(25):
+        state = eom_step(irs, h, state, 0.02)
+        ref = per_stage_step(ref, 0.02)
+    assert np.abs(state - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def _per_point_report(cs, irs, n_pairs, n_points, seed):
+    """equivalence_report's residuals with every artifact rebuilt at each
+    point, and the largest fundamental-matrix entry seen."""
+    rng = np.random.default_rng(seed + 1)
+    dim = cs.spec.dim
+    grads = [(rng.standard_normal(dim), rng.standard_normal(dim))
+             for _ in range(n_pairs)]
+    j = cs.spec.poisson
+    jext = irs.extended_poisson()
+    dev = dict.fromkeys(("eq_24", "eq_28", "eq_32y", "eq_32"), 0.0)
+    scale = 0.0
+    for z in sample_surface(cs, seed, n_points):
+        art = full_artifacts(cs, z)
+        gz = cs.gradients(z)
+        f_non = j - (j @ gz) @ art.m2 @ (gz.T @ j)
+        f_inv = j - (j @ gz) @ art.mu2 @ (gz.T @ j)
+        gt = irs.chi_tilde_gradients(irs.join(z, np.zeros(irs.dim_y)))
+        f_irr = jext - (jext @ gt) @ irs.c_delta_inv @ (gt.T @ jext)
+        gchi = np.zeros((dim + irs.dim_y, cs.m0))
+        gchi[:dim] = gz
+        f_inter = jext - (jext @ gchi) @ art.mu2 @ (gchi.T @ jext)
+        f_inter[dim:, dim:] -= irs.omega_y_inv
+        f_irr, f_inter = f_irr[:dim, :dim], f_inter[:dim, :dim]
+        mats = [fundamental_matrix_oracle(cs, z), f_non, f_inv, f_inter,
+                f_irr]
+        dev["eq_24"] = max(dev["eq_24"], np.abs(f_non - f_inv).max())
+        dev["eq_28"] = max(dev["eq_28"], np.abs(f_inter - f_inv).max())
+        dev["eq_32y"] = max(dev["eq_32y"], np.abs(f_irr - f_inter).max())
+        for i, a in enumerate(mats):
+            scale = max(scale, np.abs(a).max())
+            for b in mats[i + 1:]:
+                entry = np.abs(a - b).max()
+                for gf, gg in grads:
+                    entry = max(entry, abs(gf @ (a - b) @ gg))
+                dev["eq_32"] = max(dev["eq_32"], entry)
+    return dev, scale
+
+
+@st.composite
+def synth_shapes(draw):
+    """(n_pairs, m0, m1, m2) accepted by synth_linear, with M1 > M2."""
+    m2 = draw(st.sampled_from([2, 4]))
+    m1 = m2 + 2 * draw(st.integers(1, 3))
+    n_ind = 2 * draw(st.integers(m2 // 2, 5))
+    n_pairs = draw(st.integers(n_ind // 2, n_ind // 2 + 3))
+    return n_pairs, n_ind + m1 - m2, m1, m2
+
+
+@given(synth_shapes(), st.integers(0, 10_000), st.integers(0, 100))
+def test_equivalence_report_matches_per_point_rebuild(shape, seed, pseed):
+    cs = synth_linear(*shape, seed=seed)
+    at = sample_surface(cs, seed=pseed + 7, count=1)[0]
+    irs = build_irreducible(cs, full_artifacts(cs, at))
+    # a planted 1e-6 error in c_delta_inv must read the same both ways
+    rng = np.random.default_rng(seed)
+    planted = replace(irs, c_delta_inv=irs.c_delta_inv + 1e-6 * (
+        rng.standard_normal(irs.c_delta_inv.shape)))
+    for sys in (irs, planted):
+        rep = equivalence_report(cs, sys, n_pairs_of_functions=4,
+                                 n_points=4, seed=pseed)
+        ref, scale = _per_point_report(cs, sys, 4, 4, pseed)
+        for name, value in ref.items():
+            assert (abs(rep.record(name).residual - value)
+                    <= 1e-12 * (1 + scale)), name
+    assert ref["eq_32"] > 1e-7

@@ -16,6 +16,7 @@ from diracred.numerics import (
     rel_residual,
     skew_part,
     skew_solve,
+    skew_solve_product,
     symplectic_block,
     weak_equal,
 )
@@ -136,6 +137,10 @@ def antisymmetric_of_even_rank(draw):
 def _solves(c, target):
     m = skew_solve(c, target)
     assert np.array_equal(m, -m.T)
+    # the product form returns the same M and its product with c
+    m_again, mc = skew_solve_product(c, target)
+    assert np.array_equal(m_again, m)
+    assert np.array_equal(mc, m @ c)
     scale = 1.0 + np.linalg.norm(target)
     assert np.linalg.norm(m @ c - target) <= DEFAULT_TOL.weak_eq * scale
 

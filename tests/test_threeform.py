@@ -8,6 +8,7 @@ from diracred.threeform import (
     build_threeform,
     chi_tilde_printed,
     closed_form_projector,
+    engine_checks,
     pair_projector,
     paper_choices_artifacts,
     run_threeform_checks,
@@ -140,3 +141,23 @@ def test_paper_choices_spectral_closed_forms():
     assert rep.passed
     for tag in ("eq_y23", "eq_q30", "eq_q31"):
         assert rep.record(tag).residual < 1e-8, tag
+
+
+@pytest.mark.parametrize("derivative", ["fd", "spectral"])
+def test_paper_choices_reuse_engine_artifacts(derivative, monkeypatch):
+    import diracred.threeform as tf
+
+    sys = build_threeform(LatticeSpec(d=3, L=3, derivative=derivative))
+    rep, f_engine = engine_checks(sys, DEFAULT_TOL)
+    assert rep.to_dict()["checks"] == (
+        run_threeform_checks(sys, DEFAULT_TOL).to_dict()["checks"])
+    _, _, own = paper_choices_artifacts(sys, DEFAULT_TOL)
+    builds = []
+    real = tf.so.second_order_artifacts
+    monkeypatch.setattr(tf.so, "second_order_artifacts",
+                        lambda *a, **k: builds.append(1) or real(*a, **k))
+    _, _, shared = paper_choices_artifacts(sys, DEFAULT_TOL,
+                                           f_engine=f_engine)
+    # only the printed-choice build remains; eq_14r keeps its value
+    assert len(builds) == 1
+    assert shared.to_dict()["checks"] == own.to_dict()["checks"]
