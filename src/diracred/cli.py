@@ -120,8 +120,9 @@ def _analyze_report(
             art = so.full_artifacts(cs, pts[0], tol)
             irs = irr.build_irreducible(cs, art, tol=tol)
             _absorb(irs.residuals)
-            eq = irr.equivalence_report(cs, irs, seed=seed, tol=tol,
-                                        points=pts)
+            eq = irr.equivalence_report(
+                cs, irs, n_points=max(points, 1), seed=seed, tol=tol
+            )
             rep.merge(eq)
         else:
             art1 = fo.first_order_artifacts(cs, pts[0], tol)
@@ -203,13 +204,13 @@ def _cmd_threeform(args) -> int:
     lat = tf.LatticeSpec(d=args.dim, L=args.lattice,
                          derivative=args.derivative)
     sysm = tf.build_threeform(lat)
-    rep, f_engine = tf.engine_checks(sysm, DEFAULT_TOL, seed=args.seed)
+    rep = tf.run_threeform_checks(sysm, DEFAULT_TOL, seed=args.seed)
     doc = rep.to_dict()
     lines = rep.summary_lines()
     passed = rep.passed
     if args.paper_choices:
         _, _, prep = tf.paper_choices_artifacts(
-            sysm, DEFAULT_TOL, seed=args.seed, f_engine=f_engine
+            sysm, DEFAULT_TOL, seed=args.seed, f_engine=rep.f_engine
         )
         doc = {"engine": doc, "paper_choices": prep.to_dict()}
         lines += prep.summary_lines()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -305,11 +305,12 @@ def fundamental_matrix_irred(
 
     The leading 2N x 2N block is the fundamental matrix of the original
     coordinates; the y rows and columns vanish weakly.  The matrix is
-    built once per system and returned read-only; away from the build
-    point of a non-constant base this raises BuildPointError.
+    built once per system and a fresh copy is returned at each call;
+    away from the build point of a non-constant base this raises
+    BuildPointError.
     """
     sys._valid_at(at, tol)
-    return sys._irred_kernel
+    return sys._irred_kernel.copy()
 
 
 def intermediate_bracket_matrix(
@@ -319,12 +320,12 @@ def intermediate_bracket_matrix(
 ) -> np.ndarray:
     """Fundamental brackets of the intermediate system (chi, y) extended.
 
-    Built once per system and read-only, like fundamental_matrix_irred,
-    and refused likewise away from the build point of a non-constant
-    base.
+    Built once per system and copied at each call, like
+    fundamental_matrix_irred, and refused likewise away from the build
+    point of a non-constant base.
     """
     sys._valid_at(at, tol)
-    return sys._inter_kernel
+    return sys._inter_kernel.copy()
 
 
 def equivalence_report(
@@ -334,7 +335,6 @@ def equivalence_report(
     n_points: int = 20,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    points: Optional[Sequence[np.ndarray]] = None,
 ) -> CheckReport:
     """Certify that all bracket formulations agree for z-only functions.
 
@@ -346,9 +346,10 @@ def equivalence_report(
     each of the four.  Random gradient pairs, standing in for quadratic
     functions, contract every difference matrix as well.
 
-    The points are drawn with sample_surface(cs, seed, n_points) unless
-    given.  On a non-constant base every point other than the build
-    point raises BuildPointError, as sys holds only there.
+    The points are drawn with sample_surface(cs, seed, n_points); on an
+    affine system that reuses the pseudoinverse of B cached on cs.  On a
+    non-constant base every point other than the build point raises
+    BuildPointError, as sys holds only there.
     """
     rep = CheckReport(
         system=cs.name or "constraint-system",
@@ -369,8 +370,7 @@ def equivalence_report(
         return max(float(np.abs(diff).max()),
                    float(np.abs(contracted).max(initial=0.0)))
 
-    if points is None:
-        points = sample_surface(cs, seed, n_points, tol)
+    points = sample_surface(cs, seed, n_points, tol)
     art = sys.artifacts
     j = cs.spec.poisson
     gz = sys.base.gradients(art.point)

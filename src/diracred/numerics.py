@@ -173,8 +173,12 @@ def range_projector(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def skew_solve(
-    c: np.ndarray, target: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+    c: np.ndarray,
+    target: np.ndarray,
+    tol: Tolerance = DEFAULT_TOL,
+    *,
+    with_product: bool = False,
+):
     """Minimum-norm antisymmetric solution M of ``M @ c ~= target``.
 
     ``c`` must be square and antisymmetric within weak_eq.  One SVD of c
@@ -187,16 +191,10 @@ def skew_solve(
     projector onto range(c).  Oblique targets I - Z Abar with Z spanning
     ker(c) and Abar Z = I qualify.  Otherwise NoSolutionError is raised,
     as |M c - target| exceeds ``weak_eq * (1 + |target|)``.  The result
-    is exactly antisymmetric.
+    is exactly antisymmetric.  With ``with_product`` the pair
+    (M, M @ c) is returned, the product being the one the residual test
+    forms, so callers checking M @ c need not form it again.
     """
-    return skew_solve_product(c, target, tol)[0]
-
-
-def skew_solve_product(
-    c: np.ndarray, target: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """skew_solve's M together with the product M @ c formed for its
-    residual test, so callers checking M @ c need not form it again."""
     c = check_finite(c, "c")
     target = check_finite(target, "target")
     n = c.shape[0]
@@ -215,4 +213,4 @@ def skew_solve_product(
     residual = float(np.linalg.norm(mc - target))
     if residual > tol.weak_eq * (1.0 + np.linalg.norm(target)):
         raise NoSolutionError("target is not reachable as M @ c", residual)
-    return m, mc
+    return (m, mc) if with_product else m

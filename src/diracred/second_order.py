@@ -36,7 +36,7 @@ from .numerics import (
     rank_tol,
     rel_residual,
     skew_part,
-    skew_solve_product,
+    skew_solve,
     symplectic_block,
 )
 from .phase import PhaseFunction
@@ -156,7 +156,7 @@ def second_order_artifacts(
         rel_residual(d00 @ z1, z1 @ a12 @ dbar2 @ z2.T), tol.weak_eq,
     )
 
-    m2, m2_c2 = skew_solve_product(c2, d00, tol)
+    m2, m2_c2 = skew_solve(c2, d00, tol, with_product=True)
     _check(residuals, "eq_11c", rel_residual(m2_c2, d00), tol.weak_eq)
 
     return SecondOrderArtifacts(

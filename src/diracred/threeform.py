@@ -321,28 +321,26 @@ def _lattice_artifacts(
     return so.mu_pair(art, sys.cs, tol)
 
 
+@dataclass
+class EngineReport(CheckReport):
+    """Report of run_threeform_checks.  It also carries f_engine, the
+    2N x 2N fundamental matrix of the engine's noninvertible route at the
+    sampled point, which paper_choices_artifacts compares against
+    (eq_14r); f_engine is not serialised."""
+
+    f_engine: Optional[np.ndarray] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
+
+
 def run_threeform_checks(
     sys: ThreeFormSystem,
     tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
-) -> CheckReport:
+) -> EngineReport:
     """Generic pipeline on the lattice system against the closed forms."""
-    return engine_checks(sys, tol, seed)[0]
-
-
-def engine_checks(
-    sys: ThreeFormSystem,
-    tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
-) -> tuple:
-    """run_threeform_checks, also returning the engine's bracket.
-
-    Returns (report, f_engine), f_engine the 2N x 2N fundamental matrix
-    of the engine's noninvertible route at the sampled point; hand it to
-    paper_choices_artifacts for its eq_14r comparison.
-    """
-    rep = CheckReport(system=sys.cs.name, tolerances=tol,
-                      seeds={"points": seed})
+    rep = EngineReport(system=sys.cs.name, tolerances=tol,
+                       seeds={"points": seed})
     t0 = time.perf_counter()
     cs = sys.cs
     nf = sys.n_field
@@ -394,8 +392,9 @@ def engine_checks(
     dpair = pair_projector(sys)
     rep.add("eq_w23", rel_residual(art.d00, dpair), tol.weak_eq)
     rep.add("eq_x23", rel_residual(dpair @ dpair, dpair), tol.weak_eq)
+    rep.f_engine = f_non
     rep.timings["engine_checks"] = time.perf_counter() - t0
-    return rep, f_non
+    return rep
 
 
 def _paper_a12(sys: ThreeFormSystem) -> np.ndarray:
@@ -620,7 +619,8 @@ def paper_choices_artifacts(
     sys: ThreeFormSystem,
     tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
-    f_engine: Optional[np.ndarray] = None,
+    *,
+    f_engine: np.ndarray,
 ) -> tuple:
     """Second-order artifacts and irreducible system with the printed
     choices installed instead of the engine defaults.
@@ -632,8 +632,7 @@ def paper_choices_artifacts(
     derivation assumes the self-adjoint (spectral) derivative.
 
     ``f_engine`` is the engine's fundamental matrix that eq_14r compares
-    against, as returned by engine_checks with the same tolerance and
-    seed; it is built here when omitted.
+    against: the ``f_engine`` of run_threeform_checks on the same system.
     """
     t0 = time.perf_counter()
     cs = sys.cs
@@ -711,11 +710,6 @@ def paper_choices_artifacts(
     # the printed route must reproduce the engine's fundamental brackets
     ext = irs.join(z, np.zeros(irs.dim_y))
     f_paper = irr.fundamental_matrix_irred(irs, ext, tol)[:dim, :dim]
-    if f_engine is None:
-        m2_engine = so.second_order_artifacts(cs, z, tol).m2
-        j = cs.spec.poisson
-        g = cs.gradients(z)
-        f_engine = j - (j @ g) @ m2_engine @ (g.T @ j)
     rep.add("eq_14r", float(np.abs(f_paper - f_engine).max()), tol.weak_eq)
     if _printed_forms_apply(sys):
         nf = sys.n_field

@@ -163,7 +163,8 @@ def test_7_threeform_example():
         assert rep.passed
         assert rep.record("eq_v23").residual < 1e-8
         assert rep.record("eq_29").residual < 1e-8
-        _, _, prep = paper_choices_artifacts(sys, DEFAULT_TOL)
+        _, _, prep = paper_choices_artifacts(sys, DEFAULT_TOL,
+                                             f_engine=rep.f_engine)
         assert prep.passed
         for tag in ("eq_58", "eq_59", "eq_72", "eq_27qq"):
             assert prep.record(tag).passed, tag

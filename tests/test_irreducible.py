@@ -210,6 +210,16 @@ def test_curved_order2_valid_only_at_build_point():
     assert np.abs(f1 - fundamental_matrix_oracle(cs, pts[1])).max() < 1e-9
 
 
+def test_bracket_matrices_are_fresh_copies(toy_irr):
+    cs, at, irs = toy_irr
+    ext = irs.join(at, np.zeros(irs.dim_y))
+    for evaluate in (fundamental_matrix_irred, intermediate_bracket_matrix):
+        first = evaluate(irs, ext)
+        kept = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(evaluate(irs, ext), kept)
+
+
 def test_eom_step_constant_kernel_matches_per_stage_rebuild():
     cs = toy_system()
     z0 = sample_surface(cs, seed=2, count=1)[0]

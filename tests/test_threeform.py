@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from diracred.constraints import sample_surface, validate
+from diracred.second_order import second_order_artifacts
 from diracred.numerics import DEFAULT_TOL, InvalidInputError, rank_tol
 from diracred.threeform import (
     LatticeSpec,
     build_threeform,
     chi_tilde_printed,
     closed_form_projector,
-    engine_checks,
     pair_projector,
     paper_choices_artifacts,
     run_threeform_checks,
@@ -123,9 +123,21 @@ def test_fd_d4_closed_forms_not_claimed():
         rep.record("eq_v23")
 
 
+def _engine_bracket(sys, tol=DEFAULT_TOL, seed=0):
+    """The engine's fundamental matrix rebuilt from its own
+    second_order_artifacts at the point paper_choices_artifacts samples."""
+    cs = sys.cs
+    z = sample_surface(cs, seed, 1, tol)[0]
+    m2 = second_order_artifacts(cs, z, tol).m2
+    j = cs.spec.poisson
+    g = cs.gradients(z)
+    return j - (j @ g) @ m2 @ (g.T @ j)
+
+
 def test_paper_choices_chi_tilde_rows():
     sys = build_threeform(LatticeSpec(d=3, L=4))
-    art, irs, rep = paper_choices_artifacts(sys, DEFAULT_TOL)
+    art, irs, rep = paper_choices_artifacts(sys, DEFAULT_TOL,
+                                            f_engine=_engine_bracket(sys))
     assert rep.passed
     for tag in ("eq_58", "eq_59", "eq_72", "eq_27qq", "eq_p11",
                 "locality", "eq_14r"):
@@ -137,7 +149,8 @@ def test_paper_choices_chi_tilde_rows():
 
 def test_paper_choices_spectral_closed_forms():
     sys = build_threeform(LatticeSpec(d=4, L=3, derivative="spectral"))
-    art, irs, rep = paper_choices_artifacts(sys, DEFAULT_TOL)
+    art, irs, rep = paper_choices_artifacts(sys, DEFAULT_TOL,
+                                            f_engine=_engine_bracket(sys))
     assert rep.passed
     for tag in ("eq_y23", "eq_q30", "eq_q31"):
         assert rep.record(tag).residual < 1e-8, tag
@@ -148,16 +161,17 @@ def test_paper_choices_reuse_engine_artifacts(derivative, monkeypatch):
     import diracred.threeform as tf
 
     sys = build_threeform(LatticeSpec(d=3, L=3, derivative=derivative))
-    rep, f_engine = engine_checks(sys, DEFAULT_TOL)
-    assert rep.to_dict()["checks"] == (
-        run_threeform_checks(sys, DEFAULT_TOL).to_dict()["checks"])
-    _, _, own = paper_choices_artifacts(sys, DEFAULT_TOL)
+    rep = run_threeform_checks(sys, DEFAULT_TOL)
+    assert np.array_equal(rep.f_engine, _engine_bracket(sys))
+    assert "f_engine" not in rep.to_dict()
+    _, _, own = paper_choices_artifacts(sys, DEFAULT_TOL,
+                                        f_engine=_engine_bracket(sys))
     builds = []
     real = tf.so.second_order_artifacts
     monkeypatch.setattr(tf.so, "second_order_artifacts",
                         lambda *a, **k: builds.append(1) or real(*a, **k))
     _, _, shared = paper_choices_artifacts(sys, DEFAULT_TOL,
-                                           f_engine=f_engine)
-    # only the printed-choice build remains; eq_14r keeps its value
+                                           f_engine=rep.f_engine)
+    # only the printed-choice build runs; eq_14r keeps its value
     assert len(builds) == 1
     assert shared.to_dict()["checks"] == own.to_dict()["checks"]
