@@ -127,8 +127,10 @@ def _analyze_report(
         else:
             art1 = fo.first_order_artifacts(cs, pts[0], tol)
             f1 = fo.fundamental_matrix_1(cs, pts[0], tol)
-            f_orc = oracle_mod.fundamental_matrix_oracle(cs, pts[0], tol)
-            rep.add("eq_32", float(np.abs(f1 - f_orc).max()), tol.weak_eq)
+            devs = oracle_mod.compare_fundamental(
+                cs, {"first_order": f1}, pts[0], tol
+            )
+            rep.add("eq_32", devs["vs_first_order"], tol.weak_eq)
             d = art1.d
             rep.add("eq_12k", float(np.abs(d @ d - d).max()), tol.weak_eq)
     except (NoSolutionError, DegenerateSystemError) as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .constraints import ConstraintSet
 from .numerics import (
@@ -28,7 +29,7 @@ from .numerics import (
     skew_solve,
     symplectic_block,
 )
-from .phase import PhaseFunction, PhaseSpec
+from .phase import PhaseFunction, dirac_matrix
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,11 @@ def dirac1(
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> float:
-    """Dirac bracket [f, g] - [f, chi] M [chi, g] with the reducible M."""
-    art = first_order_artifacts(cs, at, tol)
-    j = cs.spec.poisson
-    grads = cs.gradients(art.point)
-    u = f.gradient(art.point) @ j @ grads  # [f, chi_a0]
-    v = grads.T @ j @ g.gradient(art.point)  # [chi_b0, g]
-    plain = float(f.gradient(art.point) @ j @ g.gradient(art.point))
-    return plain - float(u @ art.m1 @ v)
+    """Dirac bracket [f, g] - [f, chi] M [chi, g] with the reducible M:
+    grad f @ F @ grad g with F from fundamental_matrix_1."""
+    at = cs.spec.point(at)
+    f1 = fundamental_matrix_1(cs, at, tol)
+    return float(f.gradient(at) @ f1 @ g.gradient(at))
 
 
 def fundamental_matrix_1(
@@ -93,9 +91,7 @@ def fundamental_matrix_1(
 ) -> np.ndarray:
     """Matrix of Dirac brackets among the coordinates, 2N x 2N."""
     art = first_order_artifacts(cs, at, tol)
-    j = cs.spec.poisson
-    g = cs.gradients(art.point)
-    return j - (j @ g) @ art.m1 @ (g.T @ j)
+    return dirac_matrix(cs.spec.poisson, cs.gradients(art.point), art.m1)
 
 
 @dataclass(frozen=True)
@@ -107,16 +103,9 @@ class FirstOrderLift:
     a_lift: np.ndarray
     dbar: np.ndarray
     mu1_of: object  # point -> M0 x M0 matrix
-    point_template: PhaseSpec
 
     def extended_poisson(self) -> np.ndarray:
-        j = self.base.spec.poisson
-        dim = j.shape[0]
-        m1 = self.gamma.shape[0]
-        ext = np.zeros((dim + m1, dim + m1))
-        ext[:dim, :dim] = j
-        ext[dim:, dim:] = self.gamma
-        return ext
+        return scipy.linalg.block_diag(self.base.spec.poisson, self.gamma)
 
     def chi_bar_value(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.base.values(z) + self.a_lift @ y
@@ -136,13 +125,9 @@ class FirstOrderLift:
         z: np.ndarray,
         tol: Tolerance = DEFAULT_TOL,
     ) -> float:
-        """Lifted Dirac bracket from extended-space gradients of f and g."""
-        jext = self.extended_poisson()
-        gb = self.chi_bar_gradients(z)
-        mu = self.mu1(z)
-        u = grad_f @ jext @ gb
-        v = gb.T @ jext @ grad_g
-        return float(grad_f @ jext @ grad_g) - float(u @ mu @ v)
+        """Lifted Dirac bracket from extended-space gradients of f and g:
+        grad_f @ F @ grad_g over the extended fundamental matrix."""
+        return float(grad_f @ self._extended_matrix(z) @ grad_g)
 
     def bracket_z(
         self,
@@ -152,12 +137,12 @@ class FirstOrderLift:
         y: Optional[np.ndarray] = None,
         tol: Tolerance = DEFAULT_TOL,
     ) -> float:
-        """Lifted bracket of functions of the original coordinates only."""
+        """Lifted bracket of functions of the original coordinates only.
+
+        The bracket does not depend on Y, so ``y`` is not read.
+        """
         z = self.base.spec.point(z)
-        m1 = self.gamma.shape[0]
-        if y is None:
-            y = np.zeros(m1)
-        pad = np.zeros(m1)
+        pad = np.zeros(self.gamma.shape[0])
         gf = np.concatenate([f.gradient(z), pad])
         gg = np.concatenate([g.gradient(z), pad])
         return self.bracket(gf, gg, z, tol)
@@ -167,11 +152,13 @@ class FirstOrderLift:
     ) -> np.ndarray:
         """Lifted Dirac brackets among the original coordinates."""
         dim = self.base.spec.dim
-        jext = self.extended_poisson()
-        gb = self.chi_bar_gradients(z)
-        mu = self.mu1(z)
-        full = jext - (jext @ gb) @ mu @ (gb.T @ jext)
-        return full[:dim, :dim]
+        return self._extended_matrix(z)[:dim, :dim]
+
+    def _extended_matrix(self, z: np.ndarray) -> np.ndarray:
+        """Lifted Dirac brackets among all (z, Y) coordinates."""
+        return dirac_matrix(
+            self.extended_poisson(), self.chi_bar_gradients(z), self.mu1(z)
+        )
 
 
 def irreducible_lift_1(
@@ -222,5 +209,4 @@ def irreducible_lift_1(
         a_lift=a_lift,
         dbar=dbar,
         mu1_of=mu1_of,
-        point_template=cs.spec,
     )

@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import oracle as oracle_mod
 from . import second_order as so
@@ -38,7 +39,7 @@ from .numerics import (
     rank_tol,
     rel_residual,
 )
-from .phase import PhaseFunction
+from .phase import PhaseFunction, dirac_matrix
 from .report import CheckReport
 
 
@@ -77,12 +78,7 @@ class IrreducibleSystem:
         return self.base.m0 + self.base.m2
 
     def extended_poisson(self) -> np.ndarray:
-        j = self.base.spec.poisson
-        nz, ny = self.dim_z, self.dim_y
-        ext = np.zeros((nz + ny, nz + ny))
-        ext[:nz, :nz] = j
-        ext[nz:, nz:] = self.omega_y
-        return ext
+        return scipy.linalg.block_diag(self.base.spec.poisson, self.omega_y)
 
     def split(self, at: np.ndarray) -> tuple:
         at = check_finite(np.asarray(at, dtype=float), "extended point")
@@ -159,24 +155,25 @@ class IrreducibleSystem:
     @cached_property
     def _irred_kernel(self) -> np.ndarray:
         """Irreducible fundamental matrix at the build point, read-only."""
-        jext = self.extended_poisson()
-        gt = self.chi_tilde_gradients(self.build_point)
-        out = jext - (jext @ gt) @ self.c_delta_inv @ (gt.T @ jext)
+        out = dirac_matrix(
+            self.extended_poisson(),
+            self.chi_tilde_gradients(self.build_point),
+            self.c_delta_inv,
+        )
         out.setflags(write=False)
         return out
 
     @cached_property
     def _inter_kernel(self) -> np.ndarray:
         """Intermediate-system fundamental matrix at the build point,
-        read-only."""
-        jext = self.extended_poisson()
-        nz, ny = self.dim_z, self.dim_y
-        gchi = np.zeros((nz + ny, self.base.m0))
-        gchi[:nz, :] = self.base.gradients(self.artifacts.point)
-        gy = np.zeros((nz + ny, ny))
-        gy[nz:, :] = np.eye(ny)
-        out = jext - (jext @ gchi) @ self.artifacts.mu2 @ (gchi.T @ jext)
-        out = out - (jext @ gy) @ self.omega_y_inv @ (gy.T @ jext)
+        read-only: the constraints (chi, y) with gradients
+        block_diag(grad chi, I_y) and bracket inverse
+        block_diag(mu2, omega_y^-1)."""
+        g = scipy.linalg.block_diag(
+            self.base.gradients(self.artifacts.point), np.eye(self.dim_y)
+        )
+        m = scipy.linalg.block_diag(self.artifacts.mu2, self.omega_y_inv)
+        out = dirac_matrix(self.extended_poisson(), g, m)
         out.setflags(write=False)
         return out
 
@@ -374,8 +371,8 @@ def equivalence_report(
     art = sys.artifacts
     j = cs.spec.poisson
     gz = sys.base.gradients(art.point)
-    f_non = j - (j @ gz) @ art.m2 @ (gz.T @ j)
-    f_inv = j - (j @ gz) @ art.mu2 @ (gz.T @ j)
+    f_non = dirac_matrix(j, gz, art.m2)
+    f_inv = dirac_matrix(j, gz, art.mu2)
     f_inter = intermediate_bracket_matrix(sys, sys.build_point, tol)
     f_irr = fundamental_matrix_irred(sys, sys.build_point, tol)
     f_inter, f_irr = f_inter[:dim, :dim], f_irr[:dim, :dim]

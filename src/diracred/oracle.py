@@ -9,7 +9,7 @@ pivoting on the constraint gradients, deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +21,7 @@ from .numerics import (
     Tolerance,
     pinv_rank,
 )
-from .phase import PhaseFunction
+from .phase import PhaseFunction, dirac_matrix
 
 
 class DegenerateSystemError(RuntimeError):
@@ -30,7 +30,11 @@ class DegenerateSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class SubsetSelection:
+    """The chosen constraints, their gradients (2N x M, one column per
+    index) and their bracket matrix C_AB with its inverse."""
+
     indices: tuple[int, ...]
+    grads: np.ndarray
     cab: np.ndarray
     cab_inv: np.ndarray
 
@@ -80,7 +84,8 @@ def independent_subset(
         raise DegenerateSystemError(
             "selected subset is not second class: C_AB rank deficient"
         )
-    return SubsetSelection(indices=indices, cab=cab, cab_inv=cab_inv)
+    return SubsetSelection(indices=indices, grads=sub, cab=cab,
+                           cab_inv=cab_inv)
 
 
 def dirac_oracle(
@@ -90,15 +95,11 @@ def dirac_oracle(
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> float:
-    """Textbook Dirac bracket over the selected independent subset."""
+    """Textbook Dirac bracket over the selected independent subset:
+    grad f @ F @ grad g with F from fundamental_matrix_oracle."""
     at = cs.spec.point(at)
-    sel = independent_subset(cs, at, tol)
-    j = cs.spec.poisson
-    grads = cs.gradients(at)[:, list(sel.indices)]
-    u = f.gradient(at) @ j @ grads
-    v = grads.T @ j @ g.gradient(at)
-    plain = float(f.gradient(at) @ j @ g.gradient(at))
-    return plain - float(u @ sel.cab_inv @ v)
+    f_orc = fundamental_matrix_oracle(cs, at, tol)
+    return float(f.gradient(at) @ f_orc @ g.gradient(at))
 
 
 def fundamental_matrix_oracle(
@@ -108,26 +109,26 @@ def fundamental_matrix_oracle(
     order: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Matrix of oracle Dirac brackets among the coordinates."""
-    at = cs.spec.point(at)
     sel = independent_subset(cs, at, tol, order)
-    j = cs.spec.poisson
-    grads = cs.gradients(at)[:, list(sel.indices)]
-    return j - (j @ grads) @ sel.cab_inv @ (grads.T @ j)
+    return dirac_matrix(cs.spec.poisson, sel.grads, sel.cab_inv)
 
 
 def compare_fundamental(
     cs: ConstraintSet,
-    methods: Dict[str, Callable[[np.ndarray], np.ndarray]],
+    methods: Dict[str, np.ndarray],
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> Dict[str, float]:
-    """Max entrywise deviation of each method's fundamental matrix from
-    the oracle's, plus the worst pairwise deviation overall."""
-    at = cs.spec.point(at)
-    reference = fundamental_matrix_oracle(cs, at, tol)
-    matrices = {"oracle": reference}
-    for name, fn in methods.items():
-        matrices[name] = np.asarray(fn(at), dtype=float)
+    """Deviations among fundamental matrices evaluated at ``at``.
+
+    ``methods`` maps names to 2N x 2N matrices at that point; the oracle's
+    is built there as the reference.  Returns ``vs_<name>``, the max
+    entrywise deviation of each from the oracle, and ``max_pairwise``,
+    the worst deviation between any two, the oracle included.
+    """
+    matrices = {"oracle": fundamental_matrix_oracle(cs, at, tol)}
+    for name, mat in methods.items():
+        matrices[name] = np.asarray(mat, dtype=float)
     out: Dict[str, float] = {}
     names = list(matrices)
     worst = 0.0

@@ -224,6 +224,17 @@ def poisson_bracket(
     return float(f.gradient(at) @ spec.poisson @ g.gradient(at))
 
 
+def dirac_matrix(j: np.ndarray, g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Fundamental Dirac matrix ``J - (J G) M (G^T J)``.
+
+    The columns of g are constraint gradients and m is the matrix that
+    contracts their brackets: C_AB^-1 over an independent subset, the
+    reducible m1 or m2, the invertible mu2, or c_delta^-1 on the extended
+    space.  The Dirac bracket of f and g is grad f @ F @ grad g.
+    """
+    return j - (j @ g) @ m @ (g.T @ j)
+
+
 def product_function(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
     """f * g for affine f, g, represented exactly as a quadratic."""
     if f.kind != "affine" or g.kind != "affine":

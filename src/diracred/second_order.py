@@ -39,7 +39,7 @@ from .numerics import (
     skew_solve,
     symplectic_block,
 )
-from .phase import PhaseFunction
+from .phase import PhaseFunction, dirac_matrix
 
 
 @dataclass(frozen=True)
@@ -277,15 +277,11 @@ def dirac2(
     mode: str = "noninvertible",
     tol: Tolerance = DEFAULT_TOL,
 ) -> float:
-    """Dirac bracket with either the noninvertible or the invertible matrix."""
-    m = _bracket_core(cs, at, mode, tol)
+    """Dirac bracket with either the noninvertible or the invertible
+    matrix: grad f @ F @ grad g with F from fundamental_matrix_2."""
+    f2 = fundamental_matrix_2(cs, at, mode, tol)
     at = cs.spec.point(at)
-    j = cs.spec.poisson
-    grads = cs.gradients(at)
-    u = f.gradient(at) @ j @ grads
-    v = grads.T @ j @ g.gradient(at)
-    plain = float(f.gradient(at) @ j @ g.gradient(at))
-    return plain - float(u @ m @ v)
+    return float(f.gradient(at) @ f2 @ g.gradient(at))
 
 
 def fundamental_matrix_2(
@@ -294,20 +290,14 @@ def fundamental_matrix_2(
     mode: str = "noninvertible",
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Matrix of Dirac brackets among the coordinates, 2N x 2N."""
-    m = _bracket_core(cs, at, mode, tol)
-    j = cs.spec.poisson
-    g = cs.gradients(cs.spec.point(at))
-    return j - (j @ g) @ m @ (g.T @ j)
-
-
-def _bracket_core(
-    cs: ConstraintSet, at: np.ndarray, mode: str, tol: Tolerance
-) -> np.ndarray:
+    """Matrix of Dirac brackets among the coordinates, 2N x 2N, built
+    with m2 (mode "noninvertible") or mu2 (mode "invertible")."""
     if mode == "noninvertible":
-        return second_order_artifacts(cs, at, tol).m2
-    if mode == "invertible":
-        return full_artifacts(cs, at, tol).mu2
-    raise InvalidInputError(
-        f"mode must be 'noninvertible' or 'invertible', got {mode!r}"
-    )
+        m = second_order_artifacts(cs, at, tol).m2
+    elif mode == "invertible":
+        m = full_artifacts(cs, at, tol).mu2
+    else:
+        raise InvalidInputError(
+            f"mode must be 'noninvertible' or 'invertible', got {mode!r}"
+        )
+    return dirac_matrix(cs.spec.poisson, cs.gradients(cs.spec.point(at)), m)

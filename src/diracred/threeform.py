@@ -49,7 +49,7 @@ from .numerics import (
     rank_tol,
     rel_residual,
 )
-from .phase import PhaseSpec, affine
+from .phase import PhaseSpec, affine, dirac_matrix
 from .report import CheckReport
 
 
@@ -227,16 +227,13 @@ def build_threeform(lat: LatticeSpec) -> ThreeFormSystem:
     )
 
 
-def closed_form_projector(sys) -> np.ndarray:
+def closed_form_projector(sys: ThreeFormSystem) -> np.ndarray:
     """Triple-index projector giving the fundamental [A, pi] brackets.
 
-    Accepts a ThreeFormSystem or a LatticeSpec.  Transcribed with
-    increasing triples as components; the printed 1/3! cancels against
-    the full-range-to-ordered conversion of the inner triple sum,
-    leaving 1/(2 Delta) on the derivative term.
+    Transcribed with increasing triples as components; the printed 1/3!
+    cancels against the full-range-to-ordered conversion of the inner
+    triple sum, leaving 1/(2 Delta) on the derivative term.
     """
-    if isinstance(sys, LatticeSpec):
-        sys = build_threeform(sys)
     m = sys.m
     triples = sys.triples
     nt = len(triples)
@@ -358,18 +355,16 @@ def run_threeform_checks(
 
     j = cs.spec.poisson
     g = cs.gradients(z)
-    f_non = j - (j @ g) @ art.m2 @ (g.T @ j)
-    f_inv = j - (j @ g) @ art.mu2 @ (g.T @ j)
+    f_non = dirac_matrix(j, g, art.m2)
+    f_inv = dirac_matrix(j, g, art.mu2)
     ext = irs.join(z, np.zeros(irs.dim_y))
     f_irr = irr.fundamental_matrix_irred(irs, ext, tol)[:cs.spec.dim,
                                                         :cs.spec.dim]
-    f_orc = oracle_mod.fundamental_matrix_oracle(cs, z, tol)
-    mats = [f_orc, f_non, f_inv, f_irr]
-    dev = 0.0
-    for i, a in enumerate(mats):
-        for bmat in mats[i + 1:]:
-            dev = max(dev, float(np.abs(a - bmat).max()))
-    rep.add("eq_32", dev, tol.weak_eq)
+    devs = oracle_mod.compare_fundamental(
+        cs, {"noninvertible": f_non, "invertible": f_inv,
+             "irreducible": f_irr}, z, tol,
+    )
+    rep.add("eq_32", devs["max_pairwise"], tol.weak_eq)
 
     d30 = closed_form_projector(sys)
     if _printed_forms_apply(sys):

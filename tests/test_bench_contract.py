@@ -1,0 +1,71 @@
+"""The benchmark tracer must find every function it traces.
+
+perfbench/tracer.py wraps diracred's public functions by name, so a
+renamed or removed entry point would leave its per-layer metrics reading
+0.  This loads the tracer by path, installs it, checks that every traced
+name was wrapped, and checks that uninstall restores every binding.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _lookup(module, name):
+    if "." in name:
+        cls_name, meth = name.split(".")
+        return vars(getattr(module, cls_name))[meth]
+    return getattr(module, name)
+
+
+def _bindings(tracer):
+    """Identity snapshot of every attribute the tracer may patch."""
+    snap = {}
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "diracred"
+                                   or name.startswith("diracred.")):
+            snap.update(((name, attr), value)
+                        for attr, value in vars(module).items())
+    for owner in tracer.LINALG_OWNERS:
+        for name in tracer.LINALG:
+            snap[(owner.__name__, name)] = getattr(owner, name, None)
+    for modname, names in tracer.TRACED.items():
+        module = importlib.import_module(modname)
+        for name in names:
+            if "." in name:
+                snap[(modname, name)] = _lookup(module, name)
+    return snap
+
+
+def test_tracer_wraps_every_traced_name_and_restores_it():
+    tracer = _load_tracer()
+    modules = {m: importlib.import_module(m) for m in tracer.TRACED}
+    originals = {
+        (m, name): _lookup(modules[m], name)
+        for m, names in tracer.TRACED.items() for name in names
+    }
+    before = _bindings(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        for (m, name), orig in originals.items():
+            now = _lookup(modules[m], name)
+            assert getattr(now, "__wrapped__", None) is orig, (
+                f"{m}.{name} is not traced"
+            )
+    finally:
+        t.uninstall()
+    after = _bindings(tracer)
+    assert after.keys() == before.keys()
+    changed = [key for key in before if after[key] is not before[key]]
+    assert changed == []

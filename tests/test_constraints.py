@@ -14,7 +14,12 @@ from diracred.constraints import (
     toy_system,
     validate,
 )
-from diracred.numerics import DEFAULT_TOL, InvalidInputError, pseudoinverse
+from diracred.numerics import (
+    DEFAULT_TOL,
+    InvalidInputError,
+    pseudoinverse,
+    rank_tol,
+)
 from diracred.phase import PhaseSpec, affine
 
 
@@ -197,3 +202,30 @@ def test_sample_surface_factors_affine_matrix_once(monkeypatch):
     calls.clear()
     sample_surface(curved_first_order_system(), seed=0, count=2)
     assert len(calls) >= 2
+
+
+@pytest.mark.parametrize("make, per_point", [
+    (lambda: synth_linear(10, 12, 8, 2, seed=3), False),
+    (curved_first_order_system, True),
+], ids=["synth_linear", "curved"])
+def test_validate_ranks_c_once_on_affine_system(monkeypatch, make, per_point):
+    import diracred.constraints as con
+
+    cs = make()
+    pts = sample_surface(cs, seed=0, count=4)
+    # the per-point rank deviation, as validate took it at every point
+    c_at = [cs.gradients(p).T @ cs.spec.poisson @ cs.gradients(p)
+            for p in pts]
+    expected = max(abs(rank_tol(c) - cs.n_independent) for c in c_at)
+    shapes = []
+
+    def counting(m, tol=DEFAULT_TOL):
+        shapes.append(m.shape)
+        return rank_tol(m, tol)
+
+    monkeypatch.setattr(con, "rank_tol", counting)
+    rep = validate(cs, pts)
+    c_ranks = shapes.count((cs.m0, cs.m0))
+    assert c_ranks == (len(pts) if per_point else 1)
+    assert rep.residuals["eq_11d_rank"] == expected
+    assert rep.passed

@@ -14,9 +14,15 @@ from diracred.first_order import (
     fundamental_matrix_1,
     irreducible_lift_1,
 )
+from diracred.irreducible import (
+    build_irreducible,
+    dirac_irred,
+    fundamental_matrix_irred,
+)
 from diracred.numerics import InvalidInputError
-from diracred.oracle import fundamental_matrix_oracle
+from diracred.oracle import dirac_oracle, fundamental_matrix_oracle
 from diracred.phase import PhaseSpec, affine, coordinate
+from diracred.second_order import dirac2, full_artifacts, fundamental_matrix_2
 
 
 def doubled_pair_system() -> ConstraintSet:
@@ -33,6 +39,50 @@ def doubled_pair_system() -> ConstraintSet:
     ])
     chi = tuple(affine(b[i], label=f"chi{i}") for i in range(4))
     return ConstraintSet(spec=spec, chi=chi, z1=z1, order=1, name="doubled")
+
+
+def _scalar_case(name):
+    """(bracket of two functions, fundamental matrix, function dimension,
+    whether the pair (q2, p2) is free) for one bracket formulation."""
+    if name == "dirac1":
+        cs = curved_first_order_system()
+        at = sample_surface(cs, seed=2, count=1)[0]
+        return (lambda f, g: dirac1(cs, f, g, at),
+                fundamental_matrix_1(cs, at), cs.spec.dim, False)
+    if name == "lift":
+        cs = doubled_pair_system()
+        lift = irreducible_lift_1(cs)
+        at = sample_surface(cs, seed=4, count=1)[0]
+        return (lambda f, g: lift.bracket_z(f, g, at),
+                lift.fundamental_matrix(at), cs.spec.dim, True)
+    cs = toy_system()
+    at = sample_surface(cs, seed=0, count=1)[0]
+    if name == "oracle":
+        return (lambda f, g: dirac_oracle(cs, f, g, at),
+                fundamental_matrix_oracle(cs, at), cs.spec.dim, True)
+    if name == "irreducible":
+        irs = build_irreducible(cs, full_artifacts(cs, at))
+        ext = irs.join(at, np.zeros(irs.dim_y))
+        return (lambda f, g: dirac_irred(irs, f, g, ext),
+                fundamental_matrix_irred(irs, ext), ext.shape[0], True)
+    mode = name.split("-", 1)[1]
+    return (lambda f, g: dirac2(cs, f, g, at, mode),
+            fundamental_matrix_2(cs, at, mode), cs.spec.dim, True)
+
+
+@pytest.mark.parametrize("name", [
+    "oracle", "dirac1", "dirac2-noninvertible", "dirac2-invertible",
+    "irreducible", "lift",
+])
+def test_scalar_bracket_matches_matrix(name):
+    bracket, mat, dim, free_pair = _scalar_case(name)
+    for i in range(dim):
+        for k in range(dim):
+            value = bracket(coordinate(dim, i), coordinate(dim, k))
+            assert value == pytest.approx(mat[i, k], abs=1e-12)
+    if free_pair:
+        # the unconstrained pair keeps its canonical bracket
+        assert mat[1, 3] == pytest.approx(1.0)
 
 
 def test_artifact_identities():

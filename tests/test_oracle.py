@@ -105,11 +105,28 @@ def test_compare_fundamental_keys():
     cs = toy_system()
     at = sample_surface(cs, seed=0, count=1)[0]
     out = compare_fundamental(
-        cs, {"same": lambda z: fundamental_matrix_oracle(cs, z)}, at,
+        cs, {"same": fundamental_matrix_oracle(cs, at)}, at,
         DEFAULT_TOL,
     )
     assert out["vs_same"] == 0.0
     assert out["max_pairwise"] == 0.0
+
+
+def test_oracle_builds_gradients_once(monkeypatch):
+    cs = synth_linear(6, 8, 4, 2, seed=2)
+    at = sample_surface(cs, seed=0, count=1)[0]
+    expected = fundamental_matrix_oracle(cs, at)
+    calls = []
+    gradients = ConstraintSet.gradients
+
+    def counting(self, z):
+        calls.append(z)
+        return gradients(self, z)
+
+    monkeypatch.setattr(ConstraintSet, "gradients", counting)
+    for n in (1, 2):
+        assert np.array_equal(fundamental_matrix_oracle(cs, at), expected)
+        assert len(calls) == n
 
 
 @given(synth_systems())

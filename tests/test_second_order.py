@@ -64,16 +64,6 @@ def test_both_modes_match_oracle(toy_art):
         assert np.abs(f2 - fo).max() < 1e-9
 
 
-def test_dirac2_scalar_matches_matrix(toy_art):
-    cs, at, _ = toy_art
-    q2 = coordinate(4, 1)
-    p2 = coordinate(4, 3)
-    f = fundamental_matrix_2(cs, at, "invertible")
-    assert dirac2(cs, q2, p2, at, "invertible") == pytest.approx(f[1, 3])
-    # the free pair keeps its canonical bracket
-    assert dirac2(cs, q2, p2, at, "noninvertible") == pytest.approx(1.0)
-
-
 def test_constraints_are_casimirs(toy_art):
     cs, at, _ = toy_art
     f = affine(np.arange(1.0, 5.0))
