@@ -126,7 +126,7 @@ def _analyze_report(
             rep.merge(eq)
         else:
             art1 = fo.first_order_artifacts(cs, pts[0], tol)
-            f1 = fo.fundamental_matrix_1(cs, pts[0], tol)
+            f1 = fo.fundamental_matrix_1(cs, pts[0], tol, artifacts=art1)
             devs = oracle_mod.compare_fundamental(
                 cs, {"first_order": f1}, pts[0], tol
             )
@@ -205,15 +205,12 @@ def _cmd_synth(args) -> int:
 def _cmd_threeform(args) -> int:
     lat = tf.LatticeSpec(d=args.dim, L=args.lattice,
                          derivative=args.derivative)
-    sysm = tf.build_threeform(lat)
-    rep = tf.run_threeform_checks(sysm, DEFAULT_TOL, seed=args.seed)
+    rep, prep = tf.certify_lattice(lat, DEFAULT_TOL, seed=args.seed,
+                                   paper_choices=args.paper_choices)
     doc = rep.to_dict()
     lines = rep.summary_lines()
     passed = rep.passed
-    if args.paper_choices:
-        _, _, prep = tf.paper_choices_artifacts(
-            sysm, DEFAULT_TOL, seed=args.seed, f_engine=rep.f_engine
-        )
+    if prep is not None:
         doc = {"engine": doc, "paper_choices": prep.to_dict()}
         lines += prep.summary_lines()
         passed = passed and prep.passed

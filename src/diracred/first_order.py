@@ -88,9 +88,19 @@ def fundamental_matrix_1(
     cs: ConstraintSet,
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
+    artifacts: Optional[FirstOrderArtifacts] = None,
 ) -> np.ndarray:
-    """Matrix of Dirac brackets among the coordinates, 2N x 2N."""
-    art = first_order_artifacts(cs, at, tol)
+    """Matrix of Dirac brackets among the coordinates, 2N x 2N.
+
+    ``artifacts`` are the first_order_artifacts of ``cs`` at ``at`` when
+    the caller has built them already.
+    """
+    if artifacts is None:
+        art = first_order_artifacts(cs, at, tol)
+    elif np.array_equal(artifacts.point, cs.spec.point(at)):
+        art = artifacts
+    else:
+        raise InvalidInputError("artifacts were built at another point")
     return dirac_matrix(cs.spec.poisson, cs.gradients(art.point), art.m1)
 
 
@@ -102,7 +112,7 @@ class FirstOrderLift:
     gamma: np.ndarray
     a_lift: np.ndarray
     dbar: np.ndarray
-    mu1_of: object  # point -> M0 x M0 matrix
+    mu1_of: object  # (point, tolerance) -> M0 x M0 matrix
 
     def extended_poisson(self) -> np.ndarray:
         return scipy.linalg.block_diag(self.base.spec.poisson, self.gamma)
@@ -115,8 +125,8 @@ class FirstOrderLift:
         gz = self.base.gradients(z)
         return np.vstack([gz, self.a_lift.T])
 
-    def mu1(self, z: np.ndarray) -> np.ndarray:
-        return self.mu1_of(z)
+    def mu1(self, z: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        return self.mu1_of(z, tol)
 
     def bracket(
         self,
@@ -127,7 +137,7 @@ class FirstOrderLift:
     ) -> float:
         """Lifted Dirac bracket from extended-space gradients of f and g:
         grad_f @ F @ grad_g over the extended fundamental matrix."""
-        return float(grad_f @ self._extended_matrix(z) @ grad_g)
+        return float(grad_f @ self._extended_matrix(z, tol) @ grad_g)
 
     def bracket_z(
         self,
@@ -152,12 +162,13 @@ class FirstOrderLift:
     ) -> np.ndarray:
         """Lifted Dirac brackets among the original coordinates."""
         dim = self.base.spec.dim
-        return self._extended_matrix(z)[:dim, :dim]
+        return self._extended_matrix(z, tol)[:dim, :dim]
 
-    def _extended_matrix(self, z: np.ndarray) -> np.ndarray:
+    def _extended_matrix(self, z: np.ndarray, tol: Tolerance) -> np.ndarray:
         """Lifted Dirac brackets among all (z, Y) coordinates."""
         return dirac_matrix(
-            self.extended_poisson(), self.chi_bar_gradients(z), self.mu1(z)
+            self.extended_poisson(), self.chi_bar_gradients(z),
+            self.mu1(z, tol)
         )
 
 
@@ -199,8 +210,8 @@ def irreducible_lift_1(
     gamma_inv = np.linalg.inv(gamma)
     lift_term = z1 @ dbar @ gamma_inv @ dbar.T @ z1.T
 
-    def mu1_of(z: np.ndarray) -> np.ndarray:
-        art = first_order_artifacts(cs, z, tol)
+    def mu1_of(z: np.ndarray, call_tol: Tolerance) -> np.ndarray:
+        art = first_order_artifacts(cs, z, call_tol)
         return art.m1 + lift_term
 
     return FirstOrderLift(

@@ -10,6 +10,12 @@ are second-class and second-order reducible; the reducibility matrices
 are first-order difference operators.  The constant lattice mode is
 projected out of every field component so the Laplacian is invertible.
 
+Fields are expanded in a real Fourier basis of the zero-mean functions.
+Every derivative is circulant, so each pair of opposite wavevectors
+{k, -k} spans a block that no operator leaves: certify_lattice checks the
+system one block at a time, and build_threeform without a mode assembles
+the dense full-lattice system that serves as its reference.
+
 Operator conventions: del_i is the forward difference ell_i; del^i is
 u_i = -ell_i^T (the adjoint rule that replaces integration by parts on
 the lattice).  In spectral mode (odd lattice sizes) the derivative is
@@ -45,12 +51,15 @@ from .numerics import (
     InvalidInputError,
     NoSolutionError,
     Tolerance,
-    null_basis,
     rank_tol,
     rel_residual,
 )
 from .phase import PhaseSpec, affine, dirac_matrix
 from .report import CheckReport
+
+# how far a mode basis may be from orthonormal, and a site operator's
+# image of a mode block from that block, before decoupling is refused
+_BLOCK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,38 +90,87 @@ class LatticeSpec:
         return self.sites - 1
 
 
+def _apply_site_ops(lat: LatticeSpec, x: np.ndarray) -> list:
+    """The derivative along each direction applied to the columns of x.
+
+    x is n x c over the sites in C order; returns one n x c array per
+    direction.  Forward differences shift by one site; the spectral
+    derivative is the exact antisymmetric one along the axis (odd L).
+    """
+    grid = x.reshape((lat.L,) * lat.d + (-1,))
+    if lat.derivative == "fd":
+        out = [np.roll(grid, -1, axis=a) - grid for a in range(lat.d)]
+    else:
+        w = 2.0 * np.pi * np.fft.fftfreq(lat.L)
+        k1 = np.real(
+            np.fft.ifft(1j * w[:, None] * np.fft.fft(np.eye(lat.L), axis=0),
+                        axis=0)
+        )
+        out = [np.moveaxis(np.tensordot(k1, grid, axes=(1, a)), 0, a)
+               for a in range(lat.d)]
+    return [o.reshape(x.shape) for o in out]
+
+
 def _site_difference_ops(lat: LatticeSpec) -> list:
     """Site-space derivative matrices, one per direction."""
+    return _apply_site_ops(lat, np.eye(lat.sites))
+
+
+@dataclass(frozen=True)
+class FourierMode:
+    """One {k, -k} orbit of nonzero wavevectors and its real basis.
+
+    ``k`` is the orbit's first wavevector in lexicographic order and
+    ``basis`` (n x m_g) is orthonormal: cos and sin of 2 pi k.x / L, or
+    the cosine alone (m_g = 1) when k = -k, which needs an even L.
+    """
+
+    k: tuple
+    basis: np.ndarray
+
+
+def fourier_modes(lat: LatticeSpec) -> tuple:
+    """Every {k, -k} orbit of the lattice, together spanning the n - 1
+    zero-mean functions.  Every derivative is circulant, so it maps each
+    block into itself (build_threeform checks this)."""
+    n, L = lat.sites, lat.L
+    x = np.array(np.unravel_index(np.arange(n), (L,) * lat.d))
+    seen = set()
+    modes = []
+    for k in itertools.product(range(L), repeat=lat.d):
+        if k in seen or not any(k):
+            continue
+        minus_k = tuple(-ki % L for ki in k)
+        seen.update((k, minus_k))
+        # reduce k.x mod L before scaling so every phase is exact
+        phase = (2.0 * np.pi / L) * ((np.array(k) @ x) % L)
+        if minus_k == k:
+            basis = np.cos(phase)[:, None] / np.sqrt(n)
+        else:
+            basis = np.sqrt(2.0 / n) * np.stack(
+                [np.cos(phase), np.sin(phase)], axis=1)
+        modes.append(FourierMode(k=k, basis=basis))
+    return tuple(modes)
+
+
+def _fourier_basis(lat: LatticeSpec, modes: tuple) -> np.ndarray:
+    """The mode bases side by side, n x (n - 1), after checking that they
+    are orthonormal and orthogonal to the constant function, so that
+    together they span every zero-mean function."""
+    q = np.hstack([md.basis for md in modes])
     n = lat.sites
-    shape = (lat.L,) * lat.d
-    idx = np.arange(n).reshape(shape)
-    ops = []
-    if lat.derivative == "fd":
-        for axis in range(lat.d):
-            shifted = np.roll(idx, -1, axis=axis).reshape(-1)
-            p = np.zeros((n, n))
-            p[np.arange(n), shifted] = 1.0
-            p -= np.eye(n)
-            ops.append(p)
-        return ops
-    # spectral: exact antisymmetric derivative along each axis (odd L)
-    w = 2.0 * np.pi * np.fft.fftfreq(lat.L)
-    k1 = np.real(
-        np.fft.ifft(1j * w[:, None] * np.fft.fft(np.eye(lat.L), axis=0),
-                    axis=0)
-    )
-    for axis in range(lat.d):
-        p = np.eye(1)
-        for a in range(lat.d):
-            p = np.kron(p, k1 if a == axis else np.eye(lat.L))
-        ops.append(p)
-    return ops
+    err = max(np.abs(q.T @ q - np.eye(q.shape[1])).max(),
+              np.abs(q.sum(axis=0)).max() / np.sqrt(n))
+    if q.shape[1] != n - 1 or err > _BLOCK_TOL:
+        raise NoSolutionError(
+            "Fourier mode bases do not span the zero-mean functions",
+            float(err) if q.shape[1] == n - 1 else np.inf,
+        )
+    return q
 
 
-def _zero_mean_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of zero-mean functions, n x (n-1)."""
-    row = np.ones((1, n)) / np.sqrt(n)
-    return null_basis(row)
+def _lattice_name(lat: LatticeSpec) -> str:
+    return f"threeform(d={lat.d}, L={lat.L}, {lat.derivative})"
 
 
 @dataclass(frozen=True)
@@ -150,12 +208,29 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-def build_threeform(lat: LatticeSpec) -> ThreeFormSystem:
-    """Assemble the constraint system and validate it."""
-    m = lat.modes
-    q = _zero_mean_basis(lat.sites)
-    site_ops = _site_difference_ops(lat)
-    ell = tuple(q.T @ p @ q for p in site_ops)
+def build_threeform(
+    lat: LatticeSpec, mode: Optional[FourierMode] = None
+) -> ThreeFormSystem:
+    """Assemble the constraint system and validate it.
+
+    Without ``mode`` the system covers every zero-mean lattice function
+    (the dense reference); with it, only that Fourier block.  Either way
+    every derivative must map the basis into itself, or NoSolutionError.
+    """
+    if mode is None:
+        q = _fourier_basis(lat, fourier_modes(lat))
+        name = _lattice_name(lat)
+    else:
+        q = mode.basis
+        name = f"{_lattice_name(lat)} mode k={mode.k}"
+    m = q.shape[1]
+    images = _apply_site_ops(lat, q)
+    ell = tuple(q.T @ img for img in images)
+    leak = max(float(np.abs(img - q @ e).max())
+               for img, e in zip(images, ell))
+    if leak > _BLOCK_TOL:
+        raise NoSolutionError("a lattice derivative leaves its mode block",
+                              leak)
     u = tuple(-e.T for e in ell)
     delta = sum(ui @ ei for ui, ei in zip(u, ell))
     delta_inv = np.linalg.inv(delta)
@@ -213,7 +288,7 @@ def build_threeform(lat: LatticeSpec) -> ThreeFormSystem:
     chi = tuple(affine(b[i]) for i in range(m0))
     cs = con.ConstraintSet(
         spec=spec, chi=chi, z1=z1, z2=z2, order=2,
-        name=f"threeform(d={lat.d}, L={lat.L}, {lat.derivative})",
+        name=name,
     )
     # reducibility must be exact here, not merely weak
     if np.abs(z1.T @ b).max() > 1e-12 or np.abs(z1 @ z2).max() > 1e-12:
@@ -543,15 +618,15 @@ def _printed_forms_apply(sys: ThreeFormSystem) -> bool:
     return sys.lattice.derivative == "spectral" or sys.lattice.d == 3
 
 
-def _site_stencil_ok(sys: ThreeFormSystem) -> float:
+def _site_stencil_ok(lat: LatticeSpec) -> float:
     """Largest Chebyshev stencil radius over all site-space constraint rows.
 
     The irreducible constraints are built from single first-order
     difference operators, so every row must touch only sites within
     distance one of its own; the returned value minus one is the
-    locality residual (zero when local).
+    locality residual (zero when local).  It depends on the lattice
+    alone, not on the mode block.
     """
-    lat = sys.lattice
     n = lat.sites
     shape = (lat.L,) * lat.d
     coords = np.array(np.unravel_index(np.arange(n), shape)).T
@@ -616,6 +691,7 @@ def paper_choices_artifacts(
     seed: int = 0,
     *,
     f_engine: np.ndarray,
+    locality: Optional[float] = None,
 ) -> tuple:
     """Second-order artifacts and irreducible system with the printed
     choices installed instead of the engine defaults.
@@ -628,6 +704,8 @@ def paper_choices_artifacts(
 
     ``f_engine`` is the engine's fundamental matrix that eq_14r compares
     against: the ``f_engine`` of run_threeform_checks on the same system.
+    ``locality`` is the lattice's stencil residual when the caller has
+    it already (certify_lattice computes it once for all modes).
     """
     t0 = time.perf_counter()
     cs = sys.cs
@@ -693,7 +771,9 @@ def paper_choices_artifacts(
     rep.add("eq_72",
             float(np.abs(assembled[cs.m0:] - printed[cs.m0:]).max()),
             tol.weak_eq)
-    rep.add("locality", _site_stencil_ok(sys), 0.5)
+    if locality is None:
+        locality = _site_stencil_ok(sys.lattice)
+    rep.add("locality", locality, 0.5)
 
     res_27ww, res_27qw = _sigma_factorizations(sys, a12, a01)
     rep.add("eq_27ww", res_27ww, tol.weak_eq)
@@ -713,3 +793,72 @@ def paper_choices_artifacts(
                 tol.weak_eq)
     rep.timings["paper_choices"] = time.perf_counter() - t0
     return art, irs, rep
+
+
+def mode_systems(lat: LatticeSpec) -> list:
+    """One three-form system per Fourier block {k, -k} of the lattice.
+
+    Raises NoSolutionError unless the blocks together span every
+    zero-mean function and every derivative maps each block into itself.
+    """
+    modes = fourier_modes(lat)
+    _fourier_basis(lat, modes)
+    return [build_threeform(lat, md) for md in modes]
+
+
+def _merge_mode_reports(reports: list, system: str) -> CheckReport:
+    """One report from per-mode reports of the same checks.
+
+    Every mode must give the same records (names, order, tolerances) and
+    seeds; each merged record takes the worst residual over the modes and
+    each timing the sum.
+    """
+    first = reports[0]
+    layout = [(r.name, r.tolerance) for r in first.records]
+    for rep in reports[1:]:
+        if ([(r.name, r.tolerance) for r in rep.records] != layout
+                or rep.seeds != first.seeds):
+            raise RuntimeError(
+                f"mode reports disagree on their checks: {rep.system}")
+    out = CheckReport(system=system, tolerances=first.tolerances,
+                      seeds=dict(first.seeds))
+    residuals = np.array([[r.residual for r in rep.records]
+                          for rep in reports])
+    # np.max keeps a NaN residual, so it fails the merged record too
+    for (name, tolerance), worst in zip(layout, residuals.max(axis=0)):
+        out.add(name, worst, tolerance)
+    for rep in reports:
+        for key, value in rep.timings.items():
+            out.timings[key] = out.timings.get(key, 0.0) + value
+    return out
+
+
+def certify_lattice(
+    lat: LatticeSpec,
+    tol: Tolerance = DEFAULT_TOL,
+    seed: int = 0,
+    paper_choices: bool = False,
+) -> tuple:
+    """The lattice three-form's checks, one Fourier block at a time.
+
+    Every lattice derivative is circulant, so each {k, -k} block is a
+    constraint system of its own (M0 = 2 C(d,2) m_g, m_g = 2, or 1 for
+    k = -k).  run_threeform_checks, and with ``paper_choices`` also
+    paper_choices_artifacts, run on every block; the per-mode reports
+    merge into one report per route under the lattice's name.  Returns
+    (engine report, paper-choices report or None).
+    """
+    name = _lattice_name(lat)
+    locality = _site_stencil_ok(lat) if paper_choices else None
+    engine, paper = [], []
+    for sys in mode_systems(lat):
+        rep = run_threeform_checks(sys, tol, seed)
+        engine.append(rep)
+        if paper_choices:
+            _, _, prep = paper_choices_artifacts(
+                sys, tol, seed, f_engine=rep.f_engine, locality=locality)
+            paper.append(prep)
+    merged = _merge_mode_reports(engine, name)
+    if not paper_choices:
+        return merged, None
+    return merged, _merge_mode_reports(paper, name + " [paper choices]")

@@ -3,7 +3,9 @@
 perfbench/tracer.py wraps diracred's public functions by name, so a
 renamed or removed entry point would leave its per-layer metrics reading
 0.  This loads the tracer by path, installs it, checks that every traced
-name was wrapped, and checks that uninstall restores every binding.
+name was wrapped, and checks that uninstall restores every binding.  A
+traced name that the workload's route no longer calls would read 0 too,
+so the three-form op is also run under the tracer.
 """
 
 import importlib
@@ -69,3 +71,22 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
+
+
+def test_threeform_op_reaches_every_traced_threeform_name(capsys):
+    from diracred.cli import main
+
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        rc = main(["threeform", "--dim", "3", "--lattice", "3",
+                   "--paper-choices"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    totals = t.layer_totals()
+    for name in tracer.TRACED["diracred.threeform"]:
+        span = f"threeform.{name}"
+        assert totals.get(span, [0])[0] >= 1, f"{span} is never called"

@@ -135,6 +135,23 @@ def test_analyze_order_one_system(tmp_path, capsys):
     assert main(["analyze", str(path), "--points", "4"]) == 0
 
 
+def test_analyze_order_one_builds_artifacts_once(tmp_path, capsys,
+                                                 monkeypatch):
+    import diracred.first_order as fo
+    from diracred.constraints import duplicated_pair_system
+
+    path = tmp_path / "first.json"
+    save_system(duplicated_pair_system(), path)
+    builds = []
+    real = fo.first_order_artifacts
+    monkeypatch.setattr(fo, "first_order_artifacts",
+                        lambda *a, **k: builds.append(1) or real(*a, **k))
+    assert main(["analyze", str(path), "--points", "4"]) == 0
+    # eq_12k and the bracket for eq_32 share one build at the first point
+    assert len(builds) == 1
+    capsys.readouterr()
+
+
 def test_evolve_toy(toy_file, capsys):
     rc = main(["evolve", toy_file, "--h", "0.5*q2^2 + 0.5*p2^2",
                "--steps", "50", "--dt", "0.01"])
@@ -178,6 +195,13 @@ def test_threeform_check_names_fixed(tmp_path, capsys, derivative):
     paper = [c["name"] for c in doc["paper_choices"]["checks"]]
     assert engine == THREEFORM_ENGINE_CHECKS
     assert paper == PAPER_CHOICES_CHECKS[derivative]
+    capsys.readouterr()
+
+
+def test_threeform_beyond_dense_sizes(capsys):
+    # one Fourier block at a time: the dense system would have M0 = 2052
+    assert main(["threeform", "--dim", "3", "--lattice", "7",
+                 "--paper-choices"]) == 0
     capsys.readouterr()
 
 

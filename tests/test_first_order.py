@@ -3,6 +3,7 @@ import pytest
 
 from diracred.constraints import (
     ConstraintSet,
+    OffSurfaceError,
     curved_first_order_system,
     duplicated_pair_system,
     sample_surface,
@@ -19,7 +20,7 @@ from diracred.irreducible import (
     dirac_irred,
     fundamental_matrix_irred,
 )
-from diracred.numerics import InvalidInputError
+from diracred.numerics import DEFAULT_TOL, InvalidInputError, Tolerance
 from diracred.oracle import dirac_oracle, fundamental_matrix_oracle
 from diracred.phase import PhaseSpec, affine, coordinate
 from diracred.second_order import dirac2, full_artifacts, fundamental_matrix_2
@@ -131,6 +132,43 @@ def test_lift_matches_reducible_and_oracle():
         q2 = coordinate(4, 1)
         p2 = coordinate(4, 3)
         assert lift.bracket_z(q2, p2, at) == pytest.approx(lifted[1, 3])
+
+
+@pytest.mark.parametrize("method", ["fundamental_matrix", "bracket_z",
+                                    "bracket"])
+def test_lift_honours_callers_tolerance(method):
+    # the lift is built under DEFAULT_TOL; each call must use its own tol
+    cs = doubled_pair_system()
+    lift = irreducible_lift_1(cs)
+    off = sample_surface(cs, seed=8, count=1)[0]
+    off[0] += 1e-9  # chi0 = q1 = 1e-9, beyond DEFAULT_TOL.surface
+    q2, p2 = coordinate(4, 1), coordinate(4, 3)
+    ext = cs.spec.dim + cs.m1
+    calls = {
+        "fundamental_matrix": lambda tol: lift.fundamental_matrix(off, tol),
+        "bracket_z": lambda tol: lift.bracket_z(q2, p2, off, tol=tol),
+        "bracket": lambda tol: lift.bracket(np.eye(ext)[1], np.eye(ext)[3],
+                                            off, tol),
+    }
+    with pytest.raises(OffSurfaceError):
+        calls[method](DEFAULT_TOL)
+    loose = Tolerance(surface=1e-6)
+    value = calls[method](loose)
+    direct = fundamental_matrix_1(cs, off, loose)
+    if method == "fundamental_matrix":
+        assert np.abs(value - direct).max() < 1e-9
+    else:
+        assert value == pytest.approx(direct[1, 3], abs=1e-12)
+
+
+def test_fundamental_matrix_1_reuses_artifacts():
+    cs = duplicated_pair_system()
+    at, other = sample_surface(cs, seed=9, count=2)
+    art = first_order_artifacts(cs, at)
+    assert np.array_equal(fundamental_matrix_1(cs, at, artifacts=art),
+                          fundamental_matrix_1(cs, at))
+    with pytest.raises(InvalidInputError):
+        fundamental_matrix_1(cs, other, artifacts=art)
 
 
 def test_lifted_constraints_vanish_with_matching_y():

@@ -1,18 +1,49 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import diracred.threeform as tf
 from diracred.constraints import sample_surface, validate
 from diracred.second_order import second_order_artifacts
-from diracred.numerics import DEFAULT_TOL, InvalidInputError, rank_tol
+from diracred.numerics import (
+    DEFAULT_TOL,
+    InvalidInputError,
+    NoSolutionError,
+    rank_tol,
+)
 from diracred.threeform import (
     LatticeSpec,
     build_threeform,
+    certify_lattice,
     chi_tilde_printed,
     closed_form_projector,
+    fourier_modes,
+    mode_systems,
     pair_projector,
     paper_choices_artifacts,
     run_threeform_checks,
 )
+
+
+@pytest.fixture(scope="module")
+def dense():
+    """Dense full-lattice (system, engine report, paper-choices report),
+    built once per lattice for every test in this module."""
+    cache = {}
+
+    def get(lat):
+        if lat not in cache:
+            sys = build_threeform(lat)
+            rep = run_threeform_checks(sys, DEFAULT_TOL)
+            _, _, prep = paper_choices_artifacts(sys, DEFAULT_TOL,
+                                                 f_engine=rep.f_engine)
+            cache[lat] = (sys, rep, prep)
+        return cache[lat]
+
+    return get
 
 
 def test_lattice_spec_validation():
@@ -104,20 +135,18 @@ def test_engine_checks_fd():
         assert rep.record(tag).passed, tag
 
 
-def test_engine_checks_spectral_d4():
-    sys = build_threeform(LatticeSpec(d=4, L=3, derivative="spectral"))
-    rep = run_threeform_checks(sys, DEFAULT_TOL)
+def test_engine_checks_spectral_d4(dense):
+    _, rep, _ = dense(LatticeSpec(d=4, L=3, derivative="spectral"))
     assert rep.passed
     assert rep.record("eq_v23").residual < 1e-8
     assert rep.record("eq_29").residual < 1e-8
 
 
-def test_fd_d4_closed_forms_not_claimed():
+def test_fd_d4_closed_forms_not_claimed(dense):
     # with one-sided differences at d >= 4 the printed projector form
     # presupposes an anti-self-adjoint derivative, so the engine report
     # must not claim it
-    sys = build_threeform(LatticeSpec(d=4, L=3))
-    rep = run_threeform_checks(sys, DEFAULT_TOL)
+    _, rep, _ = dense(LatticeSpec(d=4, L=3))
     assert rep.passed
     with pytest.raises(KeyError):
         rep.record("eq_v23")
@@ -147,10 +176,10 @@ def test_paper_choices_chi_tilde_rows():
     assert printed.shape == (sys.cs.m0 + sys.cs.m2, ext_dim)
 
 
-def test_paper_choices_spectral_closed_forms():
-    sys = build_threeform(LatticeSpec(d=4, L=3, derivative="spectral"))
-    art, irs, rep = paper_choices_artifacts(sys, DEFAULT_TOL,
-                                            f_engine=_engine_bracket(sys))
+def test_paper_choices_spectral_closed_forms(dense):
+    # the engine report's f_engine equals _engine_bracket bit for bit
+    # (test_paper_choices_reuse_engine_artifacts)
+    _, _, rep = dense(LatticeSpec(d=4, L=3, derivative="spectral"))
     assert rep.passed
     for tag in ("eq_y23", "eq_q30", "eq_q31"):
         assert rep.record(tag).residual < 1e-8, tag
@@ -175,3 +204,121 @@ def test_paper_choices_reuse_engine_artifacts(derivative, monkeypatch):
     # only the printed-choice build runs; eq_14r keeps its value
     assert len(builds) == 1
     assert shared.to_dict()["checks"] == own.to_dict()["checks"]
+
+
+def _stencil_ops(lat):
+    """Site derivative matrices built entry by entry: a shift minus the
+    identity (fd), or a Kronecker product with the exact 1-d derivative."""
+    n = lat.sites
+    idx = np.arange(n).reshape((lat.L,) * lat.d)
+    if lat.derivative == "fd":
+        ops = []
+        for axis in range(lat.d):
+            p = -np.eye(n)
+            p[np.arange(n), np.roll(idx, -1, axis=axis).reshape(-1)] += 1.0
+            ops.append(p)
+        return ops
+    w = 2.0 * np.pi * np.fft.fftfreq(lat.L)
+    k1 = np.real(np.fft.ifft(
+        1j * w[:, None] * np.fft.fft(np.eye(lat.L), axis=0), axis=0))
+    ops = []
+    for axis in range(lat.d):
+        p = np.eye(1)
+        for a in range(lat.d):
+            p = np.kron(p, k1 if a == axis else np.eye(lat.L))
+        ops.append(p)
+    return ops
+
+
+@pytest.mark.parametrize("lat", [
+    LatticeSpec(d=3, L=3), LatticeSpec(d=3, L=4),
+    LatticeSpec(d=3, L=5, derivative="spectral"),
+    LatticeSpec(d=4, L=3, derivative="spectral"),
+], ids=str)
+def test_site_ops_match_stencils(lat):
+    for got, want in zip(tf._site_difference_ops(lat), _stencil_ops(lat)):
+        assert np.array_equal(got, want)
+
+
+@given(d=st.sampled_from([3, 4]), size=st.integers(3, 7),
+       derivative=st.sampled_from(["fd", "spectral"]))
+def test_fourier_blocks_decouple(d, size, derivative):
+    assume(derivative == "fd" or size % 2 == 1)
+    lat = LatticeSpec(d=d, L=size, derivative=derivative)
+    modes = fourier_modes(lat)
+    q = np.hstack([md.basis for md in modes])
+    n = lat.sites
+    # orthonormal, orthogonal to the constant, n - 1 of them: complete
+    assert q.shape == (n, n - 1)
+    assert np.abs(q.T @ q - np.eye(n - 1)).max() < 1e-12
+    assert np.abs(q.sum(axis=0)).max() < 1e-12 * np.sqrt(n)
+    # a block is one cosine exactly when k = -k
+    assert [md.basis.shape[1] for md in modes] == [
+        1 if all(2 * k % size == 0 for k in md.k) else 2 for md in modes]
+    bounds = np.cumsum([0] + [md.basis.shape[1] for md in modes])
+    for image in tf._apply_site_ops(lat, q):
+        for md, lo, hi in zip(modes, bounds, bounds[1:]):
+            blk = md.basis.T @ image[:, lo:hi]
+            assert np.abs(image[:, lo:hi] - md.basis @ blk).max() < 1e-12
+
+
+def test_mode_systems_refuse_broken_decoupling(monkeypatch):
+    lat = LatticeSpec(d=3, L=3)
+    modes = fourier_modes(lat)
+    # a missing block leaves the zero-mean functions incomplete
+    monkeypatch.setattr(tf, "fourier_modes", lambda lat: modes[1:])
+    with pytest.raises(NoSolutionError):
+        mode_systems(lat)
+    # rotating two blocks into each other keeps the basis orthonormal
+    # and complete, but a derivative no longer maps a block into itself
+    pair = np.hstack([modes[0].basis, modes[1].basis])
+    c, s_ = np.cos(0.3), np.sin(0.3)
+    rot = np.eye(4)
+    rot[np.ix_([0, 2], [0, 2])] = [[c, -s_], [s_, c]]
+    mixed = pair @ rot
+    broken = (dataclasses.replace(modes[0], basis=mixed[:, :2]),
+              dataclasses.replace(modes[1], basis=mixed[:, 2:]),
+              *modes[2:])
+    monkeypatch.setattr(tf, "fourier_modes", lambda lat: broken)
+    with pytest.raises(NoSolutionError):
+        mode_systems(lat)
+
+
+REFERENCE_LATTICES = [
+    LatticeSpec(d=3, L=3), LatticeSpec(d=3, L=3, derivative="spectral"),
+    LatticeSpec(d=3, L=4),
+    LatticeSpec(d=3, L=5), LatticeSpec(d=3, L=5, derivative="spectral"),
+    LatticeSpec(d=4, L=3), LatticeSpec(d=4, L=3, derivative="spectral"),
+]
+
+
+def _verdicts(rep):
+    return [(r.name, r.tolerance, r.passed) for r in rep.records]
+
+
+@pytest.mark.parametrize("lat", REFERENCE_LATTICES, ids=str)
+def test_per_mode_matches_dense(lat, dense):
+    sys, rep, prep = dense(lat)
+    engine, paper = certify_lattice(lat, DEFAULT_TOL, paper_choices=True)
+    assert engine.system == sys.cs.name
+    assert paper.system == prep.system
+    assert _verdicts(engine) == _verdicts(rep)
+    assert _verdicts(paper) == _verdicts(prep)
+    # each block's bracket is its diagonal block of the dense bracket,
+    # and the dense bracket couples no two blocks
+    f = rep.f_engine
+    scale = 1.0 + np.abs(f).max()
+    nt, m = len(sys.triples), sys.m
+    label = np.empty(f.shape[0], dtype=int)
+    lo = 0
+    for g, mode_sys in enumerate(mode_systems(lat)):
+        mg = mode_sys.m
+        cols = [t * m + lo + c for t in range(nt) for c in range(mg)]
+        idx = np.array(cols + [nt * m + i for i in cols])
+        label[idx] = g
+        block = run_threeform_checks(mode_sys, DEFAULT_TOL).f_engine
+        assert np.abs(block - f[np.ix_(idx, idx)]).max() <= 1e-12 * scale
+        lo += mg
+    assert lo == m
+    off = label[:, None] != label[None, :]
+    assert np.abs(f[off]).max() <= 1e-12
