@@ -33,6 +33,7 @@ from .numerics import (
     rank_tol,
 )
 from .phase import PhaseFunction, PhaseSpec
+from .report import COUNT_TOL, CheckReport
 
 MatrixOrMap = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
@@ -184,31 +185,17 @@ class ConstraintSet:
             )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    residuals: dict[str, float]
-    checks: dict[str, bool]
-    tolerances: Tolerance
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-
 def validate(
     cs: ConstraintSet,
     points: Sequence[np.ndarray],
     tol: Tolerance = DEFAULT_TOL,
-) -> ValidationReport:
+) -> CheckReport:
     """Check reducibility relations and second-class rank counts.
 
     Points must already lie on the surface; off-surface input is refused.
     """
     for p in points:
         cs.require_on_surface(p, tol)
-
-    residuals: dict[str, float] = {}
-    checks: dict[str, bool] = {}
 
     red1 = 0.0
     red2 = 0.0
@@ -229,26 +216,18 @@ def validate(
         rank_c_seen.append(rank_tol(g.T @ cs.spec.poisson @ g, tol))
     expected_rank = cs.n_independent
 
-    residuals["eq_2"] = red1
-    checks["eq_2"] = red1 <= tol.weak_eq
-    residuals["eq_11d_rank"] = float(
-        max(abs(r - expected_rank) for r in rank_c_seen)
-    )
-    checks["eq_11d_rank"] = all(r == expected_rank for r in rank_c_seen)
-
+    rep = CheckReport(system=cs.name, tolerances=tol)
+    rep.add("eq_2", red1, tol.weak_eq)
+    rep.add("eq_11d_rank", max(abs(r - expected_rank) for r in rank_c_seen),
+            COUNT_TOL)
     if cs.order == 2:
-        residuals["eq_11x"] = red2
-        checks["eq_11x"] = red2 <= tol.weak_eq
-        z2 = cs.z2_at(points[0])
-        rank_z2 = rank_tol(z2, tol)
-        residuals["z2_rank"] = float(abs(rank_z2 - cs.m2))
-        checks["z2_rank"] = rank_z2 == cs.m2
-        z1 = cs.z1_at(points[0])
-        rank_z1 = rank_tol(z1, tol)
-        residuals["z1_rank"] = float(abs(rank_z1 - (cs.m1 - cs.m2)))
-        checks["z1_rank"] = rank_z1 == cs.m1 - cs.m2
-
-    return ValidationReport(residuals=residuals, checks=checks, tolerances=tol)
+        rep.add("eq_11x", red2, tol.weak_eq)
+        rep.add("z2_rank", abs(rank_tol(cs.z2_at(points[0]), tol) - cs.m2),
+                COUNT_TOL)
+        rep.add("z1_rank",
+                abs(rank_tol(cs.z1_at(points[0]), tol) - (cs.m1 - cs.m2)),
+                COUNT_TOL)
+    return rep
 
 
 def project_to_surface(

@@ -33,14 +33,13 @@ from .constraints import ConstraintSet, project_to_surface, sample_surface
 from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
-    NoSolutionError,
     Tolerance,
     check_finite,
     rank_tol,
     rel_residual,
 )
 from .phase import PhaseFunction, dirac_matrix
-from .report import CheckReport
+from .report import COUNT_TOL, CheckReport
 
 
 class OffSurfaceExtendedError(ValueError):
@@ -63,7 +62,7 @@ class IrreducibleSystem:
     a01: np.ndarray
     c_delta: np.ndarray
     c_delta_inv: np.ndarray
-    residuals: dict
+    report: CheckReport
 
     @property
     def dim_z(self) -> int:
@@ -210,13 +209,10 @@ def build_irreducible(
         if rank_tol(ehat_inv, tol) != m1:
             raise InvalidInputError("congruence matrix must be invertible")
         ehat = np.linalg.inv(ehat_inv)
-    residuals: dict = dict(art.residuals or {})
-    res_27qq = rel_residual(ehat_inv @ art.d11 @ ehat, art.d11)
-    residuals["eq_27qq"] = res_27qq
-    if res_27qq > tol.weak_eq:
-        raise NoSolutionError(
-            "congruence matrix does not preserve the d11 sandwich", res_27qq
-        )
+    rep = CheckReport(system=art.report.system, tolerances=tol)
+    # the congruence must preserve the d11 sandwich
+    rep.require("eq_27qq", rel_residual(ehat_inv @ art.d11 @ ehat, art.d11),
+                tol.weak_eq)
     omega_y = ehat.T @ art.omega_low @ ehat
     omega_y_inv = ehat_inv @ np.linalg.inv(art.omega_low) @ ehat_inv.T
     a01 = art.abar01.T @ ehat_inv.T
@@ -237,28 +233,22 @@ def build_irreducible(
          abar12.T @ omega_y_inv @ abar12],
     ])
 
-    res_p11 = rel_residual(c_delta @ c_delta_inv, np.eye(m0 + m2))
-    residuals["eq_p11"] = res_p11
-    if res_p11 > tol.weak_eq:
-        raise NoSolutionError("c_delta inverse check failed", res_p11)
-    rank_c = rank_tol(c_delta, tol)
-    residuals["rank_c_delta"] = float(abs(rank_c - (m0 + m2)))
-    if rank_c != m0 + m2:
-        raise NoSolutionError(
-            "c_delta is rank deficient", float(rank_c)
-        )
+    rep.require("eq_p11",
+                rel_residual(c_delta @ c_delta_inv, np.eye(m0 + m2)),
+                tol.weak_eq)
+    rep.require("rank_c_delta",
+                abs(rank_tol(c_delta, tol) - (m0 + m2)), COUNT_TOL)
     # the mu matrix built with the congruence must reproduce the stored one
-    residuals["eq_27x"] = rel_residual(mu_low, art.mu2_inv)
-    residuals["eq_27z"] = rel_residual(mu_up, art.mu2)
+    rep.add("eq_27x", rel_residual(mu_low, art.mu2_inv), tol.weak_eq)
+    rep.add("eq_27z", rel_residual(mu_up, art.mu2), tol.weak_eq)
     # conjugation identity for the installed y-space bracket
-    residuals["eq_27wp"] = rel_residual(
-        omega_y_inv @ art.d11 @ omega_y, art.d11
-    )
+    rep.add("eq_27wp", rel_residual(omega_y_inv @ art.d11 @ omega_y, art.d11),
+            tol.weak_eq)
 
     return IrreducibleSystem(
         base=cs, artifacts=art, omega_y=omega_y, omega_y_inv=omega_y_inv,
         ehat=ehat, ehat_inv=ehat_inv, a01=a01, c_delta=c_delta,
-        c_delta_inv=c_delta_inv, residuals=residuals,
+        c_delta_inv=c_delta_inv, report=art.report.with_stage(rep),
     )
 
 

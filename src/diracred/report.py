@@ -1,16 +1,27 @@
 """Structured check reports: named residuals with tolerances and verdicts.
 
 Record names are stable equation-style tags (eq_21q, eq_32, ...) so that
-downstream tooling can grep them without parsing prose.
+downstream tooling can grep them without parsing prose.  Each record is
+written once, with its tolerance, by the stage that computes it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
 
-from .numerics import DEFAULT_TOL, InvalidInputError, Tolerance
+from .numerics import (
+    DEFAULT_TOL,
+    InvalidInputError,
+    NoSolutionError,
+    Tolerance,
+)
+
+# tolerance of an integer-count record (the distance of a rank from its
+# expected value, a stencil radius beyond one site): it passes only at 0
+COUNT_TOL = 0.5
 
 
 @dataclass(frozen=True)
@@ -40,16 +51,51 @@ class CheckReport:
                         tolerance=float(tolerance))
         )
 
-    def merge(self, other: "CheckReport") -> None:
-        for r in other.records:
+    def require(self, name: str, residual: float, tolerance: float) -> None:
+        """Record a construction identity; raise NoSolutionError, naming
+        the record, when it fails."""
+        self.add(name, residual, tolerance)
+        if not self.records[-1].passed:
+            raise NoSolutionError(
+                f"construction identity {name} failed", float(residual)
+            )
+
+    def take(self, other: "CheckReport", *names: str) -> None:
+        """Add the named records of another report as recorded there."""
+        for name in names:
+            r = other.record(name)
             self.add(r.name, r.residual, r.tolerance)
+
+    def merge(self, other: "CheckReport") -> None:
+        self.take(other, *(r.name for r in other.records))
         self.timings.update(other.timings)
+
+    def with_stage(self, stage: "CheckReport") -> "CheckReport":
+        """A copy of this report with a stage's records added.  A record
+        left by an earlier run of the same stage is replaced in place."""
+        fresh = {r.name: r for r in stage.records}
+        out = dataclasses.replace(
+            self, seeds=dict(self.seeds), timings=dict(self.timings),
+            records=[fresh.pop(r.name, r) for r in self.records],
+        )
+        out.records.extend(fresh.values())
+        return out
 
     def record(self, name: str) -> CheckRecord:
         for r in self.records:
             if r.name == name:
                 return r
         raise KeyError(name)
+
+    @property
+    def residuals(self) -> MappingProxyType:
+        """Read-only name -> residual view of the records."""
+        return MappingProxyType({r.name: r.residual for r in self.records})
+
+    @property
+    def checks(self) -> MappingProxyType:
+        """Read-only name -> verdict view of the records."""
+        return MappingProxyType({r.name: r.passed for r in self.records})
 
     @property
     def passed(self) -> bool:

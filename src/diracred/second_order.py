@@ -40,6 +40,7 @@ from .numerics import (
     symplectic_block,
 )
 from .phase import PhaseFunction, dirac_matrix
+from .report import CheckReport
 
 
 @dataclass(frozen=True)
@@ -52,21 +53,13 @@ class SecondOrderArtifacts:
     d00: np.ndarray
     m2: np.ndarray
     point: np.ndarray
+    report: CheckReport
     omega_bar: Optional[np.ndarray] = None
     omega_hat: Optional[np.ndarray] = None
     omega_low: Optional[np.ndarray] = None
     omega_up: Optional[np.ndarray] = None
     mu2: Optional[np.ndarray] = None
     mu2_inv: Optional[np.ndarray] = None
-    residuals: Optional[dict] = None
-
-
-def _check(residuals: dict, name: str, value: float, limit: float) -> None:
-    residuals[name] = float(value)
-    if value > limit:
-        raise NoSolutionError(
-            f"construction identity {name} failed", float(value)
-        )
 
 
 def second_order_artifacts(
@@ -81,8 +74,8 @@ def second_order_artifacts(
     Defaults pick canonical representatives: a12 = Z2 (making Z2^T a12
     symmetric positive definite) and abar01 the minimum-norm solution of
     abar01 @ Z1 = d11, under which d11 and d00 are orthogonal projectors.
-    Every defining identity is checked and a failure raises rather than
-    returning a silently broken bundle.
+    Every defining identity is recorded in the bundle's report and a
+    failure raises rather than returning a silently broken bundle.
     """
     if cs.order != 2:
         raise InvalidInputError("second-order pipeline needs an order-2 system")
@@ -92,18 +85,18 @@ def second_order_artifacts(
     cs.require_on_surface(at, tol)
     z1 = cs.z1_at(at)
     z2 = cs.z2_at(at)
-    residuals: dict = {}
+    rep = CheckReport(system=cs.name, tolerances=tol)
 
     red2 = np.linalg.norm(z1 @ z2) / (
         1.0 + np.linalg.norm(z1) * np.linalg.norm(z2)
     )
-    _check(residuals, "eq_11x", red2, tol.weak_eq)
+    rep.require("eq_11x", red2, tol.weak_eq)
 
     g = cs.gradients(at)
     c2 = g.T @ cs.spec.poisson @ g
-    _check(
-        residuals, "eq_11e",
-        rel_residual(z1.T @ c2, np.zeros_like(z1.T @ c2)), tol.weak_eq,
+    rep.require(
+        "eq_11e", rel_residual(z1.T @ c2, np.zeros_like(z1.T @ c2)),
+        tol.weak_eq,
     )
 
     if a12 is None:
@@ -118,13 +111,12 @@ def second_order_artifacts(
     d11 = np.eye(cs.m1) - a12 @ dbar2 @ z2.T
     # defining relation for the level-2 left inverse
     abar12 = a12 @ dbar2.T
-    _check(
-        residuals, "eq_a2", rel_residual(z2.T @ abar12, np.eye(cs.m2)),
-        tol.weak_eq,
+    rep.require(
+        "eq_a2", rel_residual(z2.T @ abar12, np.eye(cs.m2)), tol.weak_eq
     )
-    _check(residuals, "eq_ay", rel_residual(d11 @ d11, d11), tol.weak_eq)
-    _check(
-        residuals, "eq_a8",
+    rep.require("eq_ay", rel_residual(d11 @ d11, d11), tol.weak_eq)
+    rep.require(
+        "eq_a8",
         rel_residual(dbar2 @ a12.T @ d11, np.zeros((cs.m2, cs.m1))),
         tol.weak_eq,
     )
@@ -134,34 +126,30 @@ def second_order_artifacts(
     abar01 = check_finite(abar01, "abar01")
     if abar01.shape != (cs.m1, cs.m0):
         raise InvalidInputError("abar01 must be M1 x M0")
-    res_1qa = rel_residual(abar01 @ z1, d11)
-    if res_1qa > tol.weak_eq:
-        raise NoSolutionError(
-            "abar01 @ Z1 = d11 is infeasible at tolerance", res_1qa
-        )
-    residuals["eq_1qa"] = res_1qa
+    # abar01 @ Z1 = d11 must be feasible at tolerance
+    rep.require("eq_1qa", rel_residual(abar01 @ z1, d11), tol.weak_eq)
     d00 = np.eye(cs.m0) - z1 @ abar01
-    _check(residuals, "eq_15", rel_residual(d00 @ d00, d00), tol.weak_eq)
-    _check(
-        residuals, "eq_17",
-        rel_residual(abar01 @ d00, np.zeros_like(abar01)), tol.weak_eq,
+    rep.require("eq_15", rel_residual(d00 @ d00, d00), tol.weak_eq)
+    rep.require(
+        "eq_17", rel_residual(abar01 @ d00, np.zeros_like(abar01)),
+        tol.weak_eq,
     )
-    _check(
-        residuals, "eq_12k",
+    rep.require(
+        "eq_12k",
         rel_residual(abar01 @ z1 @ a12, np.zeros((cs.m1, cs.m2))),
         tol.weak_eq,
     )
-    _check(
-        residuals, "eq_12b",
-        rel_residual(d00 @ z1, z1 @ a12 @ dbar2 @ z2.T), tol.weak_eq,
+    rep.require(
+        "eq_12b", rel_residual(d00 @ z1, z1 @ a12 @ dbar2 @ z2.T),
+        tol.weak_eq,
     )
 
     m2, m2_c2 = skew_solve(c2, d00, tol, with_product=True)
-    _check(residuals, "eq_11c", rel_residual(m2_c2, d00), tol.weak_eq)
+    rep.require("eq_11c", rel_residual(m2_c2, d00), tol.weak_eq)
 
     return SecondOrderArtifacts(
         c2=c2, a12=a12, dbar2=dbar2, d11=d11, abar01=abar01, d00=d00,
-        m2=m2, point=at, residuals=residuals,
+        m2=m2, point=at, report=rep,
     )
 
 
@@ -210,24 +198,22 @@ def omega_tilde_pair(
     omega_low = omega_bar + p2.T @ seed2 @ p2
     omega_up = omega_hat + z2 @ np.linalg.inv(seed2) @ z2.T
 
-    residuals = dict(art.residuals or {})
-    res_a3 = rel_residual(omega_hat @ omega_bar, art.d11)
-    residuals["eq_a3"] = res_a3
-    res_a18 = rel_residual(omega_up @ art.d11 @ omega_low, art.d11)
-    res_a18a = rel_residual(omega_up @ omega_low, np.eye(m1))
-    residuals["eq_a18"] = res_a18
-    residuals["eq_a18a"] = res_a18a
-    for name, v in (("eq_a3", res_a3), ("eq_a18", res_a18),
-                    ("eq_a18a", res_a18a)):
-        if v > tol.weak_eq:
-            raise NoSolutionError(f"omega pair identity {name} failed", v)
+    rep = CheckReport(system=art.report.system, tolerances=tol)
+    rep.require("eq_a3", rel_residual(omega_hat @ omega_bar, art.d11),
+                tol.weak_eq)
+    rep.require("eq_a18",
+                rel_residual(omega_up @ art.d11 @ omega_low, art.d11),
+                tol.weak_eq)
+    rep.require("eq_a18a", rel_residual(omega_up @ omega_low, np.eye(m1)),
+                tol.weak_eq)
     if rank_tol(omega_low, tol) != m1 or rank_tol(omega_up, tol) != m1:
         raise NoSolutionError(
             "omega pair is not invertible, reseed required", float(m1)
         )
     return replace(
         art, omega_bar=omega_bar, omega_hat=omega_hat,
-        omega_low=omega_low, omega_up=omega_up, residuals=residuals,
+        omega_low=omega_low, omega_up=omega_up,
+        report=art.report.with_stage(rep),
     )
 
 
@@ -247,13 +233,13 @@ def mu_pair(
     z1 = cs.z1_at(art.point)
     mu2 = art.m2 + z1 @ art.omega_up @ z1.T
     mu2_inv = art.c2 + art.abar01.T @ art.omega_low @ art.abar01
-    residuals = dict(art.residuals or {})
-    res = rel_residual(mu2 @ mu2_inv, np.eye(cs.m0))
-    residuals["eq_21q"] = res
-    if res > tol.weak_eq:
-        raise NoSolutionError("mu2 @ mu2_inv = I failed", res)
-    residuals["eq_20"] = rel_residual(art.m2, art.d00 @ mu2 @ art.d00.T)
-    return replace(art, mu2=mu2, mu2_inv=mu2_inv, residuals=residuals)
+    rep = CheckReport(system=art.report.system, tolerances=tol)
+    rep.require("eq_21q", rel_residual(mu2 @ mu2_inv, np.eye(cs.m0)),
+                tol.weak_eq)
+    rep.add("eq_20", rel_residual(art.m2, art.d00 @ mu2 @ art.d00.T),
+            tol.weak_eq)
+    return replace(art, mu2=mu2, mu2_inv=mu2_inv,
+                   report=art.report.with_stage(rep))
 
 
 def full_artifacts(

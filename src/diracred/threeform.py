@@ -55,7 +55,7 @@ from .numerics import (
     rel_residual,
 )
 from .phase import PhaseSpec, affine, dirac_matrix
-from .report import CheckReport
+from .report import COUNT_TOL, CheckReport
 
 # how far a mode basis may be from orthonormal, and a site operator's
 # image of a mode block from that block, before decoupling is refused
@@ -90,30 +90,27 @@ class LatticeSpec:
         return self.sites - 1
 
 
+def _derivative_1d(lat: LatticeSpec) -> np.ndarray:
+    """The L x L derivative along one periodic axis: the forward
+    difference, or the exact antisymmetric (spectral) one for odd L."""
+    eye = np.eye(lat.L)
+    if lat.derivative == "fd":
+        return np.roll(eye, -1, axis=0) - eye
+    w = 2.0 * np.pi * np.fft.fftfreq(lat.L)
+    return np.real(np.fft.ifft(1j * w[:, None] * np.fft.fft(eye, axis=0),
+                               axis=0))
+
+
 def _apply_site_ops(lat: LatticeSpec, x: np.ndarray) -> list:
     """The derivative along each direction applied to the columns of x.
 
     x is n x c over the sites in C order; returns one n x c array per
-    direction.  Forward differences shift by one site; the spectral
-    derivative is the exact antisymmetric one along the axis (odd L).
+    direction, the 1-d derivative applied along that axis.
     """
     grid = x.reshape((lat.L,) * lat.d + (-1,))
-    if lat.derivative == "fd":
-        out = [np.roll(grid, -1, axis=a) - grid for a in range(lat.d)]
-    else:
-        w = 2.0 * np.pi * np.fft.fftfreq(lat.L)
-        k1 = np.real(
-            np.fft.ifft(1j * w[:, None] * np.fft.fft(np.eye(lat.L), axis=0),
-                        axis=0)
-        )
-        out = [np.moveaxis(np.tensordot(k1, grid, axes=(1, a)), 0, a)
-               for a in range(lat.d)]
-    return [o.reshape(x.shape) for o in out]
-
-
-def _site_difference_ops(lat: LatticeSpec) -> list:
-    """Site-space derivative matrices, one per direction."""
-    return _apply_site_ops(lat, np.eye(lat.sites))
+    k1 = _derivative_1d(lat)
+    return [np.moveaxis(np.tensordot(k1, grid, axes=(1, a)), 0, a)
+            .reshape(x.shape) for a in range(lat.d)]
 
 
 @dataclass(frozen=True)
@@ -393,16 +390,22 @@ def _lattice_artifacts(
     return so.mu_pair(art, sys.cs, tol)
 
 
+def _unserialised():
+    return dataclasses.field(default=None, repr=False, compare=False)
+
+
 @dataclass
 class EngineReport(CheckReport):
-    """Report of run_threeform_checks.  It also carries f_engine, the
-    2N x 2N fundamental matrix of the engine's noninvertible route at the
-    sampled point, which paper_choices_artifacts compares against
-    (eq_14r); f_engine is not serialised."""
+    """Report of run_threeform_checks.  It also carries what
+    paper_choices_artifacts reuses on the same system, none of it
+    serialised: the sampled ``point``, the closed-form projectors ``d30``
+    and ``dpair``, and ``f_engine``, the 2N x 2N fundamental matrix of the
+    engine's noninvertible route at the point (compared in eq_14r)."""
 
-    f_engine: Optional[np.ndarray] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
+    point: Optional[np.ndarray] = _unserialised()
+    d30: Optional[np.ndarray] = _unserialised()
+    dpair: Optional[np.ndarray] = _unserialised()
+    f_engine: Optional[np.ndarray] = _unserialised()
 
 
 def run_threeform_checks(
@@ -418,15 +421,11 @@ def run_threeform_checks(
     nf = sys.n_field
     points = con.sample_surface(cs, seed, 1, tol)
     z = points[0]
-
-    vrep = con.validate(cs, points, tol)
-    rep.add("eq_11x", vrep.residuals["eq_11x"], tol.weak_eq)
-    rep.add("eq_11d_rank", vrep.residuals["eq_11d_rank"], 0.5)
+    rep.take(con.validate(cs, points, tol), "eq_11x", "eq_11d_rank")
 
     art = _lattice_artifacts(sys, z, tol, seed)
     irs = irr.build_irreducible(cs, art, tol=tol)
-    rep.add("eq_21q", art.residuals["eq_21q"], tol.weak_eq)
-    rep.add("eq_p11", irs.residuals["eq_p11"], tol.weak_eq)
+    rep.take(irs.report, "eq_21q", "eq_p11")
 
     j = cs.spec.poisson
     g = cs.gradients(z)
@@ -454,7 +453,7 @@ def run_threeform_checks(
     rep.add("eq_30", rel_residual(d30 @ d30, d30), tol.weak_eq)
     rank_d00 = rank_tol(art.d00, tol)
     expected = cs.n_independent
-    rep.add("eq_12a", float(abs(rank_d00 - expected)), 0.5)
+    rep.add("eq_12a", abs(rank_d00 - expected), COUNT_TOL)
     # the projector trace counts the physical A degrees of freedom
     n_phys = cs.spec.n_pairs - cs.n_independent // 2
     rep.add("eq_30_trace", float(abs(np.trace(d30) - n_phys)), 1e-6)
@@ -462,7 +461,7 @@ def run_threeform_checks(
     dpair = pair_projector(sys)
     rep.add("eq_w23", rel_residual(art.d00, dpair), tol.weak_eq)
     rep.add("eq_x23", rel_residual(dpair @ dpair, dpair), tol.weak_eq)
-    rep.f_engine = f_non
+    rep.point, rep.d30, rep.dpair, rep.f_engine = z, d30, dpair, f_non
     rep.timings["engine_checks"] = time.perf_counter() - t0
     return rep
 
@@ -623,26 +622,21 @@ def _site_stencil_ok(lat: LatticeSpec) -> float:
 
     The irreducible constraints are built from single first-order
     difference operators, so every row must touch only sites within
-    distance one of its own; the returned value minus one is the
-    locality residual (zero when local).  It depends on the lattice
-    alone, not on the mode block.
+    distance one of its own; the returned value is the radius beyond
+    one, the locality residual (zero when local).  Each site operator is
+    the 1-d derivative along one axis, so the radius is the periodic
+    reach of that derivative's stencil; it depends on the lattice alone,
+    not on the mode block.
     """
-    n = lat.sites
-    shape = (lat.L,) * lat.d
-    coords = np.array(np.unravel_index(np.arange(n), shape)).T
-    site_ops = _site_difference_ops(lat)
-    worst = 0
-    for op in list(site_ops) + [op.T for op in site_ops]:
-        rows_idx, cols_idx = np.nonzero(np.abs(op) > 1e-12)
-        diff = np.abs(coords[rows_idx] - coords[cols_idx])
-        diff = np.minimum(diff, lat.L - diff)  # periodic wrap
-        if diff.size:
-            worst = max(worst, int(diff.max()))
-    return float(max(worst - 1, 0))
+    rows, cols = np.nonzero(np.abs(_derivative_1d(lat)) > 1e-12)
+    diff = np.abs(rows - cols)
+    diff = np.minimum(diff, lat.L - diff)  # periodic wrap
+    return float(max(int(diff.max(initial=0)) - 1, 0))
 
 
 def _printed_closed_forms(
-    sys: ThreeFormSystem, art: so.SecondOrderArtifacts, tol: Tolerance
+    sys: ThreeFormSystem, art: so.SecondOrderArtifacts, dpair: np.ndarray,
+    tol: Tolerance,
 ) -> CheckReport:
     """Printed noninvertible/invertible bracket matrices and omega pair.
 
@@ -659,7 +653,6 @@ def _printed_closed_forms(
     npair = len(sys.pairs)
     n1 = npair * m
     dinv = sys.delta_inv
-    dpair = pair_projector(sys)
     y23 = np.zeros((cs.m0, cs.m0))
     y23[:n1, n1:] = -(dpair[:n1, :n1] @ np.kron(np.eye(npair), dinv)) / 3.0
     y23[n1:, :n1] = (dpair[n1:, n1:] @ np.kron(np.eye(npair), dinv)) / 3.0
@@ -674,9 +667,8 @@ def _printed_closed_forms(
     res_a18 = rel_residual(om_up @ art.d11 @ om_low, art.d11)
     rep.add("eq_q31", res_a18, tol.weak_eq)
 
-    art2 = dataclasses.replace(art, omega_up=om_up, omega_low=om_low,
-                               residuals=dict(art.residuals or {}))
-    art2 = so.mu_pair(art2, cs, tol)
+    art2 = so.mu_pair(
+        dataclasses.replace(art, omega_up=om_up, omega_low=om_low), cs, tol)
     q30 = np.zeros((cs.m0, cs.m0))
     ident = np.kron(np.eye(npair), dinv) / 3.0
     q30[:n1, n1:] = -ident
@@ -688,10 +680,8 @@ def _printed_closed_forms(
 def paper_choices_artifacts(
     sys: ThreeFormSystem,
     tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
     *,
-    f_engine: np.ndarray,
-    locality: Optional[float] = None,
+    engine: EngineReport,
 ) -> tuple:
     """Second-order artifacts and irreducible system with the printed
     choices installed instead of the engine defaults.
@@ -702,23 +692,23 @@ def paper_choices_artifacts(
     certified, rather than assembled from the closed-form inverse whose
     derivation assumes the self-adjoint (spectral) derivative.
 
-    ``f_engine`` is the engine's fundamental matrix that eq_14r compares
-    against: the ``f_engine`` of run_threeform_checks on the same system.
-    ``locality`` is the lattice's stencil residual when the caller has
-    it already (certify_lattice computes it once for all modes).
+    ``engine`` is the report of run_threeform_checks on the same system:
+    its point, seeds and closed-form projectors are reused, and its
+    ``f_engine`` is the fundamental matrix that eq_14r compares against.
     """
     t0 = time.perf_counter()
     cs = sys.cs
     rep = CheckReport(system=cs.name + " [paper choices]", tolerances=tol,
-                      seeds={"points": seed})
-    z = con.sample_surface(cs, seed, 1, tol)[0]
+                      seeds=dict(engine.seeds))
+    z = engine.point
     a12 = _paper_a12(sys)
     abar01 = _paper_abar01(sys)
     art = so.second_order_artifacts(cs, z, tol, a12=a12, abar01=abar01)
 
     ehat, ehat_inv = _paper_ehat(sys)
-    res_27qq = rel_residual(ehat_inv @ art.d11 @ ehat, art.d11)
-    rep.add("eq_27qq", res_27qq, tol.weak_eq)
+    stage = CheckReport(system=art.report.system, tolerances=tol)
+    stage.add("eq_27qq", rel_residual(ehat_inv @ art.d11 @ ehat, art.d11),
+              tol.weak_eq)
 
     m1 = cs.m1
     half = m1 // 2
@@ -741,16 +731,14 @@ def paper_choices_artifacts(
             float(rank_delta),
         )
     c_delta_inv = np.linalg.inv(c_delta)
-    residuals = dict(art.residuals or {})
-    residuals["eq_27qq"] = res_27qq
-    residuals["eq_p11"] = rel_residual(c_delta @ c_delta_inv,
-                                       np.eye(n_tilde))
+    stage.add("eq_p11", rel_residual(c_delta @ c_delta_inv, np.eye(n_tilde)),
+              tol.weak_eq)
     irs = irr.IrreducibleSystem(
         base=cs, artifacts=art, omega_y=omega_y, omega_y_inv=omega_y_inv,
         ehat=ehat, ehat_inv=ehat_inv, a01=a01, c_delta=c_delta,
-        c_delta_inv=c_delta_inv, residuals=residuals,
+        c_delta_inv=c_delta_inv, report=art.report.with_stage(stage),
     )
-    rep.add("eq_p11", residuals["eq_p11"], tol.weak_eq)
+    rep.take(stage, "eq_27qq", "eq_p11")
 
     # row-for-row match of the assembled constraints against the
     # independently transcribed printed forms
@@ -771,25 +759,24 @@ def paper_choices_artifacts(
     rep.add("eq_72",
             float(np.abs(assembled[cs.m0:] - printed[cs.m0:]).max()),
             tol.weak_eq)
-    if locality is None:
-        locality = _site_stencil_ok(sys.lattice)
-    rep.add("locality", locality, 0.5)
+    rep.add("locality", _site_stencil_ok(sys.lattice), COUNT_TOL)
 
     res_27ww, res_27qw = _sigma_factorizations(sys, a12, a01)
     rep.add("eq_27ww", res_27ww, tol.weak_eq)
     rep.add("eq_27qw", res_27qw, tol.weak_eq)
 
     if sys.lattice.derivative == "spectral":
-        rep.merge(_printed_closed_forms(sys, art, tol))
+        rep.merge(_printed_closed_forms(sys, art, engine.dpair, tol))
 
     # the printed route must reproduce the engine's fundamental brackets
     ext = irs.join(z, np.zeros(irs.dim_y))
     f_paper = irr.fundamental_matrix_irred(irs, ext, tol)[:dim, :dim]
-    rep.add("eq_14r", float(np.abs(f_paper - f_engine).max()), tol.weak_eq)
+    rep.add("eq_14r", float(np.abs(f_paper - engine.f_engine).max()),
+            tol.weak_eq)
     if _printed_forms_apply(sys):
         nf = sys.n_field
-        d30 = closed_form_projector(sys)
-        rep.add("eq_v23", float(np.abs(f_paper[:nf, nf:] - d30).max()),
+        rep.add("eq_v23",
+                float(np.abs(f_paper[:nf, nf:] - engine.d30).max()),
                 tol.weak_eq)
     rep.timings["paper_choices"] = time.perf_counter() - t0
     return art, irs, rep
@@ -849,15 +836,12 @@ def certify_lattice(
     (engine report, paper-choices report or None).
     """
     name = _lattice_name(lat)
-    locality = _site_stencil_ok(lat) if paper_choices else None
     engine, paper = [], []
     for sys in mode_systems(lat):
         rep = run_threeform_checks(sys, tol, seed)
         engine.append(rep)
         if paper_choices:
-            _, _, prep = paper_choices_artifacts(
-                sys, tol, seed, f_engine=rep.f_engine, locality=locality)
-            paper.append(prep)
+            paper.append(paper_choices_artifacts(sys, tol, engine=rep)[2])
     merged = _merge_mode_reports(engine, name)
     if not paper_choices:
         return merged, None

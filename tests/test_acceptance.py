@@ -25,7 +25,7 @@ from diracred.irreducible import (
     eom_step,
     fundamental_matrix_irred,
 )
-from diracred.numerics import DEFAULT_TOL, Tolerance, rank_tol
+from diracred.numerics import Tolerance, rank_tol
 from diracred.oracle import fundamental_matrix_oracle
 from diracred.phase import affine, coordinate, opaque, quadratic
 from diracred.second_order import (
@@ -34,12 +34,7 @@ from diracred.second_order import (
     mu_pair,
     second_order_artifacts,
 )
-from diracred.threeform import (
-    LatticeSpec,
-    build_threeform,
-    paper_choices_artifacts,
-    run_threeform_checks,
-)
+from diracred.threeform import LatticeSpec
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +72,7 @@ def test_1_four_formulations_agree(suite):
 
 def test_2_mu_pair_inverse(suite):
     for cs, points, art, irs in suite:
-        assert art.residuals["eq_21q"] < 1e-9
+        assert art.report.residuals["eq_21q"] < 1e-9
         assert np.abs(
             art.mu2 @ art.mu2_inv - np.eye(cs.m0)
         ).max() < 1e-8
@@ -85,14 +80,14 @@ def test_2_mu_pair_inverse(suite):
 
 def test_3_omega_pair_inverse(suite):
     for cs, points, art, irs in suite:
-        assert art.residuals["eq_a18"] < 1e-9
-        assert art.residuals["eq_a18a"] < 1e-9
+        assert art.report.residuals["eq_a18"] < 1e-9
+        assert art.report.residuals["eq_a18a"] < 1e-9
 
 
 def test_4_c_delta_inverse_and_irreducibility(suite):
     for cs, points, art, irs in suite:
         n = cs.m0 + cs.m2
-        assert irs.residuals["eq_p11"] < 1e-9
+        assert irs.report.residuals["eq_p11"] < 1e-9
         assert rank_tol(irs.c_delta) == n
         ext = irs.join(points[0], np.zeros(irs.dim_y))
         assert np.linalg.matrix_rank(irs.chi_tilde_gradients(ext)) == n
@@ -151,20 +146,19 @@ def test_6_ambiguity_invariance(suite):
         assert np.abs(alt - base).max() < 1e-8
 
 
-def test_7_threeform_example():
+def test_7_threeform_example(dense):
     start = time.perf_counter()
     configs = (
         LatticeSpec(d=3, L=4),
         LatticeSpec(d=4, L=3, derivative="spectral"),
     )
     for spec in configs:
-        sys = build_threeform(spec)
-        rep = run_threeform_checks(sys, DEFAULT_TOL)
+        # built afresh so the bound times real builds in any test order;
+        # the build is left in the session cache for later tests
+        _, rep, prep = dense.build(spec)
         assert rep.passed
         assert rep.record("eq_v23").residual < 1e-8
         assert rep.record("eq_29").residual < 1e-8
-        _, _, prep = paper_choices_artifacts(sys, DEFAULT_TOL,
-                                             f_engine=rep.f_engine)
         assert prep.passed
         for tag in ("eq_58", "eq_59", "eq_72", "eq_27qq"):
             assert prep.record(tag).passed, tag

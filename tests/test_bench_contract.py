@@ -1,11 +1,13 @@
-"""The benchmark tracer must find every function it traces.
+"""The benchmark must still find and drive what it measures.
 
 perfbench/tracer.py wraps diracred's public functions by name, so a
 renamed or removed entry point would leave its per-layer metrics reading
 0.  This loads the tracer by path, installs it, checks that every traced
 name was wrapped, and checks that uninstall restores every binding.  A
 traced name that the workload's route no longer calls would read 0 too,
-so the three-form op is also run under the tracer.
+so the three-form op is also run under the tracer.  Each workload in
+perfbench/workloads.py also runs one smoke op through its own call and
+check, which catches any drift in the API the benchmark calls.
 """
 
 import importlib
@@ -13,14 +15,23 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass resolves its annotations through sys.modules
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_tracer", TRACER)
 
 
 def _lookup(module, name):
@@ -90,3 +101,16 @@ def test_threeform_op_reaches_every_traced_threeform_name(capsys):
     for name in tracer.TRACED["diracred.threeform"]:
         span = f"threeform.{name}"
         assert totals.get(span, [0])[0] >= 1, f"{span} is never called"
+
+
+WORKLOADS = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.REGISTRY))
+def test_workload_smoke_op_passes_its_own_check(name, tmp_path):
+    wl = WORKLOADS.REGISTRY[name](tmp_path, 0, True)
+    report = tmp_path / "report.json"
+    raw = wl.call(0, 1, report)
+    verdict = wl.check(0, 1, raw, report)
+    assert verdict.correct
+    assert verdict.failed == []

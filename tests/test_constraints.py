@@ -21,6 +21,7 @@ from diracred.numerics import (
     rank_tol,
 )
 from diracred.phase import PhaseSpec, affine
+from diracred.report import CheckReport
 
 
 def test_toy_system_counts_and_validation():
@@ -229,3 +230,18 @@ def test_validate_ranks_c_once_on_affine_system(monkeypatch, make, per_point):
     assert c_ranks == (len(pts) if per_point else 1)
     assert rep.residuals["eq_11d_rank"] == expected
     assert rep.passed
+
+
+@pytest.mark.parametrize("make", [toy_system, duplicated_pair_system])
+def test_validate_returns_check_report(make):
+    cs = make()
+    rep = validate(cs, sample_surface(cs, seed=0, count=3))
+    assert isinstance(rep, CheckReport)
+    assert rep.passed
+    counts = {"eq_11d_rank", "z1_rank", "z2_rank"}
+    for r in rep.records:
+        want = 0.5 if r.name in counts else DEFAULT_TOL.weak_eq
+        assert r.tolerance == want, r.name
+    assert dict(rep.checks) == {r.name: r.passed for r in rep.records}
+    with pytest.raises(TypeError):
+        rep.residuals["eq_2"] = 0.0

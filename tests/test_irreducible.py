@@ -41,8 +41,11 @@ def test_c_delta_invertible_and_irreducible(toy_irr):
     assert irs.c_delta.shape == (n, n)
     assert rank_tol(irs.c_delta) == n
     assert np.abs(irs.c_delta @ irs.c_delta_inv - np.eye(n)).max() < 1e-8
-    assert irs.residuals["eq_p11"] < 1e-9
-    assert irs.residuals["rank_c_delta"] == 0.0
+    assert irs.report.residuals["eq_p11"] < 1e-9
+    assert irs.report.residuals["rank_c_delta"] == 0.0
+    # the stage that counts the rank sets its tolerance, not the name
+    assert irs.report.record("rank_c_delta").tolerance == 0.5
+    assert irs.report.record("eq_p11").tolerance == DEFAULT_TOL.weak_eq
     ext = irs.join(at, np.zeros(irs.dim_y))
     # independence of the replacement constraints
     grads = irs.chi_tilde_gradients(ext)

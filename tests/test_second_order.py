@@ -6,7 +6,9 @@ from diracred.constraints import sample_surface, synth_linear, toy_system
 from diracred.numerics import (
     DEFAULT_TOL,
     InvalidInputError,
+    NoSolutionError,
     rank_tol,
+    rel_residual,
 )
 from diracred.oracle import fundamental_matrix_oracle
 from diracred.phase import affine, coordinate
@@ -41,8 +43,8 @@ def test_projector_identities(toy_art):
 def test_omega_pair_mutually_inverse(toy_art):
     cs, at, art = toy_art
     m1 = cs.m1
-    assert art.residuals["eq_a18"] < 1e-9
-    assert art.residuals["eq_a18a"] < 1e-9
+    assert art.report.residuals["eq_a18"] < 1e-9
+    assert art.report.residuals["eq_a18a"] < 1e-9
     assert np.abs(art.omega_up @ art.omega_low - np.eye(m1)).max() < 1e-8
     assert np.allclose(art.omega_low, -art.omega_low.T, atol=1e-12)
     assert np.allclose(art.omega_up, -art.omega_up.T, atol=1e-12)
@@ -50,10 +52,10 @@ def test_omega_pair_mutually_inverse(toy_art):
 
 def test_mu_pair_inverse_and_weak_equality(toy_art):
     cs, at, art = toy_art
-    assert art.residuals["eq_21q"] < 1e-9
+    assert art.report.residuals["eq_21q"] < 1e-9
     assert np.abs(art.mu2 @ art.mu2_inv - np.eye(cs.m0)).max() < 1e-8
     # the noninvertible matrix is the projected invertible one
-    assert art.residuals["eq_20"] < 1e-9
+    assert art.report.residuals["eq_20"] < 1e-9
 
 
 def test_both_modes_match_oracle(toy_art):
@@ -116,7 +118,7 @@ def test_custom_seeds_accepted_and_checked(toy_art):
     s = rng.standard_normal((cs.m1, cs.m1))
     art = omega_tilde_pair(art, seed_low=s - s.T)
     art = mu_pair(art, cs)
-    assert art.residuals["eq_21q"] < 1e-9
+    assert art.report.residuals["eq_21q"] < 1e-9
     with pytest.raises(InvalidInputError):
         omega_tilde_pair(second_order_artifacts(cs, at),
                          seed_low=np.eye(cs.m1))
@@ -142,4 +144,33 @@ def test_synth_systems_full_chain():
         at = sample_surface(cs, seed=0, count=1)[0]
         art = full_artifacts(cs, at)
         for key in ("eq_21q", "eq_a18", "eq_a18a", "eq_11c", "eq_15"):
-            assert art.residuals[key] < 1e-9, key
+            assert art.report.residuals[key] < 1e-9, key
+
+
+def test_rerun_stage_replaces_its_records(toy_art):
+    cs, _, art = toy_art
+    names = [r.name for r in art.report.records]
+    rng = np.random.default_rng(17)
+    s = rng.standard_normal((cs.m1, cs.m1))
+    # a small non-ambiguity shift, still within tolerance, moves eq_21q
+    bumped = replace(art, omega_up=art.omega_up + 1e-10 * (s - s.T))
+    again = mu_pair(bumped, cs)
+    assert [r.name for r in again.report.records] == names
+    eq_21q = rel_residual(again.mu2 @ again.mu2_inv, np.eye(cs.m0))
+    eq_20 = rel_residual(again.m2, again.d00 @ again.mu2 @ again.d00.T)
+    assert again.report.residuals["eq_21q"] == eq_21q
+    assert again.report.residuals["eq_20"] == eq_20
+    assert eq_21q != art.report.residuals["eq_21q"]
+    # the input bundle's report is left as it was
+    assert [r.name for r in art.report.records] == names
+    # a stage ahead of others keeps its records where they were
+    assert [r.name for r in omega_tilde_pair(art).report.records] == names
+
+
+def test_violated_identity_raises_naming_its_record(toy_art):
+    cs, at, art = toy_art
+    rng = np.random.default_rng(19)
+    bad = art.abar01 + rng.standard_normal(art.abar01.shape)
+    with pytest.raises(NoSolutionError, match="eq_1qa") as info:
+        second_order_artifacts(cs, at, abar01=bad)
+    assert info.value.residual > DEFAULT_TOL.weak_eq

@@ -28,24 +28,6 @@ from diracred.threeform import (
 )
 
 
-@pytest.fixture(scope="module")
-def dense():
-    """Dense full-lattice (system, engine report, paper-choices report),
-    built once per lattice for every test in this module."""
-    cache = {}
-
-    def get(lat):
-        if lat not in cache:
-            sys = build_threeform(lat)
-            rep = run_threeform_checks(sys, DEFAULT_TOL)
-            _, _, prep = paper_choices_artifacts(sys, DEFAULT_TOL,
-                                                 f_engine=rep.f_engine)
-            cache[lat] = (sys, rep, prep)
-        return cache[lat]
-
-    return get
-
-
 def test_lattice_spec_validation():
     with pytest.raises(InvalidInputError):
         LatticeSpec(d=2, L=4)
@@ -163,10 +145,21 @@ def _engine_bracket(sys, tol=DEFAULT_TOL, seed=0):
     return j - (j @ g) @ m2 @ (g.T @ j)
 
 
+def _engine_inputs(sys, tol=DEFAULT_TOL, seed=0):
+    """An engine report holding only what paper_choices_artifacts reuses,
+    each part rebuilt apart from run_threeform_checks."""
+    return tf.EngineReport(
+        system=sys.cs.name, tolerances=tol, seeds={"points": seed},
+        point=sample_surface(sys.cs, seed, 1, tol)[0],
+        d30=closed_form_projector(sys), dpair=pair_projector(sys),
+        f_engine=_engine_bracket(sys, tol, seed),
+    )
+
+
 def test_paper_choices_chi_tilde_rows():
     sys = build_threeform(LatticeSpec(d=3, L=4))
     art, irs, rep = paper_choices_artifacts(sys, DEFAULT_TOL,
-                                            f_engine=_engine_bracket(sys))
+                                            engine=_engine_inputs(sys))
     assert rep.passed
     for tag in ("eq_58", "eq_59", "eq_72", "eq_27qq", "eq_p11",
                 "locality", "eq_14r"):
@@ -192,17 +185,26 @@ def test_paper_choices_reuse_engine_artifacts(derivative, monkeypatch):
     sys = build_threeform(LatticeSpec(d=3, L=3, derivative=derivative))
     rep = run_threeform_checks(sys, DEFAULT_TOL)
     assert np.array_equal(rep.f_engine, _engine_bracket(sys))
-    assert "f_engine" not in rep.to_dict()
-    _, _, own = paper_choices_artifacts(sys, DEFAULT_TOL,
-                                        f_engine=_engine_bracket(sys))
-    builds = []
-    real = tf.so.second_order_artifacts
-    monkeypatch.setattr(tf.so, "second_order_artifacts",
-                        lambda *a, **k: builds.append(1) or real(*a, **k))
-    _, _, shared = paper_choices_artifacts(sys, DEFAULT_TOL,
-                                           f_engine=rep.f_engine)
-    # only the printed-choice build runs; eq_14r keeps its value
-    assert len(builds) == 1
+    inputs = _engine_inputs(sys)
+    for part in ("point", "d30", "dpair"):
+        assert np.array_equal(getattr(rep, part), getattr(inputs, part)), part
+    assert not {"point", "d30", "dpair", "f_engine"} & set(rep.to_dict())
+    _, _, own = paper_choices_artifacts(sys, DEFAULT_TOL, engine=inputs)
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name)
+                            or real(*a, **k))
+
+    count(tf.so, "second_order_artifacts")
+    for name in ("closed_form_projector", "pair_projector"):
+        count(tf, name)
+    count(tf.con, "sample_surface")
+    _, _, shared = paper_choices_artifacts(sys, DEFAULT_TOL, engine=rep)
+    # only the printed-choice build runs: the point and the projectors
+    # come from the engine report, and every record keeps its value
+    assert calls == ["second_order_artifacts"]
     assert shared.to_dict()["checks"] == own.to_dict()["checks"]
 
 
@@ -236,8 +238,32 @@ def _stencil_ops(lat):
     LatticeSpec(d=4, L=3, derivative="spectral"),
 ], ids=str)
 def test_site_ops_match_stencils(lat):
-    for got, want in zip(tf._site_difference_ops(lat), _stencil_ops(lat)):
+    got = tf._apply_site_ops(lat, np.eye(lat.sites))
+    for got, want in zip(got, _stencil_ops(lat)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lat", [
+    LatticeSpec(d=3, L=3), LatticeSpec(d=3, L=4), LatticeSpec(d=3, L=5),
+    LatticeSpec(d=3, L=3, derivative="spectral"),
+    LatticeSpec(d=3, L=5, derivative="spectral"),
+    LatticeSpec(d=4, L=3), LatticeSpec(d=4, L=3, derivative="spectral"),
+], ids=str)
+def test_locality_matches_site_operator_stencils(lat):
+    # reference: the Chebyshev stencil radius over every row of the n x n
+    # site operators and their transposes, which the 1-d reading replaces
+    n = lat.sites
+    coords = np.array(np.unravel_index(np.arange(n), (lat.L,) * lat.d)).T
+    worst = 0
+    for op in _stencil_ops(lat):
+        for mat in (op, op.T):
+            rows, cols = np.nonzero(np.abs(mat) > 1e-12)
+            diff = np.abs(coords[rows] - coords[cols])
+            worst = max(worst, int(np.minimum(diff, lat.L - diff).max()))
+    assert tf._site_stencil_ok(lat) == float(max(worst - 1, 0))
+    # forward differences are local; the spectral stencil spans the axis
+    want = 0.0 if lat.derivative == "fd" else float((lat.L - 1) // 2 - 1)
+    assert tf._site_stencil_ok(lat) == want
 
 
 @given(d=st.sampled_from([3, 4]), size=st.integers(3, 7),
