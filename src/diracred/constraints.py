@@ -37,6 +37,11 @@ from .report import COUNT_TOL, CheckReport
 
 MatrixOrMap = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
+# Gauss-Newton steps before a projection onto the surface gives up
+_PROJECTION_STEPS = 50
+# random draws synth_linear makes before it gives up
+_SYNTH_DRAWS = 50
+
 
 def _sup_norm(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
@@ -60,7 +65,6 @@ class ConstraintSet:
     chi: tuple[PhaseFunction, ...]
     z1: MatrixOrMap
     z2: Optional[MatrixOrMap] = None
-    order: int = 2
     name: str = ""
     # (B, c) with chi = B z + c when every chi is affine, else None
     _affine: Optional[tuple] = field(
@@ -82,10 +86,6 @@ class ConstraintSet:
                 )
             c = np.array([f.c for f in self.chi], dtype=float)
             object.__setattr__(self, "_affine", (b, c))
-        if self.order not in (1, 2):
-            raise InvalidInputError("order must be 1 or 2")
-        if self.order == 2 and self.z2 is None:
-            raise InvalidInputError("order-2 systems need a Z2 matrix")
         if isinstance(self.z1, np.ndarray):
             z1 = check_finite(self.z1, "Z1")
             if z1.shape[0] != self.m0:
@@ -94,6 +94,11 @@ class ConstraintSet:
         if isinstance(self.z2, np.ndarray):
             z2 = check_finite(self.z2, "Z2")
             object.__setattr__(self, "z2", z2)
+
+    @property
+    def order(self) -> int:
+        """Reducibility order: 2 when Z2 is given, else 1."""
+        return 1 if self.z2 is None else 2
 
     @property
     def m0(self) -> int:
@@ -117,8 +122,9 @@ class ConstraintSet:
 
     @property
     def n_independent(self) -> int:
-        """Number of independent second-class constraints, M0 - M1 (+ M2)."""
-        return self.m0 - self.m1 + (self.m2 if self.order == 2 else 0)
+        """Number of independent second-class constraints, M0 - M1 + M2
+        (M2 = 0 without Z2)."""
+        return self.m0 - self.m1 + self.m2
 
     @property
     def is_affine(self) -> bool:
@@ -234,9 +240,9 @@ def project_to_surface(
     cs: ConstraintSet,
     start: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-    max_iter: int = 50,
 ) -> np.ndarray:
-    """Gauss-Newton projection onto the constraint surface.
+    """Gauss-Newton projection onto the constraint surface, at most
+    _PROJECTION_STEPS steps.
 
     For affine systems the Jacobian is B everywhere: its pseudoinverse is
     computed once per system and tolerance, and a single step is the
@@ -244,11 +250,11 @@ def project_to_surface(
     """
     z = cs.spec.point(start).copy()
     vals = cs.values(z)
-    for step in range(max_iter + 1):
+    for step in range(_PROJECTION_STEPS + 1):
         residual = _sup_norm(vals)
         if residual <= tol.surface:
             return z
-        if step == max_iter:
+        if step == _PROJECTION_STEPS:
             break
         z = z - cs._jacobian_pinv(z, tol) @ vals
         vals = cs.values(z)
@@ -260,7 +266,6 @@ def sample_surface(
     seed: int,
     count: int,
     tol: Tolerance = DEFAULT_TOL,
-    scale: float = 1.0,
 ) -> list[np.ndarray]:
     """Deterministic on-surface points: projected Gaussian perturbations."""
     if count < 1:
@@ -268,7 +273,7 @@ def sample_surface(
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):
-        start = scale * rng.standard_normal(cs.spec.dim)
+        start = rng.standard_normal(cs.spec.dim)
         points.append(project_to_surface(cs, start, tol))
     return points
 
@@ -285,9 +290,7 @@ def _affine_set(
         phase.affine(b[i], float(c[i]), label=f"chi{i}")
         for i in range(b.shape[0])
     )
-    order = 2 if z2 is not None else 1
-    return ConstraintSet(spec=spec, chi=chi, z1=z1, z2=z2, order=order,
-                         name=name)
+    return ConstraintSet(spec=spec, chi=chi, z1=z1, z2=z2, name=name)
 
 
 def synth_linear(
@@ -296,15 +299,14 @@ def synth_linear(
     m1: int,
     m2: int,
     seed: int,
-    tol: Tolerance = DEFAULT_TOL,
-    max_resample: int = 50,
 ) -> ConstraintSet:
     """Random affine second-order reducible second-class system.
 
     The reducibility chain is built backwards: a random full-column-rank
     Z2, then Z1 with null space spanned by Z2, then a constraint matrix B
-    whose rows live in null(Z1.T).  Resampled until the bracket matrix
-    B J B.T has the full second-class rank m0 - m1 + m2.
+    whose rows live in null(Z1.T).  Resampled, at most _SYNTH_DRAWS
+    times, until the bracket matrix B J B.T has the full second-class
+    rank m0 - m1 + m2.
     """
     n_ind = m0 - m1 + m2
     if not (0 < m2 <= m1 <= m0):
@@ -319,23 +321,23 @@ def synth_linear(
     spec = PhaseSpec(n_pairs=n_pairs)
     j = spec.poisson
     rng = np.random.default_rng(seed)
-    for _ in range(max_resample):
+    for _ in range(_SYNTH_DRAWS):
         z2 = rng.standard_normal((m1, m2))
-        if rank_tol(z2, tol) != m2:
+        if rank_tol(z2) != m2:
             continue
-        s = null_basis(z2.T, tol)  # m1 x (m1 - m2)
+        s = null_basis(z2.T)  # m1 x (m1 - m2)
         n = rng.standard_normal((m0, m1 - m2))
-        if rank_tol(n, tol) != m1 - m2:
+        if rank_tol(n) != m1 - m2:
             continue
         z1 = n @ s.T
-        u = null_basis(z1.T, tol)  # m0 x n_ind
+        u = null_basis(z1.T)  # m0 x n_ind
         if u.shape[1] != n_ind:
             continue
         r = rng.standard_normal((n_ind, 2 * n_pairs))
-        if rank_tol(r, tol) != n_ind:
+        if rank_tol(r) != n_ind:
             continue
         b = u @ r
-        if rank_tol(b @ j @ b.T, tol) != n_ind:
+        if rank_tol(b @ j @ b.T) != n_ind:
             continue
         return _affine_set(
             spec, b, np.zeros(m0), z1, z2, name=f"synth(seed={seed})"
@@ -421,8 +423,7 @@ def curved_first_order_system() -> ConstraintSet:
             [0.0, 1.0],
         ])
 
-    return ConstraintSet(spec=spec, chi=chi, z1=z1_at, z2=None, order=1,
-                         name="curved")
+    return ConstraintSet(spec=spec, chi=chi, z1=z1_at, name="curved")
 
 
 def save_system(cs: ConstraintSet, path: Union[str, Path]) -> None:

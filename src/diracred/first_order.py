@@ -22,8 +22,6 @@ from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
     Tolerance,
-    check_finite,
-    is_antisymmetric,
     pinv_rank,
     rank_tol,
     skew_solve,
@@ -144,13 +142,10 @@ class FirstOrderLift:
         f: PhaseFunction,
         g: PhaseFunction,
         z: np.ndarray,
-        y: Optional[np.ndarray] = None,
         tol: Tolerance = DEFAULT_TOL,
     ) -> float:
-        """Lifted bracket of functions of the original coordinates only.
-
-        The bracket does not depend on Y, so ``y`` is not read.
-        """
+        """Lifted bracket of functions of the original coordinates only,
+        which does not depend on Y."""
         z = self.base.spec.point(z)
         pad = np.zeros(self.gamma.shape[0])
         gf = np.concatenate([f.gradient(z), pad])
@@ -174,14 +169,13 @@ class FirstOrderLift:
 
 def irreducible_lift_1(
     cs: ConstraintSet,
-    gamma: Optional[np.ndarray] = None,
-    a_lift: Optional[np.ndarray] = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> FirstOrderLift:
     """Irreducible lift with Y variables: chi_bar = chi + a_lift Y.
 
-    Defaults: Gamma the canonical symplectic block (needs even M1) and
-    a_lift = Z1, which always meets the rank requirement for constant Z1.
+    Gamma is the canonical symplectic block (needs even M1) and
+    a_lift = Z1, which meets the rank requirement whenever the columns
+    of a constant Z1 are independent.
     """
     if cs.order != 1:
         raise InvalidInputError("lift applies to order-1 systems")
@@ -189,26 +183,15 @@ def irreducible_lift_1(
         raise InvalidInputError("lift needs a constant Z1 matrix")
     z1 = cs.z1
     m1 = cs.m1
-    if gamma is None:
-        gamma = symplectic_block(m1)
-    gamma = check_finite(gamma, "gamma")
-    if gamma.shape != (m1, m1) or not is_antisymmetric(gamma, tol):
-        raise InvalidInputError("gamma must be antisymmetric of size M1")
-    if rank_tol(gamma, tol) != m1:
-        raise InvalidInputError("gamma must be invertible")
-    if a_lift is None:
-        a_lift = z1.copy()
-    a_lift = check_finite(a_lift, "a_lift")
-    if a_lift.shape != (cs.m0, m1):
-        raise InvalidInputError("a_lift must be M0 x M1")
-    za = z1.T @ a_lift
+    gamma = symplectic_block(m1)
+    za = z1.T @ z1
     if rank_tol(za, tol) != m1:
         raise InvalidInputError(
-            "a_lift fails the rank condition: Z1^T a_lift must be invertible"
+            "the columns of Z1 must be independent: Z1^T Z1 is singular"
         )
     dbar = np.linalg.inv(za)
-    gamma_inv = np.linalg.inv(gamma)
-    lift_term = z1 @ dbar @ gamma_inv @ dbar.T @ z1.T
+    # the symplectic block is orthogonal: its inverse is its transpose
+    lift_term = z1 @ dbar @ gamma.T @ dbar.T @ z1.T
 
     def mu1_of(z: np.ndarray, call_tol: Tolerance) -> np.ndarray:
         art = first_order_artifacts(cs, z, call_tol)
@@ -217,7 +200,7 @@ def irreducible_lift_1(
     return FirstOrderLift(
         base=cs,
         gamma=gamma,
-        a_lift=a_lift,
+        a_lift=z1,
         dbar=dbar,
         mu1_of=mu1_of,
     )

@@ -19,17 +19,17 @@ BuildPointError.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from . import oracle as oracle_mod
 from . import second_order as so
-from .constraints import ConstraintSet, project_to_surface, sample_surface
+from .constraints import ConstraintSet, sample_surface
 from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
@@ -181,75 +181,94 @@ class IrreducibleSystem:
         self.require_build_point(self.split(at)[0], tol)
 
 
-def build_irreducible(
+def assemble_irreducible(
     cs: ConstraintSet,
     art: so.SecondOrderArtifacts,
-    ehat_inv: Optional[np.ndarray] = None,
+    ehat: np.ndarray,
+    ehat_inv: np.ndarray,
+    omega_y: np.ndarray,
+    omega_y_inv: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> IrreducibleSystem:
-    """Assemble the irreducible system from a second-order artifact bundle.
+    """Assemble the irreducible system from artifacts, a congruence
+    (ehat, ehat_inv) and a y-space bracket (omega_y, omega_y_inv).
 
-    With the default choice the congruence matrix is the identity, the
-    y-space bracket is omega_low itself, and a01 is the transpose of
-    abar01.  A custom invertible congruence (the ehat_inv argument) is
-    accepted after checking that it preserves the d11 projector sandwich.
+    The mixing matrix is a01 = abar01^T ehat^-T.  c_delta is the bracket
+    matrix of chi_tilde and c_delta_inv its closed-form block inverse,
+    built from m2, the congruence and omega_y_inv; no matrix is inverted
+    here.  The closed form needs no self-adjoint derivative: it holds
+    for the engine's choice and for the lattice three-form's printed
+    choices with forward differences alike.  Whether the congruence
+    preserves the d11 projector sandwich is recorded (eq_27qq), so a bad
+    printed congruence still yields a full report; c_delta_inv must
+    invert c_delta (eq_p11) at full rank (rank_c_delta), or
+    NoSolutionError.
     """
-    if art.omega_low is None or art.mu2 is None:
-        raise InvalidInputError(
-            "artifacts must carry the omega and mu pairs; use full_artifacts"
-        )
-    m0, m1, m2 = cs.m0, cs.m1, cs.m2
-    if ehat_inv is None:
-        ehat_inv = np.eye(m1)
-        ehat = np.eye(m1)
-    else:
-        ehat_inv = check_finite(ehat_inv, "ehat_inv")
-        if ehat_inv.shape != (m1, m1):
-            raise InvalidInputError("congruence matrix must be M1 x M1")
-        if rank_tol(ehat_inv, tol) != m1:
-            raise InvalidInputError("congruence matrix must be invertible")
-        ehat = np.linalg.inv(ehat_inv)
+    m0, m2 = cs.m0, cs.m2
     rep = CheckReport(system=art.report.system, tolerances=tol)
-    # the congruence must preserve the d11 sandwich
-    rep.require("eq_27qq", rel_residual(ehat_inv @ art.d11 @ ehat, art.d11),
-                tol.weak_eq)
-    omega_y = ehat.T @ art.omega_low @ ehat
-    omega_y_inv = ehat_inv @ np.linalg.inv(art.omega_low) @ ehat_inv.T
+    rep.add("eq_27qq", rel_residual(ehat_inv @ art.d11 @ ehat, art.d11),
+            tol.weak_eq)
     a01 = art.abar01.T @ ehat_inv.T
 
     z1 = cs.z1_at(art.point)
     z2 = cs.z2_at(art.point)
     abar12 = art.a12 @ art.dbar2.T
 
-    mu_low = art.c2 + a01 @ omega_y @ a01.T
     c_delta = np.block([
-        [mu_low, a01 @ omega_y @ z2],
+        [art.c2 + a01 @ omega_y @ a01.T, a01 @ omega_y @ z2],
         [z2.T @ omega_y @ a01.T, z2.T @ omega_y @ z2],
     ])
-    mu_up = art.m2 + z1 @ ehat @ omega_y_inv @ ehat.T @ z1.T
     c_delta_inv = np.block([
-        [mu_up, z1 @ ehat @ omega_y_inv @ abar12],
+        [art.m2 + z1 @ ehat @ omega_y_inv @ ehat.T @ z1.T,
+         z1 @ ehat @ omega_y_inv @ abar12],
         [abar12.T @ omega_y_inv @ ehat.T @ z1.T,
          abar12.T @ omega_y_inv @ abar12],
     ])
-
     rep.require("eq_p11",
                 rel_residual(c_delta @ c_delta_inv, np.eye(m0 + m2)),
                 tol.weak_eq)
     rep.require("rank_c_delta",
                 abs(rank_tol(c_delta, tol) - (m0 + m2)), COUNT_TOL)
-    # the mu matrix built with the congruence must reproduce the stored one
-    rep.add("eq_27x", rel_residual(mu_low, art.mu2_inv), tol.weak_eq)
-    rep.add("eq_27z", rel_residual(mu_up, art.mu2), tol.weak_eq)
-    # conjugation identity for the installed y-space bracket
-    rep.add("eq_27wp", rel_residual(omega_y_inv @ art.d11 @ omega_y, art.d11),
-            tol.weak_eq)
-
     return IrreducibleSystem(
         base=cs, artifacts=art, omega_y=omega_y, omega_y_inv=omega_y_inv,
         ehat=ehat, ehat_inv=ehat_inv, a01=a01, c_delta=c_delta,
         c_delta_inv=c_delta_inv, report=art.report.with_stage(rep),
     )
+
+
+def build_irreducible(
+    cs: ConstraintSet,
+    art: so.SecondOrderArtifacts,
+    tol: Tolerance = DEFAULT_TOL,
+) -> IrreducibleSystem:
+    """The irreducible system with the engine's choice: the identity
+    congruence and omega_y = omega_low, so a01 = abar01^T.
+
+    The artifacts must carry the omega and mu pairs (full_artifacts).
+    c_delta_inv is the closed form of assemble_irreducible, the same one
+    that certifies the lattice three-form's printed choices with forward
+    differences.  Besides the records made there, the leading c_delta
+    block and its inverse are checked against the stored mu pair
+    (eq_27x, eq_27z), and omega_low against the d11 conjugation identity
+    (eq_27wp).
+    """
+    if art.omega_low is None or art.mu2 is None:
+        raise InvalidInputError(
+            "artifacts must carry the omega and mu pairs; use full_artifacts"
+        )
+    eye = np.eye(cs.m1)
+    irs = assemble_irreducible(cs, art, eye, eye, art.omega_low,
+                               np.linalg.inv(art.omega_low), tol)
+    m0 = cs.m0
+    rep = CheckReport(system=art.report.system, tolerances=tol)
+    rep.add("eq_27x", rel_residual(irs.c_delta[:m0, :m0], art.mu2_inv),
+            tol.weak_eq)
+    rep.add("eq_27z", rel_residual(irs.c_delta_inv[:m0, :m0], art.mu2),
+            tol.weak_eq)
+    rep.add("eq_27wp",
+            rel_residual(irs.omega_y_inv @ art.d11 @ irs.omega_y, art.d11),
+            tol.weak_eq)
+    return dataclasses.replace(irs, report=irs.report.with_stage(rep))
 
 
 def dirac_irred(
@@ -386,8 +405,6 @@ def eom_step(
     h: PhaseFunction,
     at: np.ndarray,
     dt: float,
-    tol: Tolerance = DEFAULT_TOL,
-    project: bool = False,
 ) -> np.ndarray:
     """One fixed-step RK4 step of z' = [z, h]* with y held fixed.
 
@@ -395,8 +412,7 @@ def eom_step(
     matrix, is built once per system and is the same at every point of
     a constant base, so each stage is one matrix-vector product with
     grad h.  A non-constant base raises BuildPointError: its kernel
-    holds only at the build point, which the stages leave.  The state is
-    reprojected onto the surface only when asked.
+    holds only at the build point, which the stages leave.
     """
     if dt <= 0.0:
         raise InvalidInputError("dt must be positive")
@@ -416,6 +432,4 @@ def eom_step(
     k3 = velocity(z + 0.5 * dt * k2)
     k4 = velocity(z + dt * k3)
     z_new = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if project:
-        z_new = project_to_surface(sys.base, z_new, tol)
     return sys.join(z_new, y)

@@ -142,7 +142,7 @@ class PhaseFunction:
             val += 0.5 * float(z @ self.q @ z)
         return val
 
-    def gradient(self, z: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    def gradient(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if self.kind == "affine":
             return self.b.copy()
@@ -150,7 +150,7 @@ class PhaseFunction:
             return self.q @ z + self.b
         if self.grad_evaluator is not None:
             return np.asarray(self.grad_evaluator(z), dtype=float)
-        return gradient_fd(self, z, step)
+        return gradient_fd(self, z)
 
 
 def affine(b: Sequence[float], c: float = 0.0, label: str = "") -> PhaseFunction:
@@ -193,15 +193,13 @@ def coordinate(spec_dim: int, index: int, label: str = "") -> PhaseFunction:
 def gradient_fd(
     f: PhaseFunction | Callable[[np.ndarray], float],
     at: np.ndarray,
-    step: float = FD_STEP,
 ) -> np.ndarray:
-    """Central-difference gradient with per-coordinate scaled steps."""
-    if step <= 0.0:
-        raise InvalidInputError("finite-difference step must be positive")
+    """Central-difference gradient with per-coordinate scaled steps,
+    FD_STEP * (1 + |z_i|)."""
     at = np.asarray(at, dtype=float)
     grad = np.empty_like(at)
     for i in range(at.shape[0]):
-        h = step * (1.0 + abs(at[i]))
+        h = FD_STEP * (1.0 + abs(at[i]))
         zp = at.copy()
         zm = at.copy()
         zp[i] += h

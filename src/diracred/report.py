@@ -53,11 +53,12 @@ class CheckReport:
 
     def require(self, name: str, residual: float, tolerance: float) -> None:
         """Record a construction identity; raise NoSolutionError, naming
-        the record, when it fails."""
+        the record and the report's system, when it fails."""
         self.add(name, residual, tolerance)
         if not self.records[-1].passed:
             raise NoSolutionError(
-                f"construction identity {name} failed", float(residual)
+                f"{self.system}: construction identity {name} failed",
+                float(residual),
             )
 
     def take(self, other: "CheckReport", *names: str) -> None:

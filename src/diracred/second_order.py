@@ -30,7 +30,6 @@ from .numerics import (
     NoSolutionError,
     Tolerance,
     check_finite,
-    is_antisymmetric,
     pinv_rank,
     pseudoinverse,
     rank_tol,
@@ -41,6 +40,11 @@ from .numerics import (
 )
 from .phase import PhaseFunction, dirac_matrix
 from .report import CheckReport
+
+
+class SeedRankError(NoSolutionError):
+    """The omega seed loses rank on the range of d11, where a different
+    seed need not."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,6 @@ class SecondOrderArtifacts:
     m2: np.ndarray
     point: np.ndarray
     report: CheckReport
-    omega_bar: Optional[np.ndarray] = None
-    omega_hat: Optional[np.ndarray] = None
     omega_low: Optional[np.ndarray] = None
     omega_up: Optional[np.ndarray] = None
     mu2: Optional[np.ndarray] = None
@@ -155,48 +157,43 @@ def second_order_artifacts(
 
 def omega_tilde_pair(
     art: SecondOrderArtifacts,
-    seed_low: Optional[np.ndarray] = None,
-    seed2: Optional[np.ndarray] = None,
+    seed: Optional[int] = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> SecondOrderArtifacts:
     """Install the mutually inverse antisymmetric pair on the M1 space.
 
     omega_low restricts an invertible antisymmetric seed to the range of
-    d11 and fills the complementary Z2 block with a second seed;
-    omega_up does the same with the pseudoinverse restriction and the
-    inverse seed, making the two weakly inverse to each other.
+    d11 and fills the complementary Z2 block with the canonical
+    symplectic block; omega_up does the same with the pseudoinverse
+    restriction and the inverse block, making the two weakly inverse to
+    each other.  The seed is the canonical symplectic block, or with an
+    integer ``seed`` a random antisymmetric matrix drawn from it.
     """
     m1 = art.d11.shape[0]
     m2 = art.a12.shape[1]
-    if seed_low is None:
+    if seed is None:
         seed_low = symplectic_block(m1)
-    if seed2 is None:
-        seed2 = symplectic_block(m2)
-    seed_low = check_finite(seed_low, "seed_low")
-    seed2 = check_finite(seed2, "seed2")
-    if seed_low.shape != (m1, m1) or not is_antisymmetric(seed_low, tol):
-        raise InvalidInputError("seed_low must be antisymmetric of size M1")
-    if seed2.shape != (m2, m2) or not is_antisymmetric(seed2, tol):
-        raise InvalidInputError("seed2 must be antisymmetric of size M2")
-    if rank_tol(seed2, tol) != m2:
-        raise InvalidInputError("seed2 must be invertible")
+    else:
+        s = np.random.default_rng(seed).standard_normal((m1, m1))
+        seed_low = s - s.T
+    seed2 = symplectic_block(m2)
 
     omega_bar = art.d11.T @ seed_low @ art.d11
     omega_bar_pinv, rank_bar = pinv_rank(omega_bar, tol)
     if rank_bar != m1 - m2:
-        raise NoSolutionError(
+        raise SeedRankError(
             "restricted seed is rank deficient, reseed required",
             float(rank_bar),
         )
-    omega_hat = art.d11 @ omega_bar_pinv @ art.d11
     # enforce exact antisymmetry against rounding
+    omega_hat = skew_part(art.d11 @ omega_bar_pinv @ art.d11)
     omega_bar = skew_part(omega_bar)
-    omega_hat = skew_part(omega_hat)
 
     p2 = art.dbar2 @ art.a12.T  # maps the M1 space onto the M2 labels
     z2 = art.a12  # with the default choice a12 is Z2 itself
     omega_low = omega_bar + p2.T @ seed2 @ p2
-    omega_up = omega_hat + z2 @ np.linalg.inv(seed2) @ z2.T
+    # the symplectic block is orthogonal: its inverse is its transpose
+    omega_up = omega_hat + z2 @ seed2.T @ z2.T
 
     rep = CheckReport(system=art.report.system, tolerances=tol)
     rep.require("eq_a3", rel_residual(omega_hat @ omega_bar, art.d11),
@@ -207,14 +204,11 @@ def omega_tilde_pair(
     rep.require("eq_a18a", rel_residual(omega_up @ omega_low, np.eye(m1)),
                 tol.weak_eq)
     if rank_tol(omega_low, tol) != m1 or rank_tol(omega_up, tol) != m1:
-        raise NoSolutionError(
+        raise SeedRankError(
             "omega pair is not invertible, reseed required", float(m1)
         )
-    return replace(
-        art, omega_bar=omega_bar, omega_hat=omega_hat,
-        omega_low=omega_low, omega_up=omega_up,
-        report=art.report.with_stage(rep),
-    )
+    return replace(art, omega_low=omega_low, omega_up=omega_up,
+                   report=art.report.with_stage(rep))
 
 
 def mu_pair(
@@ -246,13 +240,23 @@ def full_artifacts(
     cs: ConstraintSet,
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-    seed_low: Optional[np.ndarray] = None,
-    seed2: Optional[np.ndarray] = None,
+    seed: int = 0,
 ) -> SecondOrderArtifacts:
-    """Artifacts with the omega pair and mu pair installed."""
+    """Artifacts with the omega pair and mu pair installed.
+
+    The canonical omega seed can lose rank on the range of d11 (on the
+    lattice three-form it does for the k = -k blocks, whose symbol is
+    self-orthogonal); the pair is then rebuilt from the random seed
+    drawn from ``seed``, which the report's seeds then record as
+    "omega".  Only the rank failure reseeds; a failed identity raises.
+    """
     art = second_order_artifacts(cs, at, tol)
-    art = omega_tilde_pair(art, seed_low, seed2, tol)
-    return mu_pair(art, cs, tol)
+    try:
+        paired = omega_tilde_pair(art, tol=tol)
+    except SeedRankError:
+        paired = omega_tilde_pair(art, seed, tol)
+        paired.report.seeds["omega"] = seed
+    return mu_pair(paired, cs, tol)
 
 
 def dirac2(

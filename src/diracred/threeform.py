@@ -53,6 +53,7 @@ from .numerics import (
     Tolerance,
     rank_tol,
     rel_residual,
+    symplectic_block,
 )
 from .phase import PhaseSpec, affine, dirac_matrix
 from .report import COUNT_TOL, CheckReport
@@ -178,7 +179,6 @@ class ThreeFormSystem:
     u: tuple            # del^i as m x m matrices
     delta: np.ndarray   # Laplacian on zero-mean functions
     delta_inv: np.ndarray
-    q_basis: np.ndarray
     triples: tuple
     pairs: tuple
     m: int
@@ -186,13 +186,6 @@ class ThreeFormSystem:
     @property
     def n_field(self) -> int:
         return len(self.triples) * self.m
-
-    def a_slice(self, t_index: int) -> slice:
-        return slice(t_index * self.m, (t_index + 1) * self.m)
-
-    def pi_slice(self, t_index: int) -> slice:
-        off = self.n_field
-        return slice(off + t_index * self.m, off + (t_index + 1) * self.m)
 
 
 def _perm_sign(seq) -> int:
@@ -284,8 +277,7 @@ def build_threeform(
     spec = PhaseSpec(n_pairs=nt * m)
     chi = tuple(affine(b[i]) for i in range(m0))
     cs = con.ConstraintSet(
-        spec=spec, chi=chi, z1=z1, z2=z2, order=2,
-        name=name,
+        spec=spec, chi=chi, z1=z1, z2=z2, name=name,
     )
     # reducibility must be exact here, not merely weak
     if np.abs(z1.T @ b).max() > 1e-12 or np.abs(z1 @ z2).max() > 1e-12:
@@ -295,7 +287,7 @@ def build_threeform(
         )
     return ThreeFormSystem(
         lattice=lat, cs=cs, ell=ell, u=u, delta=delta, delta_inv=delta_inv,
-        q_basis=q, triples=triples, pairs=pairs, m=m,
+        triples=triples, pairs=pairs, m=m,
     )
 
 
@@ -372,24 +364,6 @@ def pair_projector(sys: ThreeFormSystem) -> np.ndarray:
     return out
 
 
-def _lattice_artifacts(
-    sys: ThreeFormSystem, at: np.ndarray, tol: Tolerance, seed: int = 0
-) -> so.SecondOrderArtifacts:
-    """Engine artifacts with a seed fallback for degenerate lattice modes.
-
-    The canonical cross-family seed can lose rank on modes whose symbol
-    is self-orthogonal; a seeded random antisymmetric seed is then used.
-    """
-    art = so.second_order_artifacts(sys.cs, at, tol)
-    try:
-        art = so.omega_tilde_pair(art, tol=tol)
-    except NoSolutionError:
-        rng = np.random.default_rng(seed)
-        s = rng.standard_normal((sys.cs.m1, sys.cs.m1))
-        art = so.omega_tilde_pair(art, seed_low=s - s.T, tol=tol)
-    return so.mu_pair(art, sys.cs, tol)
-
-
 def _unserialised():
     return dataclasses.field(default=None, repr=False, compare=False)
 
@@ -421,10 +395,14 @@ def run_threeform_checks(
     nf = sys.n_field
     points = con.sample_surface(cs, seed, 1, tol)
     z = points[0]
-    rep.take(con.validate(cs, points, tol), "eq_11x", "eq_11d_rank")
+    # a rank-deficient block cannot be built further; its error names it
+    checks = con.validate(cs, points, tol)
+    for name in ("eq_11x", "eq_11d_rank"):
+        r = checks.record(name)
+        rep.require(name, r.residual, r.tolerance)
 
-    art = _lattice_artifacts(sys, z, tol, seed)
-    irs = irr.build_irreducible(cs, art, tol=tol)
+    art = so.full_artifacts(cs, z, tol, seed)
+    irs = irr.build_irreducible(cs, art, tol)
     rep.take(irs.report, "eq_21q", "eq_p11")
 
     j = cs.spec.poisson
@@ -500,23 +478,6 @@ def _paper_abar01(sys: ThreeFormSystem) -> np.ndarray:
             if l == j4:
                 ab[rows, cols] -= dinv @ sys.u[j3].T
     return ab
-
-
-def _paper_a01(sys: ThreeFormSystem) -> np.ndarray:
-    """Mixing matrix reproducing the printed irreducible constraints."""
-    m, d = sys.m, sys.lattice.d
-    pairs = sys.pairs
-    npair = len(pairs)
-    a01 = np.zeros((2 * npair * m, 2 * d * m))
-    for pi_, (i1, i2) in enumerate(pairs):
-        rows = slice(pi_ * m, (pi_ + 1) * m)
-        a01[rows, i1 * m:(i1 + 1) * m] += sys.ell[i2]
-        a01[rows, i2 * m:(i2 + 1) * m] -= sys.ell[i1]
-    for qi, (j1, j2) in enumerate(pairs):
-        rows = slice((npair + qi) * m, (npair + qi + 1) * m)
-        a01[rows, (d + j1) * m:(d + j1 + 1) * m] += 0.5 * sys.u[j2]
-        a01[rows, (d + j2) * m:(d + j2 + 1) * m] -= 0.5 * sys.u[j1]
-    return a01
 
 
 def _paper_ehat(sys: ThreeFormSystem) -> tuple:
@@ -686,11 +647,15 @@ def paper_choices_artifacts(
     """Second-order artifacts and irreducible system with the printed
     choices installed instead of the engine defaults.
 
-    Returns (artifacts, irreducible_system, report).  The y-space bracket
-    is the canonical vector-field pairing; the constraint bracket matrix
-    of the printed irreducible constraints is inverted directly and
-    certified, rather than assembled from the closed-form inverse whose
-    derivation assumes the self-adjoint (spectral) derivative.
+    Returns (artifacts, irreducible_system, report).  The printed a12,
+    abar01 and congruence ehat, with the canonical vector-field pairing
+    as the y-space bracket, go through irreducible.assemble_irreducible:
+    the mixing matrix a01 = abar01^T ehat^-T is derived there and checked
+    row by row against the printed irreducible constraints (eq_58,
+    eq_59, eq_72) and their sigma factorization (eq_27qw), and eq_p11
+    certifies the paper's closed-form inverse of c_delta.  The closed
+    form holds for the forward difference as well as for the spectral
+    derivative.
 
     ``engine`` is the report of run_threeform_checks on the same system:
     its point, seeds and closed-form projectors are reused, and its
@@ -702,43 +667,14 @@ def paper_choices_artifacts(
                       seeds=dict(engine.seeds))
     z = engine.point
     a12 = _paper_a12(sys)
-    abar01 = _paper_abar01(sys)
-    art = so.second_order_artifacts(cs, z, tol, a12=a12, abar01=abar01)
-
+    art = so.second_order_artifacts(cs, z, tol, a12=a12,
+                                    abar01=_paper_abar01(sys))
     ehat, ehat_inv = _paper_ehat(sys)
-    stage = CheckReport(system=art.report.system, tolerances=tol)
-    stage.add("eq_27qq", rel_residual(ehat_inv @ art.d11 @ ehat, art.d11),
-              tol.weak_eq)
-
-    m1 = cs.m1
-    half = m1 // 2
-    omega_y = np.zeros((m1, m1))
-    omega_y[:half, half:] = -np.eye(half)
-    omega_y[half:, :half] = np.eye(half)
-    omega_y_inv = -omega_y
-    a01 = _paper_a01(sys)
-
-    z2 = cs.z2_at(z)
-    c_delta = np.block([
-        [art.c2 + a01 @ omega_y @ a01.T, a01 @ omega_y @ z2],
-        [z2.T @ omega_y @ a01.T, z2.T @ omega_y @ z2],
-    ])
-    n_tilde = cs.m0 + cs.m2
-    rank_delta = rank_tol(c_delta, tol)
-    if rank_delta != n_tilde:
-        raise NoSolutionError(
-            "printed irreducible constraints are not second class",
-            float(rank_delta),
-        )
-    c_delta_inv = np.linalg.inv(c_delta)
-    stage.add("eq_p11", rel_residual(c_delta @ c_delta_inv, np.eye(n_tilde)),
-              tol.weak_eq)
-    irs = irr.IrreducibleSystem(
-        base=cs, artifacts=art, omega_y=omega_y, omega_y_inv=omega_y_inv,
-        ehat=ehat, ehat_inv=ehat_inv, a01=a01, c_delta=c_delta,
-        c_delta_inv=c_delta_inv, report=art.report.with_stage(stage),
-    )
-    rep.take(stage, "eq_27qq", "eq_p11")
+    # canonical pairing of the y fields: [A^l, pi_k] = delta_kl
+    omega_y = -symplectic_block(cs.m1)
+    irs = irr.assemble_irreducible(cs, art, ehat, ehat_inv, omega_y,
+                                   -omega_y, tol)
+    rep.take(irs.report, "eq_27qq", "eq_p11")
 
     # row-for-row match of the assembled constraints against the
     # independently transcribed printed forms
@@ -748,7 +684,7 @@ def paper_choices_artifacts(
     assembled = np.zeros_like(printed)
     assembled[:cs.m0, :dim] = b
     assembled[:cs.m0, dim:] = irs.a01
-    assembled[cs.m0:, dim:] = z2.T
+    assembled[cs.m0:, dim:] = cs.z2_at(z).T
     npair_rows = len(sys.pairs) * sys.m
     rep.add("eq_58",
             float(np.abs(assembled[:npair_rows] -
@@ -761,7 +697,7 @@ def paper_choices_artifacts(
             tol.weak_eq)
     rep.add("locality", _site_stencil_ok(sys.lattice), COUNT_TOL)
 
-    res_27ww, res_27qw = _sigma_factorizations(sys, a12, a01)
+    res_27ww, res_27qw = _sigma_factorizations(sys, a12, irs.a01)
     rep.add("eq_27ww", res_27ww, tol.weak_eq)
     rep.add("eq_27qw", res_27qw, tol.weak_eq)
 

@@ -147,8 +147,21 @@ def test_analyze_order_one_builds_artifacts_once(tmp_path, capsys,
     monkeypatch.setattr(fo, "first_order_artifacts",
                         lambda *a, **k: builds.append(1) or real(*a, **k))
     assert main(["analyze", str(path), "--points", "4"]) == 0
-    # eq_12k and the bracket for eq_32 share one build at the first point
+    # eq_15 and the bracket for eq_32 share one build at the first point
     assert len(builds) == 1
+    capsys.readouterr()
+
+
+def test_analyze_order_one_check_names_fixed(tmp_path, capsys):
+    from diracred.constraints import duplicated_pair_system
+
+    path = tmp_path / "first.json"
+    save_system(duplicated_pair_system(), path)
+    out = str(tmp_path / "an.json")
+    assert main(["analyze", str(path), "--json", out]) == 0
+    doc = json.loads(open(out).read())
+    assert [c["name"] for c in doc["checks"]] == [
+        "eq_2", "eq_11d_rank", "eq_32", "eq_15"]
     capsys.readouterr()
 
 
@@ -196,6 +209,16 @@ def test_threeform_check_names_fixed(tmp_path, capsys, derivative):
     assert engine == THREEFORM_ENGINE_CHECKS
     assert paper == PAPER_CHOICES_CHECKS[derivative]
     capsys.readouterr()
+
+
+def test_threeform_rank_deficient_block_is_named(capsys):
+    # the forward-difference symbol has sum_i lambda(k_i)^2 = 0 at
+    # k = (0, 0, 1, 3) on L = 4, where the constraint bracket matrix
+    # loses rank; the run stops there and says which block it was
+    assert main(["threeform", "--dim", "4", "--lattice", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "eq_11d_rank" in err
+    assert "k=(0, 0, 1, 3)" in err
 
 
 def test_threeform_beyond_dense_sizes(capsys):

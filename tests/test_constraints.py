@@ -126,11 +126,7 @@ def test_constraint_set_structure_checks():
     spec = PhaseSpec(n_pairs=1)
     chi = (affine([1.0, 0.0]),)
     with pytest.raises(InvalidInputError):
-        ConstraintSet(spec=spec, chi=chi, z1=np.ones((1, 1)), order=3)
-    with pytest.raises(InvalidInputError):
-        ConstraintSet(spec=spec, chi=chi, z1=np.ones((1, 1)), order=2)
-    with pytest.raises(InvalidInputError):
-        ConstraintSet(spec=spec, chi=chi, z1=np.ones((2, 1)), order=1)
+        ConstraintSet(spec=spec, chi=chi, z1=np.ones((2, 1)))
 
 
 def _per_function(cs, z):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 
 from diracred.constraints import (
     ConstraintSet,
@@ -39,7 +40,7 @@ def doubled_pair_system() -> ConstraintSet:
         [0.0, -1.0],
     ])
     chi = tuple(affine(b[i], label=f"chi{i}") for i in range(4))
-    return ConstraintSet(spec=spec, chi=chi, z1=z1, order=1, name="doubled")
+    return ConstraintSet(spec=spec, chi=chi, z1=z1, name="doubled")
 
 
 def _scalar_case(name):
@@ -184,14 +185,14 @@ def test_lifted_constraints_vanish_with_matching_y():
 
 
 def test_lift_rank_condition_enforced():
-    cs = doubled_pair_system()
-    with pytest.raises(InvalidInputError):
-        irreducible_lift_1(cs, a_lift=np.zeros((cs.m0, cs.m1)))
-    with pytest.raises(InvalidInputError):
-        irreducible_lift_1(cs, gamma=np.zeros((cs.m1, cs.m1)))
     with pytest.raises(InvalidInputError):
         # odd M1 has no invertible antisymmetric gamma
         irreducible_lift_1(duplicated_pair_system())
+    cs = doubled_pair_system()
+    # a_lift = Z1 with dependent columns fails rank(Z1^T a_lift) = M1
+    dependent = replace(cs, z1=np.column_stack([cs.z1[:, 0], cs.z1[:, 0]]))
+    with pytest.raises(InvalidInputError, match="Z1"):
+        irreducible_lift_1(dependent)
 
 
 def test_ambiguity_shift_leaves_bracket_unchanged():

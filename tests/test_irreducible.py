@@ -14,6 +14,7 @@ from diracred.constraints import (
 )
 from diracred.irreducible import (
     BuildPointError,
+    assemble_irreducible,
     build_irreducible,
     dirac_irred,
     eom_step,
@@ -117,15 +118,26 @@ def test_congruence_choice_preserves_bracket():
     at = sample_surface(cs, seed=1, count=1)[0]
     art = full_artifacts(cs, at)
     base = build_irreducible(cs, art)
-    scaled = build_irreducible(cs, art, ehat_inv=0.5 * np.eye(cs.m1))
+
+    def congruent(ehat_inv):
+        # the y-space bracket carried along by the congruence
+        ehat = np.linalg.inv(ehat_inv)
+        return assemble_irreducible(
+            cs, art, ehat, ehat_inv, ehat.T @ base.omega_y @ ehat,
+            ehat_inv @ base.omega_y_inv @ ehat_inv.T)
+
+    scaled = congruent(0.5 * np.eye(cs.m1))
+    assert np.abs(scaled.a01 - 0.5 * base.a01).max() < 1e-15
     ext = base.join(at, np.zeros(base.dim_y))
     fa = fundamental_matrix_irred(base, ext)[:4, :4]
     fb = fundamental_matrix_irred(scaled, ext)[:4, :4]
     assert np.abs(fa - fb).max() < 1e-9
-    with pytest.raises(NoSolutionError):
+    # eq_27qq is only recorded; the closed-form inverse it breaks is
+    # required
+    with pytest.raises(NoSolutionError, match="eq_p11"):
         rng = np.random.default_rng(6)
         bad = np.eye(cs.m1) + 0.5 * rng.standard_normal((cs.m1, cs.m1))
-        build_irreducible(cs, art, ehat_inv=bad)
+        congruent(bad)
 
 
 def test_equivalence_report_passes():

@@ -93,7 +93,7 @@ def test_degenerate_system_detected():
     cs = toy_system()
     # claim more independent constraints than the gradients can supply
     bad = type(cs)(
-        spec=cs.spec, chi=cs.chi, z1=cs.z1[:, :2], z2=None, order=1,
+        spec=cs.spec, chi=cs.chi, z1=cs.z1[:, :2], z2=None,
         name="broken",
     )
     at = sample_surface(cs, seed=0, count=1)[0]

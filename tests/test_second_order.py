@@ -1,8 +1,16 @@
+import json
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from diracred.constraints import sample_surface, synth_linear, toy_system
+from diracred.cli import main
+from diracred.constraints import (
+    ConstraintSet,
+    sample_surface,
+    save_system,
+    synth_linear,
+    toy_system,
+)
 from diracred.numerics import (
     DEFAULT_TOL,
     InvalidInputError,
@@ -11,8 +19,9 @@ from diracred.numerics import (
     rel_residual,
 )
 from diracred.oracle import fundamental_matrix_oracle
-from diracred.phase import affine, coordinate
+from diracred.phase import PhaseSpec, affine, coordinate
 from diracred.second_order import (
+    SeedRankError,
     dirac2,
     full_artifacts,
     fundamental_matrix_2,
@@ -104,7 +113,6 @@ def test_ambiguity_shifts(toy_art):
         q2 = s2 - s2.T
         hat_shift = replace(
             art, omega_up=art.omega_up + cs.z2 @ q2 @ cs.z2.T,
-            omega_hat=art.omega_hat,
         )
         shifted = mu_pair(hat_shift, cs)
         alt2 = j - (j @ g) @ shifted.mu2 @ (g.T @ j)
@@ -112,19 +120,13 @@ def test_ambiguity_shifts(toy_art):
 
 
 def test_custom_seeds_accepted_and_checked(toy_art):
-    cs, at, _ = toy_art
-    art = second_order_artifacts(cs, at)
-    rng = np.random.default_rng(13)
-    s = rng.standard_normal((cs.m1, cs.m1))
-    art = omega_tilde_pair(art, seed_low=s - s.T)
+    cs, at, canonical = toy_art
+    art = omega_tilde_pair(second_order_artifacts(cs, at), seed=13)
+    # a random seed installs another pair, which passes the same checks
+    assert np.abs(art.omega_low - canonical.omega_low).max() > 1e-3
     art = mu_pair(art, cs)
-    assert art.report.residuals["eq_21q"] < 1e-9
-    with pytest.raises(InvalidInputError):
-        omega_tilde_pair(second_order_artifacts(cs, at),
-                         seed_low=np.eye(cs.m1))
-    with pytest.raises(InvalidInputError):
-        omega_tilde_pair(second_order_artifacts(cs, at),
-                         seed2=np.zeros((cs.m2, cs.m2)))
+    for key in ("eq_a3", "eq_a18", "eq_a18a", "eq_21q"):
+        assert art.report.residuals[key] < 1e-9, key
 
 
 def test_input_validation(toy_art):
@@ -174,3 +176,29 @@ def test_violated_identity_raises_naming_its_record(toy_art):
     with pytest.raises(NoSolutionError, match="eq_1qa") as info:
         second_order_artifacts(cs, at, abar01=bad)
     assert info.value.residual > DEFAULT_TOL.weak_eq
+
+
+def test_isotropic_canonical_seed_reseeds(tmp_path, capsys):
+    # Z2 spans the second half of the M1 space, so d11 projects onto
+    # (e1, e2), on which the canonical seed [[0, I], [-I, 0]] vanishes
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+    z1 = np.zeros((4, 4))
+    z1[:, :2] = q[:, :2]
+    b = q[:, 2:] @ np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    cs = ConstraintSet(spec=PhaseSpec(n_pairs=2),
+                       chi=tuple(affine(row) for row in b), z1=z1,
+                       z2=np.eye(4)[:, 2:], name="isotropic")
+    at = sample_surface(cs, seed=0, count=1)[0]
+    art = second_order_artifacts(cs, at)
+    with pytest.raises(SeedRankError):
+        omega_tilde_pair(art)
+    full = full_artifacts(cs, at, seed=5)
+    assert np.array_equal(full.omega_low, omega_tilde_pair(art, 5).omega_low)
+    assert full.report.passed and full.report.seeds == {"omega": 5}
+    # analyze builds on the fallback seed and says so
+    path = tmp_path / "isotropic.json"
+    save_system(cs, path)
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["seeds"] == {"points": 0, "omega": 0}
+    capsys.readouterr()

@@ -348,3 +348,24 @@ def test_per_mode_matches_dense(lat, dense):
     assert lo == m
     off = label[:, None] != label[None, :]
     assert np.abs(f[off]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("derivative", ["fd", "spectral"])
+def test_printed_congruence_error_fails_its_records(derivative, monkeypatch):
+    # transcribe the printed 2/Delta of the second family as 1/Delta, with
+    # the inverse congruence to match: the derived a01 then misses the
+    # printed second-family rows and their sigma factorization
+    real = tf._paper_ehat
+
+    def halved(sys):
+        e, einv = (x.copy() for x in real(sys))
+        half = sys.lattice.d * sys.m
+        e[half:, half:] *= 0.5
+        einv[half:, half:] *= 2.0
+        return e, einv
+
+    monkeypatch.setattr(tf, "_paper_ehat", halved)
+    _, paper = certify_lattice(LatticeSpec(3, 3, derivative),
+                               paper_choices=True)
+    assert {r.name for r in paper.records if not r.passed} == {
+        "eq_59", "eq_27qw"}
