@@ -11,6 +11,11 @@ A set whose chi are all affine stores them natively as (B, c) with
 chi = B z + c.  With constant Z matrices as well it is a constant
 system (``is_constant``): every derived artifact is then the same at
 every point, which later stages use to build them once.
+
+``ConstraintSet.linear`` builds such a set from the arrays B, Z1 and
+Z2 alone.  A leading axis on them makes a stack of systems of one
+shape (the Fourier blocks of a lattice), whose points carry the same
+leading axis; the second-order stages broadcast over it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from .numerics import (
     InvalidInputError,
     Tolerance,
     check_finite,
+    frobenius,
+    mt,
     null_basis,
     pseudoinverse,
     rank_tol,
@@ -66,10 +73,10 @@ class ConstraintSet:
     z1: MatrixOrMap
     z2: Optional[MatrixOrMap] = None
     name: str = ""
+    # labels of the systems of a stack (see linear), else ()
+    blocks: tuple = ()
     # (B, c) with chi = B z + c when every chi is affine, else None
-    _affine: Optional[tuple] = field(
-        init=False, default=None, repr=False, compare=False
-    )
+    _affine: Optional[tuple] = field(default=None, repr=False, compare=False)
     # pinv(B) per tolerance, for affine systems
     _b_pinv: dict = field(
         init=False, default_factory=dict, repr=False, compare=False
@@ -77,7 +84,11 @@ class ConstraintSet:
 
     def __post_init__(self):
         object.__setattr__(self, "chi", tuple(self.chi))
-        if all(f.kind == "affine" for f in self.chi):
+        # the arrays of linear() stand for an empty chi; given chi win
+        if self.chi or self._affine is None:
+            object.__setattr__(self, "_affine", None)
+        if self._affine is None and all(f.kind == "affine"
+                                        for f in self.chi):
             b = (np.vstack([f.b for f in self.chi]) if self.chi
                  else np.zeros((0, self.spec.dim)))
             if b.shape[1] != self.spec.dim:
@@ -88,12 +99,72 @@ class ConstraintSet:
             object.__setattr__(self, "_affine", (b, c))
         if isinstance(self.z1, np.ndarray):
             z1 = check_finite(self.z1, "Z1")
-            if z1.shape[0] != self.m0:
+            if z1.shape[-2] != self.m0:
                 raise InvalidInputError("Z1 must have M0 rows")
             object.__setattr__(self, "z1", z1)
         if isinstance(self.z2, np.ndarray):
             z2 = check_finite(self.z2, "Z2")
             object.__setattr__(self, "z2", z2)
+
+    @classmethod
+    def linear(
+        cls,
+        spec: PhaseSpec,
+        b: np.ndarray,
+        z1: np.ndarray,
+        z2: Optional[np.ndarray],
+        name: str,
+        blocks: tuple,
+    ) -> "ConstraintSet":
+        """The linear constraints chi = B z with constant Z matrices.
+
+        With a leading axis on b (G x M0 x 2N), z1 and z2, the set is a
+        stack of G systems, labelled by ``blocks``, one label each.  Its
+        chi is empty, since the rows of different systems are no
+        functions on one space: values and gradients read B.
+        """
+        b = check_finite(b, "B")
+        if b.shape[-1] != spec.dim:
+            raise InvalidInputError(
+                "constraint dimension does not match the phase space"
+            )
+        batch = b.shape[:-2]
+        if (len(batch) > 1 or len(blocks) != sum(batch)
+                or any(z.shape[:-2] != batch for z in (z1, z2)
+                       if z is not None)):
+            raise InvalidInputError(
+                "a stack has one leading axis, shared by B, Z1 and Z2, "
+                "and one label per system"
+            )
+        return cls(spec=spec, chi=(), z1=z1, z2=z2, name=name,
+                   blocks=tuple(blocks),
+                   _affine=(b, np.zeros(b.shape[:-1])))
+
+    @property
+    def batch(self) -> tuple:
+        """Shape of the leading axes of a stack; () for one system."""
+        return self._affine[0].shape[:-2] if self._affine else ()
+
+    def block(self, index: tuple) -> "ConstraintSet":
+        """The system at ``index`` of a stack (the set itself at ())."""
+        if not index:
+            return self
+        b, _ = self._affine
+        z2 = None if self.z2 is None else self.z2[index]
+        return ConstraintSet.linear(
+            self.spec, b[index], self.z1[index], z2,
+            f"{self.name} {self.blocks[index[0]]}", (),
+        )
+
+    def point(self, z) -> np.ndarray:
+        """A point, or one per system of a stack, checked for shape."""
+        z = check_finite(np.asarray(z, dtype=float), "point")
+        if z.shape != self.batch + (self.spec.dim,):
+            raise InvalidInputError(
+                f"point must have shape {self.batch + (self.spec.dim,)}, "
+                f"got {z.shape}"
+            )
+        return z
 
     @property
     def order(self) -> int:
@@ -102,14 +173,14 @@ class ConstraintSet:
 
     @property
     def m0(self) -> int:
-        return len(self.chi)
+        return self._affine[0].shape[-2] if self._affine else len(self.chi)
 
     @property
     def m1(self) -> int:
         z1 = self.z1 if isinstance(self.z1, np.ndarray) else self.z1(
             np.zeros(self.spec.dim)
         )
-        return z1.shape[1]
+        return z1.shape[-1]
 
     @property
     def m2(self) -> int:
@@ -118,7 +189,7 @@ class ConstraintSet:
         z2 = self.z2 if isinstance(self.z2, np.ndarray) else self.z2(
             np.zeros(self.spec.dim)
         )
-        return z2.shape[1]
+        return z2.shape[-1]
 
     @property
     def n_independent(self) -> int:
@@ -152,17 +223,17 @@ class ConstraintSet:
         )
 
     def values(self, at: np.ndarray) -> np.ndarray:
-        at = self.spec.point(at)
+        at = self.point(at)
         if self._affine is not None:
             b, c = self._affine
-            return b @ at + c
+            return (b @ at[..., None])[..., 0] + c
         return np.array([f(at) for f in self.chi])
 
     def gradients(self, at: np.ndarray) -> np.ndarray:
         """Gradient matrix, 2N x M0: column a0 is grad(chi_{a0})."""
-        at = self.spec.point(at)
+        at = self.point(at)
         if self._affine is not None:
-            return self._affine[0].T.copy()
+            return mt(self._affine[0]).copy()
         return np.column_stack([f.gradient(at) for f in self.chi])
 
     def affine_matrix(self) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +246,7 @@ class ConstraintSet:
     def _jacobian_pinv(self, at: np.ndarray, tol: Tolerance) -> np.ndarray:
         """Pseudoinverse of the M0 x 2N constraint Jacobian at a point."""
         if self._affine is None:
-            return pseudoinverse(self.gradients(at).T, tol)
+            return pseudoinverse(mt(self.gradients(at)), tol)
         if tol not in self._b_pinv:
             self._b_pinv[tol] = pseudoinverse(self._affine[0], tol)
         return self._b_pinv[tol]
@@ -189,6 +260,12 @@ class ConstraintSet:
             raise OffSurfaceError(
                 f"point violates the constraint surface: max |chi| = {r:.3e}"
             )
+
+
+def chain_residual(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The reducibility chain residual |Z1 Z2| / (1 + |Z1| |Z2|), in
+    Frobenius norms, per system of a stack (eq_11x)."""
+    return frobenius(z1 @ z2) / (1.0 + frobenius(z1) * frobenius(z2))
 
 
 def validate(
@@ -210,9 +287,7 @@ def validate(
         z1 = cs.z1_at(p)
         red1 = max(red1, float(np.linalg.norm(z1.T @ chi_v)))
         if cs.order == 2:
-            z2 = cs.z2_at(p)
-            scale = 1.0 + np.linalg.norm(z1) * np.linalg.norm(z2)
-            red2 = max(red2, float(np.linalg.norm(z1 @ z2)) / scale)
+            red2 = max(red2, float(chain_residual(z1, cs.z2_at(p))))
     # affine chi have the same gradients, hence the same C = G^T J G,
     # at every point, so its rank is taken once
     rank_points = points[:1] if cs.is_affine else points
@@ -248,7 +323,7 @@ def project_to_surface(
     computed once per system and tolerance, and a single step is the
     exact minimum-norm correction.
     """
-    z = cs.spec.point(start).copy()
+    z = cs.point(start).copy()
     vals = cs.values(z)
     for step in range(_PROJECTION_STEPS + 1):
         residual = _sup_norm(vals)
@@ -256,7 +331,7 @@ def project_to_surface(
             return z
         if step == _PROJECTION_STEPS:
             break
-        z = z - cs._jacobian_pinv(z, tol) @ vals
+        z = z - (cs._jacobian_pinv(z, tol) @ vals[..., None])[..., 0]
         vals = cs.values(z)
     raise ProjectionError("surface projection did not converge", residual)
 
@@ -267,14 +342,19 @@ def sample_surface(
     count: int,
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[np.ndarray]:
-    """Deterministic on-surface points: projected Gaussian perturbations."""
+    """Deterministic on-surface points: projected Gaussian perturbations.
+
+    On a stack each point holds one per system, all projected from the
+    same Gaussian draw.
+    """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):
         start = rng.standard_normal(cs.spec.dim)
-        points.append(project_to_surface(cs, start, tol))
+        points.append(project_to_surface(
+            cs, start + np.zeros(cs.batch + start.shape), tol))
     return points
 
 

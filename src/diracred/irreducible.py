@@ -15,6 +15,11 @@ base (affine chi, constant Z) they hold everywhere, and its bracket
 kernels are computed once and read at every point; otherwise brackets
 are available only at the build point, and any other point raises
 BuildPointError.
+
+Built on a stack of systems (ConstraintSet.linear), the assembly, the
+extended constraints and the irreducible fundamental matrix broadcast
+over its leading axis; the intermediate system, recovery and evolution
+take one system.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .numerics import (
     InvalidInputError,
     Tolerance,
     check_finite,
+    mt,
     rank_tol,
     rel_residual,
 )
@@ -70,32 +76,37 @@ class IrreducibleSystem:
 
     @property
     def dim_y(self) -> int:
-        return self.omega_y.shape[0]
+        return self.omega_y.shape[-1]
 
     @property
     def n_tilde(self) -> int:
         return self.base.m0 + self.base.m2
 
     def extended_poisson(self) -> np.ndarray:
-        return scipy.linalg.block_diag(self.base.spec.poisson, self.omega_y)
+        n = self.dim_z
+        out = np.zeros(self.base.batch + (n + self.dim_y,) * 2)
+        out[..., :n, :n] = self.base.spec.poisson
+        out[..., n:, n:] = self.omega_y
+        return out
 
     def split(self, at: np.ndarray) -> tuple:
         at = check_finite(np.asarray(at, dtype=float), "extended point")
-        if at.shape != (self.dim_z + self.dim_y,):
+        if at.shape != self.base.batch + (self.dim_z + self.dim_y,):
             raise InvalidInputError(
                 f"extended point must have length {self.dim_z + self.dim_y}"
             )
-        return at[:self.dim_z], at[self.dim_z:]
+        return at[..., :self.dim_z], at[..., self.dim_z:]
 
     def join(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.asarray(z, float), np.asarray(y, float)])
+        return np.concatenate([np.asarray(z, float), np.asarray(y, float)],
+                              axis=-1)
 
     def chi_tilde_values(self, at: np.ndarray) -> np.ndarray:
         z, y = self.split(at)
         z2 = self.base.z2_at(z)
-        top = self.base.values(z) + self.a01 @ y
-        bottom = z2.T @ y
-        return np.concatenate([top, bottom])
+        top = self.base.values(z) + (self.a01 @ y[..., None])[..., 0]
+        bottom = (mt(z2) @ y[..., None])[..., 0]
+        return np.concatenate([top, bottom], axis=-1)
 
     def chi_tilde_gradients(self, at: np.ndarray) -> np.ndarray:
         """Extended gradient matrix, (2N + M1) x (M0 + M2)."""
@@ -103,10 +114,10 @@ class IrreducibleSystem:
         gz = self.base.gradients(z)
         z2 = self.base.z2_at(z)
         m0, m2 = self.base.m0, self.base.m2
-        out = np.zeros((self.dim_z + self.dim_y, m0 + m2))
-        out[:self.dim_z, :m0] = gz
-        out[self.dim_z:, :m0] = self.a01.T
-        out[self.dim_z:, m0:] = z2
+        out = np.zeros(self.base.batch + (self.dim_z + self.dim_y, m0 + m2))
+        out[..., :self.dim_z, :m0] = gz
+        out[..., self.dim_z:, :m0] = mt(self.a01)
+        out[..., self.dim_z:, m0:] = z2
         return out
 
     def recover(self, at: np.ndarray) -> tuple:
@@ -149,7 +160,8 @@ class IrreducibleSystem:
     @property
     def build_point(self) -> np.ndarray:
         """Extended point (z, y = 0) at which the artifacts were built."""
-        return self.join(self.artifacts.point, np.zeros(self.dim_y))
+        return self.join(self.artifacts.point,
+                         np.zeros(self.base.batch + (self.dim_y,)))
 
     @cached_property
     def _irred_kernel(self) -> np.ndarray:
@@ -205,24 +217,25 @@ def assemble_irreducible(
     NoSolutionError.
     """
     m0, m2 = cs.m0, cs.m2
-    rep = CheckReport(system=art.report.system, tolerances=tol)
+    rep = CheckReport(system=art.report.system, tolerances=tol,
+                      blocks=art.report.blocks)
     rep.add("eq_27qq", rel_residual(ehat_inv @ art.d11 @ ehat, art.d11),
             tol.weak_eq)
-    a01 = art.abar01.T @ ehat_inv.T
+    a01 = mt(art.abar01) @ mt(ehat_inv)
 
     z1 = cs.z1_at(art.point)
     z2 = cs.z2_at(art.point)
-    abar12 = art.a12 @ art.dbar2.T
+    abar12 = art.a12 @ mt(art.dbar2)
 
     c_delta = np.block([
-        [art.c2 + a01 @ omega_y @ a01.T, a01 @ omega_y @ z2],
-        [z2.T @ omega_y @ a01.T, z2.T @ omega_y @ z2],
+        [art.c2 + a01 @ omega_y @ mt(a01), a01 @ omega_y @ z2],
+        [mt(z2) @ omega_y @ mt(a01), mt(z2) @ omega_y @ z2],
     ])
     c_delta_inv = np.block([
-        [art.m2 + z1 @ ehat @ omega_y_inv @ ehat.T @ z1.T,
+        [art.m2 + z1 @ ehat @ omega_y_inv @ mt(ehat) @ mt(z1),
          z1 @ ehat @ omega_y_inv @ abar12],
-        [abar12.T @ omega_y_inv @ ehat.T @ z1.T,
-         abar12.T @ omega_y_inv @ abar12],
+        [mt(abar12) @ omega_y_inv @ mt(ehat) @ mt(z1),
+         mt(abar12) @ omega_y_inv @ abar12],
     ])
     rep.require("eq_p11",
                 rel_residual(c_delta @ c_delta_inv, np.eye(m0 + m2)),
@@ -257,13 +270,17 @@ def build_irreducible(
             "artifacts must carry the omega and mu pairs; use full_artifacts"
         )
     eye = np.eye(cs.m1)
+    # omega_tilde_pair certified omega_up as omega_low's inverse (eq_a18a)
     irs = assemble_irreducible(cs, art, eye, eye, art.omega_low,
-                               np.linalg.inv(art.omega_low), tol)
+                               art.omega_up, tol)
     m0 = cs.m0
-    rep = CheckReport(system=art.report.system, tolerances=tol)
-    rep.add("eq_27x", rel_residual(irs.c_delta[:m0, :m0], art.mu2_inv),
+    rep = CheckReport(system=art.report.system, tolerances=tol,
+                      blocks=art.report.blocks)
+    rep.add("eq_27x",
+            rel_residual(irs.c_delta[..., :m0, :m0], art.mu2_inv),
             tol.weak_eq)
-    rep.add("eq_27z", rel_residual(irs.c_delta_inv[:m0, :m0], art.mu2),
+    rep.add("eq_27z",
+            rel_residual(irs.c_delta_inv[..., :m0, :m0], art.mu2),
             tol.weak_eq)
     rep.add("eq_27wp",
             rel_residual(irs.omega_y_inv @ art.d11 @ irs.omega_y, art.d11),

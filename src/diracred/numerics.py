@@ -7,6 +7,10 @@ through this module so that one set of cutoffs governs the whole pipeline.
 Index convention used throughout the package: an object ``X^a_b`` is stored
 with ``a`` as the row index and ``b`` as the column index, so index
 contractions become left-to-right matrix products.
+
+Every matrix function here except null_basis also takes a stack
+(..., m, n) of matrices of one shape and works on each matrix of it,
+returning one value per matrix; a single matrix gives a single value.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class InvalidInputError(ValueError):
@@ -80,47 +83,76 @@ def weak_equal(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:
     return float(np.linalg.norm(a - b)) <= tol.weak_eq * scale
 
 
-def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Residual of ``a == b`` relative to 1 + the larger operand norm."""
+def mt(m: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack."""
+    return m.swapaxes(-1, -2)
+
+
+def frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    if m.ndim == 2:
+        return np.linalg.norm(m)
+    return np.sqrt((m * m).sum(axis=(-2, -1)))
+
+
+def max_abs(m: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each matrix of a stack."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
+def rel_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Residual of ``a == b`` relative to 1 + the larger operand norm,
+    per matrix (Frobenius norms)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    scale = 1.0 + max(np.linalg.norm(a), np.linalg.norm(b))
-    return float(np.linalg.norm(a - b)) / scale
+    scale = 1.0 + np.maximum(frobenius(a), frobenius(b))
+    return frobenius(a - b) / scale
 
 
-def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above rank_rel * sigma_max."""
+def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Number of singular values above rank_rel * sigma_max, per matrix."""
     m = check_finite(m)
     if m.size == 0:
         return 0
-    return _rank_of(scipy.linalg.svdvals(m), tol)
+    return _rank_of(np.linalg.svd(m, compute_uv=False), tol)
 
 
-def _rank_of(s: np.ndarray, tol: Tolerance) -> int:
+def _kept(s: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Mask of the descending singular values s above rank_rel * s[0]."""
+    return s > tol.rank_rel * s[..., :1]
+
+
+def _rank_of(s: np.ndarray, tol: Tolerance):
     """Count of the descending singular values s above rank_rel * s[0]."""
-    return int(np.sum(s > tol.rank_rel * s[0])) if s.size else 0
+    return _kept(s, tol).sum(axis=-1)
 
 
-def _svd_kept(m: np.ndarray, tol: Tolerance):
-    """Thin SVD factors of m truncated to the rank cutoff of rank_tol."""
+def _svd_kept(m: np.ndarray, tol: Tolerance) -> tuple:
+    """Thin SVD factors of each matrix of m, masked to the rank cutoff of
+    rank_tol: (u, s_inv, vt).  The columns of u beyond the rank are zero,
+    and so are the entries of s_inv, the inverted singular values, so
+    the rows of vt beyond it drop out of every product with s_inv.
+    Masking instead of truncating lets one call serve a stack whose
+    matrices differ in rank."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    r = _rank_of(s, tol)
-    return u[:, :r], s[:r], vt[:r]
+    keep = _kept(s, tol)
+    # a dropped value may be 0; the floor keeps its 0 / s finite
+    s_inv = keep / np.maximum(s, np.finfo(float).tiny)
+    return u * keep[..., None, :], s_inv, vt
 
 
-def pinv_rank(
-    m: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, int]:
-    """Pseudoinverse and numerical rank of m from a single SVD.
+def pinv_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """Pseudoinverse and numerical rank of each matrix of m from a single
+    SVD.
 
     The rank counts singular values above rank_rel * sigma_max, as in
     rank_tol, and the pseudoinverse inverts exactly those.
     """
     m = check_finite(m)
     if m.size == 0:
-        return m.T.copy(), 0
-    u, s, vt = _svd_kept(m, tol)
-    return (vt.T / s) @ u.T, s.size
+        return mt(m).copy(), 0
+    u, s_inv, vt = _svd_kept(m, tol)
+    return (mt(vt) * s_inv[..., None, :]) @ mt(u), (s_inv > 0).sum(axis=-1)
 
 
 def pseudoinverse(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -137,17 +169,18 @@ def null_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if m.shape[0] == 0 or not m.any():
         return np.eye(m.shape[1])
     _, s, vt = np.linalg.svd(m)
-    return vt[_rank_of(s, tol):].T.copy()
+    return vt[int(_rank_of(s, tol)):].T.copy()
 
 
 def skew_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m - m.T)
+    return 0.5 * (m - mt(m))
 
 
 def is_antisymmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether every matrix of m is antisymmetric within weak_eq."""
     m = np.asarray(m, dtype=float)
-    scale = 1.0 + np.linalg.norm(m)
-    return float(np.linalg.norm(m + m.T)) <= tol.weak_eq * scale
+    scale = 1.0 + frobenius(m)
+    return bool((frobenius(m + mt(m)) <= tol.weak_eq * scale).all())
 
 
 def symplectic_block(n: int) -> np.ndarray:
@@ -169,7 +202,7 @@ def symplectic_block(n: int) -> np.ndarray:
 def range_projector(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the numerical column space of m."""
     u = _svd_kept(check_finite(m), tol)[0]
-    return u @ u.T
+    return u @ mt(u)
 
 
 def skew_solve(
@@ -193,24 +226,27 @@ def skew_solve(
     as |M c - target| exceeds ``weak_eq * (1 + |target|)``.  The result
     is exactly antisymmetric.  With ``with_product`` the pair
     (M, M @ c) is returned, the product being the one the residual test
-    forms, so callers checking M @ c need not form it again.
+    forms, so callers checking M @ c need not form it again.  On a
+    stack every matrix is solved, and one that fails raises with the
+    worst residual.
     """
     c = check_finite(c, "c")
     target = check_finite(target, "target")
-    n = c.shape[0]
-    if c.shape != (n, n) or target.shape != (n, n):
+    n = c.shape[-1]
+    if c.shape[-2:] != (n, n) or target.shape[-2:] != (n, n):
         raise InvalidInputError("skew_solve needs square matrices of one size")
     if not is_antisymmetric(c, tol):
         raise InvalidInputError("c is not antisymmetric within weak_eq")
 
-    u, s, vt = _svd_kept(c, tol)
-    y = target @ (vt.T / s)  # X = target @ pinv(c) = y @ u.T
+    u, s_inv, vt = _svd_kept(c, tol)
+    y = target @ (mt(vt) * s_inv[..., None, :])  # X = target @ pinv(c)
     # P_ker X is the block of M mapping range(c) into ker(c); X lacks its
     # mirrored block -(P_ker X)^T
-    y_ker = y - u @ (u.T @ y)
-    m = skew_part(y @ u.T - u @ y_ker.T)
+    y_ker = y - u @ (mt(u) @ y)
+    m = skew_part(y @ mt(u) - u @ mt(y_ker))
     mc = m @ c
-    residual = float(np.linalg.norm(mc - target))
-    if residual > tol.weak_eq * (1.0 + np.linalg.norm(target)):
-        raise NoSolutionError("target is not reachable as M @ c", residual)
+    residual = frobenius(mc - target)
+    if (residual > tol.weak_eq * (1.0 + frobenius(target))).any():
+        raise NoSolutionError("target is not reachable as M @ c",
+                              float(np.max(residual)))
     return (m, mc) if with_product else m

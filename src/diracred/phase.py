@@ -20,6 +20,7 @@ from .numerics import (
     Tolerance,
     check_finite,
     is_antisymmetric,
+    mt,
     rank_tol,
     symplectic_block,
 )
@@ -228,9 +229,10 @@ def dirac_matrix(j: np.ndarray, g: np.ndarray, m: np.ndarray) -> np.ndarray:
     The columns of g are constraint gradients and m is the matrix that
     contracts their brackets: C_AB^-1 over an independent subset, the
     reducible m1 or m2, the invertible mu2, or c_delta^-1 on the extended
-    space.  The Dirac bracket of f and g is grad f @ F @ grad g.
+    space.  The Dirac bracket of f and g is grad f @ F @ grad g.  Stacks
+    of g and m give the stack of their matrices.
     """
-    return j - (j @ g) @ m @ (g.T @ j)
+    return j - (j @ g) @ m @ (mt(g) @ j)
 
 
 def product_function(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:

@@ -3,6 +3,11 @@
 Record names are stable equation-style tags (eq_21q, eq_32, ...) so that
 downstream tooling can grep them without parsing prose.  Each record is
 written once, with its tolerance, by the stage that computes it.
+
+A stage run on a stack of systems (the Fourier blocks of a lattice)
+records one residual per block; the record's residual is the worst of
+them, and the report's ``blocks`` label the stack so that a failed
+construction identity names its block.
 """
 
 from __future__ import annotations
@@ -11,6 +16,9 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import Optional
+
+import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
@@ -29,6 +37,9 @@ class CheckRecord:
     name: str
     residual: float
     tolerance: float
+    # the residual of each block of a stack, whose worst is ``residual``
+    per_block: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -42,34 +53,65 @@ class CheckReport:
     seeds: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    # labels of the blocks of a stack, in order; empty for one system
+    blocks: tuple = ()
 
-    def add(self, name: str, residual: float, tolerance: float) -> None:
+    def add(self, name: str, residual, tolerance: float) -> None:
+        """Record a residual, or an array of them, one per block of a
+        stack, under its worst (a NaN is kept, so it fails)."""
         if any(r.name == name for r in self.records):
             raise InvalidInputError(f"duplicate check record {name!r}")
-        self.records.append(
-            CheckRecord(name=name, residual=float(residual),
-                        tolerance=float(tolerance))
-        )
+        values = np.asarray(residual, dtype=float)
+        stacked = values.ndim > 0
+        self.records.append(CheckRecord(
+            name=name, residual=float(values.max() if stacked else values),
+            tolerance=float(tolerance),
+            per_block=values if stacked else None,
+        ))
 
-    def require(self, name: str, residual: float, tolerance: float) -> None:
+    def require(self, name: str, residual, tolerance: float) -> None:
         """Record a construction identity; raise NoSolutionError, naming
-        the record and the report's system, when it fails."""
+        the record, the report's system and on a stack the first failing
+        block, when it fails."""
         self.add(name, residual, tolerance)
-        if not self.records[-1].passed:
-            raise NoSolutionError(
-                f"{self.system}: construction identity {name} failed",
-                float(residual),
-            )
+        r = self.records[-1]
+        if r.passed:
+            return
+        where, value = self.system, r.residual
+        if r.per_block is not None:
+            i = int(np.flatnonzero(~(r.per_block <= r.tolerance))[0])
+            label = self.blocks[i] if self.blocks else f"block {i}"
+            where, value = f"{where} {label}", r.per_block[i]
+        raise NoSolutionError(
+            f"{where}: construction identity {name} failed", float(value))
 
     def take(self, other: "CheckReport", *names: str) -> None:
         """Add the named records of another report as recorded there."""
         for name in names:
             r = other.record(name)
-            self.add(r.name, r.residual, r.tolerance)
+            self.add(r.name, r.residual if r.per_block is None
+                     else r.per_block, r.tolerance)
 
     def merge(self, other: "CheckReport") -> None:
         self.take(other, *(r.name for r in other.records))
         self.timings.update(other.timings)
+
+    def fold(self, other: "CheckReport") -> None:
+        """Fold in the report of another part of the same system, such as
+        one shape group of a lattice's Fourier blocks.  Both must hold
+        the same records (names, order, tolerances); each keeps the worse
+        residual, a NaN included, and timings add up."""
+        if self.records and ([(r.name, r.tolerance) for r in self.records]
+                             != [(r.name, r.tolerance)
+                                 for r in other.records]):
+            raise InvalidInputError(
+                f"reports disagree on their checks: {other.system}")
+        worse = [np.max([r.residual for r in pair]) for pair in
+                 zip(self.records or other.records, other.records)]
+        self.records = [CheckRecord(r.name, float(w), r.tolerance)
+                        for r, w in zip(other.records, worse)]
+        for key, value in other.timings.items():
+            self.timings[key] = self.timings.get(key, 0.0) + value
 
     def with_stage(self, stage: "CheckReport") -> "CheckReport":
         """A copy of this report with a stage's records added.  A record

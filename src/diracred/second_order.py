@@ -23,13 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import ConstraintSet
+from .constraints import ConstraintSet, chain_residual
 from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
     NoSolutionError,
     Tolerance,
     check_finite,
+    mt,
     pinv_rank,
     pseudoinverse,
     rank_tol,
@@ -44,7 +45,12 @@ from .report import CheckReport
 
 class SeedRankError(NoSolutionError):
     """The omega seed loses rank on the range of d11, where a different
-    seed need not."""
+    seed need not.  ``blocks`` marks the systems of a stack that lost it
+    (a single True for one system)."""
+
+    def __init__(self, message: str, residual: float, blocks: np.ndarray):
+        super().__init__(message, residual)
+        self.blocks = blocks
 
 
 @dataclass(frozen=True)
@@ -78,71 +84,64 @@ def second_order_artifacts(
     abar01 @ Z1 = d11, under which d11 and d00 are orthogonal projectors.
     Every defining identity is recorded in the bundle's report and a
     failure raises rather than returning a silently broken bundle.
+
+    On a stack of systems (ConstraintSet.linear) ``at`` holds one point
+    per system, a12 and abar01 one matrix per system, and every matrix
+    of the bundle gains the stack's leading axis.
     """
     if cs.order != 2:
         raise InvalidInputError("second-order pipeline needs an order-2 system")
     if cs.m1 % 2 or cs.m2 % 2:
         raise InvalidInputError("M1 and M2 must be even")
-    at = cs.spec.point(at)
+    at = cs.point(at)
     cs.require_on_surface(at, tol)
     z1 = cs.z1_at(at)
     z2 = cs.z2_at(at)
-    rep = CheckReport(system=cs.name, tolerances=tol)
+    rep = CheckReport(system=cs.name, tolerances=tol, blocks=cs.blocks)
 
-    red2 = np.linalg.norm(z1 @ z2) / (
-        1.0 + np.linalg.norm(z1) * np.linalg.norm(z2)
-    )
-    rep.require("eq_11x", red2, tol.weak_eq)
+    rep.require("eq_11x", chain_residual(z1, z2), tol.weak_eq)
 
     g = cs.gradients(at)
-    c2 = g.T @ cs.spec.poisson @ g
-    rep.require(
-        "eq_11e", rel_residual(z1.T @ c2, np.zeros_like(z1.T @ c2)),
-        tol.weak_eq,
-    )
+    c2 = mt(g) @ cs.spec.poisson @ g
+    z1_c2 = mt(z1) @ c2
+    rep.require("eq_11e", rel_residual(z1_c2, np.zeros_like(z1_c2)),
+                tol.weak_eq)
 
     if a12 is None:
         a12 = z2.copy()
     a12 = check_finite(a12, "a12")
-    if a12.shape != (cs.m1, cs.m2):
+    if a12.shape != cs.batch + (cs.m1, cs.m2):
         raise InvalidInputError("a12 must be M1 x M2")
-    d2 = z2.T @ a12
-    if rank_tol(d2, tol) != cs.m2:
+    d2 = mt(z2) @ a12
+    if np.any(rank_tol(d2, tol) != cs.m2):
         raise InvalidInputError("Z2^T a12 must have full rank M2")
     dbar2 = np.linalg.inv(d2)
-    d11 = np.eye(cs.m1) - a12 @ dbar2 @ z2.T
+    d11 = np.eye(cs.m1) - a12 @ dbar2 @ mt(z2)
     # defining relation for the level-2 left inverse
-    abar12 = a12 @ dbar2.T
+    abar12 = a12 @ mt(dbar2)
     rep.require(
-        "eq_a2", rel_residual(z2.T @ abar12, np.eye(cs.m2)), tol.weak_eq
+        "eq_a2", rel_residual(mt(z2) @ abar12, np.eye(cs.m2)), tol.weak_eq
     )
     rep.require("eq_ay", rel_residual(d11 @ d11, d11), tol.weak_eq)
-    rep.require(
-        "eq_a8",
-        rel_residual(dbar2 @ a12.T @ d11, np.zeros((cs.m2, cs.m1))),
-        tol.weak_eq,
-    )
+    a8 = dbar2 @ mt(a12) @ d11
+    rep.require("eq_a8", rel_residual(a8, np.zeros_like(a8)), tol.weak_eq)
 
     if abar01 is None:
         abar01 = d11 @ pseudoinverse(z1, tol)
     abar01 = check_finite(abar01, "abar01")
-    if abar01.shape != (cs.m1, cs.m0):
+    if abar01.shape != cs.batch + (cs.m1, cs.m0):
         raise InvalidInputError("abar01 must be M1 x M0")
     # abar01 @ Z1 = d11 must be feasible at tolerance
     rep.require("eq_1qa", rel_residual(abar01 @ z1, d11), tol.weak_eq)
     d00 = np.eye(cs.m0) - z1 @ abar01
     rep.require("eq_15", rel_residual(d00 @ d00, d00), tol.weak_eq)
+    rep.require("eq_17", rel_residual(abar01 @ d00, np.zeros_like(abar01)),
+                tol.weak_eq)
+    k12 = abar01 @ z1 @ a12
+    rep.require("eq_12k", rel_residual(k12, np.zeros_like(k12)),
+                tol.weak_eq)
     rep.require(
-        "eq_17", rel_residual(abar01 @ d00, np.zeros_like(abar01)),
-        tol.weak_eq,
-    )
-    rep.require(
-        "eq_12k",
-        rel_residual(abar01 @ z1 @ a12, np.zeros((cs.m1, cs.m2))),
-        tol.weak_eq,
-    )
-    rep.require(
-        "eq_12b", rel_residual(d00 @ z1, z1 @ a12 @ dbar2 @ z2.T),
+        "eq_12b", rel_residual(d00 @ z1, z1 @ a12 @ dbar2 @ mt(z2)),
         tol.weak_eq,
     )
 
@@ -159,6 +158,7 @@ def omega_tilde_pair(
     art: SecondOrderArtifacts,
     seed: Optional[int] = None,
     tol: Tolerance = DEFAULT_TOL,
+    where: np.ndarray = True,
 ) -> SecondOrderArtifacts:
     """Install the mutually inverse antisymmetric pair on the M1 space.
 
@@ -167,48 +167,61 @@ def omega_tilde_pair(
     symplectic block; omega_up does the same with the pseudoinverse
     restriction and the inverse block, making the two weakly inverse to
     each other.  The seed is the canonical symplectic block, or with an
-    integer ``seed`` a random antisymmetric matrix drawn from it.
+    integer ``seed`` a random antisymmetric matrix drawn from it, on the
+    systems of a stack that the mask ``where`` selects (all by default).
+
+    A system whose seed loses rank on the range of d11, or whose pair is
+    not invertible, raises SeedRankError marking it; its identities are
+    not required then, so that the error names every such system of a
+    stack at once.
     """
-    m1 = art.d11.shape[0]
-    m2 = art.a12.shape[1]
-    if seed is None:
-        seed_low = symplectic_block(m1)
-    else:
+    m1 = art.d11.shape[-1]
+    m2 = art.a12.shape[-1]
+    seed_low = symplectic_block(m1)
+    if seed is not None:
         s = np.random.default_rng(seed).standard_normal((m1, m1))
-        seed_low = s - s.T
+        seed_low = np.where(np.asarray(where)[..., None, None], s - s.T,
+                            seed_low)
     seed2 = symplectic_block(m2)
 
-    omega_bar = art.d11.T @ seed_low @ art.d11
+    omega_bar = mt(art.d11) @ seed_low @ art.d11
     omega_bar_pinv, rank_bar = pinv_rank(omega_bar, tol)
-    if rank_bar != m1 - m2:
-        raise SeedRankError(
-            "restricted seed is rank deficient, reseed required",
-            float(rank_bar),
-        )
+    lost = rank_bar != m1 - m2
     # enforce exact antisymmetry against rounding
     omega_hat = skew_part(art.d11 @ omega_bar_pinv @ art.d11)
     omega_bar = skew_part(omega_bar)
 
-    p2 = art.dbar2 @ art.a12.T  # maps the M1 space onto the M2 labels
+    p2 = art.dbar2 @ mt(art.a12)  # maps the M1 space onto the M2 labels
     z2 = art.a12  # with the default choice a12 is Z2 itself
-    omega_low = omega_bar + p2.T @ seed2 @ p2
+    omega_low = omega_bar + mt(p2) @ seed2 @ p2
     # the symplectic block is orthogonal: its inverse is its transpose
-    omega_up = omega_hat + z2 @ seed2.T @ z2.T
+    omega_up = omega_hat + z2 @ seed2.T @ mt(z2)
 
-    rep = CheckReport(system=art.report.system, tolerances=tol)
-    rep.require("eq_a3", rel_residual(omega_hat @ omega_bar, art.d11),
-                tol.weak_eq)
-    rep.require("eq_a18",
-                rel_residual(omega_up @ art.d11 @ omega_low, art.d11),
-                tol.weak_eq)
-    rep.require("eq_a18a", rel_residual(omega_up @ omega_low, np.eye(m1)),
-                tol.weak_eq)
-    if rank_tol(omega_low, tol) != m1 or rank_tol(omega_up, tol) != m1:
+    rep = CheckReport(system=art.report.system, tolerances=tol,
+                      blocks=art.report.blocks)
+    for name, res in (
+        ("eq_a3", rel_residual(omega_hat @ omega_bar, art.d11)),
+        ("eq_a18", rel_residual(omega_up @ art.d11 @ omega_low, art.d11)),
+        ("eq_a18a", rel_residual(omega_up @ omega_low, np.eye(m1))),
+    ):
+        rep.require(name, np.where(lost, 0.0, res), tol.weak_eq)
+    lost = lost | (rank_tol(omega_low, tol) != m1) | (
+        rank_tol(omega_up, tol) != m1)
+    if np.any(lost):
         raise SeedRankError(
-            "omega pair is not invertible, reseed required", float(m1)
-        )
+            "restricted seed is rank deficient or the omega pair is not "
+            "invertible, reseed required", float(np.sum(lost)), lost)
     return replace(art, omega_low=omega_low, omega_up=omega_up,
                    report=art.report.with_stage(rep))
+
+
+def mu_matrices(art: SecondOrderArtifacts, z1: np.ndarray,
+                omega_up: np.ndarray, omega_low: np.ndarray) -> tuple:
+    """mu2 = m2 + Z1 omega_up Z1^T and its explicit inverse
+    mu2_inv = c2 + abar01^T omega_low abar01, for an omega pair."""
+    mu2 = art.m2 + z1 @ omega_up @ mt(z1)
+    mu2_inv = art.c2 + mt(art.abar01) @ omega_low @ art.abar01
+    return mu2, mu2_inv
 
 
 def mu_pair(
@@ -224,13 +237,13 @@ def mu_pair(
     """
     if art.omega_up is None or art.omega_low is None:
         raise InvalidInputError("omega pair must be installed before mu_pair")
-    z1 = cs.z1_at(art.point)
-    mu2 = art.m2 + z1 @ art.omega_up @ z1.T
-    mu2_inv = art.c2 + art.abar01.T @ art.omega_low @ art.abar01
-    rep = CheckReport(system=art.report.system, tolerances=tol)
+    mu2, mu2_inv = mu_matrices(art, cs.z1_at(art.point), art.omega_up,
+                               art.omega_low)
+    rep = CheckReport(system=art.report.system, tolerances=tol,
+                      blocks=art.report.blocks)
     rep.require("eq_21q", rel_residual(mu2 @ mu2_inv, np.eye(cs.m0)),
                 tol.weak_eq)
-    rep.add("eq_20", rel_residual(art.m2, art.d00 @ mu2 @ art.d00.T),
+    rep.add("eq_20", rel_residual(art.m2, art.d00 @ mu2 @ mt(art.d00)),
             tol.weak_eq)
     return replace(art, mu2=mu2, mu2_inv=mu2_inv,
                    report=art.report.with_stage(rep))
@@ -248,14 +261,19 @@ def full_artifacts(
     lattice three-form it does for the k = -k blocks, whose symbol is
     self-orthogonal); the pair is then rebuilt from the random seed
     drawn from ``seed``, which the report's seeds then record as
-    "omega".  Only the rank failure reseeds; a failed identity raises.
+    "omega".  On a stack only the systems that lost rank are reseeded,
+    and the seeds record their indices as "omega_blocks".  Only the rank
+    failure reseeds; a failed identity raises.
     """
     art = second_order_artifacts(cs, at, tol)
     try:
         paired = omega_tilde_pair(art, tol=tol)
-    except SeedRankError:
-        paired = omega_tilde_pair(art, seed, tol)
+    except SeedRankError as exc:
+        paired = omega_tilde_pair(art, seed, tol, where=exc.blocks)
         paired.report.seeds["omega"] = seed
+        if cs.batch:
+            paired.report.seeds["omega_blocks"] = (
+                np.flatnonzero(exc.blocks).tolist())
     return mu_pair(paired, cs, tol)
 
 

@@ -221,10 +221,19 @@ def test_threeform_rank_deficient_block_is_named(capsys):
     assert "k=(0, 0, 1, 3)" in err
 
 
-def test_threeform_beyond_dense_sizes(capsys):
-    # one Fourier block at a time: the dense system would have M0 = 2052
-    assert main(["threeform", "--dim", "3", "--lattice", "7",
+def test_threeform_beyond_dense_sizes(tmp_path, capsys):
+    # stacked Fourier blocks: the dense system would have M0 = 10362
+    assert main(["threeform", "--dim", "3", "--lattice", "12",
                  "--paper-choices"]) == 0
+    # the spectral derivative is nonlocal, and that is all that fails
+    out = tmp_path / "spectral.json"
+    assert main(["threeform", "--dim", "3", "--lattice", "11",
+                 "--derivative", "spectral", "--paper-choices",
+                 "--json", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    failed = {c["name"] for part in doc.values() for c in part["checks"]
+              if not c["pass"]}
+    assert failed == {"locality"}
     capsys.readouterr()
 
 

@@ -241,3 +241,28 @@ def test_validate_returns_check_report(make):
     assert dict(rep.checks) == {r.name: r.passed for r in rep.records}
     with pytest.raises(TypeError):
         rep.residuals["eq_2"] = 0.0
+
+
+def test_linear_stack_is_its_systems_side_by_side():
+    toy = toy_system()
+    b, _ = toy.affine_matrix()
+    scales = np.array([1.0, 2.0, -0.5])
+    stack = ConstraintSet.linear(
+        toy.spec, scales[:, None, None] * b, np.stack([toy.z1] * 3),
+        np.stack([toy.z2] * 3), name="toys", blocks=("a", "b", "c"))
+    assert (stack.batch, stack.m0, stack.m1, stack.m2) == ((3,), 6, 6, 2)
+    z = np.random.default_rng(0).standard_normal((3, toy.spec.dim))
+    for i in range(3):
+        one = stack.block((i,))
+        assert one.name == f"toys {'abc'[i]}" and one.batch == ()
+        assert np.array_equal(stack.values(z)[i], one.values(z[i]))
+        assert np.array_equal(stack.gradients(z)[i], one.gradients(z[i]))
+    points = sample_surface(stack, seed=1, count=1)[0]
+    assert points.shape == (3, toy.spec.dim)
+    assert np.abs(stack.values(points)).max() < 1e-12
+    with pytest.raises(InvalidInputError):
+        stack.point(np.zeros(toy.spec.dim))
+    with pytest.raises(InvalidInputError):
+        # one label per system
+        ConstraintSet.linear(toy.spec, np.stack([b] * 2),
+                             np.stack([toy.z1] * 2), None, "toys", ("a",))

@@ -10,6 +10,7 @@ from diracred.numerics import (
     Tolerance,
     is_antisymmetric,
     null_basis,
+    pinv_rank,
     pseudoinverse,
     range_projector,
     rank_tol,
@@ -165,3 +166,31 @@ def test_skew_solve_property_outside_range_fails(system):
     target = range_projector(c) + np.outer(v, ker[:, 0])
     with pytest.raises(NoSolutionError):
         skew_solve(c, target)
+
+
+def test_stack_is_worked_matrix_by_matrix():
+    # one call on a stack of antisymmetric matrices of ranks 6, 4 and 2
+    # gives what a call on each matrix gives
+    rng = np.random.default_rng(11)
+    stack = []
+    for r in (6, 4, 2):
+        b = rng.standard_normal((6, r))
+        stack.append(b @ symplectic_block(r) @ b.T)
+    stack = np.array(stack)
+    targets = np.array([range_projector(c) for c in stack])
+    assert rank_tol(stack).tolist() == [6, 4, 2]
+    pinv, ranks = pinv_rank(stack)
+    assert ranks.tolist() == [6, 4, 2]
+    solved = skew_solve(stack, targets)
+    noise = rng.standard_normal(stack.shape)
+    residuals = rel_residual(stack, stack + noise)
+    assert is_antisymmetric(stack) and not is_antisymmetric(stack + noise)
+    for i, c in enumerate(stack):
+        assert np.abs(pinv[i] - pseudoinverse(c)).max() < 1e-12
+        assert np.abs(solved[i] - skew_solve(c, targets[i])).max() < 1e-12
+        assert residuals[i] == pytest.approx(rel_residual(c, c + noise[i]))
+        assert np.array_equal(skew_part(stack)[i], skew_part(c))
+    with pytest.raises(NoSolutionError):
+        # one unreachable target fails the whole stack
+        skew_solve(np.array([symplectic_block(2), np.zeros((2, 2))]),
+                   np.array([np.eye(2), np.eye(2)]))

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from diracred.numerics import InvalidInputError, Tolerance
+from diracred.numerics import InvalidInputError, NoSolutionError, Tolerance
 from diracred.report import CheckReport
 
 
@@ -58,3 +59,35 @@ def test_summary_lines_mark_failures():
     assert lines[0] == "system: demo"
     assert any("FAIL" in line for line in lines)
     assert lines[-1].endswith("FAIL")
+
+
+def test_stacked_residuals_record_their_worst_and_name_a_block():
+    rep = CheckReport(system="lattice", blocks=("k=1", "k=2", "k=3"))
+    rep.add("eq_30", np.array([1e-12, np.nan, 2e-9]), 1e-8)
+    # the worst keeps a NaN, so the record fails
+    assert np.isnan(rep.record("eq_30").residual)
+    assert not rep.record("eq_30").passed
+    assert rep.record("eq_30").per_block.tolist()[2] == 2e-9
+    with pytest.raises(NoSolutionError, match="lattice k=2: construction "
+                       "identity eq_11d_rank failed .residual 1.000e"):
+        rep.require("eq_11d_rank", np.array([0.0, 1.0, 2.0]), 0.5)
+    other = CheckReport(system="lattice")
+    other.take(rep, "eq_30")
+    assert other.record("eq_30").per_block is not None
+
+
+def test_fold_keeps_the_worse_residual():
+    first, second = CheckReport(system="a"), CheckReport(system="b")
+    for rep, values in ((first, (1e-12, 3e-9)), (second, (2e-12, 1e-9))):
+        rep.add("eq_21q", values[0], 1e-8)
+        rep.add("eq_32", values[1], 1e-8)
+        rep.timings["stage"] = 1.0
+    out = CheckReport(system="lattice")
+    out.fold(first)
+    out.fold(second)
+    assert out.residuals == {"eq_21q": 2e-12, "eq_32": 3e-9}
+    assert out.timings == {"stage": 2.0}
+    third = CheckReport(system="c")
+    third.add("eq_32", 0.0, 1e-8)
+    with pytest.raises(InvalidInputError):
+        out.fold(third)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import diracred.threeform as tf
@@ -16,6 +16,7 @@ from diracred.numerics import (
 )
 from diracred.threeform import (
     LatticeSpec,
+    block_stacks,
     build_threeform,
     certify_lattice,
     chi_tilde_printed,
@@ -360,8 +361,8 @@ def test_printed_congruence_error_fails_its_records(derivative, monkeypatch):
     def halved(sys):
         e, einv = (x.copy() for x in real(sys))
         half = sys.lattice.d * sys.m
-        e[half:, half:] *= 0.5
-        einv[half:, half:] *= 2.0
+        e[..., half:, half:] *= 0.5
+        einv[..., half:, half:] *= 2.0
         return e, einv
 
     monkeypatch.setattr(tf, "_paper_ehat", halved)
@@ -369,3 +370,121 @@ def test_printed_congruence_error_fails_its_records(derivative, monkeypatch):
                                paper_choices=True)
     assert {r.name for r in paper.records if not r.passed} == {
         "eq_59", "eq_27qw"}
+
+
+@pytest.mark.parametrize("lat", [
+    LatticeSpec(d=3, L=3), LatticeSpec(d=3, L=4), LatticeSpec(d=3, L=5),
+    LatticeSpec(d=3, L=6), LatticeSpec(d=3, L=3, derivative="spectral"),
+    LatticeSpec(d=3, L=5, derivative="spectral"),
+    LatticeSpec(d=4, L=3), LatticeSpec(d=4, L=3, derivative="spectral"),
+], ids=str)
+def test_symbol_blocks_match_mode_bases(lat):
+    # each stacked block's derivative is its closed-form symbol, which
+    # must equal q^T D q read off the block's n-vector basis q
+    bases = {md.k: md.basis for md in fourier_modes(lat)}
+    stacked = [k for ks in block_stacks(lat) for k in ks]
+    assert sorted(stacked) == sorted(bases)
+    for ks in block_stacks(lat):
+        sys = build_threeform(lat, ks)
+        assert sys.cs.blocks == tuple(f"mode k={k}" for k in ks)
+        for g, k in enumerate(ks):
+            q = bases[k]
+            for ell, image in zip(sys.ell, tf._apply_site_ops(lat, q)):
+                assert ell[g].shape == (q.shape[1],) * 2
+                assert np.abs(ell[g] - q.T @ image).max() < 1e-12
+
+
+def test_certify_forms_no_site_space_array(monkeypatch):
+    # the n-vector basis and the site operators are the dense reference's
+    # alone: the certify path runs with both refusing to be called
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certify path formed an n-sized array")
+
+    monkeypatch.setattr(tf, "_fourier_basis", refuse)
+    monkeypatch.setattr(tf, "_apply_site_ops", refuse)
+    monkeypatch.setattr(tf, "fourier_modes", refuse)
+    for lat in (LatticeSpec(d=3, L=4), LatticeSpec(3, 5, "spectral")):
+        engine, paper = certify_lattice(lat, paper_choices=True)
+        assert engine.passed
+        assert {r.name for r in paper.records if not r.passed} <= {
+            "locality"}
+
+
+def test_symbols_refuse_a_derivative_they_do_not_diagonalise(monkeypatch):
+    lat = LatticeSpec(d=3, L=5)
+    real = tf._derivative_1d
+    # a derivative that is no longer circulant mixes the Fourier modes
+    monkeypatch.setattr(tf, "_derivative_1d",
+                        lambda lat: real(lat) + 1e-6 * np.eye(lat.L)[::-1])
+    with pytest.raises(NoSolutionError):
+        certify_lattice(lat)
+
+
+def _block_alone(sys, g):
+    """Block g of a stacked system as a three-form system of its own."""
+    return dataclasses.replace(
+        sys, cs=sys.cs.block((g,)), ell=tuple(e[g] for e in sys.ell),
+        u=tuple(x[g] for x in sys.u), delta=sys.delta[g],
+        delta_inv=sys.delta_inv[g],
+    )
+
+
+def _omega_pair(cs, point):
+    """The engine's omega_low and the blocks it reseeded."""
+    art = tf.so.full_artifacts(cs, point, DEFAULT_TOL, 0)
+    seeds = art.report.seeds
+    return art.omega_low, seeds.get("omega_blocks",
+                                    [0] if "omega" in seeds else [])
+
+
+# blocks of a stack that the stacked-pass property runs at most; the
+# stacked code is the same at every stack size, and a window keeps d4 L7
+# (1200 blocks a stack) cheap
+WINDOW = 48
+
+
+@given(d=st.sampled_from([3, 4]), size=st.integers(3, 7),
+       derivative=st.sampled_from(["fd", "spectral"]),
+       start=st.integers(0, 2 ** 16),
+       picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3))
+@example(d=3, size=4, derivative="fd", start=0, picks=[0])  # 3 reseeds
+@example(d=4, size=4, derivative="fd", start=0, picks=[0])  # k=(0,0,1,3)
+def test_stacked_pass_matches_each_block_alone(d, size, derivative, start,
+                                               picks):
+    # every stage runs once over a stack of blocks; each block's records,
+    # reseed and bracket must be those of the same stages run on that
+    # block alone.  The blocks checked alone are the reseeded ones and a
+    # drawn few; a stack that fails must fail as its first failing block
+    assume(derivative == "fd" or size % 2 == 1)
+    lat = LatticeSpec(d=d, L=size, derivative=derivative)
+    for ks in block_stacks(lat):
+        lo = start % max(1, len(ks) - WINDOW + 1)
+        ks = ks[lo:lo + WINDOW]
+        sys = build_threeform(lat, ks)
+        try:
+            rep = run_threeform_checks(sys, DEFAULT_TOL)
+        except NoSolutionError as exc:
+            k = str(exc).split("mode k=")[1].split(":")[0]
+            g = [str(kk) for kk in ks].index(k)
+            with pytest.raises(NoSolutionError) as alone:
+                run_threeform_checks(_block_alone(sys, g), DEFAULT_TOL)
+            assert str(alone.value) == str(exc)
+            continue
+        _, _, prep = paper_choices_artifacts(sys, DEFAULT_TOL, engine=rep)
+        omega, reseeded = _omega_pair(sys.cs, rep.point)
+        for g in sorted(set(reseeded) | {p % len(ks) for p in picks}):
+            one = _block_alone(sys, g)
+            rep1 = run_threeform_checks(one, DEFAULT_TOL)
+            _, _, prep1 = paper_choices_artifacts(one, DEFAULT_TOL,
+                                                  engine=rep1)
+            omega1, reseeded1 = _omega_pair(one.cs, rep1.point)
+            assert (g in reseeded) == bool(reseeded1)
+            assert np.abs(omega[g] - omega1).max() < 1e-13
+            assert np.abs(rep.f_engine[g] - rep1.f_engine).max() < 1e-13
+            for stacked, alone in ((rep, rep1), (prep, prep1)):
+                assert [r.name for r in stacked.records] == [
+                    r.name for r in alone.records]
+                for r, r1 in zip(stacked.records, alone.records):
+                    value = r.residual if r.per_block is None \
+                        else r.per_block[g]
+                    assert abs(value - r1.residual) <= 1e-13, r.name
