@@ -153,8 +153,24 @@ class ConstraintSet:
         z2 = None if self.z2 is None else self.z2[index]
         return ConstraintSet.linear(
             self.spec, b[index], self.z1[index], z2,
-            f"{self.name} {self.blocks[index[0]]}", (),
+            self.block_name(index[0]), (),
         )
+
+    def block_name(self, index: int) -> str:
+        """Name of the system at ``index`` of a stack, as block() names it."""
+        return f"{self.name} {self.blocks[index]}"
+
+    def raise_first(self, failing, error: type,
+                    message: Callable[[int], str]) -> None:
+        """Raise ``error`` for the first system whose flag in ``failing``
+        (one per system) is set, if any, with ``message(i)`` for that
+        system at flat index i.  On a stack the message is prefixed with
+        that block's name, so it reads as the block's own error, named."""
+        failing = np.asarray(failing)
+        if failing.any():
+            i = int(failing.argmax())
+            where = f"{self.block_name(i)}: " if self.batch else ""
+            raise error(where + message(i))
 
     def point(self, z) -> np.ndarray:
         """A point, or one per system of a stack, checked for shape."""
@@ -255,11 +271,14 @@ class ConstraintSet:
         return _sup_norm(self.values(at))
 
     def require_on_surface(self, at: np.ndarray, tol: Tolerance) -> None:
-        r = self.surface_residual(at)
-        if r > tol.surface:
-            raise OffSurfaceError(
-                f"point violates the constraint surface: max |chi| = {r:.3e}"
-            )
+        """Raise OffSurfaceError unless the point, one per system of a
+        stack, lies on the surface; on a stack the error names the first
+        block off it."""
+        r = np.abs(self.values(at)).max(axis=-1, initial=0.0)
+        self.raise_first(
+            r > tol.surface, OffSurfaceError,
+            lambda i: "point violates the constraint surface: "
+                      f"max |chi| = {r.flat[i]:.3e}")
 
 
 def chain_residual(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:

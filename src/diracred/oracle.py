@@ -4,12 +4,19 @@ the textbook Dirac bracket built from them.
 Every other bracket formulation in the package is certified against this
 one, so the subset selection is deliberately boring: QR with column
 pivoting on the constraint gradients, deterministic.
+
+A stack of systems (``ConstraintSet.linear`` with a leading axis, the
+Fourier blocks of a lattice) is taken in one call, with one point per
+system.  Pivoted QR has no stacked LAPACK form, so it alone runs matrix
+by matrix, a single system taking exactly one call; the pivot test, the
+gathered subsets, C_AB, its pseudoinverse and the bracket each run once
+over the stack.  Each system of a stack gets the bracket it gets alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +26,8 @@ from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
     Tolerance,
+    max_abs,
+    mt,
     pinv_rank,
 )
 from .phase import PhaseFunction, dirac_matrix
@@ -30,10 +39,11 @@ class DegenerateSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class SubsetSelection:
-    """The chosen constraints, their gradients (2N x M, one column per
-    index) and their bracket matrix C_AB with its inverse."""
+    """The chosen constraints (sorted indices), their gradients (2N x M,
+    one column per index) and their bracket matrix C_AB with its inverse.
+    On a stack each carries the stack's leading axis."""
 
-    indices: tuple[int, ...]
+    indices: np.ndarray
     grads: np.ndarray
     cab: np.ndarray
     cab_inv: np.ndarray
@@ -45,18 +55,20 @@ def independent_subset(
     tol: Tolerance = DEFAULT_TOL,
     order: Optional[Sequence[int]] = None,
 ) -> SubsetSelection:
-    """Pick a maximal independent constraint subset at a point.
+    """Pick a maximal independent constraint subset at a point, or one
+    per system of a stack.
 
     QR with column pivoting (Businger-Golub) on the gradient matrix: each
     step takes the constraint whose gradient has the largest residual
     after projecting out the span of those already chosen, ties going to
     the earliest column.  ``order`` permutes the columns before the QR,
     so it sets the candidate ranking (used to test invariance of the
-    bracket under subset choice).  A pivot with
-    ``|R_kk| <= rank_rel * (1 + |grad chi_k|)`` within the expected count
-    raises DegenerateSystemError.
+    bracket under subset choice); a stack shares it.  A pivot with
+    ``|R_kk| <= rank_rel * (1 + |grad chi_k|)`` within the expected count,
+    or a rank-deficient C_AB, raises DegenerateSystemError, naming on a
+    stack the first failing block.
     """
-    at = cs.spec.point(at)
+    at = cs.point(at)
     cs.require_on_surface(at, tol)
     target = cs.n_independent
     g = cs.gradients(at)
@@ -65,25 +77,36 @@ def independent_subset(
     if sorted(perm.tolist()) != list(range(m0)):
         raise InvalidInputError("order must be a permutation of 0..M0-1")
 
-    r, piv = scipy.linalg.qr(g[:, perm], mode="r", pivoting=True)
-    picked = perm[piv[:target]]
-    pivots = np.abs(np.diag(r))[:target]
-    scales = np.linalg.norm(g[:, picked], axis=0)
-    weak = np.flatnonzero(pivots <= tol.rank_rel * (1.0 + scales))
-    if pivots.size < target or weak.size:
-        found = weak[0] if weak.size else pivots.size
-        raise DegenerateSystemError(
-            f"only {found} independent constraints found, expected {target}"
-        )
+    # one matrix per system: b indexes the stack's systems (one alone),
+    # and row a of gt[b] is the gradient of chi_a
+    g3 = g.reshape((-1,) + g.shape[-2:])
+    rs, pivs = zip(*(scipy.linalg.qr(m[:, perm], mode="r", pivoting=True)
+                     for m in g3))
+    gt = mt(g3)
+    b = np.arange(len(gt))[:, None]
+    pivots = np.abs(np.diagonal(np.array(rs), axis1=1, axis2=2)[:, :target])
+    picked = perm[np.array(pivs)[:, :target]]
+    scales = np.linalg.norm(gt[b, picked], axis=-1)
+    weak = pivots <= tol.rank_rel * (1.0 + scales)
 
-    indices = tuple(sorted(picked.tolist()))
-    sub = g[:, indices]
-    cab = sub.T @ cs.spec.poisson @ sub
+    def too_few(i):
+        found = np.flatnonzero(weak[i])
+        found = found[0] if found.size else pivots.shape[-1]
+        return f"only {found} independent constraints found, expected {target}"
+
+    cs.raise_first(weak.any(axis=-1) | (pivots.shape[-1] < target),
+                   DegenerateSystemError, too_few)
+
+    indices = np.sort(picked, axis=-1)
+    # the transposed gather lays each matrix out as g[:, indices] does, so
+    # a stack's products repeat those of each system alone bit for bit
+    sub = mt(gt[b, indices]).reshape(g.shape[:-1] + (target,))
+    cab = mt(sub) @ cs.spec.poisson @ sub
     cab_inv, rank = pinv_rank(cab, tol)
-    if rank != target:
-        raise DegenerateSystemError(
-            "selected subset is not second class: C_AB rank deficient"
-        )
+    cs.raise_first(
+        rank != target, DegenerateSystemError,
+        lambda i: "selected subset is not second class: C_AB rank deficient")
+    indices = indices.reshape(cs.batch + (target,))
     return SubsetSelection(indices=indices, grads=sub, cab=cab,
                            cab_inv=cab_inv)
 
@@ -108,7 +131,8 @@ def fundamental_matrix_oracle(
     tol: Tolerance = DEFAULT_TOL,
     order: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Matrix of oracle Dirac brackets among the coordinates."""
+    """Matrix of oracle Dirac brackets among the coordinates, one per
+    system of a stack."""
     sel = independent_subset(cs, at, tol, order)
     return dirac_matrix(cs.spec.poisson, sel.grads, sel.cab_inv)
 
@@ -118,25 +142,29 @@ def compare_fundamental(
     methods: Dict[str, np.ndarray],
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-) -> Dict[str, float]:
+) -> Dict[str, Union[float, np.ndarray]]:
     """Deviations among fundamental matrices evaluated at ``at``.
 
     ``methods`` maps names to 2N x 2N matrices at that point; the oracle's
     is built there as the reference.  Returns ``vs_<name>``, the max
     entrywise deviation of each from the oracle, and ``max_pairwise``,
-    the worst deviation between any two, the oracle included.
+    the worst deviation between any two, the oracle included: floats for
+    one system, one per block on a stack (whose matrices carry its
+    leading axis).
     """
     matrices = {"oracle": fundamental_matrix_oracle(cs, at, tol)}
     for name, mat in methods.items():
         matrices[name] = np.asarray(mat, dtype=float)
-    out: Dict[str, float] = {}
+    out = {}
     names = list(matrices)
-    worst = 0.0
+    worst = np.zeros(cs.batch)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            dev = float(np.abs(matrices[a] - matrices[b]).max())
-            worst = max(worst, dev)
+            dev = max_abs(matrices[a] - matrices[b])
+            worst = np.maximum(worst, dev)
             if a == "oracle":
                 out[f"vs_{b}"] = dev
     out["max_pairwise"] = worst
+    if not cs.batch:
+        out = {name: float(dev) for name, dev in out.items()}
     return out

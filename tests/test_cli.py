@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diracred
 from diracred.cli import main, parse_qspec
 from diracred.constraints import save_system, synth_linear, toy_system
 from diracred.numerics import InvalidInputError
@@ -235,6 +240,18 @@ def test_threeform_beyond_dense_sizes(tmp_path, capsys):
               if not c["pass"]}
     assert failed == {"locality"}
     capsys.readouterr()
+
+
+def test_python_m_diracred_runs_from_a_checkout():
+    # the package need not be installed: python -m diracred is the CLI
+    src = Path(diracred.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "diracred", "threeform", "--dim", "3",
+         "--lattice", "3"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "overall: pass" in run.stdout
 
 
 def test_analyze_check_names_fixed(toy_file, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import diracred.threeform as tf
-from diracred.constraints import sample_surface, validate
+from diracred.constraints import ConstraintSet, sample_surface, validate
 from diracred.second_order import second_order_artifacts
 from diracred.numerics import (
     DEFAULT_TOL,
@@ -408,6 +408,30 @@ def test_certify_forms_no_site_space_array(monkeypatch):
         assert engine.passed
         assert {r.name for r in paper.records if not r.passed} <= {
             "locality"}
+
+
+def test_certify_path_takes_no_block_alone(monkeypatch):
+    # every stage, the oracle included, runs once over a stack: the
+    # certify path never splits one into its blocks
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certify path took a block alone")
+
+    calls = []
+    subset = tf.oracle_mod.independent_subset
+
+    def counting(cs, *args, **kwargs):
+        calls.append(cs.batch)
+        return subset(cs, *args, **kwargs)
+
+    monkeypatch.setattr(ConstraintSet, "block", refuse)
+    monkeypatch.setattr(tf.oracle_mod, "independent_subset", counting)
+    for lat in (LatticeSpec(d=3, L=4), LatticeSpec(3, 5, "spectral")):
+        calls.clear()
+        engine, paper = certify_lattice(lat, paper_choices=True)
+        assert engine.passed
+        assert {r.name for r in paper.records if not r.passed} <= {
+            "locality"}
+        assert calls == [(len(ks),) for ks in block_stacks(lat)]
 
 
 def test_symbols_refuse_a_derivative_they_do_not_diagonalise(monkeypatch):
