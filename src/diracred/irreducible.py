@@ -363,16 +363,20 @@ def equivalence_report(
 
     Built once, from sys: the reducible fundamental matrices in both
     modes (from sys.artifacts), the intermediate one and the irreducible
-    one, and their pairwise deviations.  Run at each on-surface point
-    (y = 0): the oracle, from the raw constraint gradients there, so the
-    certification stays independent of what it certifies, compared with
-    each of the four.  Random gradient pairs, standing in for quadratic
-    functions, contract every difference matrix as well.
+    one, and their pairwise deviations.  The oracle, built from the raw
+    constraint gradients so the certification stays independent of what
+    it certifies, is compared with each of the four.  It reads a point
+    only through those gradients: on affine chi, which share them
+    everywhere, it is built once, at the first point; otherwise at each
+    point.  Random gradient pairs, standing in for quadratic functions,
+    contract every difference matrix as well.
 
     The points are drawn with sample_surface(cs, seed, n_points); on an
-    affine system that reuses the pseudoinverse of B cached on cs.  On a
+    affine system that reuses the pseudoinverse of B cached on cs.  Every
+    point is checked, before any oracle is built, to lie on the surface
+    (else OffSurfaceError) and to be one where sys holds: on a
     non-constant base every point other than the build point raises
-    BuildPointError, as sys holds only there.
+    BuildPointError.
     """
     rep = CheckReport(
         system=cs.name or "constraint-system",
@@ -407,6 +411,10 @@ def equivalence_report(
                   for i, a in enumerate(mats) for b in mats[i + 1:])
     for z in points:
         sys.require_build_point(z, tol)
+        cs.require_on_surface(z, tol)
+    # affine chi have the same gradients, hence the same oracle, at every
+    # point, so it is built once
+    for z in points[:1] if cs.is_affine else points:
         f_oracle = oracle_mod.fundamental_matrix_oracle(cs, z, tol)
         dev_all = max([dev_all] + [deviation(f_oracle, m) for m in mats])
     rep.add("eq_24", float(np.abs(f_non - f_inv).max()), tol.weak_eq)

@@ -92,7 +92,7 @@ def frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack."""
     if m.ndim == 2:
         return np.linalg.norm(m)
-    return np.sqrt((m * m).sum(axis=(-2, -1)))
+    return np.sqrt(np.einsum("...ij,...ij->...", m, m))
 
 
 def max_abs(m: np.ndarray) -> np.ndarray:

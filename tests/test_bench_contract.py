@@ -5,7 +5,8 @@ renamed or removed entry point would leave its per-layer metrics reading
 0.  This loads the tracer by path, installs it, checks that every traced
 name was wrapped, and checks that uninstall restores every binding.  A
 traced name that the workload's route no longer calls would read 0 too,
-so the three-form op is also run under the tracer.  Each workload in
+so the three-form op is also run under the tracer, and so is a smoke
+analyze op, which must reach the oracle exactly once.  Each workload in
 perfbench/workloads.py also runs one smoke op through its own call and
 check, which catches any drift in the API the benchmark calls.
 """
@@ -100,6 +101,31 @@ def test_threeform_op_reaches_every_traced_threeform_name(capsys):
     totals = t.layer_totals()
     for name in tracer.TRACED["diracred.threeform"]:
         span = f"threeform.{name}"
+        assert totals.get(span, [0])[0] >= 1, f"{span} is never called"
+
+
+def test_analyze_op_builds_the_affine_oracle_once(capsys, tmp_path):
+    from diracred.cli import main
+    from diracred.constraints import save_system, synth_linear
+
+    path = tmp_path / "system.json"
+    save_system(synth_linear(10, 12, 8, 2, seed=0), path)
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        rc = main(["analyze", str(path), "--points", "20"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    totals = t.layer_totals()
+    for span in ("oracle.independent_subset",
+                 "oracle.fundamental_matrix_oracle",
+                 "irreducible.equivalence_report"):
+        assert totals.get(span, [0])[0] == 1, span
+    for name in tracer.TRACED["diracred.oracle"]:
+        span = f"oracle.{name}"
         assert totals.get(span, [0])[0] >= 1, f"{span} is never called"
 
 

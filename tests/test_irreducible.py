@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import diracred.irreducible as irr_mod
+import diracred.oracle as oracle_mod
 from diracred.constraints import (
     ConstraintSet,
+    OffSurfaceError,
     project_to_surface,
     sample_surface,
     synth_linear,
@@ -333,3 +336,69 @@ def test_equivalence_report_matches_per_point_rebuild(shape, seed, pseed):
             assert (abs(rep.record(name).residual - value)
                     <= 1e-12 * (1 + scale)), name
     assert ref["eq_32"] > 1e-7
+
+
+AFFINE_SYSTEMS = {
+    "toy": toy_system,
+    "synth-2N20": lambda: synth_linear(10, 12, 8, 2, seed=7),
+    "synth-2N200": lambda: synth_linear(100, 150, 60, 10, seed=0),
+}
+
+
+def _count_oracle_calls(monkeypatch):
+    calls = []
+    real = oracle_mod.fundamental_matrix_oracle
+
+    def counted(cs, at, *args, **kwargs):
+        calls.append(at)
+        return real(cs, at, *args, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "fundamental_matrix_oracle", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_SYSTEMS))
+def test_affine_oracle_is_one_matrix_built_once(name, monkeypatch):
+    cs = AFFINE_SYSTEMS[name]()
+    assert cs.is_affine
+    # the oracle is the same matrix at every point the report samples
+    points = sample_surface(cs, seed=0, count=20)
+    first = fundamental_matrix_oracle(cs, points[0])
+    for z in points[1:]:
+        assert np.array_equal(fundamental_matrix_oracle(cs, z), first)
+    irs = build_irreducible(cs, full_artifacts(cs, points[0]))
+    calls = _count_oracle_calls(monkeypatch)
+    equivalence_report(cs, irs, n_points=20, seed=0)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], points[0])
+
+
+def test_non_affine_oracle_is_built_at_every_point(monkeypatch):
+    toy = toy_system()
+    # the toy's own constraints, opaque, so nothing marks them affine
+    chi = tuple(opaque(f, f.dim, grad=f.gradient) for f in toy.chi)
+    cs = ConstraintSet(spec=toy.spec, chi=chi, z1=toy.z1, z2=toy.z2)
+    assert not cs.is_affine
+    at = sample_surface(cs, seed=0, count=1)[0]
+    irs = build_irreducible(cs, full_artifacts(cs, at))
+    # only the build point is valid on a non-constant base
+    monkeypatch.setattr(irr_mod, "sample_surface",
+                        lambda cs, seed, count, tol: [at] * count)
+    calls = _count_oracle_calls(monkeypatch)
+    rep = equivalence_report(cs, irs, n_points=3)
+    assert len(calls) == 3
+    assert rep.passed
+
+
+def test_equivalence_report_checks_every_point_on_the_surface(monkeypatch):
+    cs = synth_linear(10, 12, 8, 2, seed=7)
+    points = sample_surface(cs, seed=0, count=20)
+    irs = build_irreducible(cs, full_artifacts(cs, points[0]))
+    normal = cs.gradients(points[7])[:, 0]
+    moved = list(points)
+    moved[7] = points[7] + 1e-3 * normal / np.linalg.norm(normal)
+    assert cs.surface_residual(moved[7]) > 1e-4
+    monkeypatch.setattr(irr_mod, "sample_surface",
+                        lambda cs, seed, count, tol: moved[:count])
+    with pytest.raises(OffSurfaceError):
+        equivalence_report(cs, irs, n_points=20, seed=0)

@@ -8,6 +8,7 @@ from diracred.numerics import (
     InvalidInputError,
     NoSolutionError,
     Tolerance,
+    frobenius,
     is_antisymmetric,
     null_basis,
     pinv_rank,
@@ -194,3 +195,16 @@ def test_stack_is_worked_matrix_by_matrix():
         # one unreachable target fails the whole stack
         skew_solve(np.array([symplectic_block(2), np.zeros((2, 2))]),
                    np.array([np.eye(2), np.eye(2)]))
+
+
+@pytest.mark.parametrize("count", [31, 2048])
+def test_frobenius_stack_matches_each_matrix_norm(count):
+    rng = np.random.default_rng(count)
+    stack = rng.standard_normal((count, 12, 12)) * rng.uniform(
+        1e-3, 1e3, (count, 1, 1))
+    norms = frobenius(stack)
+    assert norms.shape == (count,)
+    each = np.array([np.linalg.norm(m) for m in stack])
+    assert (np.abs(norms - each) <= 1e-14 * each).all()
+    # one matrix keeps numpy's norm, bit for bit
+    assert frobenius(stack[0]) == np.linalg.norm(stack[0])
