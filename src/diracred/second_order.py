@@ -258,10 +258,10 @@ def full_artifacts(
     """Artifacts with the omega pair and mu pair installed.
 
     The canonical omega seed can lose rank on the range of d11 (on the
-    lattice three-form it does for the k = -k blocks, whose symbol is
-    self-orthogonal); the pair is then rebuilt from the random seed
-    drawn from ``seed``, which the report's seeds then record as
-    "omega".  On a stack only the systems that lost rank are reseeded,
+    forward-difference lattice three-form it does for a few {k, -k}
+    blocks, such as k = (0, 1, 3) and its permutations at d = 3, L = 4);
+    the pair is then rebuilt from the random seed drawn from ``seed``,
+    which the report's seeds then record as "omega".  On a stack only the systems that lost rank are reseeded,
     and the seeds record their indices as "omega_blocks".  Only the rank
     failure reseeds; a failed identity raises.
     """

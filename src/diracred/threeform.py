@@ -14,10 +14,9 @@ Fields are expanded in a real Fourier basis of the zero-mean functions.
 Every derivative is circulant, so each pair of opposite wavevectors
 {k, -k} spans a block that no operator leaves, on which derivative i
 acts as the closed-form symbol of the 1-d derivative at k_i.
+build_threeform assembles the system from the derivative symbols;
 certify_lattice stacks the blocks of one shape on a leading axis and
-runs every stage once per stack; build_threeform without a block
-assembles the dense full-lattice system that serves as its reference,
-reading the derivatives off the n-vector Fourier basis.
+runs every stage once per stack.
 
 Operator conventions: del_i is the forward difference ell_i; del^i is
 u_i = -ell_i^T (the adjoint rule that replaces integration by parts on
@@ -63,8 +62,9 @@ from .numerics import (
 from .phase import PhaseSpec, dirac_matrix
 from .report import COUNT_TOL, CheckReport
 
-# how far a mode basis may be from orthonormal, and a derivative's image
-# of a mode from its block, before decoupling is refused
+# how far the Fourier modes may be from orthonormal, and the derivative's
+# image of a mode from that mode times its symbol, before decoupling is
+# refused
 _BLOCK_TOL = 1e-12
 # the most Fourier blocks one stacked pass certifies; a larger shape group
 # is cut into passes of this many, which bounds the memory of a pass
@@ -108,18 +108,6 @@ def _derivative_1d(lat: LatticeSpec) -> np.ndarray:
     w = 2.0 * np.pi * np.fft.fftfreq(lat.L)
     return np.real(np.fft.ifft(1j * w[:, None] * np.fft.fft(eye, axis=0),
                                axis=0))
-
-
-def _apply_site_ops(lat: LatticeSpec, x: np.ndarray) -> list:
-    """The derivative along each direction applied to the columns of x.
-
-    x is n x c over the sites in C order; returns one n x c array per
-    direction, the 1-d derivative applied along that axis.
-    """
-    grid = x.reshape((lat.L,) * lat.d + (-1,))
-    k1 = _derivative_1d(lat)
-    return [np.moveaxis(np.tensordot(k1, grid, axes=(1, a)), 0, a)
-            .reshape(x.shape) for a in range(lat.d)]
 
 
 def _symbols(lat: LatticeSpec) -> np.ndarray:
@@ -202,55 +190,6 @@ def _symbol_blocks(lat: LatticeSpec, ks: tuple) -> tuple:
                  for i in range(lat.d))
 
 
-@dataclass(frozen=True)
-class FourierMode:
-    """One {k, -k} orbit of nonzero wavevectors and its real basis.
-
-    ``k`` is the orbit's first wavevector in lexicographic order and
-    ``basis`` (n x m_g) is orthonormal: cos and sin of 2 pi k.x / L, or
-    the cosine alone (m_g = 1) when k = -k, which needs an even L.
-    """
-
-    k: tuple
-    basis: np.ndarray
-
-
-def fourier_modes(lat: LatticeSpec) -> tuple:
-    """Every {k, -k} orbit of the lattice with its n-vector basis,
-    together spanning the n - 1 zero-mean functions: the dense and
-    per-mode references.  Every derivative is circulant, so it maps each
-    block into itself (build_threeform checks this)."""
-    n, L = lat.sites, lat.L
-    x = np.array(np.unravel_index(np.arange(n), (L,) * lat.d))
-    modes = []
-    for k in _orbits(lat):
-        # reduce k.x mod L before scaling so every phase is exact
-        phase = (2.0 * np.pi / L) * ((np.array(k) @ x) % L)
-        if _self_conjugate(lat, k):
-            basis = np.cos(phase)[:, None] / np.sqrt(n)
-        else:
-            basis = np.sqrt(2.0 / n) * np.stack(
-                [np.cos(phase), np.sin(phase)], axis=1)
-        modes.append(FourierMode(k=k, basis=basis))
-    return tuple(modes)
-
-
-def _fourier_basis(lat: LatticeSpec, modes: tuple) -> np.ndarray:
-    """The mode bases side by side, n x (n - 1), after checking that they
-    are orthonormal and orthogonal to the constant function, so that
-    together they span every zero-mean function."""
-    q = np.hstack([md.basis for md in modes])
-    n = lat.sites
-    err = max(np.abs(q.T @ q - np.eye(q.shape[1])).max(),
-              np.abs(q.sum(axis=0)).max() / np.sqrt(n))
-    if q.shape[1] != n - 1 or err > _BLOCK_TOL:
-        raise NoSolutionError(
-            "Fourier mode bases do not span the zero-mean functions",
-            float(err) if q.shape[1] == n - 1 else np.inf,
-        )
-    return q
-
-
 def _lattice_name(lat: LatticeSpec) -> str:
     return f"threeform(d={lat.d}, L={lat.L}, {lat.derivative})"
 
@@ -282,41 +221,21 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-def build_threeform(lat: LatticeSpec, block=None) -> ThreeFormSystem:
-    """Assemble the constraint system and validate it.
+def build_threeform(lat: LatticeSpec, ell, blocks: tuple = ()
+                    ) -> ThreeFormSystem:
+    """Assemble the constraint system from the derivative symbols and
+    validate it.
 
-    ``block`` selects the functions the system covers:
-
-    - None: every zero-mean lattice function, the dense reference, its
-      derivatives read off the n x (n - 1) Fourier basis;
-    - a FourierMode: that block alone, read off its n x m_g basis;
-    - a sequence of wavevectors of one block shape (block_stacks): a
-      stack of their blocks, each derivative its closed-form symbol
-      (_symbol_blocks).  No n-sized array is formed.
-
-    A basis must be mapped into itself by every derivative, and the
-    symbols must diagonalise the 1-d derivative, or NoSolutionError.
+    ``ell`` holds derivative i for each direction i: one m x m matrix for
+    one system, or one G x m x m stack for a stack of G blocks, which
+    ``blocks`` labels in order (certify_lattice passes _symbol_blocks and
+    the wavevectors).  The reducibility chain must hold exactly, or
+    NoSolutionError.
     """
-    blocks = ()
-    if block is None or isinstance(block, FourierMode):
-        if block is None:
-            q = _fourier_basis(lat, fourier_modes(lat))
-            name = _lattice_name(lat)
-        else:
-            q = block.basis
-            name = f"{_lattice_name(lat)} mode k={block.k}"
-        images = _apply_site_ops(lat, q)
-        ell = tuple(q.T @ img for img in images)
-        leak = max(float(np.abs(img - q @ e).max())
-                   for img, e in zip(images, ell))
-        if leak > _BLOCK_TOL:
-            raise NoSolutionError(
-                "a lattice derivative leaves its mode block", leak)
-    else:
-        ks = tuple(tuple(k) for k in block)
-        ell = _symbol_blocks(lat, ks)
-        name = _lattice_name(lat)
-        blocks = tuple(f"mode k={k}" for k in ks)
+    if len(ell) != lat.d:
+        raise InvalidInputError(
+            f"need one derivative per direction ({lat.d}), got {len(ell)}")
+    name = _lattice_name(lat)
     m = ell[0].shape[-1]
     batch = ell[0].shape[:-2]
     u = tuple(-mt(e) for e in ell)
@@ -480,7 +399,9 @@ def run_threeform_checks(
     On a stack of Fourier blocks every stage, the oracle that eq_32
     checks the routes against included, runs once over the stack, and
     each record takes one residual per block.  The report's point,
-    projectors and f_engine carry the stack's leading axis.
+    projectors and f_engine carry the stack's leading axis, and its seeds
+    take the irreducible build's (an omega reseed and, on a stack, the
+    indices of the reseeded blocks).
     """
     cs = sys.cs
     rep = EngineReport(system=cs.name, tolerances=tol,
@@ -500,6 +421,7 @@ def run_threeform_checks(
     art = so.full_artifacts(cs, z, tol, seed)
     irs = irr.build_irreducible(cs, art, tol)
     rep.take(irs.report, "eq_21q", "eq_p11")
+    rep.seeds.update(irs.report.seeds)
 
     f_non = dirac_matrix(j, g, art.m2)
     f_inv = dirac_matrix(j, g, art.mu2)
@@ -746,13 +668,14 @@ def paper_choices_artifacts(
     over the stack, with one residual per block.
 
     ``engine`` is the report of run_threeform_checks on the same system:
-    its point, seeds and closed-form projectors are reused, and its
+    its point, point seed and closed-form projectors are reused, and its
     ``f_engine`` is the fundamental matrix that eq_14r compares against.
     """
     t0 = time.perf_counter()
     cs = sys.cs
     rep = CheckReport(system=cs.name + " [paper choices]", tolerances=tol,
-                      seeds=dict(engine.seeds), blocks=cs.blocks)
+                      seeds={"points": engine.seeds["points"]},
+                      blocks=cs.blocks)
     z = engine.point
     a12 = _paper_a12(sys)
     art = so.second_order_artifacts(cs, z, tol, a12=a12,
@@ -799,18 +722,6 @@ def paper_choices_artifacts(
     return art, irs, rep
 
 
-def mode_systems(lat: LatticeSpec) -> list:
-    """One three-form system per Fourier block {k, -k} of the lattice,
-    each read off its n-vector basis: the per-mode reference.
-
-    Raises NoSolutionError unless the blocks together span every
-    zero-mean function and every derivative maps each block into itself.
-    """
-    modes = fourier_modes(lat)
-    _fourier_basis(lat, modes)
-    return [build_threeform(lat, md) for md in modes]
-
-
 def certify_lattice(
     lat: LatticeSpec,
     tol: Tolerance = DEFAULT_TOL,
@@ -827,18 +738,25 @@ def certify_lattice(
     even L, more past _STACK_BLOCKS blocks); run_threeform_checks, and
     with ``paper_choices`` also paper_choices_artifacts, run once per
     stack, and each record keeps its worst residual over all blocks in
-    one report per route under the lattice's name.  A failed
-    construction identity raises, naming the first failing block of its
-    stack.  Returns (engine report, paper-choices report or None).
+    one report per route under the lattice's name.  The engine report's
+    seeds list the blocks whose omega pair was reseeded, by label, as
+    "omega_blocks".  A failed construction identity raises, naming the
+    first failing block of its stack.  Returns (engine report,
+    paper-choices report or None).
     """
     name = _lattice_name(lat)
     engine = CheckReport(system=name, tolerances=tol, seeds={"points": seed})
     paper = (CheckReport(system=name + " [paper choices]", tolerances=tol,
                          seeds={"points": seed}) if paper_choices else None)
     for ks in block_stacks(lat):
-        sys = build_threeform(lat, ks)
+        sys = build_threeform(lat, _symbol_blocks(lat, ks),
+                              tuple(f"mode k={k}" for k in ks))
         rep = run_threeform_checks(sys, tol, seed)
         engine.fold(rep)
+        if "omega" in rep.seeds:
+            engine.seeds["omega"] = seed
+            engine.seeds.setdefault("omega_blocks", []).extend(
+                rep.blocks[i] for i in rep.seeds["omega_blocks"])
         if paper is not None:
             paper.fold(paper_choices_artifacts(sys, tol, engine=rep)[2])
     return engine, paper

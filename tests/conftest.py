@@ -2,11 +2,8 @@ import pytest
 from hypothesis import settings
 
 from diracred.numerics import DEFAULT_TOL
-from diracred.threeform import (
-    build_threeform,
-    paper_choices_artifacts,
-    run_threeform_checks,
-)
+from diracred.threeform import paper_choices_artifacts, run_threeform_checks
+from lattice_reference import dense_threeform
 
 # Property tests draw the same examples on every run (derandomize) and
 # carry no per-example deadline, so a slow shared host cannot fail them.
@@ -23,7 +20,7 @@ class DenseThreeforms(dict):
 
     def build(self, lat):
         """Build the reference afresh and keep it, whatever is cached."""
-        sys = build_threeform(lat)
+        sys = dense_threeform(lat)
         rep = run_threeform_checks(sys, DEFAULT_TOL)
         _, _, prep = paper_choices_artifacts(sys, DEFAULT_TOL, engine=rep)
         self[lat] = (sys, rep, prep)

@@ -1,0 +1,88 @@
+"""Dense n-vector references for the lattice three-form.
+
+The package builds the three-form from the closed-form symbols of the
+lattice derivative on each Fourier block and never forms an n-sized
+array.  The tests compare it against the same system read off an
+explicit real Fourier basis of the zero-mean functions: the site
+derivatives applied to the basis, and the dense full-lattice system
+assembled from every block at once.
+"""
+
+import numpy as np
+
+import diracred.threeform as tf
+from diracred.numerics import NoSolutionError
+
+
+def fourier_bases(lat):
+    """The first wavevector of every {k, -k} orbit of nonzero
+    wavevectors, in orbit order, with its orthonormal real n x m_g basis:
+    cos and sin of 2 pi k.x / L, or the cosine alone (m_g = 1) when
+    k = -k, which needs an even L."""
+    n, L = lat.sites, lat.L
+    x = np.array(np.unravel_index(np.arange(n), (L,) * lat.d))
+    bases = {}
+    for k in tf._orbits(lat):
+        # reduce k.x mod L before scaling so every phase is exact
+        phase = (2.0 * np.pi / L) * ((np.array(k) @ x) % L)
+        if tf._self_conjugate(lat, k):
+            bases[k] = np.cos(phase)[:, None] / np.sqrt(n)
+        else:
+            bases[k] = np.sqrt(2.0 / n) * np.stack(
+                [np.cos(phase), np.sin(phase)], axis=1)
+    return bases
+
+
+def site_ops(lat, x):
+    """The derivative along each direction applied to the columns of x.
+
+    x is n x c over the sites in C order; returns one n x c array per
+    direction, the 1-d derivative applied along that axis.
+    """
+    grid = x.reshape((lat.L,) * lat.d + (-1,))
+    k1 = tf._derivative_1d(lat)
+    return [np.moveaxis(np.tensordot(k1, grid, axes=(1, a)), 0, a)
+            .reshape(x.shape) for a in range(lat.d)]
+
+
+def complete_basis(lat, bases):
+    """The bases side by side, n x (n - 1), after checking that they are
+    orthonormal and orthogonal to the constant function, so that together
+    they span every zero-mean function, or NoSolutionError."""
+    q = np.hstack(list(bases))
+    n = lat.sites
+    err = max(np.abs(q.T @ q - np.eye(q.shape[1])).max(),
+              np.abs(q.sum(axis=0)).max() / np.sqrt(n))
+    if q.shape[1] != n - 1 or err > tf._BLOCK_TOL:
+        raise NoSolutionError(
+            "Fourier mode bases do not span the zero-mean functions",
+            float(err) if q.shape[1] == n - 1 else np.inf,
+        )
+    return q
+
+
+def basis_symbols(lat, q):
+    """Derivative i on the span of the orthonormal basis q, q^T D_i q,
+    after checking that every derivative maps the span into itself, or
+    NoSolutionError."""
+    images = site_ops(lat, q)
+    ell = tuple(q.T @ img for img in images)
+    leak = max(float(np.abs(img - q @ e).max())
+               for img, e in zip(images, ell))
+    if leak > tf._BLOCK_TOL:
+        raise NoSolutionError(
+            "a lattice derivative leaves its mode block", leak)
+    return ell
+
+
+def dense_threeform(lat):
+    """The full-lattice system over every zero-mean function, its
+    derivatives read off the n x (n - 1) Fourier basis in orbit order."""
+    q = complete_basis(lat, fourier_bases(lat).values())
+    return tf.build_threeform(lat, basis_symbols(lat, q))
+
+
+def stack_threeform(lat, ks):
+    """The stack of the blocks of ks as certify_lattice builds it."""
+    return tf.build_threeform(lat, tf._symbol_blocks(lat, ks),
+                              tuple(f"mode k={k}" for k in ks))

@@ -23,7 +23,8 @@ from diracred.oracle import (
     independent_subset,
 )
 from diracred.phase import PhaseSpec, dirac_matrix
-from diracred.threeform import LatticeSpec, block_stacks, build_threeform
+from diracred.threeform import LatticeSpec, block_stacks
+from lattice_reference import stack_threeform
 
 
 def one_system_oracle(cs, at, order=None):
@@ -50,7 +51,7 @@ def _reference_cases():
     # a lattice block: its gathered gradients are where a stacked gather
     # laid out in another memory order changed the last bits
     lat = LatticeSpec(d=4, L=3)
-    stack = build_threeform(lat, block_stacks(lat)[0]).cs
+    stack = stack_threeform(lat, block_stacks(lat)[0]).cs
     at = sample_surface(stack, 0, 1)[0]
     yield pytest.param(stack.block((9,)), at[9], id="d4L3-block9")
 

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import diracred.threeform as tf
+import lattice_reference
 from diracred.constraints import ConstraintSet, sample_surface, validate
 from diracred.second_order import second_order_artifacts
 from diracred.numerics import (
@@ -21,11 +22,17 @@ from diracred.threeform import (
     certify_lattice,
     chi_tilde_printed,
     closed_form_projector,
-    fourier_modes,
-    mode_systems,
     pair_projector,
     paper_choices_artifacts,
     run_threeform_checks,
+)
+from lattice_reference import (
+    basis_symbols,
+    complete_basis,
+    dense_threeform,
+    fourier_bases,
+    site_ops,
+    stack_threeform,
 )
 
 
@@ -45,7 +52,7 @@ def test_lattice_spec_validation():
 
 
 def test_build_counts_d3_l4():
-    sys = build_threeform(LatticeSpec(d=3, L=4))
+    sys = dense_threeform(LatticeSpec(d=3, L=4))
     m = 63
     assert sys.m == m
     assert sys.cs.spec.dim == 2 * 1 * m  # one A component per mode
@@ -56,7 +63,7 @@ def test_build_counts_d3_l4():
 
 
 def test_build_counts_d4_l3():
-    sys = build_threeform(LatticeSpec(d=4, L=3))
+    sys = dense_threeform(LatticeSpec(d=4, L=3))
     m = 80
     assert sys.cs.spec.dim == 2 * 4 * m  # C(4,3) = 4 components
     # per-mode counts M0 = 2 C(d,2) = 12, M1 = 2d = 8, M2 = 2
@@ -67,7 +74,7 @@ def test_build_counts_d4_l3():
 
 
 def test_exact_reducibility_chain():
-    sys = build_threeform(LatticeSpec(d=3, L=3))
+    sys = dense_threeform(LatticeSpec(d=3, L=3))
     z1, z2 = sys.cs.z1, sys.cs.z2
     b, _ = sys.cs.affine_matrix()
     assert np.abs(z1.T @ b).max() < 1e-13
@@ -78,7 +85,7 @@ def test_exact_reducibility_chain():
 
 def test_closed_form_projector_idempotent_and_trace():
     for spec in (LatticeSpec(d=3, L=4), LatticeSpec(d=4, L=3)):
-        sys = build_threeform(spec)
+        sys = dense_threeform(spec)
         d30 = closed_form_projector(sys)
         assert np.abs(d30 @ d30 - d30).max() < 1e-9
         n_phys = sys.cs.spec.n_pairs - sys.cs.n_independent // 2
@@ -98,19 +105,19 @@ def test_projector_symbol_value_d3():
     kappa = np.array([1.0, 0.0, 0.0])
     forced = 1.0 - (kappa @ kappa) / (kappa @ kappa)
     assert forced == 0.0
-    d30 = closed_form_projector(build_threeform(LatticeSpec(d=3, L=3)))
+    d30 = closed_form_projector(dense_threeform(LatticeSpec(d=3, L=3)))
     assert np.abs(d30).max() < 1e-12
 
 
 def test_pair_projector_idempotent():
     for spec in (LatticeSpec(d=3, L=3), LatticeSpec(d=4, L=3)):
-        sys = build_threeform(spec)
+        sys = dense_threeform(spec)
         d41 = pair_projector(sys)
         assert np.abs(d41 @ d41 - d41).max() < 1e-9
 
 
 def test_engine_checks_fd():
-    sys = build_threeform(LatticeSpec(d=3, L=4))
+    sys = dense_threeform(LatticeSpec(d=3, L=4))
     rep = run_threeform_checks(sys, DEFAULT_TOL)
     assert rep.passed
     for tag in ("eq_v23", "eq_29", "eq_21q", "eq_p11", "eq_32",
@@ -158,7 +165,7 @@ def _engine_inputs(sys, tol=DEFAULT_TOL, seed=0):
 
 
 def test_paper_choices_chi_tilde_rows():
-    sys = build_threeform(LatticeSpec(d=3, L=4))
+    sys = dense_threeform(LatticeSpec(d=3, L=4))
     art, irs, rep = paper_choices_artifacts(sys, DEFAULT_TOL,
                                             engine=_engine_inputs(sys))
     assert rep.passed
@@ -183,7 +190,7 @@ def test_paper_choices_spectral_closed_forms(dense):
 def test_paper_choices_reuse_engine_artifacts(derivative, monkeypatch):
     import diracred.threeform as tf
 
-    sys = build_threeform(LatticeSpec(d=3, L=3, derivative=derivative))
+    sys = dense_threeform(LatticeSpec(d=3, L=3, derivative=derivative))
     rep = run_threeform_checks(sys, DEFAULT_TOL)
     assert np.array_equal(rep.f_engine, _engine_bracket(sys))
     inputs = _engine_inputs(sys)
@@ -239,7 +246,7 @@ def _stencil_ops(lat):
     LatticeSpec(d=4, L=3, derivative="spectral"),
 ], ids=str)
 def test_site_ops_match_stencils(lat):
-    got = tf._apply_site_ops(lat, np.eye(lat.sites))
+    got = site_ops(lat, np.eye(lat.sites))
     for got, want in zip(got, _stencil_ops(lat)):
         assert np.array_equal(got, want)
 
@@ -272,43 +279,45 @@ def test_locality_matches_site_operator_stencils(lat):
 def test_fourier_blocks_decouple(d, size, derivative):
     assume(derivative == "fd" or size % 2 == 1)
     lat = LatticeSpec(d=d, L=size, derivative=derivative)
-    modes = fourier_modes(lat)
-    q = np.hstack([md.basis for md in modes])
+    bases = fourier_bases(lat)
+    q = np.hstack(list(bases.values()))
     n = lat.sites
     # orthonormal, orthogonal to the constant, n - 1 of them: complete
     assert q.shape == (n, n - 1)
     assert np.abs(q.T @ q - np.eye(n - 1)).max() < 1e-12
     assert np.abs(q.sum(axis=0)).max() < 1e-12 * np.sqrt(n)
     # a block is one cosine exactly when k = -k
-    assert [md.basis.shape[1] for md in modes] == [
-        1 if all(2 * k % size == 0 for k in md.k) else 2 for md in modes]
-    bounds = np.cumsum([0] + [md.basis.shape[1] for md in modes])
-    for image in tf._apply_site_ops(lat, q):
-        for md, lo, hi in zip(modes, bounds, bounds[1:]):
-            blk = md.basis.T @ image[:, lo:hi]
-            assert np.abs(image[:, lo:hi] - md.basis @ blk).max() < 1e-12
+    assert [b.shape[1] for b in bases.values()] == [
+        1 if all(2 * ki % size == 0 for ki in k) else 2 for k in bases]
+    bounds = np.cumsum([0] + [b.shape[1] for b in bases.values()])
+    for image in site_ops(lat, q):
+        for b, lo, hi in zip(bases.values(), bounds, bounds[1:]):
+            blk = b.T @ image[:, lo:hi]
+            assert np.abs(image[:, lo:hi] - b @ blk).max() < 1e-12
 
 
-def test_mode_systems_refuse_broken_decoupling(monkeypatch):
+def test_reference_refuses_broken_decoupling(monkeypatch):
     lat = LatticeSpec(d=3, L=3)
-    modes = fourier_modes(lat)
+    bases = fourier_bases(lat)
     # a missing block leaves the zero-mean functions incomplete
-    monkeypatch.setattr(tf, "fourier_modes", lambda lat: modes[1:])
+    first = next(iter(bases))
+    monkeypatch.setattr(lattice_reference, "fourier_bases", lambda lat: {
+        k: q for k, q in bases.items() if k != first})
     with pytest.raises(NoSolutionError):
-        mode_systems(lat)
-    # rotating two blocks into each other keeps the basis orthonormal
-    # and complete, but a derivative no longer maps a block into itself
-    pair = np.hstack([modes[0].basis, modes[1].basis])
+        dense_threeform(lat)
+    # rotating two blocks into each other keeps the basis orthonormal and
+    # complete, so the dense build, whose span is the same, accepts it;
+    # read off each rotated block alone, a derivative leaves the block
+    qs = list(bases.values())
     c, s_ = np.cos(0.3), np.sin(0.3)
     rot = np.eye(4)
     rot[np.ix_([0, 2], [0, 2])] = [[c, -s_], [s_, c]]
-    mixed = pair @ rot
-    broken = (dataclasses.replace(modes[0], basis=mixed[:, :2]),
-              dataclasses.replace(modes[1], basis=mixed[:, 2:]),
-              *modes[2:])
-    monkeypatch.setattr(tf, "fourier_modes", lambda lat: broken)
-    with pytest.raises(NoSolutionError):
-        mode_systems(lat)
+    mixed = np.hstack(qs[:2]) @ rot
+    rotated = [mixed[:, :2], mixed[:, 2:], *qs[2:]]
+    basis_symbols(lat, complete_basis(lat, rotated))
+    for q in rotated[:2]:
+        with pytest.raises(NoSolutionError, match="leaves its mode block"):
+            basis_symbols(lat, q)
 
 
 REFERENCE_LATTICES = [
@@ -331,22 +340,26 @@ def test_per_mode_matches_dense(lat, dense):
     assert paper.system == prep.system
     assert _verdicts(engine) == _verdicts(rep)
     assert _verdicts(paper) == _verdicts(prep)
-    # each block's bracket is its diagonal block of the dense bracket,
-    # and the dense bracket couples no two blocks
+    # each block's bracket in the stacks is its diagonal block of the
+    # dense bracket, and the dense bracket couples no two blocks; the
+    # dense basis takes the blocks in orbit order
     f = rep.f_engine
     scale = 1.0 + np.abs(f).max()
     nt, m = len(sys.triples), sys.m
-    label = np.empty(f.shape[0], dtype=int)
-    lo = 0
-    for g, mode_sys in enumerate(mode_systems(lat)):
-        mg = mode_sys.m
-        cols = [t * m + lo + c for t in range(nt) for c in range(mg)]
-        idx = np.array(cols + [nt * m + i for i in cols])
-        label[idx] = g
-        block = run_threeform_checks(mode_sys, DEFAULT_TOL).f_engine
-        assert np.abs(block - f[np.ix_(idx, idx)]).max() <= 1e-12 * scale
-        lo += mg
-    assert lo == m
+    widths = {k: q.shape[1] for k, q in fourier_bases(lat).items()}
+    starts = dict(zip(widths, np.cumsum([0, *widths.values()])))
+    label = np.full(f.shape[0], -1)
+    for ks in block_stacks(lat):
+        stacked = run_threeform_checks(stack_threeform(lat, ks),
+                                       DEFAULT_TOL).f_engine
+        for g, k in enumerate(ks):
+            cols = [t * m + starts[k] + c for t in range(nt)
+                    for c in range(widths[k])]
+            idx = np.array(cols + [nt * m + i for i in cols])
+            label[idx] = starts[k]
+            assert np.abs(stacked[g] - f[np.ix_(idx, idx)]).max() \
+                <= 1e-12 * scale
+    assert (label >= 0).all()
     off = label[:, None] != label[None, :]
     assert np.abs(f[off]).max() <= 1e-12
 
@@ -381,33 +394,17 @@ def test_printed_congruence_error_fails_its_records(derivative, monkeypatch):
 def test_symbol_blocks_match_mode_bases(lat):
     # each stacked block's derivative is its closed-form symbol, which
     # must equal q^T D q read off the block's n-vector basis q
-    bases = {md.k: md.basis for md in fourier_modes(lat)}
+    bases = fourier_bases(lat)
     stacked = [k for ks in block_stacks(lat) for k in ks]
     assert sorted(stacked) == sorted(bases)
     for ks in block_stacks(lat):
-        sys = build_threeform(lat, ks)
+        sys = stack_threeform(lat, ks)
         assert sys.cs.blocks == tuple(f"mode k={k}" for k in ks)
         for g, k in enumerate(ks):
             q = bases[k]
-            for ell, image in zip(sys.ell, tf._apply_site_ops(lat, q)):
+            for ell, image in zip(sys.ell, site_ops(lat, q)):
                 assert ell[g].shape == (q.shape[1],) * 2
                 assert np.abs(ell[g] - q.T @ image).max() < 1e-12
-
-
-def test_certify_forms_no_site_space_array(monkeypatch):
-    # the n-vector basis and the site operators are the dense reference's
-    # alone: the certify path runs with both refusing to be called
-    def refuse(*args, **kwargs):
-        raise AssertionError("the certify path formed an n-sized array")
-
-    monkeypatch.setattr(tf, "_fourier_basis", refuse)
-    monkeypatch.setattr(tf, "_apply_site_ops", refuse)
-    monkeypatch.setattr(tf, "fourier_modes", refuse)
-    for lat in (LatticeSpec(d=3, L=4), LatticeSpec(3, 5, "spectral")):
-        engine, paper = certify_lattice(lat, paper_choices=True)
-        assert engine.passed
-        assert {r.name for r in paper.records if not r.passed} <= {
-            "locality"}
 
 
 def test_certify_path_takes_no_block_alone(monkeypatch):
@@ -442,6 +439,74 @@ def test_symbols_refuse_a_derivative_they_do_not_diagonalise(monkeypatch):
                         lambda lat: real(lat) + 1e-6 * np.eye(lat.L)[::-1])
     with pytest.raises(NoSolutionError):
         certify_lattice(lat)
+
+
+def test_build_refuses_a_broken_chain():
+    # symbols that do not commute break Z1^T B = 0 and Z1 Z2 = 0, which
+    # hold exactly only for commuting derivatives
+    lat = LatticeSpec(d=3, L=3)
+    rng = np.random.default_rng(0)
+    ell = tuple(rng.standard_normal((3, 2, 2)))
+    assert np.abs(ell[0] @ ell[1] - ell[1] @ ell[0]).max() > 0.1
+    with pytest.raises(NoSolutionError,
+                       match="broke the reducibility chain") as exc:
+        build_threeform(lat, ell)
+    assert exc.value.residual > 1.0
+
+
+def test_build_refuses_mislabelled_or_short_input():
+    lat = LatticeSpec(d=3, L=5)
+    ks = block_stacks(lat)[0][:3]
+    ell = tf._symbol_blocks(lat, ks)
+    labels = tuple(f"mode k={k}" for k in ks)
+    assert build_threeform(lat, ell, labels).cs.blocks == labels
+    for wrong in ((), labels[:2], labels + ("mode k=extra",)):
+        with pytest.raises(InvalidInputError):
+            build_threeform(lat, ell, wrong)
+    # one system takes no labels
+    one = tuple(e[0] for e in ell)
+    assert build_threeform(lat, one).cs.batch == ()
+    with pytest.raises(InvalidInputError):
+        build_threeform(lat, one, labels[:1])
+    with pytest.raises(InvalidInputError):
+        build_threeform(lat, ell[:2], labels)
+
+
+def test_symbol_blocks_refuse_bad_wavevectors():
+    lat = LatticeSpec(d=3, L=4)
+    pair, conj = block_stacks(lat)
+    tf._symbol_blocks(lat, pair[:2] + pair[-1:])
+    tf._symbol_blocks(lat, conj)
+    for ks in ((), ((0, 0, 0),), pair[:1] + ((0, 0, 0),),
+               pair[:1] + conj[:1], conj[:1] + pair[:1]):
+        with pytest.raises(InvalidInputError):
+            tf._symbol_blocks(lat, ks)
+
+
+def test_lattice_reports_name_reseeded_blocks():
+    # at d3 L4 fd the canonical omega seed loses rank on three {k, -k}
+    # blocks of the first stack; the engine report names them, over all
+    # stacks, and the paper route, which installs its own pair, does not
+    engine, paper = certify_lattice(LatticeSpec(3, 4), paper_choices=True)
+    assert engine.seeds == {"points": 0, "omega": 0, "omega_blocks": [
+        "mode k=(0, 1, 3)", "mode k=(1, 0, 3)", "mode k=(1, 3, 0)"]}
+    assert paper.seeds == {"points": 0}
+    assert engine.to_dict()["seeds"] == engine.seeds
+    engine, paper = certify_lattice(LatticeSpec(3, 5), seed=4,
+                                    paper_choices=True)
+    assert engine.seeds == paper.seeds == {"points": 4}
+
+
+def test_package_exports():
+    import diracred
+
+    assert len(diracred.__all__) == len(set(diracred.__all__))
+    for name in diracred.__all__:
+        assert getattr(diracred, name) is not None, name
+    for gone in ("FourierMode", "fourier_modes", "mode_systems"):
+        assert gone not in diracred.__all__
+        assert not hasattr(diracred, gone)
+        assert not hasattr(tf, gone)
 
 
 def _block_alone(sys, g):
@@ -484,7 +549,7 @@ def test_stacked_pass_matches_each_block_alone(d, size, derivative, start,
     for ks in block_stacks(lat):
         lo = start % max(1, len(ks) - WINDOW + 1)
         ks = ks[lo:lo + WINDOW]
-        sys = build_threeform(lat, ks)
+        sys = stack_threeform(lat, ks)
         try:
             rep = run_threeform_checks(sys, DEFAULT_TOL)
         except NoSolutionError as exc:
