@@ -44,15 +44,11 @@ from .constraints import (
 )
 from .first_order import (
     FirstOrderArtifacts,
-    FirstOrderLift,
-    dirac1,
     first_order_artifacts,
     fundamental_matrix_1,
-    irreducible_lift_1,
 )
 from .second_order import (
     SecondOrderArtifacts,
-    dirac2,
     full_artifacts,
     fundamental_matrix_2,
     mu_pair,
@@ -63,7 +59,6 @@ from .irreducible import (
     BuildPointError,
     IrreducibleSystem,
     build_irreducible,
-    dirac_irred,
     eom_step,
     equivalence_report,
     fundamental_matrix_irred,
@@ -73,7 +68,6 @@ from .oracle import (
     DegenerateSystemError,
     SubsetSelection,
     compare_fundamental,
-    dirac_oracle,
     fundamental_matrix_oracle,
     independent_subset,
 )
@@ -123,13 +117,9 @@ __all__ = [
     "toy_system",
     "validate",
     "FirstOrderArtifacts",
-    "FirstOrderLift",
-    "dirac1",
     "first_order_artifacts",
     "fundamental_matrix_1",
-    "irreducible_lift_1",
     "SecondOrderArtifacts",
-    "dirac2",
     "full_artifacts",
     "fundamental_matrix_2",
     "mu_pair",
@@ -138,7 +128,6 @@ __all__ = [
     "BuildPointError",
     "IrreducibleSystem",
     "build_irreducible",
-    "dirac_irred",
     "eom_step",
     "equivalence_report",
     "fundamental_matrix_irred",
@@ -146,7 +135,6 @@ __all__ = [
     "DegenerateSystemError",
     "SubsetSelection",
     "compare_fundamental",
-    "dirac_oracle",
     "fundamental_matrix_oracle",
     "independent_subset",
     "LatticeSpec",

@@ -47,7 +47,9 @@ def parse_qspec(text: str, labels: tuple) -> PhaseFunction:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise InvalidInputError("empty Hamiltonian expression")
-    pieces = re.findall(r"[+-]?[^+-]+", cleaned)
+    # a sign after the e/E of a number's mantissa stays with its number
+    pieces = re.findall(r"[+-]?(?:(?<![\w.])[\d.]+[eE][+-]|[^+-])+",
+                        cleaned)
     for piece in pieces:
         sign = 1.0
         body = piece
@@ -159,12 +161,6 @@ def _cmd_bracket(args) -> int:
     method = args.method
     if method == "subset":
         mat = oracle_mod.fundamental_matrix_oracle(cs, at, tol)
-    elif cs.order == 1:
-        if method == "reducible":
-            mat = fo.fundamental_matrix_1(cs, at, tol)
-        else:
-            lift = fo.irreducible_lift_1(cs, tol=tol)
-            mat = lift.fundamental_matrix(at, tol)
     elif method == "reducible":
         mat = so.fundamental_matrix_2(cs, at, "noninvertible", tol)
     elif method == "invertible":
@@ -206,8 +202,6 @@ def _cmd_threeform(args) -> int:
 
 def _cmd_evolve(args) -> int:
     cs = con.load_system(args.file)
-    if cs.order != 2:
-        raise InvalidInputError("evolve requires a second-order system")
     tol = DEFAULT_TOL
     h = parse_qspec(args.hamiltonian, cs.spec.default_labels())
     z0 = con.sample_surface(cs, args.seed, 1, tol)[0]

@@ -6,6 +6,8 @@ first-order reducibility matrix Z1 (M0 x M1, ``Z1.T @ chi == 0``) and,
 for order-2 systems, the second-order matrix Z2 (M1 x M2,
 ``Z1 @ Z2 ~= 0`` on the surface).  Z matrices may be constant arrays or
 point-valued callables; all bundled generators produce constant ones.
+An order-1 set has no Z2: ``z2_at`` reads M1 x 0 there, so the
+second-order stages take it as the case M2 = 0.
 
 A set whose chi are all affine stores them natively as (B, c) with
 chi = B z + c.  With constant Z matrices as well it is a constant
@@ -232,8 +234,10 @@ class ConstraintSet:
         )
 
     def z2_at(self, at: np.ndarray) -> np.ndarray:
+        """Z2 at a point; M1 x 0 for an order-1 system, which has none."""
         if self.z2 is None:
-            raise InvalidInputError("order-1 system has no Z2")
+            z1 = self.z1_at(at)
+            return np.zeros(z1.shape[:-2] + (z1.shape[-1], 0))
         return self.z2 if isinstance(self.z2, np.ndarray) else np.asarray(
             self.z2(at), dtype=float
         )
@@ -324,9 +328,9 @@ def validate(
         rep.add("eq_11x", red2, tol.weak_eq)
         rep.add("z2_rank", abs(rank_tol(cs.z2_at(points[0]), tol) - cs.m2),
                 COUNT_TOL)
-        rep.add("z1_rank",
-                abs(rank_tol(cs.z1_at(points[0]), tol) - (cs.m1 - cs.m2)),
-                COUNT_TOL)
+    rep.add("z1_rank",
+            abs(rank_tol(cs.z1_at(points[0]), tol) - (cs.m1 - cs.m2)),
+            COUNT_TOL)
     return rep
 
 
@@ -545,6 +549,16 @@ def save_system(cs: ConstraintSet, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _array_field(value, field: str) -> np.ndarray:
+    """A numeric array from a system file field, else InvalidInputError
+    naming the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"system file field {field!r} is not a "
+                                f"numeric array: {exc}")
+
+
 def load_system(path: Union[str, Path]) -> ConstraintSet:
     """Read a system from the JSON file format; order follows Z2 presence."""
     try:
@@ -552,30 +566,35 @@ def load_system(path: Union[str, Path]) -> ConstraintSet:
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot read system file {path}: {exc}")
     for key in ("n_pairs", "chi", "Z1"):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise InvalidInputError(f"system file missing field {key!r}")
-    n_pairs = int(doc["n_pairs"])
+    n_pairs = doc["n_pairs"]
+    if type(n_pairs) is not int or n_pairs < 1:
+        raise InvalidInputError(
+            f"system file field 'n_pairs' must be a positive integer, "
+            f"got {n_pairs!r}"
+        )
     poisson = None
     if "poisson" in doc:
-        poisson = np.asarray(doc["poisson"], dtype=float)
+        poisson = _array_field(doc["poisson"], "poisson")
     spec = PhaseSpec(n_pairs=n_pairs, poisson=poisson)
     chi_doc = doc["chi"]
-    if "B" not in chi_doc:
+    if not isinstance(chi_doc, dict) or "B" not in chi_doc:
         raise InvalidInputError("system file field 'chi' needs a 'B' array")
-    b = np.asarray(chi_doc["B"], dtype=float)
+    b = _array_field(chi_doc["B"], "chi.B")
     if b.ndim != 2 or b.shape[1] != spec.dim:
         raise InvalidInputError(
             f"'chi.B' must be M0 x {spec.dim}, got {b.shape}"
         )
-    c = np.asarray(chi_doc.get("c", np.zeros(b.shape[0])), dtype=float)
+    c = _array_field(chi_doc.get("c", np.zeros(b.shape[0])), "chi.c")
     if c.shape != (b.shape[0],):
         raise InvalidInputError("'chi.c' length must match the rows of B")
-    z1 = np.asarray(doc["Z1"], dtype=float)
+    z1 = _array_field(doc["Z1"], "Z1")
     if z1.ndim != 2 or z1.shape[0] != b.shape[0]:
         raise InvalidInputError("'Z1' must have one row per constraint")
     z2 = None
     if "Z2" in doc and doc["Z2"] is not None:
-        z2 = np.asarray(doc["Z2"], dtype=float)
+        z2 = _array_field(doc["Z2"], "Z2")
         if z2.ndim != 2 or z2.shape[0] != z1.shape[1]:
             raise InvalidInputError("'Z2' must have one row per Z1 column")
     name = str(Path(path).name)

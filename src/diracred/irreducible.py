@@ -8,7 +8,8 @@ for the independent set
 
 whose bracket matrix c_delta is invertible with the closed-form inverse
 c_delta_inv.  The Dirac bracket built from them weakly reproduces the
-reducible one for functions of the original coordinates.
+reducible one for functions of the original coordinates.  An order-1
+system (M2 = 0) has no Z2^T y rows: chi_tilde = chi + a01 y.
 
 An IrreducibleSystem holds artifacts built at one point.  On a constant
 base (affine chi, constant Z) they hold everywhere, and its bracket
@@ -139,11 +140,6 @@ class IrreducibleSystem:
             raise OffSurfaceExtendedError(
                 f"extended point violates chi_tilde: max residual {r:.3e}"
             )
-
-    def extend_gradient(self, grad_z: np.ndarray) -> np.ndarray:
-        """Pad a z-space gradient with zero y components."""
-        return np.concatenate([np.asarray(grad_z, float),
-                               np.zeros(self.dim_y)])
 
     def require_build_point(self, z: np.ndarray, tol: Tolerance) -> None:
         """Refuse a base point other than the build point, unless the base
@@ -286,37 +282,6 @@ def build_irreducible(
             rel_residual(irs.omega_y_inv @ art.d11 @ irs.omega_y, art.d11),
             tol.weak_eq)
     return dataclasses.replace(irs, report=irs.report.with_stage(rep))
-
-
-def dirac_irred(
-    sys: IrreducibleSystem,
-    f: PhaseFunction,
-    g: PhaseFunction,
-    at: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Irreducible Dirac bracket on the extended space.
-
-    Functions of the original coordinates alone are accepted and padded
-    with vanishing y derivatives.
-    """
-    sys._valid_at(at, tol)
-    z, _ = sys.split(at)
-    gf = _ext_gradient(sys, f, at, z)
-    gg = _ext_gradient(sys, g, at, z)
-    return float(gf @ sys._irred_kernel @ gg)
-
-
-def _ext_gradient(
-    sys: IrreducibleSystem, f: PhaseFunction, at: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    if f.dim == sys.dim_z:
-        return sys.extend_gradient(f.gradient(z))
-    if f.dim == sys.dim_z + sys.dim_y:
-        return f.gradient(at)
-    raise InvalidInputError(
-        "function dimension matches neither the base nor the extended space"
-    )
 
 
 def fundamental_matrix_irred(

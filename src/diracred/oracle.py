@@ -30,7 +30,7 @@ from .numerics import (
     mt,
     pinv_rank,
 )
-from .phase import PhaseFunction, dirac_matrix
+from .phase import dirac_matrix
 
 
 class DegenerateSystemError(RuntimeError):
@@ -109,20 +109,6 @@ def independent_subset(
     indices = indices.reshape(cs.batch + (target,))
     return SubsetSelection(indices=indices, grads=sub, cab=cab,
                            cab_inv=cab_inv)
-
-
-def dirac_oracle(
-    cs: ConstraintSet,
-    f: PhaseFunction,
-    g: PhaseFunction,
-    at: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Textbook Dirac bracket over the selected independent subset:
-    grad f @ F @ grad g with F from fundamental_matrix_oracle."""
-    at = cs.spec.point(at)
-    f_orc = fundamental_matrix_oracle(cs, at, tol)
-    return float(f.gradient(at) @ f_orc @ g.gradient(at))
 
 
 def fundamental_matrix_oracle(

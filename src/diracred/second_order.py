@@ -14,6 +14,12 @@ second-level reducibility directions:
 - m2: M0 x M0 antisymmetric, m2 @ c2 ~= d00
 - omega_low / omega_up: M1 x M1 mutually inverse antisymmetric pair
 - mu2 / mu2_inv: M0 x M0 invertible antisymmetric pair
+
+An order-1 system runs through the same construction with M2 = 0 (its
+z2_at is M1 x 0): d11 = I, abar01 is a left inverse of Z1, d00 is the
+projector complementary to Z1 and mu2 = m2 + Z1 omega_up Z1^T.  The
+omega pair needs even M1 and M2; otherwise symplectic_block raises
+InvalidInputError.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .numerics import (
     skew_solve,
     symplectic_block,
 )
-from .phase import PhaseFunction, dirac_matrix
+from .phase import dirac_matrix
 from .report import CheckReport
 
 
@@ -89,10 +95,6 @@ def second_order_artifacts(
     per system, a12 and abar01 one matrix per system, and every matrix
     of the bundle gains the stack's leading axis.
     """
-    if cs.order != 2:
-        raise InvalidInputError("second-order pipeline needs an order-2 system")
-    if cs.m1 % 2 or cs.m2 % 2:
-        raise InvalidInputError("M1 and M2 must be even")
     at = cs.point(at)
     cs.require_on_surface(at, tol)
     z1 = cs.z1_at(at)
@@ -261,9 +263,11 @@ def full_artifacts(
     forward-difference lattice three-form it does for a few {k, -k}
     blocks, such as k = (0, 1, 3) and its permutations at d = 3, L = 4);
     the pair is then rebuilt from the random seed drawn from ``seed``,
-    which the report's seeds then record as "omega".  On a stack only the systems that lost rank are reseeded,
-    and the seeds record their indices as "omega_blocks".  Only the rank
-    failure reseeds; a failed identity raises.
+    which the report's seeds then record as "omega".  On a stack only
+    the systems that lost rank are reseeded, and the seeds record their
+    indices in the stack as "omega_blocks" (certify_lattice turns them
+    into the blocks' labels).  Only the rank failure reseeds; a failed
+    identity raises.
     """
     art = second_order_artifacts(cs, at, tol)
     try:
@@ -275,21 +279,6 @@ def full_artifacts(
             paired.report.seeds["omega_blocks"] = (
                 np.flatnonzero(exc.blocks).tolist())
     return mu_pair(paired, cs, tol)
-
-
-def dirac2(
-    cs: ConstraintSet,
-    f: PhaseFunction,
-    g: PhaseFunction,
-    at: np.ndarray,
-    mode: str = "noninvertible",
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Dirac bracket with either the noninvertible or the invertible
-    matrix: grad f @ F @ grad g with F from fundamental_matrix_2."""
-    f2 = fundamental_matrix_2(cs, at, mode, tol)
-    at = cs.spec.point(at)
-    return float(f.gradient(at) @ f2 @ g.gradient(at))
 
 
 def fundamental_matrix_2(

@@ -18,19 +18,18 @@ from diracred.constraints import (
     synth_linear,
     toy_system,
 )
-from diracred.first_order import dirac1, first_order_artifacts
+from diracred.first_order import first_order_artifacts, fundamental_matrix_1
 from diracred.irreducible import (
     build_irreducible,
-    dirac_irred,
     eom_step,
     fundamental_matrix_irred,
 )
 from diracred.numerics import Tolerance, rank_tol
 from diracred.oracle import fundamental_matrix_oracle
-from diracred.phase import affine, coordinate, opaque, quadratic
+from diracred.phase import affine, opaque, quadratic
 from diracred.second_order import (
-    dirac2,
     full_artifacts,
+    fundamental_matrix_2,
     mu_pair,
     second_order_artifacts,
 )
@@ -101,14 +100,16 @@ def test_5_projectors_ranks_and_casimirs(suite):
         at = points[0]
         rng = np.random.default_rng(1)
         f = affine(rng.standard_normal(cs.spec.dim))
-        for chi in cs.chi[:4]:
-            assert abs(dirac2(cs, chi, f, at, "noninvertible")) < 1e-8
-            assert abs(dirac2(cs, chi, f, at, "invertible")) < 1e-8
+        for mode in ("noninvertible", "invertible"):
+            f2 = fundamental_matrix_2(cs, at, mode)
+            for chi in cs.chi[:4]:
+                assert abs(chi.gradient(at) @ f2 @ f.gradient(at)) < 1e-8
         ext = irs.join(at, np.zeros(irs.dim_y))
-        dim_ext = irs.dim_z + irs.dim_y
+        full = fundamental_matrix_irred(irs, ext)
+        grad_f = np.concatenate([f.gradient(at), np.zeros(irs.dim_y)])
         for i in range(min(irs.dim_y, 4)):
-            y_i = coordinate(dim_ext, irs.dim_z + i)
-            assert abs(dirac_irred(irs, y_i, f, ext)) < 1e-8
+            # the bracket of y_i with f is row i of the y block
+            assert abs(full[irs.dim_z + i] @ grad_f) < 1e-8
 
 
 def test_6_ambiguity_invariance(suite):
@@ -177,14 +178,18 @@ def test_8_jacobi_identity_curved():
     g = affine(rng.standard_normal(dim))
     h = affine(rng.standard_normal(dim))
 
+    def dirac(a, b, z):
+        return a.gradient(z) @ fundamental_matrix_1(cs, z, loose) @ (
+            b.gradient(z))
+
     def bracket_fn(a, b):
-        return opaque(lambda z: dirac1(cs, a, b, z, loose), dim=dim)
+        return opaque(lambda z: dirac(a, b, z), dim=dim)
 
     for at in sample_surface(cs, seed=4, count=5):
         jac = (
-            dirac1(cs, bracket_fn(f, g), h, at, loose)
-            + dirac1(cs, bracket_fn(g, h), f, at, loose)
-            + dirac1(cs, bracket_fn(h, f), g, at, loose)
+            dirac(bracket_fn(f, g), h, at)
+            + dirac(bracket_fn(g, h), f, at)
+            + dirac(bracket_fn(h, f), g, at)
         )
         assert abs(jac) < 1e-4
 

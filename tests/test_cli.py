@@ -9,8 +9,16 @@ import pytest
 
 import diracred
 from diracred.cli import main, parse_qspec
-from diracred.constraints import save_system, synth_linear, toy_system
+from diracred.constraints import (
+    duplicated_pair_system,
+    sample_surface,
+    save_system,
+    synth_linear,
+    toy_system,
+)
 from diracred.numerics import InvalidInputError
+from diracred.oracle import fundamental_matrix_oracle
+from test_first_order import doubled_pair_system
 
 
 @pytest.fixture()
@@ -44,6 +52,13 @@ def test_qspec_parser():
         parse_qspec("x7", labels)
     with pytest.raises(InvalidInputError):
         parse_qspec("", labels)
+    # a sign after a mantissa's e/E belongs to the number's exponent
+    z = np.array([2.0, 0.0, 3.0, 0.0])
+    for text, value in (("1e-3*q1^2", 4e-3), ("2.5e+2*q1*p1", 1500.0),
+                        ("1E-2*q1", 2e-2), ("q1 - 1e-3*p1 + 2E+1", 21.997)):
+        assert parse_qspec(text, labels)(z) == pytest.approx(value)
+    with pytest.raises(InvalidInputError):
+        parse_qspec("q1e-3", labels)
 
 
 def test_validate_and_analyze_pass(synth_file, tmp_path, capsys):
@@ -68,11 +83,25 @@ def test_analyze_detects_corrupted_z2(synth_file, tmp_path, capsys):
     assert "eq_11x" in out and "FAIL" in out
 
 
-def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
+def test_missing_and_malformed_files_exit_2(synth_file, tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.json")]) == 2
     junk = tmp_path / "junk.json"
     junk.write_text("{oops")
     assert main(["validate", str(junk)]) == 2
+    # a field of the wrong type is an input error that names the field
+    bad = tmp_path / "bad.json"
+    for field, value in (("n_pairs", "two"), ("n_pairs", -1),
+                         ("chi.B", [[1, "x"]]), ("Z1", [["a"]])):
+        doc = json.loads(open(synth_file).read())
+        if field == "chi.B":
+            doc["chi"]["B"] = value
+        else:
+            doc[field] = value
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err
 
 
 def test_bracket_methods_agree(synth_file, capsys):
@@ -166,8 +195,51 @@ def test_analyze_order_one_check_names_fixed(tmp_path, capsys):
     assert main(["analyze", str(path), "--json", out]) == 0
     doc = json.loads(open(out).read())
     assert [c["name"] for c in doc["checks"]] == [
-        "eq_2", "eq_11d_rank", "eq_32", "eq_15"]
+        "eq_2", "eq_11d_rank", "z1_rank", "eq_32", "eq_15"]
     capsys.readouterr()
+
+
+@pytest.fixture()
+def doubled_file(tmp_path):
+    path = tmp_path / "doubled.json"
+    save_system(doubled_pair_system(), path)
+    return str(path)
+
+
+def _bracket(capsys, path, method):
+    rc = main(["bracket", path, "--method", method])
+    out = capsys.readouterr().out
+    return rc, np.array([[float(v) for v in line.split()]
+                         for line in out.splitlines()])
+
+
+def test_bracket_order_one_methods(doubled_file, tmp_path, capsys):
+    # every method of an order-1 file runs through the one engine
+    mats = {}
+    for method in ("subset", "reducible", "invertible", "irreducible"):
+        rc, mats[method] = _bracket(capsys, doubled_file, method)
+        assert rc == 0
+    for mat in mats.values():
+        assert np.abs(mat - mats["subset"]).max() < 1e-12
+    # an odd M1 has no omega pair: only the reducible brackets exist
+    dup = str(tmp_path / "dup.json")
+    save_system(duplicated_pair_system(), dup)
+    for method, code in (("subset", 0), ("reducible", 0), ("invertible", 2),
+                         ("irreducible", 2)):
+        assert _bracket(capsys, dup, method)[0] == code
+
+
+def test_dependent_z1_fails_validate_and_bracket(doubled_file, tmp_path,
+                                                 capsys):
+    doc = json.loads(open(doubled_file).read())
+    doc["Z1"] = [[row[0], row[0]] for row in doc["Z1"]]
+    bad = str(tmp_path / "dependent.json")
+    Path(bad).write_text(json.dumps(doc))
+    assert main(["validate", bad]) == 1
+    assert "z1_rank" in capsys.readouterr().out
+    for method in ("reducible", "invertible", "irreducible"):
+        assert main(["bracket", bad, "--method", method]) == 1
+        assert "eq_1qa" in capsys.readouterr().err
 
 
 def test_evolve_toy(toy_file, capsys):
@@ -179,6 +251,32 @@ def test_evolve_toy(toy_file, capsys):
     rc = main(["evolve", toy_file, "--h", "0.5*q9^2",
                "--steps", "1", "--dt", "0.01"])
     assert rc == 2
+
+
+def test_evolve_order_one(doubled_file, tmp_path, capsys):
+    rc = main(["evolve", doubled_file, "--h", "0.5*q2^2 + 0.5*p2^2",
+               "--steps", "50", "--dt", "0.01"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    z = np.array([float(v) for v in out[1].split()])
+    assert float(out[2].split(":")[1]) <= 1e-6
+    # RK4 on the oracle bracket from the same start reaches the same state
+    cs = doubled_pair_system()
+    state = sample_surface(cs, 0, 1)[0]
+    kernel = fundamental_matrix_oracle(cs, state)
+    h = np.diag([0.0, 1.0, 0.0, 1.0])
+    for _ in range(50):
+        k1 = kernel @ h @ state
+        k2 = kernel @ h @ (state + 0.005 * k1)
+        k3 = kernel @ h @ (state + 0.005 * k2)
+        k4 = kernel @ h @ (state + 0.01 * k3)
+        state = state + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.abs(z - state).max() <= 1e-9
+    # M1 = 1 admits no omega pair, so no irreducible system to evolve
+    dup = tmp_path / "dup.json"
+    save_system(duplicated_pair_system(), dup)
+    assert main(["evolve", str(dup), "--h", "0.5*q2^2", "--steps", "1",
+                 "--dt", "0.01"]) == 2
 
 
 THREEFORM_ENGINE_CHECKS = [

@@ -19,7 +19,6 @@ from diracred.irreducible import (
     BuildPointError,
     assemble_irreducible,
     build_irreducible,
-    dirac_irred,
     eom_step,
     equivalence_report,
     fundamental_matrix_irred,
@@ -27,7 +26,7 @@ from diracred.irreducible import (
 )
 from diracred.numerics import DEFAULT_TOL, NoSolutionError, rank_tol
 from diracred.oracle import fundamental_matrix_oracle
-from diracred.phase import affine, coordinate, opaque, quadratic
+from diracred.phase import opaque, poisson_bracket, quadratic
 from diracred.second_order import full_artifacts
 
 
@@ -87,33 +86,39 @@ def test_fundamental_matches_oracle(toy_irr):
 def test_y_and_chi_tilde_are_casimirs(toy_irr):
     cs, at, irs = toy_irr
     ext = irs.join(at, np.zeros(irs.dim_y))
-    dim_ext = irs.dim_z + irs.dim_y
-    f = affine(np.arange(1.0, cs.spec.dim + 1.0))
+    full = fundamental_matrix_irred(irs, ext)
+    # a function of z alone has vanishing y derivatives
+    grad_f = np.concatenate([np.arange(1.0, cs.spec.dim + 1.0),
+                             np.zeros(irs.dim_y)])
     for i in range(irs.dim_y):
-        y_i = coordinate(dim_ext, irs.dim_z + i)
-        assert abs(dirac_irred(irs, y_i, f, ext)) < 1e-8
-    # chi_tilde functions built as extended affine combinations
+        assert abs(full[irs.dim_z + i] @ grad_f) < 1e-8
+    # every chi_tilde commutes with f, through its extended gradient
     gt = irs.chi_tilde_gradients(ext)
     for col in range(irs.n_tilde):
-        chi_t = affine(gt[:, col])
-        assert abs(dirac_irred(irs, chi_t, f, ext)) < 1e-8
+        assert abs(gt[:, col] @ full @ grad_f) < 1e-8
 
 
 def test_scalar_bracket_consistency(toy_irr):
     cs, at, irs = toy_irr
     ext = irs.join(at, np.zeros(irs.dim_y))
-    q2 = coordinate(cs.spec.dim, 1)
-    p2 = coordinate(cs.spec.dim, 3)
     full = fundamental_matrix_irred(irs, ext)
-    assert dirac_irred(irs, q2, p2, ext) == pytest.approx(full[1, 3])
+    # the free pair (q2, p2) keeps its canonical bracket
+    assert full[1, 3] == pytest.approx(1.0)
     rng = np.random.default_rng(5)
     s = rng.standard_normal((4, 4))
     f = quadratic(s + s.T, rng.standard_normal(4))
     g = quadratic(np.eye(4), rng.standard_normal(4))
-    expected = float(
-        f.gradient(at) @ full[:4, :4] @ g.gradient(at)
-    )
-    assert dirac_irred(irs, f, g, ext) == pytest.approx(expected, abs=1e-10)
+    # a scalar bracket is grad f @ F @ grad g; the textbook formula on
+    # the extended space, through the Poisson brackets of f and g with
+    # chi_tilde and c_delta_inv, must give the same number
+    pad = np.zeros(irs.dim_y)
+    gf = np.concatenate([f.gradient(at), pad])
+    gg = np.concatenate([g.gradient(at), pad])
+    j = irs.extended_poisson()
+    gt = irs.chi_tilde_gradients(ext)
+    expected = poisson_bracket(f, g, at, cs.spec) - (gf @ j @ gt) @ (
+        irs.c_delta_inv @ (gt.T @ j @ gg))
+    assert gf @ full @ gg == pytest.approx(expected, abs=1e-10)
 
 
 def test_congruence_choice_preserves_bracket():
@@ -215,8 +220,6 @@ def test_curved_order2_valid_only_at_build_point():
     for evaluate in (fundamental_matrix_irred, intermediate_bracket_matrix):
         with pytest.raises(BuildPointError):
             evaluate(irs, other)
-    with pytest.raises(BuildPointError):
-        dirac_irred(irs, coordinate(nz, 1), coordinate(nz, 3), other)
     with pytest.raises(BuildPointError):
         equivalence_report(cs, irs, n_points=2, seed=3)
     h = quadratic(np.diag([0.0, 1.0, 0.0, 1.0]))

@@ -507,6 +507,15 @@ def test_package_exports():
         assert gone not in diracred.__all__
         assert not hasattr(diracred, gone)
         assert not hasattr(tf, gone)
+    # the order-1 lift and the scalar-bracket wrappers are gone: an
+    # order-1 system runs through the second-order engine, and a scalar
+    # bracket is grad f @ F @ grad g
+    for gone in ("FirstOrderLift", "irreducible_lift_1", "dirac1", "dirac2",
+                 "dirac_oracle", "dirac_irred"):
+        assert gone not in diracred.__all__
+        assert not hasattr(diracred, gone)
+    for gone in ("FirstOrderLift", "irreducible_lift_1"):
+        assert not hasattr(diracred.first_order, gone)
 
 
 def _block_alone(sys, g):
