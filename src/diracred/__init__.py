@@ -61,6 +61,7 @@ from .irreducible import (
     build_irreducible,
     eom_step,
     equivalence_report,
+    evolve,
     fundamental_matrix_irred,
     intermediate_bracket_matrix,
 )
@@ -130,6 +131,7 @@ __all__ = [
     "build_irreducible",
     "eom_step",
     "equivalence_report",
+    "evolve",
     "fundamental_matrix_irred",
     "intermediate_bracket_matrix",
     "DegenerateSystemError",

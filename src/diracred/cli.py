@@ -207,9 +207,8 @@ def _cmd_evolve(args) -> int:
     z0 = con.sample_surface(cs, args.seed, 1, tol)[0]
     art = so.full_artifacts(cs, z0, tol)
     irs = irr.build_irreducible(cs, art, tol=tol)
-    state = irs.join(z0, np.zeros(irs.dim_y))
-    for _ in range(args.steps):
-        state = irr.eom_step(irs, h, state, args.dt)
+    state = irr.evolve(irs, h, irs.join(z0, np.zeros(irs.dim_y)),
+                       args.dt, args.steps)
     z, y = irs.split(state)
     drift = cs.surface_residual(z)
     print("final state:")

@@ -20,7 +20,9 @@ BuildPointError.
 Built on a stack of systems (ConstraintSet.linear), the assembly, the
 extended constraints and the irreducible fundamental matrix broadcast
 over its leading axis; the intermediate system, recovery and evolution
-take one system.
+take one system.  On a constant base, evolve forms the RK4 map of an
+affine or quadratic Hamiltonian once and takes each step as one
+matrix-vector product; eom_step takes one step of any Hamiltonian.
 """
 
 from __future__ import annotations
@@ -390,6 +392,19 @@ def equivalence_report(
     return rep
 
 
+def _require_dt(dt: float) -> None:
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise InvalidInputError(f"dt must be finite and positive, got {dt}")
+
+
+def _require_constant_base(sys: IrreducibleSystem, caller: str) -> None:
+    if not sys.base.is_constant:
+        raise BuildPointError(
+            f"{caller} needs a constant base: the bracket kernel of a "
+            "non-constant base holds only at its build point"
+        )
+
+
 def eom_step(
     sys: IrreducibleSystem,
     h: PhaseFunction,
@@ -402,15 +417,12 @@ def eom_step(
     matrix, is built once per system and is the same at every point of
     a constant base, so each stage is one matrix-vector product with
     grad h.  A non-constant base raises BuildPointError: its kernel
-    holds only at the build point, which the stages leave.
+    holds only at the build point, which the stages leave.  For a
+    trajectory of an affine or quadratic h, evolve forms the map of a
+    whole step once; eom_step is the path for an opaque h.
     """
-    if dt <= 0.0:
-        raise InvalidInputError("dt must be positive")
-    if not sys.base.is_constant:
-        raise BuildPointError(
-            "eom_step needs a constant base: the bracket kernel of a "
-            "non-constant base holds only at its build point"
-        )
+    _require_dt(dt)
+    _require_constant_base(sys, "eom_step")
     z, y = sys.split(at)
     kernel = sys._irred_kernel[:sys.dim_z, :sys.dim_z]
 
@@ -423,3 +435,54 @@ def eom_step(
     k4 = velocity(z + dt * k3)
     z_new = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return sys.join(z_new, y)
+
+
+def evolve(
+    sys: IrreducibleSystem,
+    h: PhaseFunction,
+    at: np.ndarray,
+    dt: float,
+    steps: int,
+) -> np.ndarray:
+    """``steps`` RK4 steps of z' = [z, h]* with y held fixed, the same
+    steps as eom_step, for an affine or quadratic h.
+
+    With kernel K, z' = K (Q z + b) is affine, and RK4 maps it exactly to
+    z -> S z + r with A = dt K Q, phi = I + A/2 (I + A/3 (I + A/4)),
+    S = I + A phi (the RK4 stability polynomial) and r = dt phi K b.  S
+    and r are formed once, so each step is one matrix-vector product,
+    z += (S - I) z + r.
+    dt, steps, the base and the state are checked once, before any
+    step: a dt that is not finite and positive or a negative step count
+    raises InvalidInputError, as does an opaque h (use eom_step); a
+    non-constant base raises BuildPointError.  A trajectory that
+    overflows raises InvalidInputError, as eom_step's next step would.
+    """
+    _require_dt(dt)
+    if steps < 0:
+        raise InvalidInputError(f"steps must be >= 0, got {steps}")
+    _require_constant_base(sys, "evolve")
+    z, y = sys.split(at)
+    n = sys.dim_z
+    if h.kind == "opaque":
+        raise InvalidInputError(
+            "evolve needs an affine or quadratic h; step an opaque h "
+            "with eom_step"
+        )
+    if h.dim != n:
+        raise InvalidInputError(
+            f"h has dimension {h.dim}, the phase space {n}"
+        )
+    kernel = sys._irred_kernel[:n, :n]
+    eye = np.eye(n)
+    a = dt * (kernel @ h.q) if h.kind == "quadratic" else np.zeros((n, n))
+    phi = eye + a / 2.0 @ (eye + a / 3.0 @ (eye + a / 4.0))
+    # S - I: adding the increment to z, as eom_step does, keeps the
+    # rounding of each step at the increment's size, not at |z|'s, so
+    # the constraint drift stays that of eom_step
+    s_minus_eye = a @ phi
+    r = dt * (phi @ (kernel @ h.b))
+    z = z.copy()
+    for _ in range(steps):
+        z += s_minus_eye @ z + r
+    return sys.join(check_finite(z, "evolved state"), y)

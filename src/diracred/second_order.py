@@ -18,8 +18,8 @@ second-level reducibility directions:
 An order-1 system runs through the same construction with M2 = 0 (its
 z2_at is M1 x 0): d11 = I, abar01 is a left inverse of Z1, d00 is the
 projector complementary to Z1 and mu2 = m2 + Z1 omega_up Z1^T.  The
-omega pair needs even M1 and M2; otherwise symplectic_block raises
-InvalidInputError.
+omega pair needs even M1 and M2; omega_tilde_pair raises
+InvalidInputError naming an odd one.
 """
 
 from __future__ import annotations
@@ -172,13 +172,21 @@ def omega_tilde_pair(
     integer ``seed`` a random antisymmetric matrix drawn from it, on the
     systems of a stack that the mask ``where`` selects (all by default).
 
-    A system whose seed loses rank on the range of d11, or whose pair is
-    not invertible, raises SeedRankError marking it; its identities are
-    not required then, so that the error names every such system of a
-    stack at once.
+    An odd M1 or M2 admits no pair and raises InvalidInputError naming
+    it.  A system whose seed loses rank on the range of d11, or whose
+    pair is not invertible, raises SeedRankError marking it; its
+    identities are not required then, so that the error names every such
+    system of a stack at once.
     """
     m1 = art.d11.shape[-1]
     m2 = art.a12.shape[-1]
+    for name, m in (("M1", m1), ("M2", m2)):
+        if m % 2:
+            raise InvalidInputError(
+                f"{name} = {m}: the omega pair needs an invertible "
+                f"antisymmetric {name} x {name} seed, and none exists in "
+                f"odd dimension {m}"
+            )
     seed_low = symplectic_block(m1)
     if seed is not None:
         s = np.random.default_rng(seed).standard_normal((m1, m1))

@@ -251,6 +251,17 @@ def test_evolve_toy(toy_file, capsys):
     rc = main(["evolve", toy_file, "--h", "0.5*q9^2",
                "--steps", "1", "--dt", "0.01"])
     assert rc == 2
+    capsys.readouterr()
+    # a bad step count or step size is refused whatever the other one is
+    for steps, dt, message in (("0", "-1", "dt must be finite and positive"),
+                               ("3", "nan", "dt must be finite and positive"),
+                               ("-5", "0.01", "steps must be >= 0")):
+        rc = main(["evolve", toy_file, "--h", "0.5*q2^2",
+                   "--steps", steps, "--dt", dt])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "final state" not in captured.out
 
 
 def test_evolve_order_one(doubled_file, tmp_path, capsys):
@@ -272,11 +283,17 @@ def test_evolve_order_one(doubled_file, tmp_path, capsys):
         k4 = kernel @ h @ (state + 0.01 * k3)
         state = state + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert np.abs(z - state).max() <= 1e-9
-    # M1 = 1 admits no omega pair, so no irreducible system to evolve
-    dup = tmp_path / "dup.json"
+    # M1 = 1 admits no omega pair, so no irreducible system to evolve and
+    # no invertible or irreducible bracket; the error names M1
+    dup = str(tmp_path / "dup.json")
     save_system(duplicated_pair_system(), dup)
-    assert main(["evolve", str(dup), "--h", "0.5*q2^2", "--steps", "1",
-                 "--dt", "0.01"]) == 2
+    for argv in (["evolve", dup, "--h", "0.5*q2^2", "--steps", "1",
+                  "--dt", "0.01"],
+                 ["bracket", dup, "--method", "invertible"],
+                 ["bracket", dup, "--method", "irreducible"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "M1 = 1" in err and "omega pair" in err
 
 
 THREEFORM_ENGINE_CHECKS = [

@@ -21,12 +21,18 @@ from diracred.irreducible import (
     build_irreducible,
     eom_step,
     equivalence_report,
+    evolve,
     fundamental_matrix_irred,
     intermediate_bracket_matrix,
 )
-from diracred.numerics import DEFAULT_TOL, NoSolutionError, rank_tol
+from diracred.numerics import (
+    DEFAULT_TOL,
+    InvalidInputError,
+    NoSolutionError,
+    rank_tol,
+)
 from diracred.oracle import fundamental_matrix_oracle
-from diracred.phase import opaque, poisson_bracket, quadratic
+from diracred.phase import affine, opaque, poisson_bracket, quadratic
 from diracred.second_order import full_artifacts
 
 
@@ -223,8 +229,10 @@ def test_curved_order2_valid_only_at_build_point():
     with pytest.raises(BuildPointError):
         equivalence_report(cs, irs, n_points=2, seed=3)
     h = quadratic(np.diag([0.0, 1.0, 0.0, 1.0]))
-    with pytest.raises(BuildPointError):
-        eom_step(irs, h, irs.build_point, 0.01)
+    for step in (lambda state: eom_step(irs, h, state, 0.01),
+                 lambda state: evolve(irs, h, state, 0.01, 3)):
+        with pytest.raises(BuildPointError):
+            step(irs.build_point)
     # rebuilt at the second point, the system is right there
     irs1 = build_irreducible(cs, full_artifacts(cs, pts[1]))
     f1 = fundamental_matrix_irred(irs1, other)[:nz, :nz]
@@ -405,3 +413,63 @@ def test_equivalence_report_checks_every_point_on_the_surface(monkeypatch):
                         lambda cs, seed, count, tol: moved[:count])
     with pytest.raises(OffSurfaceError):
         equivalence_report(cs, irs, n_points=20, seed=0)
+
+
+@given(synth_shapes(), st.integers(0, 4), st.integers(0, 10_000),
+       st.floats(1e-4, 5e-2), st.integers(0, 200))
+def test_evolve_matches_eom_step(shape, extra_pairs, seed, dt, steps):
+    n_pairs, m0, m1, m2 = shape
+    cs = synth_linear(n_pairs + extra_pairs, m0, m1, m2, seed=seed)
+    at = sample_surface(cs, seed=seed, count=1)[0]
+    irs = build_irreducible(cs, full_artifacts(cs, at))
+    n = irs.dim_z
+    assert n <= 24
+    rng = np.random.default_rng(seed)
+    # eigenvalues of Q within about [-2, 2], so 200 steps stay finite
+    s = rng.standard_normal((n, n)) / np.sqrt(n)
+    h = quadratic(s + s.T, rng.standard_normal(n))
+    start = irs.join(at, rng.standard_normal(irs.dim_y))
+    ref = start
+    for _ in range(steps):
+        ref = eom_step(irs, h, ref, dt)
+    kept = start.copy()
+    got = evolve(irs, h, start, dt, steps)
+    assert np.array_equal(start, kept)
+    assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+    assert np.array_equal(got[n:], start[n:])
+    assert np.array_equal(evolve(irs, h, start, dt, 0), start)
+
+
+def test_evolve_affine_h_drifts_linearly():
+    cs = synth_linear(10, 12, 8, 2, seed=7)
+    at = sample_surface(cs, seed=0, count=1)[0]
+    irs = build_irreducible(cs, full_artifacts(cs, at))
+    n = irs.dim_z
+    b = np.random.default_rng(3).standard_normal(n)
+    start = irs.join(at, np.full(irs.dim_y, 0.5))
+    got = evolve(irs, affine(b), start, 0.01, 150)
+    kernel = fundamental_matrix_irred(irs, irs.build_point)[:n, :n]
+    expected = at + 150 * 0.01 * (kernel @ b)
+    assert np.abs(got[:n] - expected).max() <= 1e-12 * (
+        1.0 + np.abs(expected).max())
+    assert np.array_equal(got[n:], start[n:])
+
+
+def test_evolve_refuses_bad_input(toy_irr):
+    cs, at, irs = toy_irr
+    n = irs.dim_z
+    start = irs.join(at, np.zeros(irs.dim_y))
+    h = quadratic(np.eye(n))
+    with pytest.raises(InvalidInputError, match="eom_step"):
+        evolve(irs, opaque(lambda z: float(z @ z), n), start, 0.01, 3)
+    with pytest.raises(InvalidInputError, match="dimension"):
+        evolve(irs, quadratic(np.eye(n + 2)), start, 0.01, 3)
+    for dt, steps in ((0.0, 3), (-1.0, 0), (np.nan, 3), (np.inf, 3),
+                      (0.01, -1)):
+        with pytest.raises(InvalidInputError):
+            evolve(irs, h, start, dt, steps)
+    for dt in (0.0, np.nan):
+        with pytest.raises(InvalidInputError):
+            eom_step(irs, h, start, dt)
+    with pytest.raises(InvalidInputError):
+        evolve(irs, h, start[:-1], 0.01, 3)
