@@ -75,14 +75,6 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def weak_equal(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:
-    """Scale-aware equality: residual <= weak_eq * (1 + larger norm)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = 1.0 + max(np.linalg.norm(a), np.linalg.norm(b))
-    return float(np.linalg.norm(a - b)) <= tol.weak_eq * scale
-
-
 def mt(m: np.ndarray) -> np.ndarray:
     """Transpose of each matrix of a stack."""
     return m.swapaxes(-1, -2)

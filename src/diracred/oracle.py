@@ -16,7 +16,7 @@ over the stack.  Each system of a stack gets the bracket it gets alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Union
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +24,6 @@ import scipy.linalg
 from .constraints import ConstraintSet
 from .numerics import (
     DEFAULT_TOL,
-    InvalidInputError,
     Tolerance,
     max_abs,
     mt,
@@ -53,7 +52,6 @@ def independent_subset(
     cs: ConstraintSet,
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-    order: Optional[Sequence[int]] = None,
 ) -> SubsetSelection:
     """Pick a maximal independent constraint subset at a point, or one
     per system of a stack.
@@ -61,9 +59,7 @@ def independent_subset(
     QR with column pivoting (Businger-Golub) on the gradient matrix: each
     step takes the constraint whose gradient has the largest residual
     after projecting out the span of those already chosen, ties going to
-    the earliest column.  ``order`` permutes the columns before the QR,
-    so it sets the candidate ranking (used to test invariance of the
-    bracket under subset choice); a stack shares it.  A pivot with
+    the earliest column.  A pivot with
     ``|R_kk| <= rank_rel * (1 + |grad chi_k|)`` within the expected count,
     or a rank-deficient C_AB, raises DegenerateSystemError, naming on a
     stack the first failing block.
@@ -72,20 +68,16 @@ def independent_subset(
     cs.require_on_surface(at, tol)
     target = cs.n_independent
     g = cs.gradients(at)
-    m0 = cs.m0
-    perm = np.arange(m0) if order is None else np.asarray(order)
-    if sorted(perm.tolist()) != list(range(m0)):
-        raise InvalidInputError("order must be a permutation of 0..M0-1")
 
     # one matrix per system: b indexes the stack's systems (one alone),
     # and row a of gt[b] is the gradient of chi_a
     g3 = g.reshape((-1,) + g.shape[-2:])
-    rs, pivs = zip(*(scipy.linalg.qr(m[:, perm], mode="r", pivoting=True)
+    rs, pivs = zip(*(scipy.linalg.qr(m, mode="r", pivoting=True)
                      for m in g3))
     gt = mt(g3)
     b = np.arange(len(gt))[:, None]
     pivots = np.abs(np.diagonal(np.array(rs), axis1=1, axis2=2)[:, :target])
-    picked = perm[np.array(pivs)[:, :target]]
+    picked = np.array(pivs)[:, :target]
     scales = np.linalg.norm(gt[b, picked], axis=-1)
     weak = pivots <= tol.rank_rel * (1.0 + scales)
 
@@ -115,11 +107,10 @@ def fundamental_matrix_oracle(
     cs: ConstraintSet,
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-    order: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Matrix of oracle Dirac brackets among the coordinates, one per
     system of a stack."""
-    sel = independent_subset(cs, at, tol, order)
+    sel = independent_subset(cs, at, tol)
     return dirac_matrix(cs.spec.poisson, sel.grads, sel.cab_inv)
 
 

@@ -233,13 +233,3 @@ def dirac_matrix(j: np.ndarray, g: np.ndarray, m: np.ndarray) -> np.ndarray:
     of g and m give the stack of their matrices.
     """
     return j - (j @ g) @ m @ (mt(g) @ j)
-
-
-def product_function(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
-    """f * g for affine f, g, represented exactly as a quadratic."""
-    if f.kind != "affine" or g.kind != "affine":
-        raise InvalidInputError("product_function expects affine factors")
-    q = np.outer(f.b, g.b)
-    q = q + q.T
-    b = f.c * g.b + g.c * f.b
-    return quadratic(q, b, f.c * g.c, label=f"({f.label})*({g.label})")

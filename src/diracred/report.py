@@ -13,7 +13,6 @@ construction identity names its block.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Optional
@@ -165,22 +164,6 @@ class CheckReport:
             ],
             "timings": dict(self.timings),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
-
-    @staticmethod
-    def from_dict(doc: dict) -> "CheckReport":
-        tolerances = Tolerance(**doc["tolerances"])
-        rep = CheckReport(
-            system=doc["system"],
-            tolerances=tolerances,
-            seeds=dict(doc.get("seeds", {})),
-            timings=dict(doc.get("timings", {})),
-        )
-        for c in doc["checks"]:
-            rep.add(c["name"], c["residual"], c["tolerance"])
-        return rep
 
     def summary_lines(self) -> list:
         lines = [f"system: {self.system}"]

@@ -170,7 +170,7 @@ def test_lift_matches_reducible_and_oracle():
     cs = doubled_pair_system()
     pts = sample_surface(cs, seed=4, count=4)
     irs = _engine(cs, pts[0])
-    assert irs.dim_y == cs.m1 and irs.n_tilde == cs.m0
+    assert irs.dim_y == cs.m1 and irs.c_delta.shape == (cs.m0, cs.m0)
     for at in pts:
         ext = irs.join(at, np.zeros(irs.dim_y))
         lifted = fundamental_matrix_irred(irs, ext)[:4, :4]

@@ -100,7 +100,7 @@ def test_y_and_chi_tilde_are_casimirs(toy_irr):
         assert abs(full[irs.dim_z + i] @ grad_f) < 1e-8
     # every chi_tilde commutes with f, through its extended gradient
     gt = irs.chi_tilde_gradients(ext)
-    for col in range(irs.n_tilde):
+    for col in range(cs.m0 + cs.m2):
         assert abs(gt[:, col] @ full @ grad_f) < 1e-8
 
 
@@ -146,8 +146,9 @@ def test_congruence_choice_preserves_bracket():
     fa = fundamental_matrix_irred(base, ext)[:4, :4]
     fb = fundamental_matrix_irred(scaled, ext)[:4, :4]
     assert np.abs(fa - fb).max() < 1e-9
-    # eq_27qq is only recorded; the closed-form inverse it breaks is
-    # required
+    # assemble_irreducible does not record eq_27qq, which only the
+    # paper-choices route records; the closed-form inverse a bad
+    # congruence breaks is required
     with pytest.raises(NoSolutionError, match="eq_p11"):
         rng = np.random.default_rng(6)
         bad = np.eye(cs.m1) + 0.5 * rng.standard_normal((cs.m1, cs.m1))
@@ -158,7 +159,7 @@ def test_equivalence_report_passes():
     cs = synth_linear(8, 10, 6, 2, seed=4)
     at = sample_surface(cs, seed=0, count=1)[0]
     irs = build_irreducible(cs, full_artifacts(cs, at))
-    rep = equivalence_report(cs, irs, n_pairs_of_functions=5, n_points=5)
+    rep = equivalence_report(cs, irs, n_points=5)
     assert rep.passed
     for tag in ("eq_24", "eq_28", "eq_32y", "eq_32"):
         assert rep.record(tag).residual < 1e-8
@@ -282,13 +283,13 @@ def test_eom_step_constant_kernel_matches_per_stage_rebuild():
     assert np.abs(state - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
-def _per_point_report(cs, irs, n_pairs, n_points, seed):
+def _per_point_report(cs, irs, n_points, seed):
     """equivalence_report's residuals with every artifact rebuilt at each
     point, and the largest fundamental-matrix entry seen."""
     rng = np.random.default_rng(seed + 1)
     dim = cs.spec.dim
     grads = [(rng.standard_normal(dim), rng.standard_normal(dim))
-             for _ in range(n_pairs)]
+             for _ in range(irr_mod._FUNCTION_PAIRS)]
     j = cs.spec.poisson
     jext = irs.extended_poisson()
     dev = dict.fromkeys(("eq_24", "eq_28", "eq_32y", "eq_32"), 0.0)
@@ -303,13 +304,14 @@ def _per_point_report(cs, irs, n_pairs, n_points, seed):
         gchi = np.zeros((dim + irs.dim_y, cs.m0))
         gchi[:dim] = gz
         f_inter = jext - (jext @ gchi) @ art.mu2 @ (gchi.T @ jext)
-        f_inter[dim:, dim:] -= irs.omega_y_inv
+        # the y constraints: gradients I_y, bracket inverse omega_y^-1
+        f_inter[dim:, dim:] -= irs.omega_y @ irs.omega_y_inv @ irs.omega_y
+        dev["eq_32y"] = max(dev["eq_32y"], np.abs(f_irr - f_inter).max())
         f_irr, f_inter = f_irr[:dim, :dim], f_inter[:dim, :dim]
         mats = [fundamental_matrix_oracle(cs, z), f_non, f_inv, f_inter,
                 f_irr]
         dev["eq_24"] = max(dev["eq_24"], np.abs(f_non - f_inv).max())
         dev["eq_28"] = max(dev["eq_28"], np.abs(f_inter - f_inv).max())
-        dev["eq_32y"] = max(dev["eq_32y"], np.abs(f_irr - f_inter).max())
         for i, a in enumerate(mats):
             scale = max(scale, np.abs(a).max())
             for b in mats[i + 1:]:
@@ -340,13 +342,28 @@ def test_equivalence_report_matches_per_point_rebuild(shape, seed, pseed):
     planted = replace(irs, c_delta_inv=irs.c_delta_inv + 1e-6 * (
         rng.standard_normal(irs.c_delta_inv.shape)))
     for sys in (irs, planted):
-        rep = equivalence_report(cs, sys, n_pairs_of_functions=4,
-                                 n_points=4, seed=pseed)
-        ref, scale = _per_point_report(cs, sys, 4, 4, pseed)
+        rep = equivalence_report(cs, sys, n_points=4, seed=pseed)
+        ref, scale = _per_point_report(cs, sys, 4, pseed)
         for name, value in ref.items():
             assert (abs(rep.record(name).residual - value)
                     <= 1e-12 * (1 + scale)), name
     assert ref["eq_32"] > 1e-7
+
+
+def test_eq_32y_reads_the_y_rows():
+    cs = synth_linear(10, 12, 8, 2, seed=7)
+    art = full_artifacts(cs, sample_surface(cs, seed=0, count=1)[0])
+    clean = equivalence_report(cs, build_irreducible(cs, art))
+    irs = build_irreducible(cs, art)
+    kernel = irs._irred_kernel.copy()
+    dim = cs.spec.dim
+    # an error in the zy block only, where no z-block record looks
+    kernel[:dim, dim:] += 1e-6 * np.abs(kernel).max()
+    irs.__dict__["_irred_kernel"] = kernel
+    rep = equivalence_report(cs, irs)
+    assert not rep.record("eq_32y").passed
+    for name in ("eq_24", "eq_28", "eq_32"):
+        assert rep.record(name) == clean.record(name), name
 
 
 AFFINE_SYSTEMS = {

@@ -25,14 +25,14 @@ from diracred.oracle import (
 from diracred.phase import PhaseSpec, dirac_matrix
 from diracred.threeform import LatticeSpec, block_stacks
 from lattice_reference import stack_threeform
+from test_oracle import permuted
 
 
-def one_system_oracle(cs, at, order=None):
+def one_system_oracle(cs, at):
     """The reference: the oracle's formula for one system, step by step."""
     g = cs.gradients(at)
-    perm = np.arange(cs.m0) if order is None else np.asarray(order)
-    _, piv = scipy.linalg.qr(g[:, perm], mode="r", pivoting=True)
-    indices = tuple(sorted(perm[piv[:cs.n_independent]].tolist()))
+    _, piv = scipy.linalg.qr(g, mode="r", pivoting=True)
+    indices = tuple(sorted(piv[:cs.n_independent].tolist()))
     sub = g[:, indices]
     cab_inv, _ = pinv_rank(sub.T @ cs.spec.poisson @ sub, DEFAULT_TOL)
     return dirac_matrix(cs.spec.poisson, sub, cab_inv)
@@ -59,9 +59,9 @@ def _reference_cases():
 @pytest.mark.parametrize("cs,at", _reference_cases())
 def test_one_system_oracle_is_its_formula(cs, at):
     rng = np.random.default_rng(cs.m0)
-    for order in (None, rng.permutation(cs.m0)):
-        assert np.array_equal(fundamental_matrix_oracle(cs, at, order=order),
-                              one_system_oracle(cs, at, order))
+    for system in (cs, permuted(cs, rng.permutation(cs.m0))):
+        assert np.array_equal(fundamental_matrix_oracle(system, at),
+                              one_system_oracle(system, at))
 
 
 def stack_of(systems, name="stack"):
@@ -77,7 +77,7 @@ def stack_of(systems, name="stack"):
 @st.composite
 def synth_stacks(draw):
     """A stack of synth_linear systems of one shape, a point per system
-    and one column order shared by the stack."""
+    and one constraint order shared by the stack."""
     m2 = draw(st.sampled_from([2, 4]))
     m1 = m2 + 2 * draw(st.integers(1, 2))
     n_ind = 2 * draw(st.integers(m2 // 2, 4))
@@ -94,16 +94,15 @@ def synth_stacks(draw):
 @given(synth_stacks())
 def test_stack_gives_each_block_its_oracle(case):
     stack, at, order = case
-    for shared in (None, order):
-        sel = independent_subset(stack, at, order=shared)
-        f = fundamental_matrix_oracle(stack, at, order=shared)
+    for ranked in (stack, permuted(stack, order)):
+        sel = independent_subset(ranked, at)
+        f = fundamental_matrix_oracle(ranked, at)
         for i in range(stack.batch[0]):
-            one, at_i = stack.block((i,)), at[i]
-            sel1 = independent_subset(one, at_i, order=shared)
+            one, at_i = ranked.block((i,)), at[i]
+            sel1 = independent_subset(one, at_i)
             assert np.array_equal(sel.indices[i], sel1.indices)
             assert np.array_equal(sel.cab_inv[i], sel1.cab_inv)
-            assert np.array_equal(
-                f[i], fundamental_matrix_oracle(one, at_i, order=shared))
+            assert np.array_equal(f[i], fundamental_matrix_oracle(one, at_i))
     rng = np.random.default_rng(stack.m0)
     other = f + 1e-9 * rng.standard_normal(f.shape)
     devs = compare_fundamental(stack, {"other": other}, at)

@@ -10,7 +10,6 @@ from diracred.phase import (
     gradient_fd,
     opaque,
     poisson_bracket,
-    product_function,
     quadratic,
 )
 
@@ -74,17 +73,6 @@ def test_canonical_brackets():
     assert poisson_bracket(q1, p1, z, spec) == pytest.approx(1.0)
     assert poisson_bracket(p1, q1, z, spec) == pytest.approx(-1.0)
     assert poisson_bracket(q1, q2, z, spec) == pytest.approx(0.0)
-
-
-def test_product_function_exact():
-    f = affine([1.0, 0.0], c=2.0)
-    g = affine([0.0, 3.0], c=-1.0)
-    prod = product_function(f, g)
-    z = np.array([1.5, -0.5])
-    assert prod(z) == pytest.approx(f(z) * g(z))
-    h = 1e-6
-    num = (f(z + [h, 0]) * g(z + [h, 0]) - f(z - [h, 0]) * g(z - [h, 0]))
-    assert prod.gradient(z)[0] == pytest.approx(num / (2 * h), rel=1e-6)
 
 
 def test_dimension_mismatch_rejected():

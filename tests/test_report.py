@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -28,16 +27,6 @@ def test_duplicate_names_rejected():
     rep = make_report()
     with pytest.raises(InvalidInputError):
         rep.add("eq_21q", 0.0, 1e-8)
-
-
-def test_serialization_round_trip():
-    rep = make_report()
-    doc = json.loads(rep.to_json())
-    back = CheckReport.from_dict(doc)
-    assert back.to_dict() == rep.to_dict()
-    assert back.system == "demo"
-    assert back.seeds == {"points": 3}
-    assert back.record("eq_32").residual == 2e-9
 
 
 def test_merge_combines_and_guards():
