@@ -8,7 +8,8 @@ pivoting on the constraint gradients, deterministic.
 A stack of systems (``ConstraintSet.linear`` with a leading axis, the
 Fourier blocks of a lattice) is taken in one call, with one point per
 system.  Pivoted QR has no stacked LAPACK form, so it alone runs matrix
-by matrix, a single system taking exactly one call; the pivot test, the
+by matrix, one direct LAPACK geqp3 call each, a single system taking
+exactly one; the pivot test, the
 gathered subsets, C_AB, its pseudoinverse and the bracket each run once
 over the stack.  Each system of a stack gets the bracket it gets alone.
 """
@@ -48,6 +49,30 @@ class SubsetSelection:
     cab_inv: np.ndarray
 
 
+def pivoted_qr(mats: np.ndarray) -> tuple:
+    """R and the column order of QR with column pivoting, for each matrix
+    of a stack (G x m x n): the R and pivots that
+    ``scipy.linalg.qr(mode="r", pivoting=True)`` gives, from the same
+    LAPACK geqp3 with the same workspace, which is sized once for the
+    stack rather than once per matrix."""
+    # LAPACK takes no empty matrix: give what scipy gives without it
+    if mats.size == 0:
+        return (np.zeros(mats.shape),
+                np.tile(np.arange(mats.shape[-1], dtype=np.int32),
+                        (len(mats), 1)))
+    geqp3, = scipy.linalg.get_lapack_funcs(("geqp3",), (mats,))
+    lwork = int(geqp3(mats[0], lwork=-1)[3][0])
+    qrs, pivs = [], []
+    for m in mats:
+        qr, jpvt, _, _, info = geqp3(m, lwork=lwork)
+        if info != 0:
+            raise ValueError(f"LAPACK geqp3 failed with info {info}")
+        qrs.append(qr)
+        pivs.append(jpvt)
+    # LAPACK counts columns from 1
+    return np.triu(np.array(qrs)), np.array(pivs) - 1
+
+
 def independent_subset(
     cs: ConstraintSet,
     at: np.ndarray,
@@ -72,12 +97,11 @@ def independent_subset(
     # one matrix per system: b indexes the stack's systems (one alone),
     # and row a of gt[b] is the gradient of chi_a
     g3 = g.reshape((-1,) + g.shape[-2:])
-    rs, pivs = zip(*(scipy.linalg.qr(m, mode="r", pivoting=True)
-                     for m in g3))
+    rs, pivs = pivoted_qr(g3)
     gt = mt(g3)
     b = np.arange(len(gt))[:, None]
-    pivots = np.abs(np.diagonal(np.array(rs), axis1=1, axis2=2)[:, :target])
-    picked = np.array(pivs)[:, :target]
+    pivots = np.abs(np.diagonal(rs, axis1=1, axis2=2)[:, :target])
+    picked = pivs[:, :target]
     scales = np.linalg.norm(gt[b, picked], axis=-1)
     weak = pivots <= tol.rank_rel * (1.0 + scales)
 

@@ -9,7 +9,7 @@ differences otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,16 +49,19 @@ class PhaseSpec:
         dim = 2 * self.n_pairs
         j = self.poisson
         if j is None:
+            # antisymmetric and orthogonal, so invertible by construction
             j = canonical_poisson(self.n_pairs)
-        j = check_finite(j, "poisson")
-        if j.shape != (dim, dim):
-            raise InvalidInputError(
-                f"poisson matrix must be {dim}x{dim}, got {j.shape}"
-            )
-        if not is_antisymmetric(j):
-            raise InvalidInputError("poisson matrix must be antisymmetric")
-        if rank_tol(j) != dim:
-            raise InvalidInputError("poisson matrix must be invertible")
+        else:
+            j = check_finite(j, "poisson")
+            if j.shape != (dim, dim):
+                raise InvalidInputError(
+                    f"poisson matrix must be {dim}x{dim}, got {j.shape}"
+                )
+            if not is_antisymmetric(j):
+                raise InvalidInputError(
+                    "poisson matrix must be antisymmetric")
+            if rank_tol(j) != dim:
+                raise InvalidInputError("poisson matrix must be invertible")
         object.__setattr__(self, "poisson", j)
         if self.labels is not None:
             labels = tuple(self.labels)

@@ -54,6 +54,9 @@ class CheckReport:
     timings: dict = field(default_factory=dict)
     # labels of the blocks of a stack, in order; empty for one system
     blocks: tuple = ()
+    # how many of the blocks carry the residuals of another, certified
+    # block (see spread) rather than their own
+    filled: int = 0
 
     def add(self, name: str, residual, tolerance: float) -> None:
         """Record a residual, or an array of them, one per block of a
@@ -97,20 +100,45 @@ class CheckReport:
 
     def fold(self, other: "CheckReport") -> None:
         """Fold in the report of another part of the same system, such as
-        one shape group of a lattice's Fourier blocks.  Both must hold
-        the same records (names, order, tolerances); each keeps the worse
-        residual, a NaN included, and timings add up."""
+        one stack of a lattice's Fourier blocks.  Both must hold the same
+        records (names, order, tolerances); each keeps the worse
+        residual, a NaN included, the per-block residuals and the block
+        labels of both parts, in order, and timings add up."""
         if self.records and ([(r.name, r.tolerance) for r in self.records]
                              != [(r.name, r.tolerance)
                                  for r in other.records]):
             raise InvalidInputError(
                 f"reports disagree on their checks: {other.system}")
-        worse = [np.max([r.residual for r in pair]) for pair in
-                 zip(self.records or other.records, other.records)]
-        self.records = [CheckRecord(r.name, float(w), r.tolerance)
-                        for r, w in zip(other.records, worse)]
+        if self.records:
+            self.records = [
+                CheckRecord(r.name, float(np.max([s.residual, r.residual])),
+                            r.tolerance,
+                            None if s.per_block is None or r.per_block is None
+                            else np.concatenate([s.per_block, r.per_block]))
+                for s, r in zip(self.records, other.records)]
+        else:
+            self.records = list(other.records)
+        self.blocks += other.blocks
         for key, value in other.timings.items():
             self.timings[key] = self.timings.get(key, 0.0) + value
+
+    def spread(self, blocks: tuple, source) -> None:
+        """Carry the report of the certified blocks, its ``blocks``, to
+        all of ``blocks``: block i takes the per-block residuals of
+        certified block source[i], and ``filled`` counts the blocks that
+        are not certified ones.  Each certified block must be the source
+        of some block, so that every worst residual stays."""
+        source = np.asarray(source)
+        if len(source) != len(blocks) or set(source.tolist()) != set(
+                range(len(self.blocks))):
+            raise InvalidInputError(
+                "every block needs one source, and every certified block "
+                "must be one")
+        self.records = [r if r.per_block is None else
+                        dataclasses.replace(r, per_block=r.per_block[source])
+                        for r in self.records]
+        self.filled = len(blocks) - len(self.blocks)
+        self.blocks = tuple(blocks)
 
     def with_stage(self, stage: "CheckReport") -> "CheckReport":
         """A copy of this report with a stage's records added.  A record
@@ -153,6 +181,9 @@ class CheckReport:
                 "surface": self.tolerances.surface,
             },
             "seeds": dict(self.seeds),
+            **({"blocks": {"total": len(self.blocks),
+                           "certified": len(self.blocks) - self.filled}}
+               if self.blocks else {}),
             "checks": [
                 {
                     "name": r.name,
@@ -167,6 +198,9 @@ class CheckReport:
 
     def summary_lines(self) -> list:
         lines = [f"system: {self.system}"]
+        if self.blocks:
+            lines.append(f"blocks: {len(self.blocks)} total, "
+                         f"{len(self.blocks) - self.filled} certified")
         for r in self.records:
             verdict = "pass" if r.passed else "FAIL"
             lines.append(

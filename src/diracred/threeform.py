@@ -14,9 +14,11 @@ Fields are expanded in a real Fourier basis of the zero-mean functions.
 Every derivative is circulant, so each pair of opposite wavevectors
 {k, -k} spans a block that no operator leaves, on which derivative i
 acts as the closed-form symbol of the 1-d derivative at k_i.
-build_threeform assembles the system from the derivative symbols;
-certify_lattice stacks the blocks of one shape on a leading axis and
-runs every stage once per stack.
+build_threeform assembles the system from the derivative symbols.
+Permuting the axes carries a block onto another up to a signed
+relabelling; certify_lattice checks exactly that every block is such an
+image of its orbit's first block, stacks those representatives by shape
+on a leading axis and runs every stage once per stack.
 
 Operator conventions: del_i is the forward difference ell_i; del^i is
 u_i = -ell_i^T (the adjoint rule that replaces integration by parts on
@@ -130,6 +132,10 @@ def _symbols(lat: LatticeSpec) -> np.ndarray:
         lam = e[1] - 1.0
     else:
         lam = 2j * np.pi * np.fft.fftfreq(L)
+    # the symbol at -k is the conjugate of the one at k; making it so
+    # exactly makes the blocks of k and -k exact relabellings of each
+    # other, which certify_lattice's orbit maps rely on
+    lam = 0.5 * (lam + np.conj(lam[-x % L]))
     err = max(np.abs(_derivative_1d(lat) @ e - e * lam).max(),
               np.abs(e.conj().T @ e / L - np.eye(L)).max())
     if err > _BLOCK_TOL:
@@ -139,35 +145,76 @@ def _symbols(lat: LatticeSpec) -> np.ndarray:
     return lam
 
 
-def _self_conjugate(lat: LatticeSpec, k: tuple) -> bool:
-    """Whether k = -k, which makes its block one cosine (even L)."""
-    return all(2 * ki % lat.L == 0 for ki in k)
+def _self_conjugate(lat: LatticeSpec, ks) -> np.ndarray:
+    """Whether each wavevector of ks is its own negative, k = -k, which
+    makes its block one cosine (even L)."""
+    return np.all(2 * np.reshape(ks, (-1, lat.d)) % lat.L == 0, axis=1)
 
 
 def _orbits(lat: LatticeSpec) -> list:
     """The first wavevector, in lexicographic order, of every {k, -k}
     orbit of nonzero wavevectors: one per Fourier block, together
     spanning the n - 1 zero-mean functions."""
-    seen = set()
-    out = []
-    for k in itertools.product(range(lat.L), repeat=lat.d):
-        if k in seen or not any(k):
-            continue
-        seen.update((k, tuple(-ki % lat.L for ki in k)))
-        out.append(k)
-    return out
+    shape = (lat.L,) * lat.d
+    k = np.indices(shape).reshape(lat.d, -1)
+    # lexicographic order is the order of the flat index
+    flat = np.arange(k.shape[1])
+    first = flat <= np.ravel_multi_index(-k % lat.L, shape)
+    return list(map(tuple, k[:, first & (flat > 0)].T.tolist()))
+
+
+def _stacks(lat: LatticeSpec, ks) -> list:
+    """The wavevectors ks, in their order, in stacks of one block shape:
+    the {k, -k} pairs (m_g = 2), then the self-conjugate k = -k
+    (m_g = 1), each cut into stacks of at most _STACK_BLOCKS."""
+    conj = _self_conjugate(lat, ks).tolist()
+    groups = [[k for k, c in zip(ks, conj) if c == flag]
+              for flag in (False, True)]
+    return [tuple(g[i:i + _STACK_BLOCKS])
+            for g in groups for i in range(0, len(g), _STACK_BLOCKS)]
 
 
 def block_stacks(lat: LatticeSpec) -> list:
-    """The wavevectors of the lattice's Fourier blocks in stacks of one
-    block shape: the {k, -k} pairs (m_g = 2), then at even L the
-    self-conjugate k = -k (m_g = 1), each cut into stacks of at most
-    _STACK_BLOCKS, in orbit order."""
-    orbits = _orbits(lat)
-    groups = [[k for k in orbits if _self_conjugate(lat, k) == conj]
-              for conj in (False, True)]
-    return [tuple(g[i:i + _STACK_BLOCKS])
-            for g in groups for i in range(0, len(g), _STACK_BLOCKS)]
+    """The wavevectors of all the lattice's Fourier blocks, in orbit
+    order, in stacks of one block shape: the {k, -k} pairs, then at even
+    L the self-conjugate k = -k, cut into stacks of at most
+    _STACK_BLOCKS.  certify_lattice builds every one of them to check
+    its orbit maps, and certifies the stacks of the representatives."""
+    return _stacks(lat, _orbits(lat))
+
+
+def axis_orbits(lat: LatticeSpec) -> tuple:
+    """The Fourier blocks grouped into orbits under permutations of the
+    axes.
+
+    Permuting the axes of k, or of -k, carries a {k, -k} block onto a
+    block of the same shape.  Returns (ks, rep, perm, conj): ks the
+    wavevectors of the blocks in block_stacks order; rep[j] the index in
+    ks of the representative of block j's orbit, its first block; and
+    the relabelling that carries the representative onto block j, under
+    which derivative i of block j is derivative perm[j, i] of the
+    representative, conjugated (k -> -k) where conj[j].  A
+    representative is its own image under the identity.
+    """
+    ks = tuple(k for stack in block_stacks(lat) for k in stack)
+    k = np.array(ks)
+    neg = -k % lat.L
+    up, down = np.sort(k, axis=1), np.sort(neg, axis=1)
+    # an orbit's key is the lesser, lexicographically, of sorted k and
+    # sorted -k
+    rows = np.arange(len(k))
+    first = np.argmax(up != down, axis=1)
+    flip = down[rows, first] < up[rows, first]
+    _, firsts, which = np.unique(np.where(flip[:, None], down, up), axis=0,
+                                 return_index=True, return_inverse=True)
+    rep = firsts[which.ravel()]
+    conj = np.any(up != up[rep], axis=1)
+    source = np.where(conj[:, None], neg[rep], k[rep])
+    # k[j, x] = source[j, perm[j, x]]: match the sorted components
+    perm = np.empty_like(k)
+    np.put_along_axis(perm, np.argsort(k, axis=1, kind="stable"),
+                      np.argsort(source, axis=1, kind="stable"), axis=1)
+    return ks, rep, perm, conj
 
 
 def _symbol_blocks(lat: LatticeSpec, ks: tuple) -> tuple:
@@ -176,14 +223,15 @@ def _symbol_blocks(lat: LatticeSpec, ks: tuple) -> tuple:
     real 2 x 2 form [[a, b], [-b, a]] of the eigenvalue a + i b at k_i; on
     a self-conjugate block (cos alone) it is the real eigenvalue, -2 at
     k_i = L/2 for the forward difference and 0 at k_i = 0."""
-    if not ks or not all(any(k) for k in ks):
+    k = np.reshape(ks, (-1, lat.d))
+    if not len(k) or not k.any(axis=1).all():
         raise InvalidInputError("blocks need nonzero wavevectors")
-    conj = _self_conjugate(lat, ks[0])
-    if any(_self_conjugate(lat, k) != conj for k in ks):
+    conj = _self_conjugate(lat, k)
+    if conj.any() != conj.all():
         raise InvalidInputError("a stack holds blocks of one shape")
-    lam = _symbols(lat)[np.array(ks)]  # G x d
+    lam = _symbols(lat)[k]  # G x d
     a, b = lam.real, lam.imag
-    if conj:
+    if conj[0]:
         return tuple(a[:, i, None, None] for i in range(lat.d))
     return tuple(np.stack([np.stack([a[:, i], b[:, i]], axis=-1),
                            np.stack([-b[:, i], a[:, i]], axis=-1)], axis=-2)
@@ -239,7 +287,12 @@ def build_threeform(lat: LatticeSpec, ell, blocks: tuple = ()
     m = ell[0].shape[-1]
     batch = ell[0].shape[:-2]
     u = tuple(-mt(e) for e in ell)
-    delta = sum(ui @ ei for ui, ei in zip(u, ell))
+    # summed in ascending and in descending order and averaged, so that
+    # the sum depends neither on the order of the directions nor on a
+    # common sign: a relabelling of the axes carries delta exactly as it
+    # carries the symbols
+    terms = np.sort(np.stack([ui @ ei for ui, ei in zip(u, ell)]), axis=0)
+    delta = 0.5 * (terms.sum(axis=0) + terms[::-1].sum(axis=0))
     delta_inv = np.linalg.inv(delta)
 
     d = lat.d
@@ -724,41 +777,194 @@ def paper_choices_artifacts(
     return art, irs, rep
 
 
+def _stack_system(lat: LatticeSpec, ks: tuple) -> ThreeFormSystem:
+    return build_threeform(lat, _symbol_blocks(lat, ks),
+                           tuple(f"mode k={k}" for k in ks))
+
+
+def _axis_maps(d: int, m: int, perm: np.ndarray, conj: np.ndarray) -> dict:
+    """The signed permutations that carry a block onto its image under
+    each relabelling of axis_orbits (derivative i of the image is
+    derivative perm[g, i] of the block, conjugated where conj[g]), one
+    per index space: "c" the constraints (pairs, both families), "f" the
+    fields (triples, A then pi), "1" the Z1 columns (directions, both
+    families) and "2" the Z2 columns.  Each is (index, sign), one row
+    per relabelling: entry a of the block's space is entry index[g, a]
+    of the image's, times sign[g, a].
+    """
+    to = np.argsort(perm, axis=1)  # axis i of the block is axis to[g, i]
+    # conjugation flips the sine of each (cos, sin) pair
+    mode = np.where(conj[:, None], [1.0, -1.0], 1.0)[:, :m]
+    # the Z2 columns are two families of one mode block each
+    out = {"2": (np.broadcast_to(np.arange(2 * m), (len(to), 2 * m)),
+                 np.tile(mode, 2))}
+    for space, size in (("c", 2), ("f", 3), ("1", 1)):
+        tuples = np.array(list(itertools.combinations(range(d), size)))
+        moved = to[:, tuples]  # G x tuples x size
+        # a tuple's image is its sorted axes, signed by the sorting
+        flips = sum((moved[..., i] > moved[..., j]
+                     for i, j in itertools.combinations(range(size), 2)),
+                    np.zeros(moved.shape[:-1], dtype=int))
+        lookup = np.zeros((d,) * size, dtype=int)
+        lookup[tuple(tuples.T)] = np.arange(len(tuples))
+        pos = lookup[tuple(np.moveaxis(np.sort(moved, axis=-1), -1, 0))]
+        index = ((np.arange(2)[:, None] * len(tuples) + pos[:, None, :])
+                 [..., None] * m + np.arange(m))
+        sign = ((1.0 - 2.0 * (flips % 2))[:, None, :, None]
+                * mode[:, None, None, :])
+        out[space] = (index.reshape(len(to), -1),
+                      np.broadcast_to(sign, index.shape).reshape(len(to), -1))
+    return out
+
+
+def _orbit_matrices(sys: ThreeFormSystem, paper_choices: bool) -> dict:
+    """The matrices that a stack's records are built from, the point
+    aside: B, Z1 and Z2, and with the printed choices a12, abar01, ehat
+    and its inverse, each with the index spaces (_axis_maps) of its rows
+    and columns."""
+    cs = sys.cs
+    out = {"B": (cs.affine_matrix()[0], "cf"), "Z1": (cs.z1, "c1"),
+           "Z2": (cs.z2, "12")}
+    if paper_choices:
+        ehat, ehat_inv = _paper_ehat(sys)
+        out.update(a12=(_paper_a12(sys), "12"),
+                   abar01=(_paper_abar01(sys), "1c"),
+                   ehat=(ehat, "11"), ehat_inv=(ehat_inv, "11"))
+    return out
+
+
+def _check_orbit_maps(lat: LatticeSpec, orbits: tuple, stacks: list,
+                      source: np.ndarray, paper_choices: bool) -> None:
+    """Check that every block is the exact image of its orbit
+    representative (axis_orbits), or NoSolutionError naming the first
+    block that is not.
+
+    ``stacks`` are the representatives' systems in order, and source[j]
+    is the position among them of block j's representative.  Each stack
+    of block_stacks is built as certification would build it, and each
+    of its matrices that _orbit_matrices names is compared, with no
+    tolerance, with its representative's carried by the signed
+    permutations of _axis_maps, as are the matrices that all blocks
+    share: the Poisson matrix and the engine's canonical omega seeds.
+    """
+    ks, rep, perm, conj = orbits
+    # the representatives' matrices, one array per block shape, which
+    # starts at position first[m] among them
+    reps, first, n = {}, {}, 0
+    for sys in stacks:
+        first.setdefault(sys.m, n)
+        n += len(sys.cs.blocks)
+        for name, (mat, _) in _orbit_matrices(sys, paper_choices).items():
+            reps.setdefault((sys.m, name), []).append(mat)
+    reps = {key: np.concatenate(mats) for key, mats in reps.items()}
+
+    start = 0
+    for chunk in _stacks(lat, ks):
+        blocks = np.arange(start, start + len(chunk))
+        start += len(chunk)
+        members = blocks[rep[blocks] != blocks]
+        if not members.size:
+            continue
+        sys = _stack_system(lat, chunk)
+        cs, m = sys.cs, sys.m
+        shared = {"poisson": (cs.spec.poisson, "ff"),
+                  "omega seed": (symplectic_block(cs.m1), "11"),
+                  "Z2 seed": (symplectic_block(cs.m2), "22")}
+        # the shared matrices need each distinct relabelling once
+        _, one, which = np.unique(
+            np.column_stack([perm[members], conj[members]]), axis=0,
+            return_index=True, return_inverse=True)
+        dev = np.zeros(len(members))
+        for mats, group, sel in (
+                (_orbit_matrices(sys, paper_choices), members, slice(None)),
+                (shared, members[one], which.ravel())):
+            spaces = _axis_maps(lat.d, m, perm[group], conj[group])
+            for name, (mat, (rows, cols)) in mats.items():
+                (ri, rs), (ci, cs_) = spaces[rows], spaces[cols]
+                # entry (a, b) of the block is entry at[a, b] of the image
+                at = (ri[:, :, None] * mat.shape[-1]
+                      + ci[:, None, :]).reshape(len(group), -1)
+                sign = (rs[:, :, None] * cs_[:, None, :]).reshape(at.shape)
+                if mats is shared:
+                    image, want = mat.ravel()[at], mat.ravel()
+                else:
+                    image = np.take_along_axis(
+                        mat[group - blocks[0]].reshape(len(group), -1),
+                        at, axis=1)
+                    want = reps[(m, name)][source[group]
+                                           - first[m]].reshape(at.shape)
+                miss = np.abs(image - sign * want).max(axis=-1)
+                # a NaN propagates, so it counts as a mismatch
+                dev = np.maximum(dev, miss[sel])
+        for i in np.flatnonzero(dev)[:1]:
+            j = members[i]
+            raise NoSolutionError(
+                f"{_lattice_name(lat)} mode k={ks[j]}: not the exact image "
+                f"of its axis-permutation orbit representative mode "
+                f"k={ks[rep[j]]}", float(dev[i]))
+
+
 def certify_lattice(
     lat: LatticeSpec,
     tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
     paper_choices: bool = False,
 ) -> tuple:
-    """The lattice three-form's checks, one stack of Fourier blocks at a
-    time.
+    """The lattice three-form's checks, one representative per
+    axis-permutation orbit of Fourier blocks.
 
     Every lattice derivative is circulant, so each {k, -k} block is a
     constraint system of its own (M0 = 2 C(d,2) m_g, m_g = 2, or 1 for
-    k = -k), built from the closed-form symbols of the derivative.  The
-    blocks of one shape form a stack (block_stacks: one at odd L, two at
-    even L, more past _STACK_BLOCKS blocks); run_threeform_checks, and
-    with ``paper_choices`` also paper_choices_artifacts, run once per
-    stack, and each record keeps its worst residual over all blocks in
-    one report per route under the lattice's name.  The engine report's
-    seeds list the blocks whose omega pair was reseeded, by label, as
-    "omega_blocks".  A failed construction identity raises, naming the
-    first failing block of its stack.  Returns (engine report,
-    paper-choices report or None).
+    k = -k), built from the closed-form symbols of the derivative.  A
+    permutation of the axes carries a block onto another, up to a signed
+    relabelling of its pairs, triples and Z columns (axis_orbits).  Every
+    block is built and checked, with no tolerance, to be the image of its
+    orbit's representative (_check_orbit_maps) before any block is
+    certified; a block that is not raises NoSolutionError naming it.
+
+    The representatives, in stacks of one shape (at most _STACK_BLOCKS
+    each), then go through run_threeform_checks, and with
+    ``paper_choices`` also paper_choices_artifacts, once per stack.
+    Each record keeps its worst residual, in one report per route under
+    the lattice's name; its per-block residuals cover every block, each
+    block carrying its representative's.  Each report's ``blocks`` labels
+    every block, and ``filled`` counts those that are not
+    representatives.  The engine report's seeds list the blocks whose
+    omega pair was reseeded, by label, as "omega_blocks": a reseeded
+    representative lists its whole orbit.  A failed construction
+    identity raises, naming the first failing block, which is a
+    representative.  Returns (engine report, paper-choices report or
+    None).
     """
     name = _lattice_name(lat)
     engine = CheckReport(system=name, tolerances=tol, seeds={"points": seed})
     paper = (CheckReport(system=name + " [paper choices]", tolerances=tol,
                          seeds={"points": seed}) if paper_choices else None)
-    for ks in block_stacks(lat):
-        sys = build_threeform(lat, _symbol_blocks(lat, ks),
-                              tuple(f"mode k={k}" for k in ks))
-        rep = run_threeform_checks(sys, tol, seed)
-        engine.fold(rep)
-        if "omega" in rep.seeds:
+    t0 = time.perf_counter()
+    orbits = axis_orbits(lat)
+    ks, rep = orbits[:2]
+    certified = np.flatnonzero(rep == np.arange(len(ks)))
+    source = np.searchsorted(certified, rep)
+    stacks = [_stack_system(lat, s)
+              for s in _stacks(lat, [ks[i] for i in certified])]
+    _check_orbit_maps(lat, orbits, stacks, source, paper_choices)
+    engine.timings["orbit_maps"] = time.perf_counter() - t0
+
+    reseeded = set()
+    for sys in stacks:
+        part = run_threeform_checks(sys, tol, seed)
+        engine.fold(part)
+        if "omega" in part.seeds:
             engine.seeds["omega"] = seed
-            engine.seeds.setdefault("omega_blocks", []).extend(
-                rep.blocks[i] for i in rep.seeds["omega_blocks"])
+            reseeded.update(part.blocks[i]
+                            for i in part.seeds["omega_blocks"])
         if paper is not None:
-            paper.fold(paper_choices_artifacts(sys, tol, engine=rep)[2])
+            paper.fold(paper_choices_artifacts(sys, tol, engine=part)[2])
+    labels = tuple(f"mode k={k}" for k in ks)
+    for report in (engine, paper):
+        if report is not None:
+            report.spread(labels, source)
+    if reseeded:
+        engine.seeds["omega_blocks"] = [
+            label for label, r in zip(labels, rep) if labels[r] in reseeded]
     return engine, paper

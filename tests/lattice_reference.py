@@ -11,7 +11,8 @@ assembled from every block at once.
 import numpy as np
 
 import diracred.threeform as tf
-from diracred.numerics import NoSolutionError
+from diracred.numerics import DEFAULT_TOL, NoSolutionError
+from diracred.report import CheckReport
 
 
 def fourier_bases(lat):
@@ -25,7 +26,7 @@ def fourier_bases(lat):
     for k in tf._orbits(lat):
         # reduce k.x mod L before scaling so every phase is exact
         phase = (2.0 * np.pi / L) * ((np.array(k) @ x) % L)
-        if tf._self_conjugate(lat, k):
+        if tf._self_conjugate(lat, k)[0]:
             bases[k] = np.cos(phase)[:, None] / np.sqrt(n)
         else:
             bases[k] = np.sqrt(2.0 / n) * np.stack(
@@ -84,5 +85,26 @@ def dense_threeform(lat):
 
 def stack_threeform(lat, ks):
     """The stack of the blocks of ks as certify_lattice builds it."""
-    return tf.build_threeform(lat, tf._symbol_blocks(lat, ks),
-                              tuple(f"mode k={k}" for k in ks))
+    return tf._stack_system(lat, ks)
+
+
+def certify_every_block(lat, tol=DEFAULT_TOL, seed=0, paper_choices=False):
+    """certify_lattice's reports with every Fourier block certified: each
+    stack of block_stacks goes through run_threeform_checks, and with
+    ``paper_choices`` through paper_choices_artifacts, and no block takes
+    the residuals of another.  The reference for the orbit route."""
+    name = tf._lattice_name(lat)
+    engine = CheckReport(system=name, tolerances=tol, seeds={"points": seed})
+    paper = (CheckReport(system=name + " [paper choices]", tolerances=tol,
+                         seeds={"points": seed}) if paper_choices else None)
+    for ks in tf.block_stacks(lat):
+        sys = stack_threeform(lat, ks)
+        rep = tf.run_threeform_checks(sys, tol, seed)
+        engine.fold(rep)
+        if "omega" in rep.seeds:
+            engine.seeds["omega"] = seed
+            engine.seeds.setdefault("omega_blocks", []).extend(
+                rep.blocks[i] for i in rep.seeds["omega_blocks"])
+        if paper is not None:
+            paper.fold(tf.paper_choices_artifacts(sys, tol, engine=rep)[2])
+    return engine, paper

@@ -31,7 +31,6 @@ from diracred.second_order import (
     full_artifacts,
     fundamental_matrix_2,
     mu_pair,
-    second_order_artifacts,
 )
 from diracred.threeform import LatticeSpec
 

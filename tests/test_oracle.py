@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from diracred.oracle import (
     compare_fundamental,
     fundamental_matrix_oracle,
     independent_subset,
+    pivoted_qr,
 )
 from diracred.phase import PhaseSpec, affine, coordinate
 
@@ -172,3 +174,23 @@ def test_subset_property_pivot_cutoff(system):
     strong, _ = with_scaled_pair(cs, 10.0 * rank_rel)
     sel = independent_subset(strong, at_ext)
     assert {cs.m0, cs.m0 + 1} <= set(sel.indices)
+
+
+@given(rows=st.integers(0, 9), cols=st.integers(0, 14),
+       rank=st.integers(0, 9), count=st.integers(1, 4),
+       seed=st.integers(0, 10_000))
+def test_pivoted_qr_matches_scipy(rows, cols, rank, count, seed):
+    # direct geqp3 gives scipy's R and pivots bit for bit, rank-deficient
+    # (rank below min(rows, cols)) and empty matrices and exact ties
+    # included
+    rank = min(rank, rows, cols)
+    rng = np.random.default_rng(seed)
+    mats = (rng.standard_normal((count, rows, rank))
+            @ rng.standard_normal((count, rank, cols)))
+    if cols:
+        mats[0, :, -1] = mats[0, :, 0]  # a tie for the first pivot
+    r, piv = pivoted_qr(mats)
+    for m, rm, pm in zip(mats, r, piv):
+        want_r, want_piv = scipy.linalg.qr(m, mode="r", pivoting=True)
+        assert np.array_equal(rm, want_r)
+        assert np.array_equal(pm, want_piv)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diracred import phase
 from diracred.numerics import InvalidInputError
 from diracred.phase import (
     PhaseSpec,
@@ -30,6 +31,23 @@ def test_phase_spec_rejects_bad_poisson():
         PhaseSpec(n_pairs=1, poisson=np.zeros((2, 2)))
     with pytest.raises(InvalidInputError):
         PhaseSpec(n_pairs=1, poisson=canonical_poisson(2))
+
+
+def test_phase_spec_checks_invertibility_of_a_given_poisson(monkeypatch):
+    # the canonical matrix is invertible by construction and takes no
+    # SVD; a given one is still checked
+    j = np.zeros((4, 4))
+    j[0, 1], j[1, 0] = 1.0, -1.0
+    with pytest.raises(InvalidInputError, match="must be invertible"):
+        PhaseSpec(n_pairs=2, poisson=j)
+    calls = []
+    real = phase.rank_tol
+    monkeypatch.setattr(phase, "rank_tol",
+                        lambda m: calls.append(m.shape) or real(m))
+    PhaseSpec(n_pairs=100)
+    assert calls == []
+    PhaseSpec(n_pairs=2, poisson=canonical_poisson(2))
+    assert calls == [(4, 4)]
 
 
 def test_affine_value_and_gradient():

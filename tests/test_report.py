@@ -80,3 +80,31 @@ def test_fold_keeps_the_worse_residual():
     third.add("eq_32", 0.0, 1e-8)
     with pytest.raises(InvalidInputError):
         out.fold(third)
+
+
+def test_fold_and_spread_carry_per_block_residuals():
+    # folding stacks keeps their blocks in order; spreading the certified
+    # blocks over all blocks keeps every worst residual
+    parts = []
+    for labels, values in ((("k=1", "k=2"), [1e-12, 3e-9]),
+                           (("k=5",), [2e-9])):
+        rep = CheckReport(system="part", blocks=labels)
+        rep.add("eq_32", np.array(values), 1e-8)
+        rep.add("locality", 0.0, 0.5)
+        parts.append(rep)
+    out = CheckReport(system="lattice")
+    for rep in parts:
+        out.fold(rep)
+    assert out.blocks == ("k=1", "k=2", "k=5")
+    assert out.record("eq_32").per_block.tolist() == [1e-12, 3e-9, 2e-9]
+    assert out.to_dict()["blocks"] == {"total": 3, "certified": 3}
+    with pytest.raises(InvalidInputError):
+        out.spread(("k=1", "k=2", "k=3", "k=5"), [0, 1, 1, 1])
+    out.spread(("k=1", "k=2", "k=3", "k=5"), [0, 1, 1, 2])
+    assert out.record("eq_32").per_block.tolist() == [
+        1e-12, 3e-9, 3e-9, 2e-9]
+    assert out.residuals == {"eq_32": 3e-9, "locality": 0.0}
+    assert out.to_dict()["blocks"] == {"total": 4, "certified": 3}
+    assert out.summary_lines()[1] == "blocks: 4 total, 3 certified"
+    assert "blocks" not in make_report().to_dict()
+    assert not make_report().summary_lines()[1].startswith("blocks")

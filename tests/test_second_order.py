@@ -19,7 +19,7 @@ from diracred.numerics import (
     rel_residual,
 )
 from diracred.oracle import fundamental_matrix_oracle
-from diracred.phase import PhaseSpec, affine, coordinate
+from diracred.phase import PhaseSpec, affine
 from diracred.second_order import (
     SeedRankError,
     full_artifacts,

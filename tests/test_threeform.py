@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import diracred.threeform as tf
 import lattice_reference
+from diracred.cli import main
 from diracred.constraints import ConstraintSet, sample_surface, validate
 from diracred.second_order import second_order_artifacts
 from diracred.numerics import (
@@ -28,6 +31,7 @@ from diracred.threeform import (
 )
 from lattice_reference import (
     basis_symbols,
+    certify_every_block,
     complete_basis,
     dense_threeform,
     fourier_bases,
@@ -428,7 +432,10 @@ def test_certify_path_takes_no_block_alone(monkeypatch):
         assert engine.passed
         assert {r.name for r in paper.records if not r.passed} <= {
             "locality"}
-        assert calls == [(len(ks),) for ks in block_stacks(lat)]
+        # one call per stack of orbit representatives
+        ks, rep, _, _ = tf.axis_orbits(lat)
+        certified = [k for j, k in enumerate(ks) if rep[j] == j]
+        assert calls == [(len(s),) for s in tf._stacks(lat, certified)]
 
 
 def test_symbols_refuse_a_derivative_they_do_not_diagonalise(monkeypatch):
@@ -495,6 +502,146 @@ def test_lattice_reports_name_reseeded_blocks():
     engine, paper = certify_lattice(LatticeSpec(3, 5), seed=4,
                                     paper_choices=True)
     assert engine.seeds == paper.seeds == {"points": 4}
+
+
+@pytest.mark.parametrize("lat,blocks,orbits", [
+    (LatticeSpec(3, 5), 62, 18), (LatticeSpec(3, 4), 35, 12),
+    (LatticeSpec(3, 8), 259, 64), (LatticeSpec(4, 5), 312, 37),
+    (LatticeSpec(3, 32), 16387, 3008),
+], ids=str)
+def test_axis_orbits_enumerate_the_blocks(lat, blocks, orbits):
+    ks, rep, perm, conj = tf.axis_orbits(lat)
+    assert ks == tuple(k for stack in block_stacks(lat) for k in stack)
+    assert (len(ks), len(set(rep.tolist()))) == (blocks, orbits)
+    # each representative is its orbit's first block, and its own image
+    j = np.arange(len(ks))
+    assert (rep <= j).all() and (rep[rep] == rep).all()
+    own = rep == j
+    assert (perm[own] == np.arange(lat.d)).all() and not conj[own].any()
+    # an orbit keeps to one shape group of block_stacks
+    k = np.array(ks)
+    self_conj = np.all(2 * k % lat.L == 0, axis=1)
+    assert (self_conj == self_conj[rep]).all()
+    # block j is the representative with its axes relabelled by perm[j],
+    # and negated where conj[j]
+    source = np.where(conj[:, None], -k[rep] % lat.L, k[rep])
+    assert (k == np.take_along_axis(source, perm, axis=1)).all()
+
+
+def _cli_reports(args, tmp_path):
+    out = tmp_path / "tf.json"
+    code = main(["threeform", *args, "--paper-choices", "--json", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("lat", [
+    LatticeSpec(3, 4), LatticeSpec(3, 5), LatticeSpec(3, 6),
+    LatticeSpec(3, 7), LatticeSpec(3, 8),
+    LatticeSpec(3, 5, "spectral"), LatticeSpec(3, 7, "spectral"),
+    LatticeSpec(4, 5), LatticeSpec(4, 5, "spectral"),
+], ids=str)
+def test_orbit_route_matches_every_block_certified(lat, tmp_path, capsys):
+    # the representatives' residuals stand for their orbits: the verdicts,
+    # exit code and reseeded blocks are those of certifying every block,
+    # and every residual, worst or per block, is within 1e-5 of its
+    # tolerance of the full run's
+    code, doc = _cli_reports(["--dim", str(lat.d), "--lattice", str(lat.L),
+                              "--derivative", lat.derivative], tmp_path)
+    capsys.readouterr()
+    ref = certify_every_block(lat, paper_choices=True)
+    assert code == (0 if all(r.passed for r in ref) else 1)
+    ks, rep, _, _ = tf.axis_orbits(lat)
+    mine = certify_lattice(lat, paper_choices=True)
+    for part, full, fill in zip(("engine", "paper_choices"), ref, mine):
+        got = doc[part]
+        assert got["seeds"] == full.seeds
+        assert got["blocks"] == {"total": len(ks),
+                                 "certified": len(set(rep.tolist()))}
+        assert [(c["name"], c["tolerance"], c["pass"])
+                for c in got["checks"]] == [
+            (r.name, r.tolerance, r.passed) for r in full.records]
+        for c, r, f in zip(got["checks"], full.records, fill.records):
+            assert abs(c["residual"] - r.residual) <= 1e-5 * r.tolerance
+            assert f.residual == c["residual"]
+            if r.per_block is not None:
+                assert np.abs(f.per_block - r.per_block).max() \
+                    <= 1e-5 * r.tolerance, r.name
+                # each block carries its representative's residual
+                assert (f.per_block == f.per_block[rep]).all()
+
+
+@pytest.mark.parametrize("lat", [LatticeSpec(3, 4), LatticeSpec(3, 8)],
+                         ids=str)
+def test_orbit_route_reseeds_the_blocks_a_full_run_does(lat):
+    engine, _ = certify_lattice(lat)
+    full, _ = certify_every_block(lat)
+    assert engine.seeds["omega_blocks"] == full.seeds["omega_blocks"]
+    assert len(engine.seeds["omega_blocks"]) == 3
+
+
+def _planted(real, k, scale):
+    """real with the symbol of block k's first nonzero direction scaled."""
+    def planted(lat, ks):
+        ell = tuple(e.copy() for e in real(lat, ks))
+        if k in ks:
+            ell[np.flatnonzero(k)[0]][ks.index(k)] *= scale
+        return ell
+    return planted
+
+
+@pytest.mark.parametrize("lat,conj", [
+    (LatticeSpec(3, 5), False), (LatticeSpec(3, 5), True),
+    (LatticeSpec(4, 5, "spectral"), True),
+], ids=str)
+def test_planted_symmetry_defect_is_refused(lat, conj, monkeypatch):
+    # a member block no longer the image of its representative is named,
+    # and no block is certified
+    ks, rep, _, flags = tf.axis_orbits(lat)
+    j = next(j for j in range(len(ks)) if rep[j] != j and flags[j] == conj)
+    monkeypatch.setattr(tf, "_symbol_blocks",
+                        _planted(tf._symbol_blocks, ks[j], 1 + 1e-9))
+    calls = []
+    monkeypatch.setattr(tf, "run_threeform_checks",
+                        lambda *a, **kw: calls.append(a))
+    with pytest.raises(NoSolutionError,
+                       match=re.escape(f"mode k={ks[j]}: not the exact")):
+        certify_lattice(lat, paper_choices=True)
+    assert calls == []
+
+
+def test_planted_seed_defect_is_refused(monkeypatch):
+    # an omega seed that a relabelling does not carry onto itself would
+    # make a member's seed differ from its representative's
+    lat = LatticeSpec(3, 5)
+    ks, rep, _, _ = tf.axis_orbits(lat)
+    first = next(j for j in range(len(ks)) if rep[j] != j)
+    monkeypatch.setattr(tf, "symplectic_block",
+                        lambda n: np.diag(np.arange(n, dtype=float)))
+    with pytest.raises(NoSolutionError,
+                       match=re.escape(f"mode k={ks[first]}: not the")):
+        certify_lattice(lat)
+
+
+def test_planted_printed_choice_defect_is_refused(monkeypatch):
+    # the printed choices enter only the paper route's records: a member
+    # whose abar01 is not its representative's image fails with them,
+    # and passes without them
+    lat = LatticeSpec(3, 5)
+    ks, rep, _, _ = tf.axis_orbits(lat)
+    label = f"mode k={ks[-1]}"
+    assert rep[-1] != len(ks) - 1
+    real = tf._paper_abar01
+
+    def planted(sys):
+        out = real(sys)
+        if label in sys.cs.blocks:
+            out[sys.cs.blocks.index(label)] *= 1 + 1e-9
+        return out
+
+    monkeypatch.setattr(tf, "_paper_abar01", planted)
+    assert certify_lattice(lat)[0].passed
+    with pytest.raises(NoSolutionError, match=re.escape(label)):
+        certify_lattice(lat, paper_choices=True)
 
 
 def test_package_exports():
