@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -280,9 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call reads, built at the first one: argparse
+    keeps no state between parse_args calls, and building it costs more
+    than a small op."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InvalidInputError, OSError) as exc:

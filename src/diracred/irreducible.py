@@ -21,8 +21,9 @@ Built on a stack of systems (ConstraintSet.linear), the assembly, the
 extended constraints and the irreducible fundamental matrix broadcast
 over its leading axis; the intermediate system, recovery and evolution
 take one system.  On a constant base, evolve forms the RK4 map of an
-affine or quadratic Hamiltonian once and takes each step as one
-matrix-vector product; eom_step takes one step of any Hamiltonian.
+affine or quadratic Hamiltonian once and composes ``steps`` of it by
+doubling, in O(dim_z^3 log steps); eom_step takes one step of any
+Hamiltonian.
 """
 
 from __future__ import annotations
@@ -434,15 +435,25 @@ def evolve(
     steps as eom_step, for an affine or quadratic h.
 
     With kernel K, z' = K (Q z + b) is affine, and RK4 maps it exactly to
-    z -> S z + r with A = dt K Q, phi = I + A/2 (I + A/3 (I + A/4)),
-    S = I + A phi (the RK4 stability polynomial) and r = dt phi K b.  S
-    and r are formed once, so each step is one matrix-vector product,
-    z += (S - I) z + r.
-    dt, steps, the base and the state are checked once, before any
-    step: a dt that is not finite and positive or a negative step count
-    raises InvalidInputError, as does an opaque h (use eom_step); a
+    z -> z + D z + r with A = dt K Q, phi = I + A/2 (I + A/3 (I + A/4)),
+    D = A phi = S - I (S is the RK4 stability polynomial) and
+    r = dt phi K b.  n steps are z -> z + D_n z + r_n with D_n = S^n - I
+    and r_n = sum_{k<n} S^k r.  These are built by doubling over the bits
+    of ``steps``: a map doubles as D_2m = 2 D_m + D_m^2,
+    r_2m = 2 r_m + D_m r_m, and two maps compose as
+    D_a+b = D_a + D_b + D_b D_a, r_a+b = r_a + r_b + D_b r_a.  That is at
+    most 2 floor(log2 steps) products of dim_z x dim_z matrices, so a
+    trajectory costs O(dim_z^3 log steps).  Kept as increments, the maps
+    round at the size of D, not of S, and the result is added to z as
+    eom_step adds its increment, so the constraint drift stays at
+    eom_step's level.
+    dt, steps, the base and the state are checked once: a dt that is not
+    finite and positive or a negative step count raises
+    InvalidInputError, as does an opaque h (use eom_step); a
     non-constant base raises BuildPointError.  A trajectory that
-    overflows raises InvalidInputError, as eom_step's next step would.
+    overflows raises InvalidInputError, and so can one that eom_step
+    would carry on a bounded path: once a doubled map D_m overflows,
+    inf * 0 is NaN, so a start off the growing direction is refused too.
     """
     _require_dt(dt)
     if steps < 0:
@@ -459,16 +470,26 @@ def evolve(
         raise InvalidInputError(
             f"h has dimension {h.dim}, the phase space {n}"
         )
+    if steps == 0:
+        return sys.join(z, y)
     kernel = sys._irred_kernel[:n, :n]
     eye = np.eye(n)
     a = dt * (kernel @ h.q) if h.kind == "quadratic" else np.zeros((n, n))
     phi = eye + a / 2.0 @ (eye + a / 3.0 @ (eye + a / 4.0))
-    # S - I: adding the increment to z, as eom_step does, keeps the
-    # rounding of each step at the increment's size, not at |z|'s, so
-    # the constraint drift stays that of eom_step
-    s_minus_eye = a @ phi
-    r = dt * (phi @ (kernel @ h.b))
-    z = z.copy()
-    for _ in range(steps):
-        z += s_minus_eye @ z + r
+    d, r = a @ phi, dt * (phi @ (kernel @ h.b))
+    # (d, r) is the map of 2^k steps and (d_acc, r_acc) that of the low
+    # k bits of steps; an overflow is refused by check_finite below
+    d_acc = r_acc = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if steps & 1:
+                if d_acc is None:
+                    d_acc, r_acc = d, r
+                else:
+                    d_acc, r_acc = d_acc + d + d @ d_acc, r_acc + r + d @ r_acc
+            steps >>= 1
+            if not steps:
+                break
+            d, r = 2.0 * d + d @ d, 2.0 * r + d @ r
+        z = z + (d_acc @ z + r_acc)
     return sys.join(check_finite(z, "evolved state"), y)

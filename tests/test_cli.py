@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import diracred
+from diracred import cli
 from diracred.cli import main, parse_qspec
 from diracred.constraints import (
     duplicated_pair_system,
@@ -103,6 +104,21 @@ def test_missing_and_malformed_files_exit_2(synth_file, tmp_path, capsys):
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(field) in err
+
+
+def test_main_reuses_one_parser(synth_file, tmp_path, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    out = tmp_path / "rep.json"
+    assert main(["validate", synth_file, "--json", str(out)]) == 0
+    parser = cli._parser()
+    out.unlink()
+    # a refused command line leaves nothing behind for the next call
+    with pytest.raises(SystemExit):
+        main(["validate", synth_file, "--points", "x"])
+    assert main(["validate", synth_file]) == 0
+    assert not out.exists()
+    assert cli._parser() is parser
+    capsys.readouterr()
 
 
 def test_bracket_methods_agree(synth_file, capsys):

@@ -457,19 +457,82 @@ def test_evolve_matches_eom_step(shape, extra_pairs, seed, dt, steps):
     assert np.array_equal(evolve(irs, h, start, dt, 0), start)
 
 
-def test_evolve_affine_h_drifts_linearly():
+@pytest.fixture(scope="module")
+def synth_irr():
     cs = synth_linear(10, 12, 8, 2, seed=7)
     at = sample_surface(cs, seed=0, count=1)[0]
-    irs = build_irreducible(cs, full_artifacts(cs, at))
+    return cs, at, build_irreducible(cs, full_artifacts(cs, at))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 9, 255, 256, 257,
+                                   1023, 1024, 1025])
+def test_evolve_doubling_matches_eom_step(synth_irr, steps):
+    # powers of two, and one either side, walk every branch of the
+    # doubling: a lone top bit, all bits set, and a low bit after a run
+    # of squarings
+    _, at, irs = synth_irr
+    n = irs.dim_z
+    rng = np.random.default_rng(steps)
+    s = rng.standard_normal((n, n)) / np.sqrt(n)
+    h = quadratic(s + s.T, rng.standard_normal(n))
+    start = irs.join(at, rng.standard_normal(irs.dim_y))
+    ref = start
+    for _ in range(steps):
+        ref = eom_step(irs, h, ref, 0.01)
+    got = evolve(irs, h, start, 0.01, steps)
+    assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+    assert np.array_equal(got[n:], start[n:])
+
+
+def test_evolve_affine_h_drifts_linearly(synth_irr):
+    _, at, irs = synth_irr
     n = irs.dim_z
     b = np.random.default_rng(3).standard_normal(n)
     start = irs.join(at, np.full(irs.dim_y, 0.5))
-    got = evolve(irs, affine(b), start, 0.01, 150)
+    got = evolve(irs, affine(b), start, 0.01, 10**6)
     kernel = fundamental_matrix_irred(irs, irs.build_point)[:n, :n]
-    expected = at + 150 * 0.01 * (kernel @ b)
+    expected = at + 10**6 * 0.01 * (kernel @ b)
     assert np.abs(got[:n] - expected).max() <= 1e-12 * (
         1.0 + np.abs(expected).max())
     assert np.array_equal(got[n:], start[n:])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_long_trajectory_stays_on_the_surface(seed):
+    cs = synth_linear(10, 12, 8, 2, seed=seed)
+    points = sample_surface(cs, seed=seed, count=5)
+    irs = build_irreducible(cs, full_artifacts(cs, points[0]))
+    h = quadratic(np.eye(irs.dim_z))
+    for z0 in points:
+        got = evolve(irs, h, irs.join(z0, np.zeros(irs.dim_y)), 1e-3, 10**5)
+        assert cs.surface_residual(got[:irs.dim_z]) <= 1e-12
+
+
+def test_overflowing_trajectory_is_refused(toy_irr):
+    irs = toy_irr[2]
+    # h = q2 p2 on the free pair: q2' = q2 grows, p2' = -p2 decays
+    q = np.zeros((4, 4))
+    q[1, 3] = q[3, 1] = 1.0
+    h = quadratic(q)
+    growing = irs.join(np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(irs.dim_y))
+    decaying = irs.join(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(irs.dim_y))
+    # at dt = 1 each step multiplies q2 by 1 + 1 + 1/2 + 1/6 + 1/24, so
+    # 2000 steps overflow
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        evolve(irs, h, growing, 1.0, 2000)
+    state = growing
+    with pytest.raises(InvalidInputError, match="non-finite"), \
+            np.errstate(over="ignore"):
+        for _ in range(2000):
+            state = eom_step(irs, h, state, 1.0)
+    # stepped one at a time, a start off the growing direction stays
+    # bounded; the doubled map overflows all the same, and inf * 0 = NaN
+    state = decaying
+    for _ in range(2000):
+        state = eom_step(irs, h, state, 1.0)
+    assert np.all(np.isfinite(state)) and state[1] == 0.0
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        evolve(irs, h, decaying, 1.0, 2000)
 
 
 def test_evolve_refuses_bad_input(toy_irr):
