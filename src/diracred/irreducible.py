@@ -416,12 +416,14 @@ def eom_step(
     def velocity(zs: np.ndarray) -> np.ndarray:
         return kernel @ h.gradient(zs)
 
-    k1 = velocity(z)
-    k2 = velocity(z + 0.5 * dt * k1)
-    k3 = velocity(z + 0.5 * dt * k2)
-    k4 = velocity(z + dt * k3)
-    z_new = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return sys.join(z_new, y)
+    # an overflow is refused by check_finite below
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = velocity(z)
+        k2 = velocity(z + 0.5 * dt * k1)
+        k3 = velocity(z + 0.5 * dt * k2)
+        k4 = velocity(z + dt * k3)
+        z_new = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return sys.join(check_finite(z_new, "stepped state"), y)
 
 
 def evolve(

@@ -6,9 +6,13 @@ triple and its conjugate momentum pi.  The Gauss-type constraints
     chi(1)_{i1 i2} = -3 del^{i3} pi_{i3 i1 i2}
     chi(2)^{j1 j2} = -del_{j3} A^{j3 j1 j2}
 
-are second-class and second-order reducible; the reducibility matrices
-are first-order difference operators.  The constant lattice mode is
-projected out of every field component so the Laplacian is invertible.
+are second-class and second-order reducible.  In each family B, Z1 and
+Z2 are the divergence complex on antisymmetric tensors, three-forms to
+functions: each is one signed incidence of index tuples (_incidence)
+summed against the derivatives (_blocks), and the chain Z1^T B = 0,
+Z1 Z2 = 0 is delta delta = 0, exact as the derivatives commute.  The
+constant lattice mode is projected out of every field component so the
+Laplacian is invertible.
 
 Fields are expanded in a real Fourier basis of the zero-mean functions.
 Every derivative is circulant, so each pair of opposite wavevectors
@@ -39,6 +43,7 @@ absorbed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -229,13 +234,12 @@ def _symbol_blocks(lat: LatticeSpec, ks: tuple) -> tuple:
     conj = _self_conjugate(lat, k)
     if conj.any() != conj.all():
         raise InvalidInputError("a stack holds blocks of one shape")
-    lam = _symbols(lat)[k]  # G x d
+    lam = _symbols(lat)[k].T  # d x G
     a, b = lam.real, lam.imag
     if conj[0]:
-        return tuple(a[:, i, None, None] for i in range(lat.d))
-    return tuple(np.stack([np.stack([a[:, i], b[:, i]], axis=-1),
-                           np.stack([-b[:, i], a[:, i]], axis=-1)], axis=-2)
-                 for i in range(lat.d))
+        return tuple(a[:, :, None, None])
+    return tuple(np.stack([np.stack([a, b], axis=-1),
+                           np.stack([-b, a], axis=-1)], axis=-2))
 
 
 def _lattice_name(lat: LatticeSpec) -> str:
@@ -259,14 +263,62 @@ class ThreeFormSystem:
         return len(self.triples) * self.m
 
 
-def _perm_sign(seq) -> int:
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+def _sorting(d: int, tuples: np.ndarray) -> tuple:
+    """Where each tuple of axes on the last axis of ``tuples`` lands once
+    sorted, one-hot over the increasing tuples of the d axes of its
+    length in itertools.combinations order (nowhere for a tuple that
+    repeats an axis), and the sign of the permutation that sorts it."""
+    # the inversions: positions i < j that hold their axes out of order
+    inverted = np.triu(tuples[..., :, None] > tuples[..., None, :])
+    increasing = list(itertools.combinations(range(d), tuples.shape[-1]))
+    hit = (np.sort(tuples, axis=-1)[..., None, :]
+           == np.array(increasing, dtype=int)).all(axis=-1)
+    return hit, 1.0 - 2.0 * (inverted.sum(axis=(-2, -1)) % 2)
+
+
+@functools.cache
+def _incidence(d: int, p: int) -> np.ndarray:
+    """The signed incidence of p-forms in (p+1)-forms, d x C(d, p) x
+    C(d, p + 1) and read-only: entry [i, P, Q] is the sign of sorting
+    (i, *P) into Q, and 0 where i is in P.  Summed against derivative i
+    it is the divergence of (p+1)-forms; I_p I_{p+1} is antisymmetric in
+    its two derivative axes, so two divergences in a row cancel (delta
+    delta = 0) when the derivatives commute."""
+    tuples = np.array([(i, *P) for i in range(d)
+                       for P in itertools.combinations(range(d), p)])
+    hit, sign = _sorting(d, tuples.reshape(d, -1, p + 1))
+    out = np.where(hit, sign[..., None], 0.0)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _families(d: int, p: int, first: float = 1.0, second: float = 1.0,
+              swap: bool = False) -> np.ndarray:
+    """Coefficients, over two families of operators stacked (the first's,
+    then the second's), of a 2 x 2 matrix of family blocks, read-only:
+    the first family fills the upper family row with first * I_p, the
+    second the lower with second * I_p, on the diagonal, or off it where
+    ``swap``."""
+    place = np.zeros((2, 2, 2))
+    place[[0, 1], [0, 1], [int(swap), 1 - int(swap)]] = first, second
+    out = np.kron(place, _incidence(d, p))
+    out.flags.writeable = False
+    return out
+
+
+def _blocks(coef: np.ndarray, ops) -> np.ndarray:
+    """The block matrix whose (r, c) block is sum_i coef[i, r, c] ops[i],
+    for a stack of operators that are m x m, or G x m x m on a stack of
+    G blocks."""
+    ops = np.asarray(ops)
+    n, r, c = coef.shape
+    m, k = ops.shape[-2:]
+    # one matrix product over the operator axis, which BLAS makes
+    # without a loop over the zero coefficients
+    out = (np.moveaxis(ops, 0, -1).reshape(-1, n) @ coef.reshape(n, -1))
+    return (out.reshape(-1, m, k, r, c).transpose(0, 3, 1, 4, 2)
+            .reshape(ops.shape[1:-2] + (r * m, c * k)))
 
 
 def build_threeform(lat: LatticeSpec, ell, blocks: tuple = ()
@@ -283,64 +335,26 @@ def build_threeform(lat: LatticeSpec, ell, blocks: tuple = ()
     if len(ell) != lat.d:
         raise InvalidInputError(
             f"need one derivative per direction ({lat.d}), got {len(ell)}")
-    name = _lattice_name(lat)
-    m = ell[0].shape[-1]
-    batch = ell[0].shape[:-2]
-    u = tuple(-mt(e) for e in ell)
+    d = lat.d
+    down = np.stack(ell)
+    up = -mt(down)
     # summed in ascending and in descending order and averaged, so that
     # the sum depends neither on the order of the directions nor on a
     # common sign: a relabelling of the axes carries delta exactly as it
     # carries the symbols
-    terms = np.sort(np.stack([ui @ ei for ui, ei in zip(u, ell)]), axis=0)
+    terms = np.sort(up @ down, axis=0)
     delta = 0.5 * (terms.sum(axis=0) + terms[::-1].sum(axis=0))
     delta_inv = np.linalg.inv(delta)
 
-    d = lat.d
-    triples = tuple(itertools.combinations(range(d), 3))
-    pairs = tuple(itertools.combinations(range(d), 2))
-    nt, npair = len(triples), len(pairs)
-    t_index = {t: i for i, t in enumerate(triples)}
+    # the divergences of three-, two- and one-forms, del^i on the pi
+    # family and del_i on the A family
+    ops = np.concatenate([up, down])
+    b = _blocks(_families(d, 2, -3.0, -1.0, swap=True), ops)
+    z1 = _blocks(mt(_families(d, 1, -1.0, -1.0)), mt(ops))
+    z2 = _blocks(mt(_families(d, 0)), mt(ops))
 
-    dim = 2 * nt * m
-    n_field = nt * m
-    m0 = 2 * npair * m
-    m1 = 2 * d * m
-    m2 = 2 * m
-
-    def at(i):
-        return slice(i * m, (i + 1) * m)
-
-    b = np.zeros(batch + (m0, dim))
-    for pi_, (i1, i2) in enumerate(pairs):
-        for i3 in range(d):
-            if i3 in (i1, i2):
-                continue
-            t = tuple(sorted((i3, i1, i2)))
-            sgn = _perm_sign((i3, i1, i2))
-            b[..., at(pi_), at(nt + t_index[t])] += -3.0 * sgn * u[i3]
-    for qi, (j1, j2) in enumerate(pairs):
-        for j3 in range(d):
-            if j3 in (j1, j2):
-                continue
-            t = tuple(sorted((j3, j1, j2)))
-            sgn = _perm_sign((j3, j1, j2))
-            b[..., at(npair + qi), at(t_index[t])] += -sgn * ell[j3]
-
-    z1 = np.zeros(batch + (m0, m1))
-    for pi_, (i1, i2) in enumerate(pairs):
-        z1[..., at(pi_), at(i1)] += mt(u[i2])
-        z1[..., at(pi_), at(i2)] -= mt(u[i1])
-    for qi, (j1, j2) in enumerate(pairs):
-        z1[..., at(npair + qi), at(d + j1)] += mt(ell[j2])
-        z1[..., at(npair + qi), at(d + j2)] -= mt(ell[j1])
-
-    z2 = np.zeros(batch + (m1, m2))
-    for k in range(d):
-        z2[..., at(k), at(0)] = mt(u[k])
-        z2[..., at(d + k), at(1)] = mt(ell[k])
-
-    spec = PhaseSpec(n_pairs=n_field)
-    cs = con.ConstraintSet.linear(spec, b, z1, z2, name, blocks)
+    cs = con.ConstraintSet.linear(PhaseSpec(n_pairs=b.shape[-1] // 2), b,
+                                  z1, z2, _lattice_name(lat), blocks)
     # reducibility must be exact here, not merely weak
     broken = max(np.abs(mt(z1) @ b).max(), np.abs(z1 @ z2).max())
     if broken > 1e-12:
@@ -348,9 +362,21 @@ def build_threeform(lat: LatticeSpec, ell, blocks: tuple = ()
             "lattice transcription broke the reducibility chain",
             float(broken))
     return ThreeFormSystem(
-        lattice=lat, cs=cs, ell=ell, u=u, delta=delta, delta_inv=delta_inv,
-        triples=triples, pairs=pairs, m=m,
+        lattice=lat, cs=cs, ell=tuple(ell), u=tuple(up), delta=delta,
+        delta_inv=delta_inv, m=down.shape[-1],
+        triples=tuple(itertools.combinations(range(d), 3)),
+        pairs=tuple(itertools.combinations(range(d), 2)),
     )
+
+
+def _projector(inc: np.ndarray, first, second,
+               delta_inv: np.ndarray) -> np.ndarray:
+    """I - X Y (I (x) 1/Delta), where X's (Q, P) block is
+    sum_i inc[i, P, Q] first_i and Y's (P, Q') block is
+    sum_j inc[j, P, Q'] second_j."""
+    xy = _blocks(mt(inc), first) @ _blocks(inc, second)
+    return (np.eye(xy.shape[-1])
+            - xy @ _blocks(np.eye(inc.shape[2])[None], [delta_inv]))
 
 
 def closed_form_projector(sys: ThreeFormSystem) -> np.ndarray:
@@ -358,30 +384,11 @@ def closed_form_projector(sys: ThreeFormSystem) -> np.ndarray:
 
     Transcribed with increasing triples as components; the printed 1/3!
     cancels against the full-range-to-ordered conversion of the inner
-    triple sum, leaving 1/(2 Delta) on the derivative term.
+    triple sum, leaving 1/(2 Delta) on the derivative term summed over
+    ordered pairs, which is 1/Delta over the increasing pairs.
     """
-    m = sys.m
-    batch = sys.cs.batch
-    triples = sys.triples
-    nt = len(triples)
-    out = np.zeros(batch + (nt * m, nt * m))
-    s3 = list(itertools.permutations(range(3)))
-    for a, t in enumerate(triples):
-        for bb, tp in enumerate(triples):
-            acc = np.zeros(batch + (m, m))
-            for sig in s3:
-                ts = [t[i] for i in sig]
-                for tau in s3:
-                    tps = [tp[i] for i in tau]
-                    if ts[1] != tps[1] or ts[2] != tps[2]:
-                        continue
-                    sgn = _perm_sign(sig) * _perm_sign(tau)
-                    acc += sgn * sys.u[ts[0]] @ sys.ell[tps[0]]
-            block = -0.5 * (acc @ sys.delta_inv)
-            if a == bb:
-                block += np.eye(m)
-            out[..., a * m:(a + 1) * m, bb * m:(bb + 1) * m] = block
-    return out
+    return _projector(_incidence(sys.lattice.d, 2), sys.u, sys.ell,
+                      sys.delta_inv)
 
 
 def pair_projector(sys: ThreeFormSystem) -> np.ndarray:
@@ -392,36 +399,8 @@ def pair_projector(sys: ThreeFormSystem) -> np.ndarray:
     family is the adjoint transcription, as its constraints carry the
     opposite derivative type.
     """
-    m = sys.m
-    batch = sys.cs.batch
-    pairs = sys.pairs
-    npair = len(pairs)
-    n = npair * m
-    s2 = [(0, 1), (1, 0)]
-    out = np.zeros(batch + (2 * n, 2 * n))
-
-    def fill(off, first, second):
-        for a, p in enumerate(pairs):
-            for bb, pp in enumerate(pairs):
-                sub = np.zeros(batch + (m, m))
-                if a == bb:
-                    sub += np.eye(m)
-                for sig in s2:
-                    ps = [p[i] for i in sig]
-                    for tau in s2:
-                        pps = [pp[i] for i in tau]
-                        if ps[1] != pps[1]:
-                            continue
-                        sgn = _perm_sign(sig) * _perm_sign(tau)
-                        sub -= sgn * (
-                            first[ps[0]] @ second[pps[0]] @ sys.delta_inv
-                        )
-                out[..., off + a * m:off + (a + 1) * m,
-                    off + bb * m:off + (bb + 1) * m] = sub
-
-    fill(0, sys.ell, sys.u)
-    fill(n, sys.u, sys.ell)
-    return out
+    return _projector(_families(sys.lattice.d, 1),
+                      sys.ell + sys.u, sys.u + sys.ell, sys.delta_inv)
 
 
 def _unserialised():
@@ -508,55 +487,23 @@ def run_threeform_checks(
 
 
 def _paper_a12(sys: ThreeFormSystem) -> np.ndarray:
-    m, d = sys.m, sys.lattice.d
-    a12 = np.zeros(sys.cs.batch + (2 * d * m, 2 * m))
-    for k in range(d):
-        a12[..., k * m:(k + 1) * m, :m] = sys.ell[k]
-        a12[..., (d + k) * m:(d + k + 1) * m, m:] = sys.u[k]
-    return a12
+    return _blocks(mt(_families(sys.lattice.d, 0)),
+                   sys.ell + sys.u)
 
 
 def _paper_abar01(sys: ThreeFormSystem) -> np.ndarray:
     """Printed pair left inverse with the ordered-pair factor (1/Delta)."""
-    m, d = sys.m, sys.lattice.d
-    pairs = sys.pairs
-    npair = len(pairs)
-    ab = np.zeros(sys.cs.batch + (2 * d * m, 2 * npair * m))
-    dinv = sys.delta_inv
-    for k in range(d):
-        rows = slice(k * m, (k + 1) * m)
-        for pi_, (i3, i4) in enumerate(pairs):
-            cols = slice(pi_ * m, (pi_ + 1) * m)
-            if k == i3:
-                ab[..., rows, cols] += dinv @ mt(sys.ell[i4])
-            if k == i4:
-                ab[..., rows, cols] -= dinv @ mt(sys.ell[i3])
-    for l in range(d):
-        rows = slice((d + l) * m, (d + l + 1) * m)
-        for qi, (j3, j4) in enumerate(pairs):
-            cols = slice((npair + qi) * m, (npair + qi + 1) * m)
-            if l == j3:
-                ab[..., rows, cols] += dinv @ mt(sys.u[j4])
-            if l == j4:
-                ab[..., rows, cols] -= dinv @ mt(sys.u[j3])
-    return ab
+    # each block is one product 1/Delta del^T, as an exact relabelling
+    # of the blocks needs
+    ops = sys.delta_inv @ mt(np.asarray(sys.ell + sys.u))
+    return _blocks(_families(sys.lattice.d, 1, -1.0, -1.0), ops)
 
 
 def _paper_ehat(sys: ThreeFormSystem) -> tuple:
     """Congruence pair: (1/Delta, 2/Delta) per family and its inverse."""
-    m, d = sys.m, sys.lattice.d
-    dinv = sys.delta_inv
-    e = np.zeros(sys.cs.batch + (2 * d * m, 2 * d * m))
-    einv = np.zeros_like(e)
-    for k in range(d):
-        s = slice(k * m, (k + 1) * m)
-        e[..., s, s] = dinv
-        einv[..., s, s] = sys.delta
-    for l in range(d, 2 * d):
-        s = slice(l * m, (l + 1) * m)
-        e[..., s, s] = 2.0 * dinv
-        einv[..., s, s] = 0.5 * sys.delta
-    return e, einv
+    w = np.repeat([1.0, 2.0], sys.lattice.d)
+    return (_blocks(np.diag(w)[None], [sys.delta_inv]),
+            _blocks(np.diag(1.0 / w)[None], [sys.delta]))
 
 
 def _sigma_factorizations(sys: ThreeFormSystem, a12: np.ndarray,
@@ -564,69 +511,41 @@ def _sigma_factorizations(sys: ThreeFormSystem, a12: np.ndarray,
     """Residuals of the sigma-matrix factorizations of a12 and a01.
 
     Both choice matrices factor through the reducibility operators via a
-    family-swapping symmetric sigma pair; the pair-index sigma carries
-    the ordered-pair normalization (+1, +1/2 per family block).
+    family-swapping symmetric sigma pair: each is its Z matrix with every
+    m x m block transposed and the two families of rows and of columns
+    exchanged.  The pair-index sigma carries the ordered-pair
+    normalization (+1, +1/2 per family block).
     """
-    m, d = sys.m, sys.lattice.d
-    npair = len(sys.pairs)
-    z1 = np.asarray(sys.cs.z1)
-    z2 = np.asarray(sys.cs.z2)
+    m = sys.m
 
-    def block(mat, r, c):
-        return mt(mat[..., r * m:(r + 1) * m, c * m:(c + 1) * m])
+    def swapped(z):
+        r, c = z.shape[-2:]
+        t = (z.reshape(z.shape[:-2] + (r // m, m, c // m, m))
+             .swapaxes(-1, -3).reshape(z.shape))
+        return np.roll(t, (r // 2, c // 2), axis=(-2, -1))
 
-    # a12: sigma swaps both families, so each direction block of a12
-    # is the transposed opposite-family block of Z2
-    rhs12 = np.zeros_like(a12)
-    for k in range(d):
-        rhs12[..., k * m:(k + 1) * m, :m] = block(z2, d + k, 1)
-        rhs12[..., (d + k) * m:(d + k + 1) * m, m:] = block(z2, k, 0)
-    # a01: pair-index sigma is the family swap with weights (1, 1/2)
-    rhs01 = np.zeros_like(a01)
-    for pi_ in range(npair):
-        for k in range(d):
-            rhs01[..., pi_ * m:(pi_ + 1) * m, k * m:(k + 1) * m] = \
-                block(z1, npair + pi_, d + k)
-            rhs01[..., (npair + pi_) * m:(npair + pi_ + 1) * m,
-                  (d + k) * m:(d + k + 1) * m] = 0.5 * block(z1, pi_, k)
-    return max_abs(a12 - rhs12), max_abs(a01 - rhs01)
+    half = np.repeat([1.0, 0.5], len(sys.pairs) * m)[:, None]
+    return (max_abs(a12 - swapped(np.asarray(sys.cs.z2))),
+            max_abs(a01 - half * swapped(np.asarray(sys.cs.z1))))
 
 
 def chi_tilde_printed(sys: ThreeFormSystem) -> np.ndarray:
     """Direct transcription of the printed irreducible constraint rows.
 
     Row layout matches the irreducible system: the M0 mixed constraints
-    over (A, pi, y) followed by the M2 divergence constraints on y alone.
-    Assembled independently from the printed formulas, antisymmetrizers
-    expanded term by term.
+    over (A, pi, y) followed by the M2 divergence constraints on y alone,
+    where y holds pi_k in its first d blocks and A^l in its last d.
+    Assembled independently from the printed formulas: the mixed rows add
+    -del_[i1 pi_i2] and -(1/2) del^[j1 A^j2] to B, and the divergence
+    rows are del^k pi_k and del_l A^l.
     """
-    m, d = sys.m, sys.lattice.d
-    pairs = sys.pairs
-    npair = len(pairs)
-    dim = sys.cs.spec.dim
-    m1 = 2 * d * m
-    b, _ = sys.cs.affine_matrix()
-    rows = np.zeros(sys.cs.batch + (sys.cs.m0 + sys.cs.m2, dim + m1))
-    rows[..., :sys.cs.m0, :dim] = b
-
-    def y(i):  # the columns of the i-th block of y
-        return slice(dim + i * m, dim + (i + 1) * m)
-
-    # -del_[i1 pi_i2]  (pi_k occupies the first d blocks of y)
-    for pi_, (i1, i2) in enumerate(pairs):
-        r = slice(pi_ * m, (pi_ + 1) * m)
-        rows[..., r, y(i2)] -= sys.ell[i1]
-        rows[..., r, y(i1)] += sys.ell[i2]
-    # -(1/2) del^[j1 A^j2]  (A^l occupies the last d blocks of y)
-    for qi, (j1, j2) in enumerate(pairs):
-        r = slice((npair + qi) * m, (npair + qi + 1) * m)
-        rows[..., r, y(d + j2)] -= 0.5 * sys.u[j1]
-        rows[..., r, y(d + j1)] += 0.5 * sys.u[j2]
-    # del^k pi_k and del_l A^l
-    off = sys.cs.m0
-    for k in range(d):
-        rows[..., off:off + m, y(k)] += sys.u[k]
-        rows[..., off + m:off + 2 * m, y(d + k)] += sys.ell[k]
+    d, cs = sys.lattice.d, sys.cs
+    dim = cs.spec.dim
+    rows = np.zeros(cs.batch + (cs.m0 + cs.m2, dim + cs.m1))
+    rows[..., :cs.m0, :dim] = cs.affine_matrix()[0]
+    rows[..., :cs.m0, dim:] = _blocks(
+        mt(_families(d, 1, -1.0, -0.5)), sys.ell + sys.u)
+    rows[..., cs.m0:, dim:] = _blocks(_families(d, 0), sys.u + sys.ell)
     return rows
 
 
@@ -664,38 +583,26 @@ def _printed_closed_forms(
     """Printed noninvertible/invertible bracket matrices and omega pair.
 
     These closed forms pair a derivative with itself through 1/Delta, so
-    they hold only in the self-adjoint (spectral) representation.  The
-    ordered-index normalization makes the effective prefactors 1/(3 Delta)
-    on the M matrix, 1/(3 Delta^2) on the omega pair and 1/(3 Delta) on
-    the mu matrix (printed: 1/Delta, 1/(2 Delta^2), 1/(2 Delta)).
+    they hold only in the anti-self-adjoint (spectral, u = ell)
+    representation.  The ordered-index normalization makes the effective
+    prefactors 1/(3 Delta) on the M matrix, 1/(3 Delta^2) on the omega
+    pair and 1/(3 Delta) on the mu matrix (printed: 1/Delta,
+    1/(2 Delta^2), 1/(2 Delta)).
     """
     rep = CheckReport(system=sys.cs.name + " [printed closed forms]",
                       tolerances=tol)
-    cs = sys.cs
-    batch = cs.batch
-    d = sys.lattice.d
-    npair = len(sys.pairs)
-    n1 = npair * sys.m
     dinv = sys.delta_inv
-    ident = np.kron(np.eye(npair), dinv) / 3.0
-    y23 = np.zeros(batch + (cs.m0, cs.m0))
-    y23[..., :n1, n1:] = -(dpair[..., :n1, :n1] @ ident)
-    y23[..., n1:, :n1] = dpair[..., n1:, n1:] @ ident
-    rep.add("eq_y23", max_abs(art.m2 - y23), tol.weak_eq)
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    # the printed mu matrix; the printed M matrix is dpair times it
+    q30 = np.kron(np.kron(-j, np.eye(len(sys.pairs))), dinv) / 3.0
+    rep.add("eq_y23", max_abs(art.m2 - dpair @ q30), tol.weak_eq)
 
-    half = cs.m1 // 2
-    blk = np.kron(np.eye(d), dinv @ dinv) / 3.0
-    om_up = np.zeros(batch + (cs.m1, cs.m1))
-    om_up[..., :half, half:] = blk
-    om_up[..., half:, :half] = -blk
+    om_up = np.kron(np.kron(j, np.eye(sys.lattice.d)), dinv @ dinv) / 3.0
     om_low = np.linalg.inv(om_up)
     rep.add("eq_q31", rel_residual(om_up @ art.d11 @ om_low, art.d11),
             tol.weak_eq)
 
-    mu2, _ = so.mu_matrices(art, cs.z1_at(art.point), om_up, om_low)
-    q30 = np.zeros(batch + (cs.m0, cs.m0))
-    q30[..., :n1, n1:] = -ident
-    q30[..., n1:, :n1] = ident
+    mu2, _ = so.mu_matrices(art, sys.cs.z1_at(art.point), om_up, om_low)
     rep.add("eq_q30", max_abs(mu2 - q30), tol.weak_eq)
     return rep
 
@@ -786,32 +693,25 @@ def _axis_maps(d: int, m: int, perm: np.ndarray, conj: np.ndarray) -> dict:
     """The signed permutations that carry a block onto its image under
     each relabelling of axis_orbits (derivative i of the image is
     derivative perm[g, i] of the block, conjugated where conj[g]), one
-    per index space: "c" the constraints (pairs, both families), "f" the
-    fields (triples, A then pi), "1" the Z1 columns (directions, both
-    families) and "2" the Z2 columns.  Each is (index, sign), one row
-    per relabelling: entry a of the block's space is entry index[g, a]
-    of the image's, times sign[g, a].
+    per index space, each of two families: "c" the constraints (pairs),
+    "f" the fields (triples, A then pi), "1" the Z1 columns (directions)
+    and "2" the Z2 columns (one function each).  Each is (index, sign),
+    one row per relabelling: entry a of the block's space is entry
+    index[g, a] of the image's, times sign[g, a].
     """
     to = np.argsort(perm, axis=1)  # axis i of the block is axis to[g, i]
     # conjugation flips the sine of each (cos, sin) pair
     mode = np.where(conj[:, None], [1.0, -1.0], 1.0)[:, :m]
-    # the Z2 columns are two families of one mode block each
-    out = {"2": (np.broadcast_to(np.arange(2 * m), (len(to), 2 * m)),
-                 np.tile(mode, 2))}
-    for space, size in (("c", 2), ("f", 3), ("1", 1)):
-        tuples = np.array(list(itertools.combinations(range(d), size)))
-        moved = to[:, tuples]  # G x tuples x size
+    out = {}
+    for space, size in (("2", 0), ("1", 1), ("c", 2), ("f", 3)):
+        tuples = np.array(list(itertools.combinations(range(d), size)),
+                          dtype=int)
         # a tuple's image is its sorted axes, signed by the sorting
-        flips = sum((moved[..., i] > moved[..., j]
-                     for i, j in itertools.combinations(range(size), 2)),
-                    np.zeros(moved.shape[:-1], dtype=int))
-        lookup = np.zeros((d,) * size, dtype=int)
-        lookup[tuple(tuples.T)] = np.arange(len(tuples))
-        pos = lookup[tuple(np.moveaxis(np.sort(moved, axis=-1), -1, 0))]
+        hit, flip = _sorting(d, to[:, tuples])
+        pos = hit.argmax(axis=-1)
         index = ((np.arange(2)[:, None] * len(tuples) + pos[:, None, :])
                  [..., None] * m + np.arange(m))
-        sign = ((1.0 - 2.0 * (flips % 2))[:, None, :, None]
-                * mode[:, None, None, :])
+        sign = flip[:, None, :, None] * mode[:, None, None, :]
         out[space] = (index.reshape(len(to), -1),
                       np.broadcast_to(sign, index.shape).reshape(len(to), -1))
     return out

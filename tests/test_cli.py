@@ -373,6 +373,19 @@ def test_threeform_beyond_dense_sizes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dim,derivative", [(5, "spectral"), (6, "fd")])
+def test_threeform_above_four_dimensions(dim, derivative, tmp_path, capsys):
+    # d5: 10 pairs and 10 triples; d6: 15 pairs and 20 triples
+    out = tmp_path / "tf.json"
+    assert main(["threeform", "--dim", str(dim), "--lattice", "3",
+                 "--derivative", derivative, "--paper-choices",
+                 "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    checks = [c for part in doc.values() for c in part["checks"]]
+    assert checks and all(c["pass"] for c in checks)
+    capsys.readouterr()
+
+
 def test_python_m_diracred_runs_from_a_checkout():
     # the package need not be installed: python -m diracred is the CLI
     src = Path(diracred.__file__).resolve().parent.parent

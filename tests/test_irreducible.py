@@ -535,6 +535,17 @@ def test_overflowing_trajectory_is_refused(toy_irr):
         evolve(irs, h, decaying, 1.0, 2000)
 
 
+def test_overflowing_step_is_refused(toy_irr):
+    # one step from q2 = 1e308 under h = q2 p2 overflows; the step itself
+    # refuses its non-finite state rather than returning it
+    irs = toy_irr[2]
+    q = np.zeros((4, 4))
+    q[1, 3] = q[3, 1] = 1.0
+    start = irs.join(np.array([0.0, 1e308, 0.0, 0.0]), np.zeros(irs.dim_y))
+    with pytest.raises(InvalidInputError, match="stepped state"):
+        eom_step(irs, quadratic(q), start, 1.0)
+
+
 def test_evolve_refuses_bad_input(toy_irr):
     cs, at, irs = toy_irr
     n = irs.dim_z

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 
@@ -461,6 +462,54 @@ def test_build_refuses_a_broken_chain():
     assert exc.value.residual > 1.0
 
 
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_incidence_is_the_divergence_complex(d):
+    # entry [i, P, Q] is the sign of sorting (i, *P) into Q, counted here
+    # by inversions over every tuple; and two divergences in a row cancel
+    # exactly: I_p I_{p+1} is antisymmetric in its two derivative axes
+    for p in range(d - 1):
+        inc, up = tf._incidence(d, p), tf._incidence(d, p + 1)
+        rows = list(itertools.combinations(range(d), p))
+        cols = list(itertools.combinations(range(d), p + 1))
+        want = np.zeros((d, len(rows), len(cols)))
+        for i in range(d):
+            for r, tup in enumerate(rows):
+                if i not in tup:
+                    t = (i, *tup)
+                    flips = sum(a > b for a, b in itertools.combinations(t, 2))
+                    want[i, r, cols.index(tuple(sorted(t)))] = (-1) ** flips
+        assert np.array_equal(inc, want)
+        assert not inc.flags.writeable
+        twice = np.einsum("iPQ,jQR->ijPR", inc, up)
+        assert np.array_equal(twice, -twice.transpose(1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_build_refuses_any_flipped_incidence_sign(p, monkeypatch):
+    # a sign flipped anywhere in the incidence that builds B (p = 2), Z1
+    # (p = 1) or Z2 (p = 0) breaks the chain, and the build refuses it
+    lat = LatticeSpec(d=4, L=5)
+    ks = block_stacks(lat)[0]
+    real = tf._incidence
+    entries = np.argwhere(real(lat.d, p))
+    assert len(entries) == (4, 12, 12)[p]
+    try:
+        for entry in map(tuple, entries):
+            flipped = real(lat.d, p).copy()
+            flipped[entry] *= -1
+            monkeypatch.setattr(tf, "_incidence", lambda d, q, f=flipped: (
+                f if q == p else real(d, q)))
+            # the family coefficients are cached from the incidence
+            tf._families.cache_clear()
+            with pytest.raises(NoSolutionError,
+                               match="broke the reducibility chain"):
+                stack_threeform(lat, ks)
+    finally:
+        monkeypatch.setattr(tf, "_incidence", real)
+        tf._families.cache_clear()
+    stack_threeform(lat, ks)
+
+
 def test_build_refuses_mislabelled_or_short_input():
     lat = LatticeSpec(d=3, L=5)
     ks = block_stacks(lat)[0][:3]
@@ -539,6 +588,7 @@ def _cli_reports(args, tmp_path):
     LatticeSpec(3, 7), LatticeSpec(3, 8),
     LatticeSpec(3, 5, "spectral"), LatticeSpec(3, 7, "spectral"),
     LatticeSpec(4, 5), LatticeSpec(4, 5, "spectral"),
+    LatticeSpec(5, 3, "spectral"),
 ], ids=str)
 def test_orbit_route_matches_every_block_certified(lat, tmp_path, capsys):
     # the representatives' residuals stand for their orbits: the verdicts,
