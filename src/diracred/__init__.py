@@ -68,7 +68,6 @@ from .irreducible import (
 from .oracle import (
     DegenerateSystemError,
     SubsetSelection,
-    compare_fundamental,
     fundamental_matrix_oracle,
     independent_subset,
 )
@@ -136,7 +135,6 @@ __all__ = [
     "intermediate_bracket_matrix",
     "DegenerateSystemError",
     "SubsetSelection",
-    "compare_fundamental",
     "fundamental_matrix_oracle",
     "independent_subset",
     "LatticeSpec",

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import constraints as con
-from . import first_order as fo
 from . import irreducible as irr
 from . import oracle as oracle_mod
 from . import second_order as so
@@ -26,10 +25,10 @@ from .numerics import (
     InvalidInputError,
     NoSolutionError,
     Tolerance,
-    rel_residual,
+    max_abs,
 )
 from .oracle import DegenerateSystemError
-from .phase import PhaseFunction, quadratic
+from .phase import PhaseFunction, dirac_matrix, quadratic
 from .report import CheckReport
 
 
@@ -96,7 +95,7 @@ def parse_qspec(text: str, labels: tuple) -> PhaseFunction:
 def _analyze_report(
     cs: con.ConstraintSet, points: int, seed: int, tol: Tolerance
 ) -> CheckReport:
-    pts = con.sample_surface(cs, seed, max(points, 1), tol)
+    pts = con.sample_surface(cs, seed, points, tol)
     rep = con.validate(cs, pts, tol)
     rep.seeds["points"] = seed
     if not rep.passed:
@@ -112,19 +111,17 @@ def _analyze_report(
                                    if name not in rep.residuals))
             rep.seeds.update(irs.report.seeds)
             eq = irr.equivalence_report(
-                cs, irs, n_points=max(points, 1), seed=seed, tol=tol
+                cs, irs, n_points=points, seed=seed, tol=tol
             )
             rep.merge(eq)
         else:
-            art1 = fo.first_order_artifacts(cs, pts[0], tol)
-            f1 = fo.fundamental_matrix_1(cs, pts[0], tol, artifacts=art1)
-            devs = oracle_mod.compare_fundamental(
-                cs, {"first_order": f1}, pts[0], tol
-            )
-            rep.add("eq_32", devs["vs_first_order"], tol.weak_eq)
-            # d is d00 with no Z2 directions: the same projector identity
-            d = art1.d
-            rep.add("eq_15", rel_residual(d @ d, d), tol.weak_eq)
+            # the noninvertible stage alone, which needs no omega pair
+            art = so.second_order_artifacts(cs, pts[0], tol)
+            f_non = dirac_matrix(cs.spec.poisson, cs.gradients(art.point),
+                                 art.m2)
+            f_oracle = oracle_mod.fundamental_matrix_oracle(cs, pts[0], tol)
+            rep.add("eq_32", max_abs(f_non - f_oracle), tol.weak_eq)
+            rep.take(art.report, "eq_15")
     except (NoSolutionError, DegenerateSystemError) as exc:
         residual = getattr(exc, "residual", np.inf)
         rep.add("construction_error", float(residual), tol.weak_eq)
@@ -202,6 +199,9 @@ def _cmd_threeform(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    if not (np.isfinite(args.drift_tol) and args.drift_tol >= 0.0):
+        raise InvalidInputError(
+            f"drift tolerance must be finite and >= 0, got {args.drift_tol}")
     cs = con.load_system(args.file)
     tol = DEFAULT_TOL
     h = parse_qspec(args.hamiltonian, cs.spec.default_labels())

@@ -359,6 +359,11 @@ def project_to_surface(
     raise ProjectionError("surface projection did not converge", residual)
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generators take no negative seed
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+
+
 def sample_surface(
     cs: ConstraintSet,
     seed: int,
@@ -372,6 +377,7 @@ def sample_surface(
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):
@@ -411,6 +417,7 @@ def synth_linear(
     times, until the bracket matrix B J B.T has the full second-class
     rank m0 - m1 + m2.
     """
+    _require_seed(seed)
     n_ind = m0 - m1 + m2
     if not (0 < m2 <= m1 <= m0):
         raise InvalidInputError("need 0 < m2 <= m1 <= m0")

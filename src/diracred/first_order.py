@@ -1,4 +1,4 @@
-"""First-order reducible Dirac brackets: the lean order-1 route.
+"""First-order reducible Dirac brackets: a lean library route.
 
 For a reducible set of M0 second-class constraints with a single level of
 dependencies Z1 (M0 x M1, independent columns), the Dirac bracket can be
@@ -7,18 +7,18 @@ written with a noninvertible antisymmetric matrix m1 solving
 directions.
 
 This is the second-order construction with no Z2 (M2 = 0): d11 = I,
-abar01 is abar and d00 is d, and second_order.fundamental_matrix_2 in
-its noninvertible mode gives the same matrix.  This module forms only
-what that bracket needs, at a fraction of the cost.  The invertible and
-irreducible brackets of an order-1 system come from the one second-order
-engine (full_artifacts, then irreducible.build_irreducible), whose omega
-pair needs an even M1.
+abar01 is abar and d00 is d, and second_order_artifacts builds the same
+matrix as its m2, with every defining identity checked; ``analyze``
+certifies order-1 files that way, and no CLI subcommand uses this
+module.  It forms only what the bracket needs, at a fraction of the
+cost.  The invertible and irreducible brackets of an order-1 system come
+from the one second-order engine (full_artifacts, then
+irreducible.build_irreducible), whose omega pair needs an even M1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -75,17 +75,7 @@ def fundamental_matrix_1(
     cs: ConstraintSet,
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-    artifacts: Optional[FirstOrderArtifacts] = None,
 ) -> np.ndarray:
-    """Matrix of Dirac brackets among the coordinates, 2N x 2N.
-
-    ``artifacts`` are the first_order_artifacts of ``cs`` at ``at`` when
-    the caller has built them already.
-    """
-    if artifacts is None:
-        art = first_order_artifacts(cs, at, tol)
-    elif np.array_equal(artifacts.point, cs.spec.point(at)):
-        art = artifacts
-    else:
-        raise InvalidInputError("artifacts were built at another point")
+    """Matrix of Dirac brackets among the coordinates, 2N x 2N."""
+    art = first_order_artifacts(cs, at, tol)
     return dirac_matrix(cs.spec.poisson, cs.gradients(art.point), art.m1)

@@ -316,18 +316,20 @@ def equivalence_report(
     ones are compared over all extended coordinates, y included (eq_32y),
     the rest over z.  The oracle, built from the raw constraint gradients
     so the certification stays independent of what it certifies, is
-    compared with each of the four.  It reads a point only through those
-    gradients: on affine chi, which share them everywhere, it is built
-    once, at the first point; otherwise at each point.  Ten random
-    gradient pairs, standing in for quadratic functions, contract every
-    difference matrix of z blocks as well.
+    compared with each of the four.  Ten random gradient pairs, standing
+    in for quadratic functions, contract every difference matrix of z
+    blocks as well.
 
     The points are drawn with sample_surface(cs, seed, n_points); on an
     affine system that reuses the pseudoinverse of B cached on cs.  Every
-    point is checked, before any oracle is built, to lie on the surface
+    point is checked, before the oracle is built, to lie on the surface
     (else OffSurfaceError) and to be one where sys holds: on a
     non-constant base every point other than the build point raises
-    BuildPointError.
+    BuildPointError.  The oracle reads a point only through the
+    gradients, so it is built once, at the first point: on a constant
+    base the gradients are the same at every point, and on any other
+    base every point that passes is the build point, within
+    tol.surface.
     """
     rep = CheckReport(
         system=cs.name or "constraint-system",
@@ -366,11 +368,8 @@ def equivalence_report(
     for z in points:
         sys.require_build_point(z, tol)
         cs.require_on_surface(z, tol)
-    # affine chi have the same gradients, hence the same oracle, at every
-    # point, so it is built once
-    for z in points[:1] if cs.is_affine else points:
-        f_oracle = oracle_mod.fundamental_matrix_oracle(cs, z, tol)
-        dev_all = max([dev_all] + [deviation(f_oracle, m) for m in mats])
+    f_oracle = oracle_mod.fundamental_matrix_oracle(cs, points[0], tol)
+    dev_all = max([dev_all] + [deviation(f_oracle, m) for m in mats])
     rep.add("eq_24", float(np.abs(f_non - f_inv).max()), tol.weak_eq)
     rep.add("eq_28", float(np.abs(f_inter - f_inv).max()), tol.weak_eq)
     rep.add("eq_32y", dev_extended, tol.weak_eq)

@@ -17,7 +17,6 @@ over the stack.  Each system of a stack gets the bracket it gets alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +25,6 @@ from .constraints import ConstraintSet
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    max_abs,
     mt,
     pinv_rank,
 )
@@ -136,36 +134,3 @@ def fundamental_matrix_oracle(
     system of a stack."""
     sel = independent_subset(cs, at, tol)
     return dirac_matrix(cs.spec.poisson, sel.grads, sel.cab_inv)
-
-
-def compare_fundamental(
-    cs: ConstraintSet,
-    methods: Dict[str, np.ndarray],
-    at: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Dict[str, Union[float, np.ndarray]]:
-    """Deviations among fundamental matrices evaluated at ``at``.
-
-    ``methods`` maps names to 2N x 2N matrices at that point; the oracle's
-    is built there as the reference.  Returns ``vs_<name>``, the max
-    entrywise deviation of each from the oracle, and ``max_pairwise``,
-    the worst deviation between any two, the oracle included: floats for
-    one system, one per block on a stack (whose matrices carry its
-    leading axis).
-    """
-    matrices = {"oracle": fundamental_matrix_oracle(cs, at, tol)}
-    for name, mat in methods.items():
-        matrices[name] = np.asarray(mat, dtype=float)
-    out = {}
-    names = list(matrices)
-    worst = np.zeros(cs.batch)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            dev = max_abs(matrices[a] - matrices[b])
-            worst = np.maximum(worst, dev)
-            if a == "oracle":
-                out[f"vs_{b}"] = dev
-    out["max_pairwise"] = worst
-    if not cs.batch:
-        out = {name: float(dev) for name, dev in out.items()}
-    return out

@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -73,9 +74,10 @@ from .report import COUNT_TOL, CheckReport
 # image of a mode from that mode times its symbol, before decoupling is
 # refused
 _BLOCK_TOL = 1e-12
-# the most Fourier blocks one stacked pass certifies; a larger shape group
-# is cut into passes of this many, which bounds the memory of a pass
-_STACK_BLOCKS = 2048
+# the matrix entries one stacked pass may hold per matrix of its largest
+# shape, (M0 + M1 + 2N)^2 per block: a shape group is cut into passes of
+# as many blocks as fit, which bounds the memory of a pass
+_STACK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -171,20 +173,27 @@ def _orbits(lat: LatticeSpec) -> list:
 def _stacks(lat: LatticeSpec, ks) -> list:
     """The wavevectors ks, in their order, in stacks of one block shape:
     the {k, -k} pairs (m_g = 2), then the self-conjugate k = -k
-    (m_g = 1), each cut into stacks of at most _STACK_BLOCKS."""
+    (m_g = 1), each cut into stacks of as many blocks as hold
+    _STACK_ENTRIES entries of (M0 + M1 + 2N)^2 each (one block at
+    least)."""
     conj = _self_conjugate(lat, ks).tolist()
-    groups = [[k for k, c in zip(ks, conj) if c == flag]
-              for flag in (False, True)]
-    return [tuple(g[i:i + _STACK_BLOCKS])
-            for g in groups for i in range(0, len(g), _STACK_BLOCKS)]
+    out = []
+    for m, flag in ((2, False), (1, True)):
+        g = [k for k, c in zip(ks, conj) if c == flag]
+        # M0, M1 and 2N: m rows per pair, axis and triple of each family
+        size = 2 * m * (math.comb(lat.d, 2) + lat.d + math.comb(lat.d, 3))
+        n = max(1, _STACK_ENTRIES // size ** 2)
+        out += [tuple(g[i:i + n]) for i in range(0, len(g), n)]
+    return out
 
 
 def block_stacks(lat: LatticeSpec) -> list:
     """The wavevectors of all the lattice's Fourier blocks, in orbit
     order, in stacks of one block shape: the {k, -k} pairs, then at even
-    L the self-conjugate k = -k, cut into stacks of at most
-    _STACK_BLOCKS.  certify_lattice builds every one of them to check
-    its orbit maps, and certifies the stacks of the representatives."""
+    L the self-conjugate k = -k, cut into stacks that _STACK_ENTRIES
+    bounds by the blocks' size.  certify_lattice builds every one of
+    them to check its orbit maps, and certifies the stacks of the
+    representatives."""
     return _stacks(lat, _orbits(lat))
 
 
@@ -460,10 +469,10 @@ def run_threeform_checks(
     dim = cs.spec.dim
     f_irr = irr.fundamental_matrix_irred(irs, irs.build_point,
                                          tol)[..., :dim, :dim]
-    dev = oracle_mod.compare_fundamental(
-        cs, {"noninvertible": f_non, "invertible": f_inv,
-             "irreducible": f_irr}, z, tol)["max_pairwise"]
-    rep.add("eq_32", dev, tol.weak_eq)
+    mats = [oracle_mod.fundamental_matrix_oracle(cs, z, tol),
+            f_non, f_inv, f_irr]
+    rep.add("eq_32", np.max([max_abs(a - b) for i, a in enumerate(mats)
+                             for b in mats[i + 1:]], axis=0), tol.weak_eq)
 
     d30 = closed_form_projector(sys)
     if _printed_forms_apply(sys):
@@ -822,9 +831,10 @@ def certify_lattice(
     orbit's representative (_check_orbit_maps) before any block is
     certified; a block that is not raises NoSolutionError naming it.
 
-    The representatives, in stacks of one shape (at most _STACK_BLOCKS
-    each), then go through run_threeform_checks, and with
-    ``paper_choices`` also paper_choices_artifacts, once per stack.
+    The representatives, in stacks of one shape (as many blocks each as
+    _STACK_ENTRIES allows at their size), then go through
+    run_threeform_checks, and with ``paper_choices`` also
+    paper_choices_artifacts, once per stack.
     Each record keeps its worst residual, in one report per route under
     the lattice's name; its per-block residuals cover every block, each
     block carrying its representative's.  Each report's ``blocks`` labels

@@ -17,7 +17,8 @@ from diracred.constraints import (
     synth_linear,
     toy_system,
 )
-from diracred.numerics import InvalidInputError
+from diracred.first_order import first_order_artifacts, fundamental_matrix_1
+from diracred.numerics import InvalidInputError, rel_residual
 from diracred.oracle import fundamental_matrix_oracle
 from diracred.report import COUNT_TOL
 from test_first_order import doubled_pair_system
@@ -106,6 +107,30 @@ def test_missing_and_malformed_files_exit_2(synth_file, tmp_path, capsys):
         assert err.startswith("error:") and repr(field) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{file}", "--seed", "-1"],
+    ["analyze", "{file}", "--seed", "-1"],
+    ["bracket", "{file}", "--seed", "-1"],
+    ["synth", "--pairs", "10", "--m0", "12", "--m1", "8", "--m2", "2",
+     "--seed", "-1", "-o", "{out}"],
+    ["threeform", "--dim", "3", "--lattice", "3", "--seed", "-1"],
+    ["evolve", "{file}", "--h", "0.5*q1^2", "--steps", "2", "--dt", "0.1",
+     "--seed", "-1"],
+    ["analyze", "{file}", "--points", "0"],
+    ["analyze", "{file}", "--points", "-4"],
+    ["evolve", "{file}", "--h", "0.5*q1^2", "--steps", "2", "--dt", "0.1",
+     "--drift-tol", "-1"],
+    ["evolve", "{file}", "--h", "0.5*q1^2", "--steps", "2", "--dt", "0.1",
+     "--drift-tol", "nan"],
+])
+def test_input_errors_exit_2(argv, toy_file, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = [a.format(file=toy_file, out=out) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_main_reuses_one_parser(synth_file, tmp_path, capsys):
     assert cli.build_parser() is not cli.build_parser()
     out = tmp_path / "rep.json"
@@ -189,18 +214,42 @@ def test_analyze_order_one_system(tmp_path, capsys):
 def test_analyze_order_one_builds_artifacts_once(tmp_path, capsys,
                                                  monkeypatch):
     import diracred.first_order as fo
-    from diracred.constraints import duplicated_pair_system
+    import diracred.second_order as so
 
     path = tmp_path / "first.json"
     save_system(duplicated_pair_system(), path)
-    builds = []
-    real = fo.first_order_artifacts
-    monkeypatch.setattr(fo, "first_order_artifacts",
+    builds, lean = [], []
+    real = so.second_order_artifacts
+    monkeypatch.setattr(so, "second_order_artifacts",
                         lambda *a, **k: builds.append(1) or real(*a, **k))
+    monkeypatch.setattr(fo, "first_order_artifacts",
+                        lambda *a, **k: lean.append(1))
     assert main(["analyze", str(path), "--points", "4"]) == 0
-    # eq_15 and the bracket for eq_32 share one build at the first point
+    # eq_15 and the bracket for eq_32 share one build at the first point,
+    # by the engine's noninvertible stage
     assert len(builds) == 1
+    assert not lean
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("system", [duplicated_pair_system,
+                                    doubled_pair_system])
+def test_analyze_order_one_matches_the_lean_route(system, tmp_path, capsys):
+    cs = system()
+    path = tmp_path / "first.json"
+    save_system(cs, path)
+    out = tmp_path / "an.json"
+    assert main(["analyze", str(path), "--json", str(out)]) == 0
+    capsys.readouterr()
+    rows = {c["name"]: c["residual"]
+            for c in json.loads(out.read_text())["checks"]}
+    assert list(rows) == ["eq_2", "eq_11d_rank", "z1_rank", "eq_32", "eq_15"]
+    at = sample_surface(cs, 0, 20)[0]
+    f_oracle = fundamental_matrix_oracle(cs, at)
+    assert rows["eq_32"] == float(
+        np.abs(fundamental_matrix_1(cs, at) - f_oracle).max())
+    d = first_order_artifacts(cs, at).d
+    assert rows["eq_15"] == float(rel_residual(d @ d, d))
 
 
 def test_analyze_order_one_check_names_fixed(tmp_path, capsys):
@@ -384,6 +433,27 @@ def test_threeform_above_four_dimensions(dim, derivative, tmp_path, capsys):
     checks = [c for part in doc.values() for c in part["checks"]]
     assert checks and all(c["pass"] for c in checks)
     capsys.readouterr()
+
+
+def test_threeform_peak_memory_is_bounded_by_block_size():
+    # d = 6 has 364 blocks of M0 + M1 + 2N = 164, which held in one pass
+    # peak near 184 MB
+    src = Path(diracred.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # the peak of the child's own memory map: its ru_maxrss also counts
+    # the pages of this process that it held between fork and exec
+    code = ("import sys\n"
+            "from diracred import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "hwm = [f for f in open('/proc/self/status') if 'VmHWM' in f]\n"
+            "print(rc, hwm[0].split()[1])\n")
+    run = subprocess.run(
+        [sys.executable, "-c", code, "threeform", "--dim", "6",
+         "--lattice", "3", "--paper-choices"], env=env, capture_output=True,
+        text=True, timeout=120)
+    rc, peak_kb = map(int, run.stdout.split()[-2:])
+    assert rc == 0, run.stdout
+    assert peak_kb <= 130 * 1024
 
 
 def test_python_m_diracred_runs_from_a_checkout():

@@ -214,16 +214,6 @@ def test_lift_honours_callers_tolerance(method):
             fundamental_matrix_irred(_engine(cs, off, loose), ext)
 
 
-def test_fundamental_matrix_1_reuses_artifacts():
-    cs = duplicated_pair_system()
-    at, other = sample_surface(cs, seed=9, count=2)
-    art = first_order_artifacts(cs, at)
-    assert np.array_equal(fundamental_matrix_1(cs, at, artifacts=art),
-                          fundamental_matrix_1(cs, at))
-    with pytest.raises(InvalidInputError):
-        fundamental_matrix_1(cs, other, artifacts=art)
-
-
 def test_lifted_constraints_vanish_with_matching_y():
     cs = doubled_pair_system()
     at = sample_surface(cs, seed=5, count=1)[0]

@@ -15,7 +15,6 @@ from diracred.constraints import (
 from diracred.numerics import DEFAULT_TOL, rank_tol
 from diracred.oracle import (
     DegenerateSystemError,
-    compare_fundamental,
     fundamental_matrix_oracle,
     independent_subset,
     pivoted_qr,
@@ -113,17 +112,6 @@ def test_degenerate_system_detected():
     at = sample_surface(cs, seed=0, count=1)[0]
     with pytest.raises(DegenerateSystemError):
         independent_subset(bad, at)
-
-
-def test_compare_fundamental_keys():
-    cs = toy_system()
-    at = sample_surface(cs, seed=0, count=1)[0]
-    out = compare_fundamental(
-        cs, {"same": fundamental_matrix_oracle(cs, at)}, at,
-        DEFAULT_TOL,
-    )
-    assert out["vs_same"] == 0.0
-    assert out["max_pairwise"] == 0.0
 
 
 def test_oracle_builds_gradients_once(monkeypatch):

@@ -18,7 +18,6 @@ from diracred.constraints import (
 from diracred.numerics import DEFAULT_TOL, pinv_rank
 from diracred.oracle import (
     DegenerateSystemError,
-    compare_fundamental,
     fundamental_matrix_oracle,
     independent_subset,
 )
@@ -103,13 +102,6 @@ def test_stack_gives_each_block_its_oracle(case):
             assert np.array_equal(sel.indices[i], sel1.indices)
             assert np.array_equal(sel.cab_inv[i], sel1.cab_inv)
             assert np.array_equal(f[i], fundamental_matrix_oracle(one, at_i))
-    rng = np.random.default_rng(stack.m0)
-    other = f + 1e-9 * rng.standard_normal(f.shape)
-    devs = compare_fundamental(stack, {"other": other}, at)
-    for i in range(stack.batch[0]):
-        alone = compare_fundamental(stack.block((i,)), {"other": other[i]},
-                                    at[i])
-        assert {k: v[i] for k, v in devs.items()} == alone
 
 
 def _failure(call, error):
