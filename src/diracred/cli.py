@@ -261,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_synth)
 
     t = sub.add_parser("threeform", help="run the lattice three-form example")
-    t.add_argument("--dim", type=int, default=3)
-    t.add_argument("--lattice", type=int, default=4)
+    # at d = 3 every bracket of the three-form is identically zero; d = 4
+    # is the least dimension whose bracket a wrong route would miss
+    t.add_argument("--dim", type=int, default=4)
+    t.add_argument("--lattice", type=int, default=5)
     t.add_argument("--derivative", default="fd", choices=["fd", "spectral"])
     t.add_argument("--paper-choices", action="store_true")
     t.add_argument("--seed", type=int, default=0)

@@ -19,8 +19,8 @@ BuildPointError.
 
 Built on a stack of systems (ConstraintSet.linear), the assembly, the
 extended constraints and the irreducible fundamental matrix broadcast
-over its leading axis; the intermediate system, recovery and evolution
-take one system.  On a constant base, evolve forms the RK4 map of an
+over its leading axis; the intermediate system and evolution take one
+system.  On a constant base, evolve forms the RK4 map of an
 affine or quadratic Hamiltonian once and composes ``steps`` of it by
 doubling, in O(dim_z^3 log steps); eom_step takes one step of any
 Hamiltonian.
@@ -122,19 +122,6 @@ class IrreducibleSystem:
         out[..., self.dim_z:, :m0] = mt(self.a01)
         out[..., self.dim_z:, m0:] = z2
         return out
-
-    def recover(self, at: np.ndarray) -> tuple:
-        """Original chi values and y recovered from the chi_tilde values."""
-        z, _ = self.split(at)
-        vals = self.chi_tilde_values(at)
-        m0 = self.base.m0
-        top, bottom = vals[:m0], vals[m0:]
-        art = self.artifacts
-        z1 = self.base.z1_at(z)
-        abar12 = art.a12 @ art.dbar2.T
-        chi = art.d00.T @ top
-        y = self.ehat.T @ z1.T @ top + abar12 @ bottom
-        return chi, y
 
     def require_on_surface(self, at: np.ndarray, tol: Tolerance) -> None:
         r = float(np.max(np.abs(self.chi_tilde_values(at))))

@@ -191,12 +191,6 @@ def symplectic_block(n: int) -> np.ndarray:
     return j
 
 
-def range_projector(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the numerical column space of m."""
-    u = _svd_kept(check_finite(m), tol)[0]
-    return u @ mt(u)
-
-
 def skew_solve(
     c: np.ndarray,
     target: np.ndarray,

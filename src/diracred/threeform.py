@@ -20,9 +20,13 @@ Every derivative is circulant, so each pair of opposite wavevectors
 acts as the closed-form symbol of the 1-d derivative at k_i.
 build_threeform assembles the system from the derivative symbols.
 Permuting the axes carries a block onto another up to a signed
-relabelling; certify_lattice checks exactly that every block is such an
-image of its orbit's first block, stacks those representatives by shape
-on a leading axis and runs every stage once per stack.
+relabelling, and so does reflecting an axis in spectral mode, where the
+derivative is odd.  certify_lattice checks exactly, without building
+them, that every block is such an image of its orbit's first block: its
+symbols and Laplacian are the relabelled ones, and build_threeform
+carries random symbols onto their relabelled images.  It stacks the
+representatives by shape on a leading axis and runs every stage once per
+stack.
 
 Operator conventions: del_i is the forward difference ell_i; del^i is
 u_i = -ell_i^T (the adjoint rule that replaces integration by parts on
@@ -158,16 +162,16 @@ def _self_conjugate(lat: LatticeSpec, ks) -> np.ndarray:
     return np.all(2 * np.reshape(ks, (-1, lat.d)) % lat.L == 0, axis=1)
 
 
-def _orbits(lat: LatticeSpec) -> list:
+def _orbits(lat: LatticeSpec) -> np.ndarray:
     """The first wavevector, in lexicographic order, of every {k, -k}
-    orbit of nonzero wavevectors: one per Fourier block, together
-    spanning the n - 1 zero-mean functions."""
+    orbit of nonzero wavevectors, one row each: one per Fourier block,
+    together spanning the n - 1 zero-mean functions."""
     shape = (lat.L,) * lat.d
     k = np.indices(shape).reshape(lat.d, -1)
     # lexicographic order is the order of the flat index
     flat = np.arange(k.shape[1])
     first = flat <= np.ravel_multi_index(-k % lat.L, shape)
-    return list(map(tuple, k[:, first & (flat > 0)].T.tolist()))
+    return k[:, first & (flat > 0)].T
 
 
 def _stacks(lat: LatticeSpec, ks) -> list:
@@ -180,55 +184,90 @@ def _stacks(lat: LatticeSpec, ks) -> list:
     out = []
     for m, flag in ((2, False), (1, True)):
         g = [k for k, c in zip(ks, conj) if c == flag]
-        # M0, M1 and 2N: m rows per pair, axis and triple of each family
-        size = 2 * m * (math.comb(lat.d, 2) + lat.d + math.comb(lat.d, 3))
-        n = max(1, _STACK_ENTRIES // size ** 2)
+        n = _pass_blocks(lat.d, m)
         out += [tuple(g[i:i + n]) for i in range(0, len(g), n)]
     return out
+
+
+def _pass_blocks(d: int, m: int) -> int:
+    """How many blocks of m_g = m one stacked pass holds: as many as hold
+    _STACK_ENTRIES entries of (M0 + M1 + 2N)^2 each, one at least."""
+    # M0, M1 and 2N: m rows per pair, axis and triple of each family
+    size = 2 * m * (math.comb(d, 2) + d + math.comb(d, 3))
+    return max(1, _STACK_ENTRIES // size ** 2)
 
 
 def block_stacks(lat: LatticeSpec) -> list:
     """The wavevectors of all the lattice's Fourier blocks, in orbit
     order, in stacks of one block shape: the {k, -k} pairs, then at even
     L the self-conjugate k = -k, cut into stacks that _STACK_ENTRIES
-    bounds by the blocks' size.  certify_lattice builds every one of
-    them to check its orbit maps, and certifies the stacks of the
-    representatives."""
-    return _stacks(lat, _orbits(lat))
+    bounds by the blocks' size.  certify_lattice certifies the stacks of
+    the orbit representatives among them."""
+    return _stacks(lat, list(map(tuple, _orbits(lat).tolist())))
 
 
 def axis_orbits(lat: LatticeSpec) -> tuple:
-    """The Fourier blocks grouped into orbits under permutations of the
+    """The Fourier blocks grouped into orbits under relabellings of the
     axes.
 
     Permuting the axes of k, or of -k, carries a {k, -k} block onto a
-    block of the same shape.  Returns (ks, rep, perm, conj): ks the
-    wavevectors of the blocks in block_stacks order; rep[j] the index in
-    ks of the representative of block j's orbit, its first block; and
-    the relabelling that carries the representative onto block j, under
-    which derivative i of block j is derivative perm[j, i] of the
-    representative, conjugated (k -> -k) where conj[j].  A
-    representative is its own image under the identity.
+    block of the same shape.  The spectral derivative is odd,
+    w(-k) = -w(k), so in spectral mode reflecting one axis does too, and
+    negates that axis's derivative.  The forward difference has no such
+    symmetry (a reflection turns it into minus the backward difference),
+    so its orbits are those of the permutations alone.
+
+    Returns (ks, rep, perm, conj, sign): ks the wavevectors of the blocks
+    in block_stacks order; rep[j] the index in ks of the representative
+    of block j's orbit, its first block; and the relabelling that carries
+    the representative onto block j, under which derivative i of block j
+    is sign[j, i] times derivative perm[j, i] of the representative,
+    conjugated (k -> -k) where conj[j].  sign is +1 throughout in fd
+    mode.  In spectral mode conjugation is the reflection of every axis,
+    and a block is taken as the image of -k where that reflects fewer of
+    its axes than the image of k.  A representative is its own image
+    under the identity.
     """
-    ks = tuple(k for stack in block_stacks(lat) for k in stack)
-    k = np.array(ks)
+    k = _orbits(lat)
+    # block_stacks order: the {k, -k} pairs, then the self-conjugate k = -k
+    last = _self_conjugate(lat, k)
+    k = np.concatenate([k[~last], k[last]])
+    ks = tuple(zip(*k.T.tolist()))
     neg = -k % lat.L
-    up, down = np.sort(k, axis=1), np.sort(neg, axis=1)
-    # an orbit's key is the lesser, lexicographically, of sorted k and
-    # sorted -k
-    rows = np.arange(len(k))
-    first = np.argmax(up != down, axis=1)
-    flip = down[rows, first] < up[rows, first]
-    _, firsts, which = np.unique(np.where(flip[:, None], down, up), axis=0,
-                                 return_index=True, return_inverse=True)
-    rep = firsts[which.ravel()]
-    conj = np.any(up != up[rep], axis=1)
-    source = np.where(conj[:, None], neg[rep], k[rep])
-    # k[j, x] = source[j, perm[j, x]]: match the sorted components
+    spectral = lat.derivative == "spectral"
+    if spectral:
+        # an orbit's key is the sorted distances of the k_i from 0
+        size = np.minimum(k, neg)
+        key = np.sort(size, axis=1)
+    else:
+        # the lesser, lexicographically, of sorted k and sorted -k
+        up, down = np.sort(k, axis=1), np.sort(neg, axis=1)
+        rows = np.arange(len(k))
+        first = np.argmax(up != down, axis=1)
+        flip = down[rows, first] < up[rows, first]
+        key = np.where(flip[:, None], down, up)
+    _, firsts, which = np.unique(
+        np.ravel_multi_index(key.T, (lat.L,) * lat.d), return_index=True,
+        return_inverse=True)
+    rep = firsts[which]
+    if spectral:
+        this, that = size, size[rep]
+    else:
+        conj = np.any(up != up[rep], axis=1)
+        this, that = k, np.where(conj[:, None], neg[rep], k[rep])
+    # this[j, x] = that[j, perm[j, x]]: match the sorted components
     perm = np.empty_like(k)
-    np.put_along_axis(perm, np.argsort(k, axis=1, kind="stable"),
-                      np.argsort(source, axis=1, kind="stable"), axis=1)
-    return ks, rep, perm, conj
+    np.put_along_axis(perm, np.argsort(this, axis=1, kind="stable"),
+                      np.argsort(that, axis=1, kind="stable"), axis=1)
+    if spectral:
+        # the image of -k where that reflects fewer axes than that of k
+        moved = k != np.take_along_axis(k[rep], perm, axis=1)
+        conj = 2 * moved.sum(axis=1) > np.count_nonzero(k, axis=1)
+    # a component that the permutation carries onto its negative is a
+    # reflected axis
+    source = np.where(conj[:, None], neg[rep], k[rep])
+    sign = np.where(k == np.take_along_axis(source, perm, axis=1), 1, -1)
+    return ks, rep, perm, conj, sign
 
 
 def _symbol_blocks(lat: LatticeSpec, ks: tuple) -> tuple:
@@ -237,7 +276,9 @@ def _symbol_blocks(lat: LatticeSpec, ks: tuple) -> tuple:
     real 2 x 2 form [[a, b], [-b, a]] of the eigenvalue a + i b at k_i; on
     a self-conjugate block (cos alone) it is the real eigenvalue, -2 at
     k_i = L/2 for the forward difference and 0 at k_i = 0."""
-    k = np.reshape(ks, (-1, lat.d))
+    # several times faster than converting a tuple of tuples whole
+    k = np.fromiter(itertools.chain.from_iterable(ks), dtype=int)
+    k = k.reshape(-1, lat.d)
     if not len(k) or not k.any(axis=1).all():
         raise InvalidInputError("blocks need nonzero wavevectors")
     conj = _self_conjugate(lat, k)
@@ -330,6 +371,31 @@ def _blocks(coef: np.ndarray, ops) -> np.ndarray:
             .reshape(ops.shape[1:-2] + (r * m, c * k)))
 
 
+def _laplacian(down: np.ndarray) -> tuple:
+    """The Laplacian sum_i del^i del_i of the derivatives ``down`` (d x m x
+    m, or d x G x m x m on a stack) and its inverse, which build_threeform
+    and the orbit check both take from here.
+
+    The terms are summed in ascending and in descending order and
+    averaged, so that the sum depends neither on the order of the
+    directions nor on a common sign: a relabelling of the axes carries
+    delta exactly as it carries the symbols.
+    """
+    terms = mt(down) @ down
+    np.negative(terms, out=terms)
+    # sorted along the directions, entry by entry, by an odd-even
+    # transposition network: d rounds of min/max, which sort as np.sort
+    # does and much faster on a short axis
+    n = len(terms)
+    for r in range(n):
+        a, b = terms[r % 2:n - 1:2], terms[r % 2 + 1:n:2]
+        low = np.minimum(a, b)
+        np.maximum(a, b, out=b)
+        a[...] = low
+    delta = 0.5 * (terms.sum(axis=0) + terms[::-1].sum(axis=0))
+    return delta, np.linalg.inv(delta)
+
+
 def build_threeform(lat: LatticeSpec, ell, blocks: tuple = ()
                     ) -> ThreeFormSystem:
     """Assemble the constraint system from the derivative symbols and
@@ -347,13 +413,7 @@ def build_threeform(lat: LatticeSpec, ell, blocks: tuple = ()
     d = lat.d
     down = np.stack(ell)
     up = -mt(down)
-    # summed in ascending and in descending order and averaged, so that
-    # the sum depends neither on the order of the directions nor on a
-    # common sign: a relabelling of the axes carries delta exactly as it
-    # carries the symbols
-    terms = np.sort(up @ down, axis=0)
-    delta = 0.5 * (terms.sum(axis=0) + terms[::-1].sum(axis=0))
-    delta_inv = np.linalg.inv(delta)
+    delta, delta_inv = _laplacian(down)
 
     # the divergences of three-, two- and one-forms, del^i on the pi
     # family and del_i on the A family
@@ -698,31 +758,56 @@ def _stack_system(lat: LatticeSpec, ks: tuple) -> ThreeFormSystem:
                            tuple(f"mode k={k}" for k in ks))
 
 
-def _axis_maps(d: int, m: int, perm: np.ndarray, conj: np.ndarray) -> dict:
+def _conjugation(conj: np.ndarray, m: int) -> np.ndarray:
+    """The signs, G x m x m, that carry a block's m x m matrices by k -> -k
+    where conj[g]: the sine of the (cos, sin) pair flips sign, on both
+    sides."""
+    flip = np.where(conj[:, None], [1.0, -1.0], 1.0)[:, :m]
+    return flip[:, :, None] * flip[:, None, :]
+
+
+def _relabel(down: np.ndarray, rows: np.ndarray, perm: np.ndarray,
+             conj: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The images, G x d x m x m, of blocks of stacked symbols ``down``
+    (d x G' x m x m) under the relabellings of axis_orbits: derivative i
+    of image g is sign[g, i] times derivative perm[g, i] of block
+    rows[g], conjugated where conj[g]."""
+    out = down[perm, rows[:, None]]
+    out *= sign[:, :, None, None]
+    out *= _conjugation(conj, down.shape[-1])[:, None]
+    return out
+
+
+def _axis_maps(d: int, m: int, perm: np.ndarray, conj: np.ndarray,
+               sign: np.ndarray) -> dict:
     """The signed permutations that carry a block onto its image under
-    each relabelling of axis_orbits (derivative i of the image is
-    derivative perm[g, i] of the block, conjugated where conj[g]), one
-    per index space, each of two families: "c" the constraints (pairs),
-    "f" the fields (triples, A then pi), "1" the Z1 columns (directions)
-    and "2" the Z2 columns (one function each).  Each is (index, sign),
-    one row per relabelling: entry a of the block's space is entry
-    index[g, a] of the image's, times sign[g, a].
+    each relabelling of axis_orbits (_relabel), one per index space, each
+    of two families: "c" the constraints (pairs), "f" the fields
+    (triples, A then pi), "1" the Z1 columns (directions) and "2" the Z2
+    columns (one function each).  Each is (index, sign), one row per
+    relabelling: entry a of the block's space is entry index[g, a] of the
+    image's, times sign[g, a].
     """
     to = np.argsort(perm, axis=1)  # axis i of the block is axis to[g, i]
+    # the image's derivative at to[g, i] is the block's derivative i times
+    # this reflection sign
+    back = np.take_along_axis(sign, to, axis=1)
     # conjugation flips the sine of each (cos, sin) pair
     mode = np.where(conj[:, None], [1.0, -1.0], 1.0)[:, :m]
     out = {}
     for space, size in (("2", 0), ("1", 1), ("c", 2), ("f", 3)):
         tuples = np.array(list(itertools.combinations(range(d), size)),
                           dtype=int)
-        # a tuple's image is its sorted axes, signed by the sorting
+        # a tuple's image is its sorted axes, signed by the sorting and by
+        # the reflection of each of its axes
         hit, flip = _sorting(d, to[:, tuples])
+        flip = flip * np.prod(back[:, tuples], axis=-1)
         pos = hit.argmax(axis=-1)
         index = ((np.arange(2)[:, None] * len(tuples) + pos[:, None, :])
                  [..., None] * m + np.arange(m))
-        sign = flip[:, None, :, None] * mode[:, None, None, :]
+        signs = flip[:, None, :, None] * mode[:, None, None, :]
         out[space] = (index.reshape(len(to), -1),
-                      np.broadcast_to(sign, index.shape).reshape(len(to), -1))
+                      np.broadcast_to(signs, index.shape).reshape(len(to), -1))
     return out
 
 
@@ -742,75 +827,139 @@ def _orbit_matrices(sys: ThreeFormSystem, paper_choices: bool) -> dict:
     return out
 
 
-def _check_orbit_maps(lat: LatticeSpec, orbits: tuple, stacks: list,
-                      source: np.ndarray, paper_choices: bool) -> None:
+@functools.cache
+def _builder_deviation(d: int, m: int, paper_choices: bool,
+                       relabellings: tuple) -> tuple:
+    """How far build_threeform is from carrying a block onto its image
+    under each relabelling (perm, conj, sign) of ``relabellings``, for
+    blocks of m_g = m at dimension d: one deviation per relabelling, 0.0
+    where it carries them exactly.
+
+    The block is one seeded random draw of symbols of the block shape,
+    [[a, b], [-b, a]] per direction (a alone at m = 1), which commute as
+    every lattice's do.  It and its images (_relabel) are built in stacked
+    passes, _pass_blocks blocks at most, and each matrix that
+    _orbit_matrices names, the Poisson matrix and the engine's canonical
+    omega and Z2 seeds is compared, with no tolerance, with the random
+    block's carried by _axis_maps.  The builder sums the symbols against
+    integer coefficients, so a relabelling it does not carry exactly
+    shows on a random draw with probability one (Schwartz-Zippel), on any
+    lattice size: the result depends on no L and is kept.
+    """
+    a, b = np.random.default_rng(0).standard_normal((2, d))
+    generic = np.stack([np.stack([a, b], axis=-1),
+                        np.stack([-b, a], axis=-1)], axis=-2)[:, :m, :m]
+    perm, conj, sign = (np.array(x) for x in zip(*relabellings))
+    images = _relabel(generic[:, None], np.zeros(len(perm), dtype=int),
+                      perm, conj, sign)
+    n = max(1, _pass_blocks(d, m) - 1)
+    dev = []
+    for lo in range(0, len(perm), n):
+        part = slice(lo, lo + n)
+        ell = np.concatenate([generic[None], images[part]])
+        sys = build_threeform(LatticeSpec(d, 3), tuple(np.moveaxis(ell, 1, 0)),
+                              tuple(map(str, range(len(ell)))))
+        cs = sys.cs
+        mats = _orbit_matrices(sys, paper_choices)
+        for name, shared, space in (
+                ("poisson", cs.spec.poisson, "ff"),
+                ("omega seed", symplectic_block(cs.m1), "11"),
+                ("Z2 seed", symplectic_block(cs.m2), "22")):
+            mats[name] = (np.broadcast_to(shared, (len(ell),) + shared.shape),
+                          space)
+        spaces = _axis_maps(d, m, perm[part], conj[part], sign[part])
+        miss = np.zeros(len(ell) - 1)
+        for mat, (rows, cols) in mats.values():
+            (ri, rs), (ci, cs_) = spaces[rows], spaces[cols]
+            # entry (a, b) of the block is entry at[a, b] of the image
+            at = (ri[:, :, None] * mat.shape[-1]
+                  + ci[:, None, :]).reshape(len(ri), -1)
+            want = (rs[:, :, None] * cs_[:, None, :]).reshape(at.shape) \
+                * mat[0].ravel()
+            image = np.take_along_axis(mat[1:].reshape(len(ri), -1), at,
+                                       axis=1)
+            # a NaN propagates, so it counts as a mismatch
+            miss = np.maximum(miss, np.abs(image - want).max(axis=1))
+        dev += miss.tolist()
+    return tuple(dev)
+
+
+def _check_orbit_maps(lat: LatticeSpec, orbits: tuple,
+                      paper_choices: bool) -> None:
     """Check that every block is the exact image of its orbit
     representative (axis_orbits), or NoSolutionError naming the first
-    block that is not.
+    block that is not.  No block is built.
 
-    ``stacks`` are the representatives' systems in order, and source[j]
-    is the position among them of block j's representative.  Each stack
-    of block_stacks is built as certification would build it, and each
-    of its matrices that _orbit_matrices names is compared, with no
-    tolerance, with its representative's carried by the signed
-    permutations of _axis_maps, as are the matrices that all blocks
-    share: the Poisson matrix and the engine's canonical omega seeds.
+    Two checks, each with no tolerance, show that building a member
+    would give its representative's matrices carried by the signed
+    permutations of _axis_maps:
+
+    - its inputs: every block's symbols are read through _symbol_blocks,
+      and its Delta and Delta^-1 through _laplacian, as certification
+      reads them; a member's must be its representative's carried by the
+      relabelling (_relabel);
+    - the builder: build_threeform carries a random block onto its
+      images (_builder_deviation).  A member's relabelling is a
+      permutation of the axes, with k -> -k, followed by reflections of
+      axes; the builder is checked on each distinct permutation and each
+      distinct set of reflections among the members, whose compositions
+      it then carries too.
+
+    A defect that treats one block label differently, rather than one
+    axis, is outside what this sees; full certification of every block
+    is the reference for that (tests/lattice_reference.py).
     """
-    ks, rep, perm, conj = orbits
-    # the representatives' matrices, one array per block shape, which
-    # starts at position first[m] among them
-    reps, first, n = {}, {}, 0
-    for sys in stacks:
-        first.setdefault(sys.m, n)
-        n += len(sys.cs.blocks)
-        for name, (mat, _) in _orbit_matrices(sys, paper_choices).items():
-            reps.setdefault((sys.m, name), []).append(mat)
-    reps = {key: np.concatenate(mats) for key, mats in reps.items()}
-
-    start = 0
-    for chunk in _stacks(lat, ks):
-        blocks = np.arange(start, start + len(chunk))
-        start += len(chunk)
-        members = blocks[rep[blocks] != blocks]
-        if not members.size:
+    ks, rep, perm, conj, sign = orbits
+    d = lat.d
+    dev = np.zeros(len(ks))
+    # the {k, -k} pairs come first; at even L the 2^d - 1 wavevectors
+    # with every k_i in {0, L/2} are self-conjugate, and come last
+    split = len(ks) - (2 ** d - 1 if lat.L % 2 == 0 else 0)
+    for at in (slice(0, split), slice(split, len(ks))):
+        if at.start == at.stop:
             continue
-        sys = _stack_system(lat, chunk)
-        cs, m = sys.cs, sys.m
-        shared = {"poisson": (cs.spec.poisson, "ff"),
-                  "omega seed": (symplectic_block(cs.m1), "11"),
-                  "Z2 seed": (symplectic_block(cs.m2), "22")}
-        # the shared matrices need each distinct relabelling once
-        _, one, which = np.unique(
-            np.column_stack([perm[members], conj[members]]), axis=0,
+        down = np.stack(_symbol_blocks(lat, ks[at]))
+        m = down.shape[-1]
+        delta, delta_inv = _laplacian(down)
+        ell = np.moveaxis(down, 0, 1)
+        src = rep[at] - at.start
+        sines = _conjugation(conj[at], m)
+        # a representative is its own image under the identity
+        for got, want in (
+                (ell, _relabel(down, src, perm[at], conj[at], sign[at])),
+                (delta, delta[src] * sines),
+                (delta_inv, delta_inv[src] * sines)):
+            # the deviation is taken only where an entry differs; a NaN
+            # differs from everything, itself included
+            axes = tuple(range(1, got.ndim))
+            bad = np.flatnonzero((got != want).any(axis=axes))
+            dev[at.start + bad] = np.maximum(
+                dev[at.start + bad],
+                np.abs(got[bad] - want[bad]).max(axis=axes))
+        # the distinct permutations (with conjugation) and reflections,
+        # each found by one integer code
+        _, turns, turn = np.unique(
+            2 * np.ravel_multi_index(perm[at].T, (d,) * d) + conj[at],
             return_index=True, return_inverse=True)
-        dev = np.zeros(len(members))
-        for mats, group, sel in (
-                (_orbit_matrices(sys, paper_choices), members, slice(None)),
-                (shared, members[one], which.ravel())):
-            spaces = _axis_maps(lat.d, m, perm[group], conj[group])
-            for name, (mat, (rows, cols)) in mats.items():
-                (ri, rs), (ci, cs_) = spaces[rows], spaces[cols]
-                # entry (a, b) of the block is entry at[a, b] of the image
-                at = (ri[:, :, None] * mat.shape[-1]
-                      + ci[:, None, :]).reshape(len(group), -1)
-                sign = (rs[:, :, None] * cs_[:, None, :]).reshape(at.shape)
-                if mats is shared:
-                    image, want = mat.ravel()[at], mat.ravel()
-                else:
-                    image = np.take_along_axis(
-                        mat[group - blocks[0]].reshape(len(group), -1),
-                        at, axis=1)
-                    want = reps[(m, name)][source[group]
-                                           - first[m]].reshape(at.shape)
-                miss = np.abs(image - sign * want).max(axis=-1)
-                # a NaN propagates, so it counts as a mismatch
-                dev = np.maximum(dev, miss[sel])
-        for i in np.flatnonzero(dev)[:1]:
-            j = members[i]
-            raise NoSolutionError(
-                f"{_lattice_name(lat)} mode k={ks[j]}: not the exact image "
-                f"of its axis-permutation orbit representative mode "
-                f"k={ks[rep[j]]}", float(dev[i]))
+        _, flips, flip = np.unique(
+            np.ravel_multi_index(sign[at].T < 0, (2,) * d),
+            return_index=True, return_inverse=True)
+        turns, flips = turns + at.start, flips + at.start
+        relabellings = tuple(
+            [(tuple(p), c, (1,) * d)
+             for p, c in zip(perm[turns].tolist(), conj[turns].tolist())]
+            + [(tuple(range(d)), False, tuple(f))
+               for f in sign[flips].tolist()])
+        built = np.array(_builder_deviation(d, m, paper_choices,
+                                            relabellings))
+        dev[at] = np.maximum.reduce([dev[at], built[turn],
+                                     built[len(turns) + flip]])
+    members = np.flatnonzero(rep != np.arange(len(ks)))
+    for j in members[np.flatnonzero(dev[members])][:1]:
+        raise NoSolutionError(
+            f"{_lattice_name(lat)} mode k={ks[j]}: not the exact image of "
+            f"its axis orbit representative mode k={ks[rep[j]]}",
+            float(dev[j]))
 
 
 def certify_lattice(
@@ -819,22 +968,24 @@ def certify_lattice(
     seed: int = 0,
     paper_choices: bool = False,
 ) -> tuple:
-    """The lattice three-form's checks, one representative per
-    axis-permutation orbit of Fourier blocks.
+    """The lattice three-form's checks, one representative per orbit of
+    Fourier blocks under relabellings of the axes.
 
     Every lattice derivative is circulant, so each {k, -k} block is a
     constraint system of its own (M0 = 2 C(d,2) m_g, m_g = 2, or 1 for
     k = -k), built from the closed-form symbols of the derivative.  A
-    permutation of the axes carries a block onto another, up to a signed
-    relabelling of its pairs, triples and Z columns (axis_orbits).  Every
-    block is built and checked, with no tolerance, to be the image of its
-    orbit's representative (_check_orbit_maps) before any block is
-    certified; a block that is not raises NoSolutionError naming it.
+    permutation of the axes, and in spectral mode a reflection of one,
+    carries a block onto another, up to a signed relabelling of its
+    pairs, triples and Z columns (axis_orbits).  Before any block is
+    certified, every block is checked, with no tolerance and without
+    being built, to be the image of its orbit's representative
+    (_check_orbit_maps); a block that is not raises NoSolutionError
+    naming it.
 
     The representatives, in stacks of one shape (as many blocks each as
-    _STACK_ENTRIES allows at their size), then go through
+    _STACK_ENTRIES allows at their size), are then built and go through
     run_threeform_checks, and with ``paper_choices`` also
-    paper_choices_artifacts, once per stack.
+    paper_choices_artifacts, one stack at a time.
     Each record keeps its worst residual, in one report per route under
     the lattice's name; its per-block residuals cover every block, each
     block carrying its representative's.  Each report's ``blocks`` labels
@@ -855,13 +1006,12 @@ def certify_lattice(
     ks, rep = orbits[:2]
     certified = np.flatnonzero(rep == np.arange(len(ks)))
     source = np.searchsorted(certified, rep)
-    stacks = [_stack_system(lat, s)
-              for s in _stacks(lat, [ks[i] for i in certified])]
-    _check_orbit_maps(lat, orbits, stacks, source, paper_choices)
+    _check_orbit_maps(lat, orbits, paper_choices)
     engine.timings["orbit_maps"] = time.perf_counter() - t0
 
     reseeded = set()
-    for sys in stacks:
+    for stack in _stacks(lat, [ks[i] for i in certified]):
+        sys = _stack_system(lat, stack)
         part = run_threeform_checks(sys, tol, seed)
         engine.fold(part)
         if "omega" in part.seeds:

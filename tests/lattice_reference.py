@@ -23,7 +23,7 @@ def fourier_bases(lat):
     n, L = lat.sites, lat.L
     x = np.array(np.unravel_index(np.arange(n), (L,) * lat.d))
     bases = {}
-    for k in tf._orbits(lat):
+    for k in map(tuple, tf._orbits(lat).tolist()):
         # reduce k.x mod L before scaling so every phase is exact
         phase = (2.0 * np.pi / L) * ((np.array(k) @ x) % L)
         if tf._self_conjugate(lat, k)[0]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import diracred
-from diracred import cli
+from diracred import cli, irreducible
 from diracred.cli import main, parse_qspec
 from diracred.constraints import (
     duplicated_pair_system,
@@ -188,6 +188,22 @@ def test_threeform_subcommand(tmp_path, capsys):
     rows = {c["name"]: c for c in doc["checks"]}
     assert rows["eq_v23"]["residual"] < 1e-8
     assert rows["eq_v23"]["pass"] is True
+    capsys.readouterr()
+
+
+def test_threeform_defaults_refuse_a_zero_bracket(monkeypatch, tmp_path,
+                                                   capsys):
+    # at d = 3 every bracket of the three-form is identically zero, so an
+    # irreducible route that returns zeros passes there; the defaults,
+    # d4 L5, refuse it
+    real = irreducible.fundamental_matrix_irred
+    monkeypatch.setattr(irreducible, "fundamental_matrix_irred",
+                        lambda *a, **kw: np.zeros_like(real(*a, **kw)))
+    out = tmp_path / "tf.json"
+    assert main(["threeform", "--json", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["system"] == "threeform(d=4, L=5, fd)"
+    assert "eq_32" in {c["name"] for c in doc["checks"] if not c["pass"]}
     capsys.readouterr()
 
 

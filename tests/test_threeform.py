@@ -130,6 +130,19 @@ def test_engine_checks_fd():
         assert rep.record(tag).passed, tag
 
 
+def test_engine_checks_fd_d4():
+    # at d = 3 every bracket is zero; at d4 L5 it is not, so eq_32
+    # compares brackets that a wrong route would miss.  The printed
+    # closed form eq_v23 is not claimed for fd at d4
+    engine, _ = certify_lattice(LatticeSpec(d=4, L=5))
+    assert engine.passed
+    for tag in ("eq_29", "eq_21q", "eq_p11", "eq_32", "eq_w23", "eq_x23",
+                "eq_12a", "eq_30_trace"):
+        assert engine.record(tag).passed, tag
+    with pytest.raises(KeyError):
+        engine.record("eq_v23")
+
+
 def test_engine_checks_spectral_d4(dense):
     _, rep, _ = dense(LatticeSpec(d=4, L=3, derivative="spectral"))
     assert rep.passed
@@ -180,6 +193,16 @@ def test_paper_choices_chi_tilde_rows():
     printed = chi_tilde_printed(sys)
     ext_dim = sys.cs.spec.dim + sys.cs.m1
     assert printed.shape == (sys.cs.m0 + sys.cs.m2, ext_dim)
+
+
+def test_paper_choices_chi_tilde_rows_d4():
+    # eq_14r compares the printed route's bracket with the engine's, which
+    # at d4 L5 is not zero
+    _, paper = certify_lattice(LatticeSpec(d=4, L=5), paper_choices=True)
+    assert paper.passed
+    for tag in ("eq_58", "eq_59", "eq_72", "eq_27qq", "eq_p11",
+                "locality", "eq_14r"):
+        assert paper.record(tag).passed, tag
 
 
 def test_paper_choices_spectral_closed_forms(dense):
@@ -369,23 +392,35 @@ def test_per_mode_matches_dense(lat, dense):
     assert np.abs(f[off]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("derivative", ["fd", "spectral"])
-def test_printed_congruence_error_fails_its_records(derivative, monkeypatch):
-    # transcribe the printed 2/Delta of the second family as 1/Delta, with
-    # the inverse congruence to match: the derived a01 then misses the
-    # printed second-family rows and their sigma factorization
-    real = tf._paper_ehat
-
+def _halved_congruence(real):
+    """real (_paper_ehat) with the printed 2/Delta of the second family
+    transcribed as 1/Delta, and the inverse congruence to match."""
     def halved(sys):
         e, einv = (x.copy() for x in real(sys))
         half = sys.lattice.d * sys.m
         e[..., half:, half:] *= 0.5
         einv[..., half:, half:] *= 2.0
         return e, einv
+    return halved
 
-    monkeypatch.setattr(tf, "_paper_ehat", halved)
+
+@pytest.mark.parametrize("derivative", ["fd", "spectral"])
+def test_printed_congruence_error_fails_its_records(derivative, monkeypatch):
+    # transcribe the printed 2/Delta of the second family as 1/Delta, with
+    # the inverse congruence to match: the derived a01 then misses the
+    # printed second-family rows and their sigma factorization
+    monkeypatch.setattr(tf, "_paper_ehat", _halved_congruence(tf._paper_ehat))
     _, paper = certify_lattice(LatticeSpec(3, 3, derivative),
                                paper_choices=True)
+    assert {r.name for r in paper.records if not r.passed} == {
+        "eq_59", "eq_27qw"}
+
+
+def test_printed_congruence_error_fails_its_records_d4(monkeypatch):
+    # the same at d4 L5 fd, where the bracket is not zero: the congruence
+    # and its inverse cancel in the bracket, so eq_14r still passes
+    monkeypatch.setattr(tf, "_paper_ehat", _halved_congruence(tf._paper_ehat))
+    _, paper = certify_lattice(LatticeSpec(4, 5), paper_choices=True)
     assert {r.name for r in paper.records if not r.passed} == {
         "eq_59", "eq_27qw"}
 
@@ -434,7 +469,7 @@ def test_certify_path_takes_no_block_alone(monkeypatch):
         assert {r.name for r in paper.records if not r.passed} <= {
             "locality"}
         # one call per stack of orbit representatives
-        ks, rep, _, _ = tf.axis_orbits(lat)
+        ks, rep = tf.axis_orbits(lat)[:2]
         certified = [k for j, k in enumerate(ks) if rep[j] == j]
         assert calls == [(len(s),) for s in tf._stacks(lat, certified)]
 
@@ -460,6 +495,25 @@ def test_build_refuses_a_broken_chain():
                        match="broke the reducibility chain") as exc:
         build_threeform(lat, ell)
     assert exc.value.residual > 1.0
+
+
+@given(d=st.integers(3, 7), m=st.sampled_from([1, 2, 5]),
+       blocks=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_laplacian_sorts_as_np_sort(d, m, blocks, seed):
+    # the sorting network sums the terms in the order np.sort gives, so
+    # Delta is bit for bit the sum over np.sort's order, ties and signed
+    # zeros included
+    rng = np.random.default_rng(seed)
+    down = rng.standard_normal((d, blocks, m, m))
+    # equal terms: a repeated and a negated direction; and a zero one
+    down[1], down[2] = down[0], -down[0]
+    if d > 3:
+        down[3] = 0.0
+    terms = np.sort(-np.swapaxes(down, -1, -2) @ down, axis=0)
+    delta = tf._laplacian(down)[0]
+    want = 0.5 * (terms.sum(axis=0) + terms[::-1].sum(axis=0))
+    assert np.array_equal(delta, want)
+    assert np.array_equal(np.signbit(delta), np.signbit(want))
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
@@ -557,9 +611,12 @@ def test_lattice_reports_name_reseeded_blocks():
     (LatticeSpec(3, 5), 62, 18), (LatticeSpec(3, 4), 35, 12),
     (LatticeSpec(3, 8), 259, 64), (LatticeSpec(4, 5), 312, 37),
     (LatticeSpec(3, 32), 16387, 3008),
+    # reflections fold the spectral blocks further
+    (LatticeSpec(3, 5, "spectral"), 62, 9),
+    (LatticeSpec(5, 7, "spectral"), 8403, 55),
 ], ids=str)
 def test_axis_orbits_enumerate_the_blocks(lat, blocks, orbits):
-    ks, rep, perm, conj = tf.axis_orbits(lat)
+    ks, rep, perm, conj, sign = tf.axis_orbits(lat)
     assert ks == tuple(k for stack in block_stacks(lat) for k in stack)
     assert (len(ks), len(set(rep.tolist()))) == (blocks, orbits)
     # each representative is its orbit's first block, and its own image
@@ -567,14 +624,24 @@ def test_axis_orbits_enumerate_the_blocks(lat, blocks, orbits):
     assert (rep <= j).all() and (rep[rep] == rep).all()
     own = rep == j
     assert (perm[own] == np.arange(lat.d)).all() and not conj[own].any()
+    assert (sign[own] == 1).all()
+    # only the spectral derivative is odd, and there a conjugation stands
+    # for the reflection of every axis: at most half the nonzero axes of
+    # a block are reflected
+    if lat.derivative == "fd":
+        assert (sign == 1).all()
+    else:
+        moved = np.sum(sign == -1, axis=1)
+        assert (2 * moved <= np.count_nonzero(ks, axis=1)).all()
     # an orbit keeps to one shape group of block_stacks
     k = np.array(ks)
     self_conj = np.all(2 * k % lat.L == 0, axis=1)
     assert (self_conj == self_conj[rep]).all()
     # block j is the representative with its axes relabelled by perm[j],
-    # and negated where conj[j]
+    # negated where conj[j], and reflected where sign[j] is -1
     source = np.where(conj[:, None], -k[rep] % lat.L, k[rep])
-    assert (k == np.take_along_axis(source, perm, axis=1)).all()
+    assert (k == sign * np.take_along_axis(source, perm, axis=1)
+            % lat.L).all()
 
 
 def _cli_reports(args, tmp_path):
@@ -600,7 +667,7 @@ def test_orbit_route_matches_every_block_certified(lat, tmp_path, capsys):
     capsys.readouterr()
     ref = certify_every_block(lat, paper_choices=True)
     assert code == (0 if all(r.passed for r in ref) else 1)
-    ks, rep, _, _ = tf.axis_orbits(lat)
+    ks, rep = tf.axis_orbits(lat)[:2]
     mine = certify_lattice(lat, paper_choices=True)
     for part, full, fill in zip(("engine", "paper_choices"), ref, mine):
         got = doc[part]
@@ -639,6 +706,32 @@ def _planted(real, k, scale):
     return planted
 
 
+@pytest.fixture
+def plant(monkeypatch):
+    """monkeypatch for a planted defect, with the memoised builder check
+    of the orbit maps and the family coefficients cleared before and
+    after, so that nothing built without the plant hides it and nothing
+    built with it outlives it."""
+    caches = (tf._builder_deviation, tf._families)
+    for cached in caches:
+        cached.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    for cached in caches:
+        cached.cache_clear()
+
+
+def _refused_uncertified(plant, lat, match, paper_choices=True):
+    """certify_lattice raises NoSolutionError matching ``match`` before
+    it certifies any block."""
+    calls = []
+    plant.setattr(tf, "run_threeform_checks",
+                  lambda *a, **kw: calls.append(a))
+    with pytest.raises(NoSolutionError, match=match):
+        certify_lattice(lat, paper_choices=paper_choices)
+    assert calls == []
+
+
 @pytest.mark.parametrize("lat,conj", [
     (LatticeSpec(3, 5), False), (LatticeSpec(3, 5), True),
     (LatticeSpec(4, 5, "spectral"), True),
@@ -646,7 +739,7 @@ def _planted(real, k, scale):
 def test_planted_symmetry_defect_is_refused(lat, conj, monkeypatch):
     # a member block no longer the image of its representative is named,
     # and no block is certified
-    ks, rep, _, flags = tf.axis_orbits(lat)
+    ks, rep, _, flags, _ = tf.axis_orbits(lat)
     j = next(j for j in range(len(ks)) if rep[j] != j and flags[j] == conj)
     monkeypatch.setattr(tf, "_symbol_blocks",
                         _planted(tf._symbol_blocks, ks[j], 1 + 1e-9))
@@ -659,39 +752,90 @@ def test_planted_symmetry_defect_is_refused(lat, conj, monkeypatch):
     assert calls == []
 
 
-def test_planted_seed_defect_is_refused(monkeypatch):
+@pytest.mark.parametrize("lat", [
+    LatticeSpec(3, 5), LatticeSpec(4, 5, "spectral"),
+], ids=str)
+def test_planted_reflected_symbol_is_refused(lat, plant):
+    # a member's symbol negated along one axis: in spectral mode that is
+    # another block's symbol, yet not this block's relabelled one
+    ks, rep, _, _, _ = tf.axis_orbits(lat)
+    j = next(j for j in range(len(ks)) if rep[j] != j)
+    plant.setattr(tf, "_symbol_blocks", _planted(tf._symbol_blocks, ks[j],
+                                                 -1.0))
+    _refused_uncertified(plant, lat,
+                         re.escape(f"mode k={ks[j]}: not the exact"))
+
+
+@pytest.mark.parametrize("lat", [
+    LatticeSpec(4, 5), LatticeSpec(4, 3, "spectral"),
+], ids=str)
+def test_planted_incidence_sign_is_refused(lat, plant):
+    # the sign of one triple flipped throughout the incidence that builds
+    # B.  The triples are the free index of delta delta, so the chain
+    # holds and every block builds, but a permutation that moves the
+    # triple no longer carries B onto the relabelled block's
+    real = tf._incidence
+    flipped = real(lat.d, 2).copy()
+    flipped[:, :, 0] *= -1
+    plant.setattr(tf, "_incidence", lambda d, p: (
+        flipped if (d, p) == (lat.d, 2) else real(d, p)))
+    for ks in block_stacks(lat):
+        stack_threeform(lat, ks)
+    _refused_uncertified(plant, lat, "not the exact image",
+                         paper_choices=False)
+
+
+@pytest.mark.parametrize("lat", [
+    LatticeSpec(3, 5), LatticeSpec(4, 5, "spectral"),
+], ids=str)
+def test_planted_laplacian_defect_is_refused(lat, plant):
+    # Delta^-1 of one member perturbed in the helper that certification
+    # builds from, keyed by the member's symbols
+    ks, rep = tf.axis_orbits(lat)[:2]
+    j = next(j for j in range(len(ks)) if rep[j] != j)
+    target = np.stack(tf._symbol_blocks(lat, (ks[j],)))
+    real = tf._laplacian
+
+    def planted(down):
+        delta, delta_inv = real(down)
+        if down.ndim == target.ndim and down.shape[2:] == target.shape[2:]:
+            delta_inv = delta_inv.copy()
+            delta_inv[(down == target).all(axis=(0, 2, 3))] *= 1 + 1e-9
+        return delta, delta_inv
+
+    plant.setattr(tf, "_laplacian", planted)
+    _refused_uncertified(plant, lat,
+                         re.escape(f"mode k={ks[j]}: not the exact"))
+
+
+def test_planted_seed_defect_is_refused(plant):
     # an omega seed that a relabelling does not carry onto itself would
     # make a member's seed differ from its representative's
     lat = LatticeSpec(3, 5)
-    ks, rep, _, _ = tf.axis_orbits(lat)
+    ks, rep = tf.axis_orbits(lat)[:2]
     first = next(j for j in range(len(ks)) if rep[j] != j)
-    monkeypatch.setattr(tf, "symplectic_block",
-                        lambda n: np.diag(np.arange(n, dtype=float)))
+    plant.setattr(tf, "symplectic_block",
+                  lambda n: np.diag(np.arange(n, dtype=float)))
     with pytest.raises(NoSolutionError,
                        match=re.escape(f"mode k={ks[first]}: not the")):
         certify_lattice(lat)
 
 
-def test_planted_printed_choice_defect_is_refused(monkeypatch):
-    # the printed choices enter only the paper route's records: a member
-    # whose abar01 is not its representative's image fails with them,
-    # and passes without them
+def test_planted_printed_choice_defect_is_refused(plant):
+    # the printed choices enter only the paper route's records: an abar01
+    # that treats one direction apart from the others is not carried onto
+    # the relabelled blocks, which fails with them, and passes without
+    # them
     lat = LatticeSpec(3, 5)
-    ks, rep, _, _ = tf.axis_orbits(lat)
-    label = f"mode k={ks[-1]}"
-    assert rep[-1] != len(ks) - 1
     real = tf._paper_abar01
 
     def planted(sys):
-        out = real(sys)
-        if label in sys.cs.blocks:
-            out[sys.cs.blocks.index(label)] *= 1 + 1e-9
-        return out
+        ell = (sys.ell[0] * (1 + 1e-9),) + sys.ell[1:]
+        return real(dataclasses.replace(sys, ell=ell))
 
-    monkeypatch.setattr(tf, "_paper_abar01", planted)
+    plant.setattr(tf, "_paper_abar01", planted)
     assert certify_lattice(lat)[0].passed
-    with pytest.raises(NoSolutionError, match=re.escape(label)):
-        certify_lattice(lat, paper_choices=True)
+    _refused_uncertified(plant, lat, "not the exact image")
 
 
 def test_package_exports():
