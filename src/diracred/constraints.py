@@ -147,19 +147,8 @@ class ConstraintSet:
         """Shape of the leading axes of a stack; () for one system."""
         return self._affine[0].shape[:-2] if self._affine else ()
 
-    def block(self, index: tuple) -> "ConstraintSet":
-        """The system at ``index`` of a stack (the set itself at ())."""
-        if not index:
-            return self
-        b, _ = self._affine
-        z2 = None if self.z2 is None else self.z2[index]
-        return ConstraintSet.linear(
-            self.spec, b[index], self.z1[index], z2,
-            self.block_name(index[0]), (),
-        )
-
     def block_name(self, index: int) -> str:
-        """Name of the system at ``index`` of a stack, as block() names it."""
+        """Name of the system at ``index`` of a stack."""
         return f"{self.name} {self.blocks[index]}"
 
     def raise_first(self, failing, error: type,
@@ -298,8 +287,11 @@ def validate(
 ) -> CheckReport:
     """Check reducibility relations and second-class rank counts.
 
-    Points must already lie on the surface; off-surface input is refused.
+    Points must already lie on the surface; off-surface input is refused,
+    and so is an empty list of points.
     """
+    if not len(points):
+        raise InvalidInputError("validate needs at least one point")
     for p in points:
         cs.require_on_surface(p, tol)
 

@@ -15,9 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numerics import (
-    DEFAULT_TOL,
     InvalidInputError,
-    Tolerance,
     check_finite,
     is_antisymmetric,
     mt,
@@ -217,7 +215,6 @@ def poisson_bracket(
     g: PhaseFunction,
     at: np.ndarray,
     spec: PhaseSpec,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Evaluate [f, g] = grad(f) . J . grad(g) at a point."""
     at = spec.point(at)

@@ -24,9 +24,9 @@ relabelling, and so does reflecting an axis in spectral mode, where the
 derivative is odd.  certify_lattice checks exactly, without building
 them, that every block is such an image of its orbit's first block: its
 symbols and Laplacian are the relabelled ones, and build_threeform
-carries random symbols onto their relabelled images.  It stacks the
-representatives by shape on a leading axis and runs every stage once per
-stack.
+carries random symbols onto their images under the generators of the
+relabellings.  It stacks the representatives by shape on a leading axis
+and runs every stage once per stack.
 
 Operator conventions: del_i is the forward difference ell_i; del^i is
 u_i = -ell_i^T (the adjoint rule that replaces integration by parts on
@@ -46,6 +46,7 @@ absorbed.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
@@ -165,13 +166,16 @@ def _self_conjugate(lat: LatticeSpec, ks) -> np.ndarray:
 def _orbits(lat: LatticeSpec) -> np.ndarray:
     """The first wavevector, in lexicographic order, of every {k, -k}
     orbit of nonzero wavevectors, one row each: one per Fourier block,
-    together spanning the n - 1 zero-mean functions."""
+    together spanning the n - 1 zero-mean functions.  The {k, -k} pairs
+    come first, then at even L the self-conjugate k = -k, each group in
+    lexicographic order."""
     shape = (lat.L,) * lat.d
     k = np.indices(shape).reshape(lat.d, -1)
     # lexicographic order is the order of the flat index
     flat = np.arange(k.shape[1])
     first = flat <= np.ravel_multi_index(-k % lat.L, shape)
-    return k[:, first & (flat > 0)].T
+    k = k[:, first & (flat > 0)].T
+    return k[np.argsort(_self_conjugate(lat, k), kind="stable")]
 
 
 def _stacks(lat: LatticeSpec, ks) -> list:
@@ -197,15 +201,6 @@ def _pass_blocks(d: int, m: int) -> int:
     return max(1, _STACK_ENTRIES // size ** 2)
 
 
-def block_stacks(lat: LatticeSpec) -> list:
-    """The wavevectors of all the lattice's Fourier blocks, in orbit
-    order, in stacks of one block shape: the {k, -k} pairs, then at even
-    L the self-conjugate k = -k, cut into stacks that _STACK_ENTRIES
-    bounds by the blocks' size.  certify_lattice certifies the stacks of
-    the orbit representatives among them."""
-    return _stacks(lat, list(map(tuple, _orbits(lat).tolist())))
-
-
 def axis_orbits(lat: LatticeSpec) -> tuple:
     """The Fourier blocks grouped into orbits under relabellings of the
     axes.
@@ -218,7 +213,7 @@ def axis_orbits(lat: LatticeSpec) -> tuple:
     so its orbits are those of the permutations alone.
 
     Returns (ks, rep, perm, conj, sign): ks the wavevectors of the blocks
-    in block_stacks order; rep[j] the index in ks of the representative
+    in _orbits order; rep[j] the index in ks of the representative
     of block j's orbit, its first block; and the relabelling that carries
     the representative onto block j, under which derivative i of block j
     is sign[j, i] times derivative perm[j, i] of the representative,
@@ -229,9 +224,6 @@ def axis_orbits(lat: LatticeSpec) -> tuple:
     under the identity.
     """
     k = _orbits(lat)
-    # block_stacks order: the {k, -k} pairs, then the self-conjugate k = -k
-    last = _self_conjugate(lat, k)
-    k = np.concatenate([k[~last], k[last]])
     ks = tuple(zip(*k.T.tolist()))
     neg = -k % lat.L
     spectral = lat.derivative == "spectral"
@@ -758,11 +750,16 @@ def _stack_system(lat: LatticeSpec, ks: tuple) -> ThreeFormSystem:
                            tuple(f"mode k={k}" for k in ks))
 
 
+def _sine_flip(conj: np.ndarray, m: int) -> np.ndarray:
+    """The signs, G x m, that carry a block's m basis functions by k -> -k
+    where conj[g]: the sine of the (cos, sin) pair flips sign."""
+    return np.where(conj[:, None], [1.0, -1.0], 1.0)[:, :m]
+
+
 def _conjugation(conj: np.ndarray, m: int) -> np.ndarray:
     """The signs, G x m x m, that carry a block's m x m matrices by k -> -k
-    where conj[g]: the sine of the (cos, sin) pair flips sign, on both
-    sides."""
-    flip = np.where(conj[:, None], [1.0, -1.0], 1.0)[:, :m]
+    where conj[g], on both sides (_sine_flip)."""
+    flip = _sine_flip(conj, m)
     return flip[:, :, None] * flip[:, None, :]
 
 
@@ -792,8 +789,7 @@ def _axis_maps(d: int, m: int, perm: np.ndarray, conj: np.ndarray,
     # the image's derivative at to[g, i] is the block's derivative i times
     # this reflection sign
     back = np.take_along_axis(sign, to, axis=1)
-    # conjugation flips the sine of each (cos, sin) pair
-    mode = np.where(conj[:, None], [1.0, -1.0], 1.0)[:, :m]
+    mode = _sine_flip(conj, m)
     out = {}
     for space, size in (("2", 0), ("1", 1), ("c", 2), ("f", 3)):
         tuples = np.array(list(itertools.combinations(range(d), size)),
@@ -828,12 +824,17 @@ def _orbit_matrices(sys: ThreeFormSystem, paper_choices: bool) -> dict:
 
 
 @functools.cache
-def _builder_deviation(d: int, m: int, paper_choices: bool,
-                       relabellings: tuple) -> tuple:
-    """How far build_threeform is from carrying a block onto its image
-    under each relabelling (perm, conj, sign) of ``relabellings``, for
-    blocks of m_g = m at dimension d: one deviation per relabelling, 0.0
-    where it carries them exactly.
+def _builder_deviation(d: int, m: int, paper_choices: bool) -> float:
+    """How far build_threeform is from carrying a block onto its images
+    under the generators of the axis relabellings, for blocks of m_g = m
+    at dimension d: 0.0 where it carries them exactly.
+
+    The relabellings of axis_orbits, signed permutations of the axes with
+    k -> -k, form the group B_d x Z_2.  The d - 1 transpositions
+    (i, i + 1) of adjacent axes, the reflection of axis 0 and the
+    conjugation k -> -k generate it (Humphreys, Reflection Groups and
+    Coxeter Groups, 1990, sections 1.1 and 2.10), and these d + 1 are
+    the relabellings checked.
 
     The block is one seeded random draw of symbols of the block shape,
     [[a, b], [-b, a]] per direction (a alone at m = 1), which commute as
@@ -842,19 +843,25 @@ def _builder_deviation(d: int, m: int, paper_choices: bool,
     _orbit_matrices names, the Poisson matrix and the engine's canonical
     omega and Z2 seeds is compared, with no tolerance, with the random
     block's carried by _axis_maps.  The builder sums the symbols against
-    integer coefficients, so a relabelling it does not carry exactly
-    shows on a random draw with probability one (Schwartz-Zippel), on any
+    integer coefficients, so a generator it does not carry exactly shows
+    on a random draw with probability one (Schwartz-Zippel), on any
     lattice size: the result depends on no L and is kept.
     """
     a, b = np.random.default_rng(0).standard_normal((2, d))
     generic = np.stack([np.stack([a, b], axis=-1),
                         np.stack([-b, a], axis=-1)], axis=-2)[:, :m, :m]
-    perm, conj, sign = (np.array(x) for x in zip(*relabellings))
-    images = _relabel(generic[:, None], np.zeros(len(perm), dtype=int),
+    # the transpositions, then the conjugation, then the reflection
+    perm = np.tile(np.arange(d), (d + 1, 1))
+    i = np.arange(d - 1)
+    perm[i, i], perm[i, i + 1] = i + 1, i
+    conj = np.arange(d + 1) == d - 1
+    sign = np.ones((d + 1, d), dtype=int)
+    sign[d, 0] = -1
+    images = _relabel(generic[:, None], np.zeros(d + 1, dtype=int),
                       perm, conj, sign)
     n = max(1, _pass_blocks(d, m) - 1)
-    dev = []
-    for lo in range(0, len(perm), n):
+    dev = [0.0]
+    for lo in range(0, d + 1, n):
         part = slice(lo, lo + n)
         ell = np.concatenate([generic[None], images[part]])
         sys = build_threeform(LatticeSpec(d, 3), tuple(np.moveaxis(ell, 1, 0)),
@@ -868,7 +875,6 @@ def _builder_deviation(d: int, m: int, paper_choices: bool,
             mats[name] = (np.broadcast_to(shared, (len(ell),) + shared.shape),
                           space)
         spaces = _axis_maps(d, m, perm[part], conj[part], sign[part])
-        miss = np.zeros(len(ell) - 1)
         for mat, (rows, cols) in mats.values():
             (ri, rs), (ci, cs_) = spaces[rows], spaces[cols]
             # entry (a, b) of the block is entry at[a, b] of the image
@@ -878,10 +884,9 @@ def _builder_deviation(d: int, m: int, paper_choices: bool,
                 * mat[0].ravel()
             image = np.take_along_axis(mat[1:].reshape(len(ri), -1), at,
                                        axis=1)
-            # a NaN propagates, so it counts as a mismatch
-            miss = np.maximum(miss, np.abs(image - want).max(axis=1))
-        dev += miss.tolist()
-    return tuple(dev)
+            dev.append(np.abs(image - want).max())
+    # a NaN propagates, so it counts as a mismatch
+    return float(np.max(dev))
 
 
 def _check_orbit_maps(lat: LatticeSpec, orbits: tuple,
@@ -899,22 +904,24 @@ def _check_orbit_maps(lat: LatticeSpec, orbits: tuple,
       reads them; a member's must be its representative's carried by the
       relabelling (_relabel);
     - the builder: build_threeform carries a random block onto its
-      images (_builder_deviation).  A member's relabelling is a
-      permutation of the axes, with k -> -k, followed by reflections of
-      axes; the builder is checked on each distinct permutation and each
-      distinct set of reflections among the members, whose compositions
-      it then carries too.
+      images under the d + 1 generators of the axis relabellings
+      (_builder_deviation).  A member's relabelling is a product of
+      generators, so the builder carries it too, and the maps of
+      _axis_maps need no such check: members are never built, their
+      records are spread from the representative, and every record is
+      invariant under any signed permutation of the index spaces, which
+      a product of generator maps is.  A builder that does not carry a
+      generator marks every member of the shape group.
 
     A defect that treats one block label differently, rather than one
     axis, is outside what this sees; full certification of every block
     is the reference for that (tests/lattice_reference.py).
     """
     ks, rep, perm, conj, sign = orbits
-    d = lat.d
     dev = np.zeros(len(ks))
-    # the {k, -k} pairs come first; at even L the 2^d - 1 wavevectors
-    # with every k_i in {0, L/2} are self-conjugate, and come last
-    split = len(ks) - (2 ** d - 1 if lat.L % 2 == 0 else 0)
+    # the {k, -k} pairs come first (_orbits), then the self-conjugate
+    split = bisect.bisect(ks, False,
+                          key=lambda k: bool(_self_conjugate(lat, k)[0]))
     for at in (slice(0, split), slice(split, len(ks))):
         if at.start == at.stop:
             continue
@@ -936,24 +943,8 @@ def _check_orbit_maps(lat: LatticeSpec, orbits: tuple,
             dev[at.start + bad] = np.maximum(
                 dev[at.start + bad],
                 np.abs(got[bad] - want[bad]).max(axis=axes))
-        # the distinct permutations (with conjugation) and reflections,
-        # each found by one integer code
-        _, turns, turn = np.unique(
-            2 * np.ravel_multi_index(perm[at].T, (d,) * d) + conj[at],
-            return_index=True, return_inverse=True)
-        _, flips, flip = np.unique(
-            np.ravel_multi_index(sign[at].T < 0, (2,) * d),
-            return_index=True, return_inverse=True)
-        turns, flips = turns + at.start, flips + at.start
-        relabellings = tuple(
-            [(tuple(p), c, (1,) * d)
-             for p, c in zip(perm[turns].tolist(), conj[turns].tolist())]
-            + [(tuple(range(d)), False, tuple(f))
-               for f in sign[flips].tolist()])
-        built = np.array(_builder_deviation(d, m, paper_choices,
-                                            relabellings))
-        dev[at] = np.maximum.reduce([dev[at], built[turn],
-                                     built[len(turns) + flip]])
+        dev[at] = np.maximum(dev[at],
+                             _builder_deviation(lat.d, m, paper_choices))
     members = np.flatnonzero(rep != np.arange(len(ks)))
     for j in members[np.flatnonzero(dev[members])][:1]:
         raise NoSolutionError(

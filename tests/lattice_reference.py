@@ -11,6 +11,7 @@ assembled from every block at once.
 import numpy as np
 
 import diracred.threeform as tf
+from diracred.constraints import ConstraintSet
 from diracred.numerics import DEFAULT_TOL, NoSolutionError
 from diracred.report import CheckReport
 
@@ -88,6 +89,24 @@ def stack_threeform(lat, ks):
     return tf._stack_system(lat, ks)
 
 
+def block_stacks(lat):
+    """The wavevectors of all the lattice's Fourier blocks, in orbit
+    order, in stacks of one block shape: the {k, -k} pairs, then at even
+    L the self-conjugate k = -k, cut into stacks that _STACK_ENTRIES
+    bounds by the blocks' size.  certify_lattice certifies the stacks of
+    the orbit representatives among them."""
+    return tf._stacks(lat, tf.axis_orbits(lat)[0])
+
+
+def block(cs, g):
+    """The system at index g of a stack of linear systems, on its own and
+    named as the stack names its block g."""
+    b, _ = cs.affine_matrix()
+    return ConstraintSet.linear(
+        cs.spec, b[g], cs.z1[g], None if cs.z2 is None else cs.z2[g],
+        cs.block_name(g), ())
+
+
 def certify_every_block(lat, tol=DEFAULT_TOL, seed=0, paper_choices=False):
     """certify_lattice's reports with every Fourier block certified: each
     stack of block_stacks goes through run_threeform_checks, and with
@@ -97,7 +116,7 @@ def certify_every_block(lat, tol=DEFAULT_TOL, seed=0, paper_choices=False):
     engine = CheckReport(system=name, tolerances=tol, seeds={"points": seed})
     paper = (CheckReport(system=name + " [paper choices]", tolerances=tol,
                          seeds={"points": seed}) if paper_choices else None)
-    for ks in tf.block_stacks(lat):
+    for ks in block_stacks(lat):
         sys = stack_threeform(lat, ks)
         rep = tf.run_threeform_checks(sys, tol, seed)
         engine.fold(rep)

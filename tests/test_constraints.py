@@ -22,6 +22,7 @@ from diracred.numerics import (
 )
 from diracred.phase import PhaseSpec, affine
 from diracred.report import CheckReport
+from lattice_reference import block
 
 
 def test_toy_system_counts_and_validation():
@@ -34,6 +35,13 @@ def test_toy_system_counts_and_validation():
     assert rep.residuals["eq_2"] < 1e-10
     assert rep.residuals["eq_11x"] < 1e-10
     assert rep.residuals["eq_11d_rank"] == 0.0
+
+
+def test_validate_needs_a_point():
+    cs = toy_system()
+    for points in ([], np.empty((0, cs.spec.dim))):
+        with pytest.raises(InvalidInputError, match="at least one point"):
+            validate(cs, points)
 
 
 def test_duplicated_pair_first_order():
@@ -253,7 +261,7 @@ def test_linear_stack_is_its_systems_side_by_side():
     assert (stack.batch, stack.m0, stack.m1, stack.m2) == ((3,), 6, 6, 2)
     z = np.random.default_rng(0).standard_normal((3, toy.spec.dim))
     for i in range(3):
-        one = stack.block((i,))
+        one = block(stack, i)
         assert one.name == f"toys {'abc'[i]}" and one.batch == ()
         assert np.array_equal(stack.values(z)[i], one.values(z[i]))
         assert np.array_equal(stack.gradients(z)[i], one.gradients(z[i]))

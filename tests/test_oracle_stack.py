@@ -22,8 +22,8 @@ from diracred.oracle import (
     independent_subset,
 )
 from diracred.phase import PhaseSpec, dirac_matrix
-from diracred.threeform import LatticeSpec, block_stacks
-from lattice_reference import stack_threeform
+from diracred.threeform import LatticeSpec
+from lattice_reference import block, block_stacks, stack_threeform
 from test_oracle import permuted
 
 
@@ -52,7 +52,7 @@ def _reference_cases():
     lat = LatticeSpec(d=4, L=3)
     stack = stack_threeform(lat, block_stacks(lat)[0]).cs
     at = sample_surface(stack, 0, 1)[0]
-    yield pytest.param(stack.block((9,)), at[9], id="d4L3-block9")
+    yield pytest.param(block(stack, 9), at[9], id="d4L3-block9")
 
 
 @pytest.mark.parametrize("cs,at", _reference_cases())
@@ -97,7 +97,7 @@ def test_stack_gives_each_block_its_oracle(case):
         sel = independent_subset(ranked, at)
         f = fundamental_matrix_oracle(ranked, at)
         for i in range(stack.batch[0]):
-            one, at_i = ranked.block((i,)), at[i]
+            one, at_i = block(ranked, i), at[i]
             sel1 = independent_subset(one, at_i)
             assert np.array_equal(sel.indices[i], sel1.indices)
             assert np.array_equal(sel.cab_inv[i], sel1.cab_inv)
@@ -112,7 +112,7 @@ def _failure(call, error):
 
 def _middle_block_fails_as_alone(stack, at, call, error):
     stacked = _failure(lambda: call(stack, at), error)
-    alone = _failure(lambda: call(stack.block((1,)), at[1]), error)
+    alone = _failure(lambda: call(block(stack, 1), at[1]), error)
     assert stacked == f"{stack.name} #1: {alone}"
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import diracred.threeform as tf
 import lattice_reference
 from diracred.cli import main
-from diracred.constraints import ConstraintSet, sample_surface, validate
+from diracred.constraints import sample_surface, validate
 from diracred.second_order import second_order_artifacts
 from diracred.numerics import (
     DEFAULT_TOL,
@@ -21,7 +21,6 @@ from diracred.numerics import (
 )
 from diracred.threeform import (
     LatticeSpec,
-    block_stacks,
     build_threeform,
     certify_lattice,
     chi_tilde_printed,
@@ -32,6 +31,8 @@ from diracred.threeform import (
 )
 from lattice_reference import (
     basis_symbols,
+    block,
+    block_stacks,
     certify_every_block,
     complete_basis,
     dense_threeform,
@@ -450,9 +451,6 @@ def test_symbol_blocks_match_mode_bases(lat):
 def test_certify_path_takes_no_block_alone(monkeypatch):
     # every stage, the oracle included, runs once over a stack: the
     # certify path never splits one into its blocks
-    def refuse(*args, **kwargs):
-        raise AssertionError("the certify path took a block alone")
-
     calls = []
     subset = tf.oracle_mod.independent_subset
 
@@ -460,7 +458,6 @@ def test_certify_path_takes_no_block_alone(monkeypatch):
         calls.append(cs.batch)
         return subset(cs, *args, **kwargs)
 
-    monkeypatch.setattr(ConstraintSet, "block", refuse)
     monkeypatch.setattr(tf.oracle_mod, "independent_subset", counting)
     for lat in (LatticeSpec(d=3, L=4), LatticeSpec(3, 5, "spectral")):
         calls.clear()
@@ -838,6 +835,62 @@ def test_planted_printed_choice_defect_is_refused(plant):
     _refused_uncertified(plant, lat, "not the exact image")
 
 
+def test_builder_check_builds_the_generators_alone(plant):
+    # the builder is checked on the d + 1 generators of the axis
+    # relabellings, one random block and its images, kept per dimension,
+    # block shape and printed choices whatever relabellings the lattice's
+    # members take
+    built = []
+    real = tf.build_threeform
+
+    def counting(lat, ell, blocks=()):
+        built.append(len(blocks) or 1)
+        return real(lat, ell, blocks)
+
+    plant.setattr(tf, "build_threeform", counting)
+    for lat in (LatticeSpec(7, 3), LatticeSpec(7, 3, "spectral")):
+        tf._check_orbit_maps(lat, tf.axis_orbits(lat), True)
+    assert 0 < sum(built) <= 7 + 2
+    assert tf._builder_deviation.cache_info().currsize == 1
+
+
+@st.composite
+def relabellings(draw):
+    """A dimension, a block shape and a signed relabelling of the axes,
+    (perm, conj, sign) as axis_orbits gives one, each one row."""
+    d = draw(st.integers(3, 6))
+    perm = draw(st.permutations(range(d)))
+    sign = draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d))
+    return (d, draw(st.sampled_from([1, 2])), np.array([perm]),
+            np.array([draw(st.booleans())]), np.array([sign]))
+
+
+@given(relabellings(), st.integers(0, 2 ** 16))
+def test_builder_carries_any_relabelling_exactly(case, seed):
+    # certification checks the builder on generators of the relabellings
+    # alone; any product of them must be carried exactly too: every
+    # matrix that a block's records are built from is the random block's
+    # under the relabelling's signed permutations (_axis_maps)
+    d, m, perm, conj, sign = case
+    a, b = np.random.default_rng(seed).standard_normal((2, d))
+    down = np.stack([np.stack([a, b], axis=-1),
+                     np.stack([-b, a], axis=-1)], axis=-2)[:, :m, :m]
+    image = tf._relabel(down[:, None], np.zeros(1, dtype=int), perm, conj,
+                        sign)[0]
+    spaces = tf._axis_maps(d, m, perm, conj, sign)
+    built = [build_threeform(LatticeSpec(d, 3), tuple(ell))
+             for ell in (down, image)]
+    for paper_choices in (False, True):
+        mats, images = (tf._orbit_matrices(sys, paper_choices)
+                        for sys in built)
+        assert mats.keys() == images.keys()
+        for name, (mat, (rows, cols)) in mats.items():
+            (ri, rs), (ci, cs) = spaces[rows], spaces[cols]
+            want = np.zeros_like(mat)
+            want[np.ix_(ri[0], ci[0])] = np.outer(rs[0], cs[0]) * mat
+            assert np.array_equal(images[name][0], want), name
+
+
 def test_package_exports():
     import diracred
 
@@ -862,7 +915,7 @@ def test_package_exports():
 def _block_alone(sys, g):
     """Block g of a stacked system as a three-form system of its own."""
     return dataclasses.replace(
-        sys, cs=sys.cs.block((g,)), ell=tuple(e[g] for e in sys.ell),
+        sys, cs=block(sys.cs, g), ell=tuple(e[g] for e in sys.ell),
         u=tuple(x[g] for x in sys.u), delta=sys.delta[g],
         delta_inv=sys.delta_inv[g],
     )
