@@ -12,7 +12,8 @@ second-order stages take it as the case M2 = 0.
 A set whose chi are all affine stores them natively as (B, c) with
 chi = B z + c.  With constant Z matrices as well it is a constant
 system (``is_constant``): every derived artifact is then the same at
-every point, which later stages use to build them once.
+every point, which later stages use to build them once.  B, c, Z1 and
+Z2 are stored read-only, so what a set keeps per Tolerance stays valid.
 
 ``ConstraintSet.linear`` builds such a set from the arrays B, Z1 and
 Z2 alone.  A leading axis on them makes a stack of systems of one
@@ -40,6 +41,7 @@ from .numerics import (
     null_basis,
     pseudoinverse,
     rank_tol,
+    svd_factors,
 )
 from .phase import PhaseFunction, PhaseSpec
 from .report import COUNT_TOL, CheckReport
@@ -54,6 +56,13 @@ _SYNTH_DRAWS = 50
 
 def _sup_norm(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a read-only, copied first if writeable: no caller's array freezes."""
+    a = a.copy() if a.flags.writeable else a
+    a.setflags(write=False)
+    return a
 
 
 class OffSurfaceError(ValueError):
@@ -79,8 +88,8 @@ class ConstraintSet:
     blocks: tuple = ()
     # (B, c) with chi = B z + c when every chi is affine, else None
     _affine: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # pinv(B) per tolerance, for affine systems
-    _b_pinv: dict = field(
+    # by (key, Tolerance): pinv(B), C's and Z1's factors, the last sample
+    _cache: dict = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
 
@@ -99,14 +108,17 @@ class ConstraintSet:
                 )
             c = np.array([f.c for f in self.chi], dtype=float)
             object.__setattr__(self, "_affine", (b, c))
+        if self._affine is not None:
+            object.__setattr__(self, "_affine",
+                               tuple(map(_read_only, self._affine)))
         if isinstance(self.z1, np.ndarray):
             z1 = check_finite(self.z1, "Z1")
             if z1.shape[-2] != self.m0:
                 raise InvalidInputError("Z1 must have M0 rows")
-            object.__setattr__(self, "z1", z1)
+            object.__setattr__(self, "z1", _read_only(z1))
         if isinstance(self.z2, np.ndarray):
             z2 = check_finite(self.z2, "Z2")
-            object.__setattr__(self, "z2", z2)
+            object.__setattr__(self, "z2", _read_only(z2))
 
     @classmethod
     def linear(
@@ -252,13 +264,27 @@ class ConstraintSet:
         b, c = self._affine
         return b.copy(), c.copy()
 
+    def _cached(self, key, tol: Tolerance, make: Callable, keep: bool):
+        """make(), kept per key and tolerance from the first call if keep."""
+        if not keep:
+            return make()
+        kept = self._cache.get((key, tol))
+        if kept is None:
+            kept = self._cache[key, tol] = make()
+        return kept
+
+    def factors(self, name: str, m: np.ndarray, tol: Tolerance):
+        """svd_factors(m, tol) of C = G^T J G (name "c") or Z1 ("z1"), kept
+        where it is the same at every point: on affine chi, a constant Z1."""
+        keep = {"c": self.is_affine, "z1": isinstance(self.z1, np.ndarray)}
+        return self._cached(name, tol, lambda: svd_factors(m, tol),
+                            keep[name])
+
     def _jacobian_pinv(self, at: np.ndarray, tol: Tolerance) -> np.ndarray:
-        """Pseudoinverse of the M0 x 2N constraint Jacobian at a point."""
-        if self._affine is None:
-            return pseudoinverse(mt(self.gradients(at)), tol)
-        if tol not in self._b_pinv:
-            self._b_pinv[tol] = pseudoinverse(self._affine[0], tol)
-        return self._b_pinv[tol]
+        """Pseudoinverse of the M0 x 2N constraint Jacobian at a point,
+        kept on affine chi, where it is pinv(B) everywhere."""
+        return self._cached("jacobian_pinv", tol, lambda: pseudoinverse(
+            mt(self.gradients(at)), tol), self.is_affine)
 
     def surface_residual(self, at: np.ndarray) -> float:
         return _sup_norm(self.values(at))
@@ -295,34 +321,28 @@ def validate(
     for p in points:
         cs.require_on_surface(p, tol)
 
-    red1 = 0.0
-    red2 = 0.0
-    for p in points:
-        chi_v = cs.values(p)
-        z1 = cs.z1_at(p)
-        red1 = max(red1, float(np.linalg.norm(z1.T @ chi_v)))
-        if cs.order == 2:
-            red2 = max(red2, float(chain_residual(z1, cs.z2_at(p))))
-    # affine chi have the same gradients, hence the same C = G^T J G,
-    # at every point, so its rank is taken once
-    rank_points = points[:1] if cs.is_affine else points
-    rank_c_seen = []
-    for p in rank_points:
-        g = cs.gradients(p)
-        rank_c_seen.append(rank_tol(g.T @ cs.spec.poisson @ g, tol))
-    expected_rank = cs.n_independent
+    z1s = [cs.z1_at(p) for p in points]
+    # C on affine chi and a constant Z are ranked once, C and Z1 from the
+    # factors kept on cs; a point-valued one at every point, in one stack
+    g = (cs.gradients(points[0]) if cs.is_affine
+         else np.stack([cs.gradients(p) for p in points]))
+    rank_c = cs.factors("c", mt(g) @ cs.spec.poisson @ g, tol).rank
+    z1 = cs.z1 if isinstance(cs.z1, np.ndarray) else np.stack(z1s)
 
     rep = CheckReport(system=cs.name, tolerances=tol)
-    rep.add("eq_2", red1, tol.weak_eq)
-    rep.add("eq_11d_rank", max(abs(r - expected_rank) for r in rank_c_seen),
+    rep.add("eq_2", max(float(np.linalg.norm(z.T @ cs.values(p)))
+                        for z, p in zip(z1s, points)), tol.weak_eq)
+    rep.add("eq_11d_rank", np.abs(rank_c - cs.n_independent).max(),
             COUNT_TOL)
     if cs.order == 2:
-        rep.add("eq_11x", red2, tol.weak_eq)
-        rep.add("z2_rank", abs(rank_tol(cs.z2_at(points[0]), tol) - cs.m2),
+        z2s = [cs.z2_at(p) for p in points]
+        rep.add("eq_11x", max(float(chain_residual(a, b))
+                              for a, b in zip(z1s, z2s)), tol.weak_eq)
+        z2 = cs.z2 if isinstance(cs.z2, np.ndarray) else np.stack(z2s)
+        rep.add("z2_rank", np.abs(rank_tol(z2, tol) - cs.m2).max(),
                 COUNT_TOL)
-    rep.add("z1_rank",
-            abs(rank_tol(cs.z1_at(points[0]), tol) - (cs.m1 - cs.m2)),
-            COUNT_TOL)
+    rep.add("z1_rank", np.abs(cs.factors("z1", z1, tol).rank
+                              - (cs.m1 - cs.m2)).max(), COUNT_TOL)
     return rep
 
 
@@ -365,18 +385,21 @@ def sample_surface(
     """Deterministic on-surface points: projected Gaussian perturbations.
 
     On a stack each point holds one per system, all projected from the
-    same Gaussian draw.
+    same Gaussian draw.  Projections on affine chi read pinv(B), kept on
+    cs; a constant system keeps its last draw too, so a repeated seed and
+    count projects nothing.  Every call returns copies.
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     _require_seed(seed)
-    rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(count):
-        start = rng.standard_normal(cs.spec.dim)
-        points.append(project_to_surface(
-            cs, start + np.zeros(cs.batch + start.shape), tol))
-    return points
+    last = cs._cached("points", tol, dict, cs.is_constant)
+    if (seed, count) not in last:
+        last.clear()
+        starts = np.random.default_rng(seed).standard_normal(
+            (count, cs.spec.dim))
+        last[seed, count] = [project_to_surface(
+            cs, s + np.zeros(cs.batch + s.shape), tol) for s in starts]
+    return [p.copy() for p in last[seed, count]]
 
 
 def _affine_set(

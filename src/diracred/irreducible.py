@@ -307,8 +307,8 @@ def equivalence_report(
     in for quadratic functions, contract every difference matrix of z
     blocks as well.
 
-    The points are drawn with sample_surface(cs, seed, n_points); on an
-    affine system that reuses the pseudoinverse of B cached on cs.  Every
+    The points are sample_surface(cs, seed, n_points): on a constant
+    system the last draw kept on cs when seed and count match.  Every
     point is checked, before the oracle is built, to lie on the surface
     (else OffSurfaceError) and to be one where sys holds: on a
     non-constant base every point other than the build point raises

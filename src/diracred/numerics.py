@@ -11,11 +11,14 @@ contractions become left-to-right matrix products.
 Every matrix function here except null_basis also takes a stack
 (..., m, n) of matrices of one shape and works on each matrix of it,
 returning one value per matrix; a single matrix gives a single value.
+One SVD (svd_factors) serves a matrix's rank, pseudoinverse and
+antisymmetric solves; ConstraintSet.factors keeps those of C and Z1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,18 +122,31 @@ def _rank_of(s: np.ndarray, tol: Tolerance):
     return _kept(s, tol).sum(axis=-1)
 
 
-def _svd_kept(m: np.ndarray, tol: Tolerance) -> tuple:
-    """Thin SVD factors of each matrix of m, masked to the rank cutoff of
-    rank_tol: (u, s_inv, vt).  The columns of u beyond the rank are zero,
-    and so are the entries of s_inv, the inverted singular values, so
-    the rows of vt beyond it drop out of every product with s_inv.
-    Masking instead of truncating lets one call serve a stack whose
-    matrices differ in rank."""
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+class SVDFactors(NamedTuple):
+    """Thin SVD factors of each matrix of a stack, masked to rank_tol's
+    cutoff: u's columns and the inverted singular values s_inv beyond the
+    rank are zero, so vt's rows beyond it drop out.  Masking instead of
+    truncating serves a stack whose matrices differ in rank."""
+
+    u: np.ndarray
+    s_inv: np.ndarray
+    vt: np.ndarray
+
+    @property
+    def rank(self):
+        return (self.s_inv > 0).sum(axis=-1)
+
+    @property
+    def pinv(self) -> np.ndarray:
+        return (mt(self.vt) * self.s_inv[..., None, :]) @ mt(self.u)
+
+
+def svd_factors(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SVDFactors:
+    u, s, vt = np.linalg.svd(check_finite(m), full_matrices=False)
     keep = _kept(s, tol)
     # a dropped value may be 0; the floor keeps its 0 / s finite
     s_inv = keep / np.maximum(s, np.finfo(float).tiny)
-    return u * keep[..., None, :], s_inv, vt
+    return SVDFactors(u * keep[..., None, :], s_inv, vt)
 
 
 def pinv_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple:
@@ -140,11 +156,8 @@ def pinv_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple:
     The rank counts singular values above rank_rel * sigma_max, as in
     rank_tol, and the pseudoinverse inverts exactly those.
     """
-    m = check_finite(m)
-    if m.size == 0:
-        return mt(m).copy(), 0
-    u, s_inv, vt = _svd_kept(m, tol)
-    return (mt(vt) * s_inv[..., None, :]) @ mt(u), (s_inv > 0).sum(axis=-1)
+    f = svd_factors(m, tol)
+    return f.pinv, f.rank
 
 
 def pseudoinverse(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -197,13 +210,14 @@ def skew_solve(
     tol: Tolerance = DEFAULT_TOL,
     *,
     with_product: bool = False,
+    factors: SVDFactors | None = None,
 ):
     """Minimum-norm antisymmetric solution M of ``M @ c ~= target``.
 
-    ``c`` must be square and antisymmetric within weak_eq.  One SVD of c
-    gives X = target @ pinv(c) and the projector P_ker onto ker(c); M is
-    the antisymmetric part of X - (P_ker X)^T, which is
-    skew_part(target @ pinv(c)) when range(target) lies in range(c).
+    ``c`` must be square and antisymmetric within weak_eq.  Its SVD, or
+    the ``factors`` given, gives X = target @ pinv(c) and the projector
+    P_ker onto ker(c); M is the antisymmetric part of X - (P_ker X)^T,
+    which is skew_part(target @ pinv(c)) when range(target) lies in range(c).
 
     Precondition: some antisymmetric M solves the equation, i.e. target
     vanishes on ker(c) and P target pinv(c) P is antisymmetric for P the
@@ -211,10 +225,10 @@ def skew_solve(
     ker(c) and Abar Z = I qualify.  Otherwise NoSolutionError is raised,
     as |M c - target| exceeds ``weak_eq * (1 + |target|)``.  The result
     is exactly antisymmetric.  With ``with_product`` the pair
-    (M, M @ c) is returned, the product being the one the residual test
-    forms, so callers checking M @ c need not form it again.  On a
-    stack every matrix is solved, and one that fails raises with the
-    worst residual.
+    (M, M @ c) is returned unchecked, the product formed with c itself,
+    so that the caller records the residual of M @ c = target as its own
+    check.  On a stack every matrix is solved, and one that fails raises
+    with the worst residual.
     """
     c = check_finite(c, "c")
     target = check_finite(target, "target")
@@ -224,15 +238,17 @@ def skew_solve(
     if not is_antisymmetric(c, tol):
         raise InvalidInputError("c is not antisymmetric within weak_eq")
 
-    u, s_inv, vt = _svd_kept(c, tol)
+    u, s_inv, vt = svd_factors(c, tol) if factors is None else factors
     y = target @ (mt(vt) * s_inv[..., None, :])  # X = target @ pinv(c)
     # P_ker X is the block of M mapping range(c) into ker(c); X lacks its
     # mirrored block -(P_ker X)^T
     y_ker = y - u @ (mt(u) @ y)
     m = skew_part(y @ mt(u) - u @ mt(y_ker))
     mc = m @ c
+    if with_product:
+        return m, mc
     residual = frobenius(mc - target)
     if (residual > tol.weak_eq * (1.0 + frobenius(target))).any():
         raise NoSolutionError("target is not reachable as M @ c",
                               float(np.max(residual)))
-    return (m, mc) if with_product else m
+    return m

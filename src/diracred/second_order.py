@@ -38,7 +38,6 @@ from .numerics import (
     check_finite,
     mt,
     pinv_rank,
-    pseudoinverse,
     rank_tol,
     rel_residual,
     skew_part,
@@ -129,7 +128,7 @@ def second_order_artifacts(
     rep.require("eq_a8", rel_residual(a8, np.zeros_like(a8)), tol.weak_eq)
 
     if abar01 is None:
-        abar01 = d11 @ pseudoinverse(z1, tol)
+        abar01 = d11 @ cs.factors("z1", z1, tol).pinv
     abar01 = check_finite(abar01, "abar01")
     if abar01.shape != cs.batch + (cs.m1, cs.m0):
         raise InvalidInputError("abar01 must be M1 x M0")
@@ -147,7 +146,9 @@ def second_order_artifacts(
         tol.weak_eq,
     )
 
-    m2, m2_c2 = skew_solve(c2, d00, tol, with_product=True)
+    # solved with the factors of C cached on cs, checked with C itself
+    m2, m2_c2 = skew_solve(c2, d00, tol, with_product=True,
+                           factors=cs.factors("c", c2, tol))
     rep.require("eq_11c", rel_residual(m2_c2, d00), tol.weak_eq)
 
     return SecondOrderArtifacts(

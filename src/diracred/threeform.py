@@ -508,8 +508,8 @@ def run_threeform_checks(
     rep.require("eq_11x", con.chain_residual(cs.z1_at(z), cs.z2_at(z)),
                 tol.weak_eq)
     rep.require("eq_11d_rank",
-                abs(rank_tol(mt(g) @ j @ g, tol) - cs.n_independent),
-                COUNT_TOL)
+                abs(cs.factors("c", mt(g) @ j @ g, tol).rank
+                    - cs.n_independent), COUNT_TOL)
 
     art = so.full_artifacts(cs, z, tol, seed)
     irs = irr.build_irreducible(cs, art, tol)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -33,3 +34,18 @@ class DenseThreeforms(dict):
 @pytest.fixture(scope="session")
 def dense():
     return DenseThreeforms()
+
+
+@pytest.fixture
+def svd_args(monkeypatch):
+    """Every matrix or stack numpy.linalg.svd is called on, in call order:
+    the dense factorisations a call makes, counted by shape or value."""
+    seen = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        seen.append(np.asarray(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return seen

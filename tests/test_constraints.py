@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -213,27 +215,92 @@ def test_sample_surface_factors_affine_matrix_once(monkeypatch):
     (lambda: synth_linear(10, 12, 8, 2, seed=3), False),
     (curved_first_order_system, True),
 ], ids=["synth_linear", "curved"])
-def test_validate_ranks_c_once_on_affine_system(monkeypatch, make, per_point):
-    import diracred.constraints as con
-
+def test_validate_ranks_c_once_on_affine_system(svd_args, make, per_point):
     cs = make()
     pts = sample_surface(cs, seed=0, count=4)
     # the per-point rank deviation, as validate took it at every point
     c_at = [cs.gradients(p).T @ cs.spec.poisson @ cs.gradients(p)
             for p in pts]
     expected = max(abs(rank_tol(c) - cs.n_independent) for c in c_at)
-    shapes = []
-
-    def counting(m, tol=DEFAULT_TOL):
-        shapes.append(m.shape)
-        return rank_tol(m, tol)
-
-    monkeypatch.setattr(con, "rank_tol", counting)
+    svd_args.clear()
     rep = validate(cs, pts)
-    c_ranks = shapes.count((cs.m0, cs.m0))
-    assert c_ranks == (len(pts) if per_point else 1)
+    # C is factored once on affine chi, else at every point (in one stack)
+    c_factored = sum(a.size // cs.m0 ** 2 for a in svd_args
+                     if a.shape[-2:] == (cs.m0, cs.m0))
+    assert c_factored == (len(pts) if per_point else 1)
     assert rep.residuals["eq_11d_rank"] == expected
     assert rep.passed
+    # a second validate on the same system factors no C afresh
+    svd_args.clear()
+    validate(cs, pts)
+    assert any(a.shape[-2:] == (cs.m0, cs.m0)
+               for a in svd_args) == per_point
+
+
+def _scaled_column(z_at, column):
+    """z_at with the given column scaled by max(0, q2) at each point."""
+    def scaled(z):
+        out = np.array(z_at(z), dtype=float)
+        out[:, column] *= max(0.0, z[1])
+        return out
+    return scaled
+
+
+@pytest.mark.parametrize("which", ["z1", "z2"])
+def test_validate_ranks_point_valued_z_at_every_point(which):
+    # Z1 (curved system) or Z2 (toy) with one column scaled by max(0, q2):
+    # the chain still holds, but the rank drops where q2 < 0, which the
+    # first sampled point does not show
+    if which == "z1":
+        base = curved_first_order_system()
+        cs = dataclasses.replace(base, z1=_scaled_column(base.z1_at, 1))
+    else:
+        base = toy_system()
+        cs = dataclasses.replace(base, z2=_scaled_column(base.z2_at, 1))
+    pts = sample_surface(cs, seed=1, count=5)
+    q2 = np.array([p[1] for p in pts])
+    assert q2[0] > 0 and (q2 < 0).any()
+    rep = validate(cs, pts)
+    assert rep.residuals[f"{which}_rank"] == 1.0
+    assert not rep.checks[f"{which}_rank"]
+    assert rep.residuals["eq_2"] < 1e-10
+    # at the first point alone the rank is full
+    assert validate(cs, pts[:1]).passed
+
+
+def test_stored_arrays_are_read_only_and_the_cache_per_set():
+    cs = synth_linear(10, 12, 8, 2, seed=7)
+    for stored in (cs.z1, cs.z2, cs._affine[0], cs._affine[1]):
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+    # the caller's arrays are copied, not frozen
+    b, z1, z2 = cs.affine_matrix()[0], cs.z1.copy(), cs.z2.copy()
+    lin = ConstraintSet.linear(cs.spec, b, z1, z2, "lin", ())
+    b[0, 0] = z1[0, 0] = z2[0, 0] = 5.0
+    assert lin.affine_matrix()[0][0, 0] != 5.0
+    assert lin.z1[0, 0] != 5.0 and lin.z2[0, 0] != 5.0
+    # a set made by replace starts with an empty cache
+    validate(cs, sample_surface(cs, seed=0, count=2))
+    assert cs._cache
+    other = dataclasses.replace(cs, z1=2.0 * cs.z1)
+    assert other._cache == {}
+    assert other.factors("z1", other.z1, DEFAULT_TOL).rank == cs.m1 - cs.m2
+
+
+def test_sample_surface_caches_points_on_constant_systems():
+    cs = synth_linear(10, 12, 8, 2, seed=7)
+    first = sample_surface(cs, seed=4, count=3)
+    first[0][:] = 9.0  # a caller's copy; the cache keeps its own
+    again = sample_surface(cs, seed=4, count=3)
+    fresh = sample_surface(synth_linear(10, 12, 8, 2, seed=7), 4, 3)
+    assert all(np.array_equal(a, f) for a, f in zip(again, fresh))
+    assert again[0] is not sample_surface(cs, seed=4, count=3)[0]
+    # only the last draw is kept, so a long-lived system sampled with
+    # many seeds does not grow
+    for seed in range(5):
+        sample_surface(cs, seed, 1)
+    assert len(cs._cache["points", DEFAULT_TOL]) == 1
+    assert sum(key[0] == "points" for key in cs._cache) == 1
 
 
 @pytest.mark.parametrize("make", [toy_system, duplicated_pair_system])

@@ -8,7 +8,6 @@ from diracred.numerics import (
     InvalidInputError,
     NoSolutionError,
     Tolerance,
-    _svd_kept,
     frobenius,
     is_antisymmetric,
     null_basis,
@@ -18,6 +17,7 @@ from diracred.numerics import (
     rel_residual,
     skew_part,
     skew_solve,
+    svd_factors,
     symplectic_block,
 )
 
@@ -25,7 +25,7 @@ from diracred.numerics import (
 def range_projector(m, tol=DEFAULT_TOL):
     """Orthogonal projector onto the numerical column space of m: the
     reference target of the skew_solve tests."""
-    u = _svd_kept(m, tol)[0]
+    u = svd_factors(m, tol).u
     return u @ u.T
 
 
