@@ -23,6 +23,7 @@ leading axis; the second-order stages broadcast over it.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -552,7 +553,9 @@ def curved_first_order_system() -> ConstraintSet:
 
 
 def save_system(cs: ConstraintSet, path: Union[str, Path]) -> None:
-    """Write an affine constant-Z system to the JSON file format."""
+    """Write an affine constant-Z system to the JSON file format, each
+    array field encoded (see _encoded), so load_system reads back the
+    same bits; "poisson" only when it is not the canonical matrix."""
     if not cs.is_affine:
         raise InvalidInputError("only affine systems are serializable")
     if not isinstance(cs.z1, np.ndarray):
@@ -560,29 +563,52 @@ def save_system(cs: ConstraintSet, path: Union[str, Path]) -> None:
     b, c = cs.affine_matrix()
     doc = {
         "n_pairs": cs.spec.n_pairs,
-        "chi": {"B": b.tolist(), "c": c.tolist()},
-        "Z1": cs.z1.tolist(),
+        "chi": {"B": _encoded(b), "c": _encoded(c)},
+        "Z1": _encoded(cs.z1),
     }
     canonical = phase.canonical_poisson(cs.spec.n_pairs)
     if not np.array_equal(cs.spec.poisson, canonical):
-        doc["poisson"] = cs.spec.poisson.tolist()
+        doc["poisson"] = _encoded(cs.spec.poisson)
     if cs.order == 2:
-        doc["Z2"] = np.asarray(cs.z2).tolist()
+        doc["Z2"] = _encoded(cs.z2)
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _encoded(a: np.ndarray) -> dict:
+    """An array field's encoded form: its shape and its little-endian
+    float64 bytes in C order, base64-encoded (RFC 4648)."""
+    a = np.asarray(a, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "base64": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
 def _array_field(value, field: str) -> np.ndarray:
-    """A numeric array from a system file field, else InvalidInputError
+    """A finite numeric array, owned and writeable, from a system file
+    field in nested lists or in _encoded's form, else InvalidInputError
     naming the field."""
     try:
-        return np.asarray(value, dtype=float)
+        if isinstance(value, dict):
+            shape = value.get("shape")
+            if (sorted(value) != ["base64", "dtype", "shape"]
+                    or value["dtype"] != "<f8" or type(shape) is not list
+                    or any(type(n) is not int or n < 0 for n in shape)):
+                raise ValueError("an encoded array has the keys dtype "
+                                 "('<f8'), shape (integers >= 0) and base64")
+            # numpy refuses a byte count other than 8 * prod(shape)
+            data = base64.b64decode(value["base64"], validate=True)
+            a = np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
+        else:
+            a = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"system file field {field!r} is not a "
                                 f"numeric array: {exc}")
+    return check_finite(a, f"system file field {field!r}")
 
 
 def load_system(path: Union[str, Path]) -> ConstraintSet:
-    """Read a system from the JSON file format; order follows Z2 presence."""
+    """Read a system from the JSON file format; order follows Z2 presence.
+    Array fields may be nested lists, as in hand-written files, or encoded
+    as save_system writes them; either form gets the same checks."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:

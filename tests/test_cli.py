@@ -1,3 +1,5 @@
+import base64
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ from diracred import cli, irreducible
 from diracred.cli import main, parse_qspec
 from diracred.constraints import (
     duplicated_pair_system,
+    load_system,
     sample_surface,
     save_system,
     synth_linear,
@@ -77,13 +80,21 @@ def test_validate_and_analyze_pass(synth_file, tmp_path, capsys):
 
 
 def test_analyze_detects_corrupted_z2(synth_file, tmp_path, capsys):
-    doc = json.loads(open(synth_file).read())
-    doc["Z2"][0][0] += 1.0
+    cs = load_system(synth_file)
+    z2 = cs.z2.copy()
+    z2[0, 0] += 1.0
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    save_system(dataclasses.replace(cs, z2=z2), bad)
     assert main(["analyze", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "eq_11x" in out and "FAIL" in out
+
+
+def _as_lists(field):
+    """A saved array field decoded to the nested lists a hand-written
+    file holds."""
+    data = base64.b64decode(field["base64"])
+    return np.frombuffer(data, "<f8").reshape(field["shape"]).tolist()
 
 
 def test_missing_and_malformed_files_exit_2(synth_file, tmp_path, capsys):
@@ -91,20 +102,59 @@ def test_missing_and_malformed_files_exit_2(synth_file, tmp_path, capsys):
     junk = tmp_path / "junk.json"
     junk.write_text("{oops")
     assert main(["validate", str(junk)]) == 2
-    # a field of the wrong type is an input error that names the field
+    # a field of the wrong type, with a non-finite entry or a malformed
+    # encoded array is an input error that names the field
+    saved = json.loads(open(synth_file).read())
+    z1, z2 = saved["Z1"], saved["Z2"]
+    inf_c = [np.inf] + [0.0] * 11
+    inf_bytes = base64.b64encode(np.array(inf_c, "<f8").tobytes()).decode()
     bad = tmp_path / "bad.json"
     for field, value in (("n_pairs", "two"), ("n_pairs", -1),
-                         ("chi.B", [[1, "x"]]), ("Z1", [["a"]])):
+                         ("chi.B", [[1, "x"]]), ("Z1", [["a"]]),
+                         ("chi.c", inf_c), ("chi.c", [np.nan] * 12),
+                         ("chi.c", {**saved["chi"]["c"],
+                                    "base64": inf_bytes}),
+                         ("Z1", {**z1, "base64": "!" + z1["base64"]}),
+                         ("Z1", {**z1, "base64": z1["base64"][:-4]}),
+                         ("Z1", {**z1, "shape": [12, 9]}),
+                         ("Z1", {**z1, "shape": "12x8"}),
+                         ("Z1", {**z1, "shape": [12, -8]}),
+                         ("Z1", {**z1, "shape": [12, 8.0]}),
+                         ("Z2", {**z2, "dtype": "<f4"}),
+                         ("Z2", {**z2, "order": "C"}),
+                         ("poisson", {"dtype": "<f8", "shape": [20, 20]})):
         doc = json.loads(open(synth_file).read())
-        if field == "chi.B":
-            doc["chi"]["B"] = value
-        else:
-            doc[field] = value
+        *parent, key = field.split(".")
+        (doc[parent[0]] if parent else doc)[key] = value
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(field) in err
+
+
+def test_list_encoded_copy_loads_the_same_bits(synth_file, tmp_path,
+                                                capsys):
+    # a hand-written file holds nested lists: same arrays, same report
+    doc = json.loads(open(synth_file).read())
+    doc["chi"] = {key: _as_lists(v) for key, v in doc["chi"].items()}
+    doc["Z1"], doc["Z2"] = _as_lists(doc["Z1"]), _as_lists(doc["Z2"])
+    (tmp_path / "lists").mkdir()
+    lists = tmp_path / "lists" / Path(synth_file).name
+    lists.write_text(json.dumps(doc))
+    a, b = load_system(synth_file), load_system(lists)
+    for x, y in zip((*a.affine_matrix(), a.z1, a.z2, a.spec.poisson),
+                    (*b.affine_matrix(), b.z1, b.z2, b.spec.poisson)):
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    reports = []
+    for path in (synth_file, lists):
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(path), "--json", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+        reports[-1].pop("timings")
+    assert reports[0] == reports[1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
@@ -313,10 +363,9 @@ def test_bracket_order_one_methods(doubled_file, tmp_path, capsys):
 
 def test_dependent_z1_fails_validate_and_bracket(doubled_file, tmp_path,
                                                  capsys):
-    doc = json.loads(open(doubled_file).read())
-    doc["Z1"] = [[row[0], row[0]] for row in doc["Z1"]]
+    cs = load_system(doubled_file)
     bad = str(tmp_path / "dependent.json")
-    Path(bad).write_text(json.dumps(doc))
+    save_system(dataclasses.replace(cs, z1=cs.z1[:, [0, 0]]), bad)
     assert main(["validate", bad]) == 1
     assert "z1_rank" in capsys.readouterr().out
     for method in ("reducible", "invertible", "irreducible"):

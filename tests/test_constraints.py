@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from diracred.constraints import (
     ConstraintSet,
     OffSurfaceError,
+    _array_field,
     curved_first_order_system,
     duplicated_pair_system,
     load_system,
@@ -108,16 +110,32 @@ def test_sample_surface_deterministic():
 
 
 def test_save_load_round_trip(tmp_path):
-    cs = synth_linear(6, 8, 4, 2, seed=1)
+    # every array comes back bit for bit, on order 1 and order 2, with a
+    # non-canonical Poisson matrix and, planted in B, values a decimal
+    # writer could lose: -0.0, a subnormal and +-1e308
+    base = synth_linear(6, 8, 4, 2, seed=1)
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((12, 12))
+    spec = PhaseSpec(n_pairs=6, poisson=q @ base.spec.poisson @ q.T)
+    b = base.affine_matrix()[0]
+    b[0, :4] = [-0.0, 5e-324, 1e308, -1e308]
+    chi = tuple(affine(row, c) for row, c in zip(b, rng.standard_normal(8)))
     path = tmp_path / "sys.json"
-    save_system(cs, path)
-    back = load_system(path)
-    assert (back.m0, back.m1, back.m2) == (cs.m0, cs.m1, cs.m2)
-    b1, c1 = cs.affine_matrix()
-    b2, c2 = back.affine_matrix()
-    assert np.allclose(b1, b2) and np.allclose(c1, c2)
-    assert np.allclose(back.z1, cs.z1)
-    assert np.allclose(back.z2, cs.z2)
+    for z2 in (None, base.z2):
+        cs = ConstraintSet(spec=spec, chi=chi, z1=base.z1, z2=z2)
+        save_system(cs, path)
+        back = load_system(path)
+        assert (back.order, back.m0, back.m1, back.m2) == (
+            cs.order, cs.m0, cs.m1, cs.m2)
+        for x, y in zip((*cs.affine_matrix(), cs.z1, cs.z2_at(None),
+                         cs.spec.poisson),
+                        (*back.affine_matrix(), back.z1, back.z2_at(None),
+                         back.spec.poisson)):
+            assert x.shape == y.shape
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    # a decoded field is an owned, writeable copy, as a list field is
+    z1 = _array_field(json.loads(path.read_text())["Z1"], "Z1")
+    assert z1.flags.owndata and z1.flags.writeable
 
 
 def test_load_rejects_malformed_files(tmp_path):
