@@ -1,24 +1,26 @@
 """Reducible second-class constraint sets: data model, validation,
 surface sampling and generators.
 
-A constraint set bundles M0 constraint functions chi with their
-first-order reducibility matrix Z1 (M0 x M1, ``Z1.T @ chi == 0``) and,
-for order-2 systems, the second-order matrix Z2 (M1 x M2,
-``Z1 @ Z2 ~= 0`` on the surface).  Z matrices may be constant arrays or
-point-valued callables; all bundled generators produce constant ones.
-An order-1 set has no Z2: ``z2_at`` reads M1 x 0 there, so the
-second-order stages take it as the case M2 = 0.
+A constraint set bundles M0 constraints chi with their first-order
+reducibility matrix Z1 (M0 x M1, ``Z1.T @ chi == 0``) and, for order-2
+systems, the second-order matrix Z2 (M1 x M2, ``Z1 @ Z2 ~= 0`` on the
+surface).  An order-1 set has no Z2: ``z2_at`` reads M1 x 0 there, so
+the second-order stages take it as the case M2 = 0.
 
-A set whose chi are all affine stores them natively as (B, c) with
-chi = B z + c.  With constant Z matrices as well it is a constant
-system (``is_constant``): every derived artifact is then the same at
-every point, which later stages use to build them once.  B, c, Z1 and
-Z2 are stored read-only, so what a set keeps per Tolerance stays valid.
+``ConstraintSet.linear`` builds an affine system chi = B z + c from the
+arrays B, c, Z1 and Z2; it stores them and its ``chi`` is ().  Such a
+set is constant (``is_constant``): every derived artifact is the same at
+every point, which later stages use to build them once.  The arrays are
+stored read-only, so what a set keeps per Tolerance stays valid.  A
+leading axis on them makes a stack of systems of one shape (the Fourier
+blocks of a lattice), whose points carry the same leading axis; the
+second-order stages broadcast over it.  Every generator and the loader
+build sets this way.
 
-``ConstraintSet.linear`` builds such a set from the arrays B, Z1 and
-Z2 alone.  A leading axis on them makes a stack of systems of one
-shape (the Fourier blocks of a lattice), whose points carry the same
-leading axis; the second-order stages broadcast over it.
+A set given ``chi`` is a function set: its values and gradients are
+evaluated one PhaseFunction at a time, and its Z matrices may be arrays
+or point-valued callables.  It is never constant, even with affine rows
+and array Z matrices, so ``evolve`` and ``save_system`` refuse it.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class ConstraintSet:
     name: str = ""
     # labels of the systems of a stack (see linear), else ()
     blocks: tuple = ()
-    # (B, c) with chi = B z + c when every chi is affine, else None
+    # (B, c) with chi = B z + c on a set built by linear, else None
     _affine: Optional[tuple] = field(default=None, repr=False, compare=False)
     # by (key, Tolerance): pinv(B), C's and Z1's factors, the last sample
     _cache: dict = field(
@@ -96,29 +98,36 @@ class ConstraintSet:
 
     def __post_init__(self):
         object.__setattr__(self, "chi", tuple(self.chi))
-        # the arrays of linear() stand for an empty chi; given chi win
-        if self.chi or self._affine is None:
-            object.__setattr__(self, "_affine", None)
-        if self._affine is None and all(f.kind == "affine"
-                                        for f in self.chi):
-            b = (np.vstack([f.b for f in self.chi]) if self.chi
-                 else np.zeros((0, self.spec.dim)))
-            if b.shape[1] != self.spec.dim:
-                raise InvalidInputError(
-                    "constraint dimension does not match the phase space"
-                )
-            c = np.array([f.c for f in self.chi], dtype=float)
-            object.__setattr__(self, "_affine", (b, c))
+        zs = (self.z1,) if self.z2 is None else (self.z1, self.z2)
         if self._affine is not None:
+            if self.chi or not all(isinstance(z, np.ndarray) for z in zs):
+                raise InvalidInputError(
+                    "a set that stores (B, c) has no chi and array Z1 and "
+                    "Z2; build it with ConstraintSet.linear"
+                )
             object.__setattr__(self, "_affine",
                                tuple(map(_read_only, self._affine)))
+        if any(f.dim != self.spec.dim for f in self.chi):
+            raise InvalidInputError(
+                "constraint dimension does not match the phase space"
+            )
+        if (len(self.batch) > 1 or len(self.blocks) != sum(self.batch)
+                or any(isinstance(z, np.ndarray)
+                       and z.shape[:-2] != self.batch for z in zs)):
+            raise InvalidInputError(
+                "a stack has one leading axis, shared by B, Z1 and Z2, "
+                "and one label per system"
+            )
         if isinstance(self.z1, np.ndarray):
             z1 = check_finite(self.z1, "Z1")
-            if z1.shape[-2] != self.m0:
+            if z1.shape[-2:-1] != (self.m0,):
                 raise InvalidInputError("Z1 must have M0 rows")
             object.__setattr__(self, "z1", _read_only(z1))
         if isinstance(self.z2, np.ndarray):
             z2 = check_finite(self.z2, "Z2")
+            if (isinstance(self.z1, np.ndarray)
+                    and z2.shape[-2:-1] != self.z1.shape[-1:]):
+                raise InvalidInputError("'Z2' must have one row per Z1 column")
             object.__setattr__(self, "z2", _read_only(z2))
 
     @classmethod
@@ -127,33 +136,28 @@ class ConstraintSet:
         spec: PhaseSpec,
         b: np.ndarray,
         z1: np.ndarray,
-        z2: Optional[np.ndarray],
-        name: str,
-        blocks: tuple,
+        z2: Optional[np.ndarray] = None,
+        name: str = "",
+        blocks: tuple = (),
+        c: Optional[np.ndarray] = None,
     ) -> "ConstraintSet":
-        """The linear constraints chi = B z with constant Z matrices.
+        """The affine constraints chi = B z + c (c = 0 when None) with
+        constant Z matrices: the one constant set (``is_constant``).
 
-        With a leading axis on b (G x M0 x 2N), z1 and z2, the set is a
-        stack of G systems, labelled by ``blocks``, one label each.  Its
-        chi is empty, since the rows of different systems are no
-        functions on one space: values and gradients read B.
+        With a leading axis on b (G x M0 x 2N), c, z1 and z2, the set is
+        a stack of G systems, labelled by ``blocks``, one label each.  Its
+        chi is empty: values and gradients read B and c.
         """
         b = check_finite(b, "B")
-        if b.shape[-1] != spec.dim:
+        if b.ndim < 2 or b.shape[-1] != spec.dim:
             raise InvalidInputError(
                 "constraint dimension does not match the phase space"
             )
-        batch = b.shape[:-2]
-        if (len(batch) > 1 or len(blocks) != sum(batch)
-                or any(z.shape[:-2] != batch for z in (z1, z2)
-                       if z is not None)):
-            raise InvalidInputError(
-                "a stack has one leading axis, shared by B, Z1 and Z2, "
-                "and one label per system"
-            )
+        c = np.zeros(b.shape[:-1]) if c is None else check_finite(c, "c")
+        if c.shape != b.shape[:-1]:
+            raise InvalidInputError("c must have one entry per row of B")
         return cls(spec=spec, chi=(), z1=z1, z2=z2, name=name,
-                   blocks=tuple(blocks),
-                   _affine=(b, np.zeros(b.shape[:-1])))
+                   blocks=tuple(blocks), _affine=(b, c))
 
     @property
     def batch(self) -> tuple:
@@ -218,17 +222,9 @@ class ConstraintSet:
         return self.m0 - self.m1 + self.m2
 
     @property
-    def is_affine(self) -> bool:
-        return self._affine is not None
-
-    @property
     def is_constant(self) -> bool:
-        """Affine chi and constant Z matrices: nothing depends on the point."""
-        return (
-            self.is_affine
-            and isinstance(self.z1, np.ndarray)
-            and (self.z2 is None or isinstance(self.z2, np.ndarray))
-        )
+        """Stores (B, c), so nothing depends on the point (see linear)."""
+        return self._affine is not None
 
     def z1_at(self, at: np.ndarray) -> np.ndarray:
         return self.z1 if isinstance(self.z1, np.ndarray) else np.asarray(
@@ -259,15 +255,16 @@ class ConstraintSet:
         return np.column_stack([f.gradient(at) for f in self.chi])
 
     def affine_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B, c) with chi = B z + c for fully affine systems."""
+        """Copies of (B, c) with chi = B z + c, on a constant set."""
         if self._affine is None:
-            raise InvalidInputError("constraint set is not affine")
+            raise InvalidInputError("constraint set stores no (B, c)")
         b, c = self._affine
         return b.copy(), c.copy()
 
-    def _cached(self, key, tol: Tolerance, make: Callable, keep: bool):
-        """make(), kept per key and tolerance from the first call if keep."""
-        if not keep:
+    def _cached(self, key, tol: Tolerance, make: Callable):
+        """make(), kept per key and tolerance from the first call on a
+        constant set, where it is the same at every point."""
+        if not self.is_constant:
             return make()
         kept = self._cache.get((key, tol))
         if kept is None:
@@ -275,17 +272,14 @@ class ConstraintSet:
         return kept
 
     def factors(self, name: str, m: np.ndarray, tol: Tolerance):
-        """svd_factors(m, tol) of C = G^T J G (name "c") or Z1 ("z1"), kept
-        where it is the same at every point: on affine chi, a constant Z1."""
-        keep = {"c": self.is_affine, "z1": isinstance(self.z1, np.ndarray)}
-        return self._cached(name, tol, lambda: svd_factors(m, tol),
-                            keep[name])
+        """svd_factors(m, tol) of C = G^T J G (name "c") or Z1 ("z1")."""
+        return self._cached(name, tol, lambda: svd_factors(m, tol))
 
     def _jacobian_pinv(self, at: np.ndarray, tol: Tolerance) -> np.ndarray:
-        """Pseudoinverse of the M0 x 2N constraint Jacobian at a point,
-        kept on affine chi, where it is pinv(B) everywhere."""
+        """Pseudoinverse of the M0 x 2N constraint Jacobian at a point:
+        pinv(B) on a constant set."""
         return self._cached("jacobian_pinv", tol, lambda: pseudoinverse(
-            mt(self.gradients(at)), tol), self.is_affine)
+            mt(self.gradients(at)), tol))
 
     def surface_residual(self, at: np.ndarray) -> float:
         return _sup_norm(self.values(at))
@@ -323,9 +317,9 @@ def validate(
         cs.require_on_surface(p, tol)
 
     z1s = [cs.z1_at(p) for p in points]
-    # C on affine chi and a constant Z are ranked once, C and Z1 from the
-    # factors kept on cs; a point-valued one at every point, in one stack
-    g = (cs.gradients(points[0]) if cs.is_affine
+    # a constant set's C and Z1 are ranked once, from the factors kept on
+    # cs; a function set's C and a point-valued Z1 at every point, stacked
+    g = (cs.gradients(points[0]) if cs.is_constant
          else np.stack([cs.gradients(p) for p in points]))
     rank_c = cs.factors("c", mt(g) @ cs.spec.poisson @ g, tol).rank
     z1 = cs.z1 if isinstance(cs.z1, np.ndarray) else np.stack(z1s)
@@ -393,7 +387,7 @@ def sample_surface(
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     _require_seed(seed)
-    last = cs._cached("points", tol, dict, cs.is_constant)
+    last = cs._cached("points", tol, dict)
     if (seed, count) not in last:
         last.clear()
         starts = np.random.default_rng(seed).standard_normal(
@@ -401,21 +395,6 @@ def sample_surface(
         last[seed, count] = [project_to_surface(
             cs, s + np.zeros(cs.batch + s.shape), tol) for s in starts]
     return [p.copy() for p in last[seed, count]]
-
-
-def _affine_set(
-    spec: PhaseSpec,
-    b: np.ndarray,
-    c: np.ndarray,
-    z1: np.ndarray,
-    z2: Optional[np.ndarray],
-    name: str,
-) -> ConstraintSet:
-    chi = tuple(
-        phase.affine(b[i], float(c[i]), label=f"chi{i}")
-        for i in range(b.shape[0])
-    )
-    return ConstraintSet(spec=spec, chi=chi, z1=z1, z2=z2, name=name)
 
 
 def synth_linear(
@@ -465,9 +444,7 @@ def synth_linear(
         b = u @ r
         if rank_tol(b @ j @ b.T) != n_ind:
             continue
-        return _affine_set(
-            spec, b, np.zeros(m0), z1, z2, name=f"synth(seed={seed})"
-        )
+        return ConstraintSet.linear(spec, b, z1, z2, f"synth(seed={seed})")
     raise RuntimeError(
         "failed to sample a second-class system within the resample budget"
     )
@@ -498,7 +475,7 @@ def toy_system() -> ConstraintSet:
     b = np.zeros((6, 4))
     b[:3, 0] = 1.0  # three copies of q1
     b[3:, 2] = 1.0  # three copies of p1
-    return _affine_set(spec, b, np.zeros(6), z1, z2, name="toy")
+    return ConstraintSet.linear(spec, b, z1, z2, "toy")
 
 
 def duplicated_pair_system() -> ConstraintSet:
@@ -509,7 +486,7 @@ def duplicated_pair_system() -> ConstraintSet:
     b[1, 2] = 1.0
     b[2, 0] = 1.0
     z1 = np.array([[1.0], [0.0], [-1.0]])
-    return _affine_set(spec, b, np.zeros(3), z1, None, name="duplicated-pair")
+    return ConstraintSet.linear(spec, b, z1, name="duplicated-pair")
 
 
 def curved_first_order_system() -> ConstraintSet:
@@ -553,13 +530,14 @@ def curved_first_order_system() -> ConstraintSet:
 
 
 def save_system(cs: ConstraintSet, path: Union[str, Path]) -> None:
-    """Write an affine constant-Z system to the JSON file format, each
-    array field encoded (see _encoded), so load_system reads back the
-    same bits; "poisson" only when it is not the canonical matrix."""
-    if not cs.is_affine:
-        raise InvalidInputError("only affine systems are serializable")
-    if not isinstance(cs.z1, np.ndarray):
-        raise InvalidInputError("only constant Z matrices are serializable")
+    """Write a constant system, not a stack, to the JSON file format,
+    each array field encoded (see _encoded), so load_system reads back
+    the same bits; "poisson" only when it is not the canonical matrix."""
+    if not cs.is_constant:
+        raise InvalidInputError(
+            "only constant systems (ConstraintSet.linear) are serializable")
+    if cs.batch:
+        raise InvalidInputError("a stack of systems is not serializable")
     b, c = cs.affine_matrix()
     doc = {
         "n_pairs": cs.spec.n_pairs,
@@ -645,5 +623,4 @@ def load_system(path: Union[str, Path]) -> ConstraintSet:
         z2 = _array_field(doc["Z2"], "Z2")
         if z2.ndim != 2 or z2.shape[0] != z1.shape[1]:
             raise InvalidInputError("'Z2' must have one row per Z1 column")
-    name = str(Path(path).name)
-    return _affine_set(spec, b, c, z1, z2, name=name)
+    return ConstraintSet.linear(spec, b, z1, z2, Path(path).name, c=c)

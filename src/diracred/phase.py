@@ -111,6 +111,7 @@ class PhaseFunction:
     def __post_init__(self):
         if self.kind not in ("affine", "quadratic", "opaque"):
             raise InvalidInputError(f"unknown function kind {self.kind!r}")
+        check_finite(self.c, "c")
         if self.kind == "opaque":
             if self.evaluator is None:
                 raise InvalidInputError("opaque functions need an evaluator")

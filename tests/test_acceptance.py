@@ -101,8 +101,8 @@ def test_5_projectors_ranks_and_casimirs(suite):
         f = affine(rng.standard_normal(cs.spec.dim))
         for mode in ("noninvertible", "invertible"):
             f2 = fundamental_matrix_2(cs, at, mode)
-            for chi in cs.chi[:4]:
-                assert abs(chi.gradient(at) @ f2 @ f.gradient(at)) < 1e-8
+            g = cs.gradients(at)[:, :4]
+            assert np.abs(g.T @ f2 @ f.gradient(at)).max() < 1e-8
         ext = irs.join(at, np.zeros(irs.dim_y))
         full = fundamental_matrix_irred(irs, ext)
         grad_f = np.concatenate([f.gradient(at), np.zeros(irs.dim_y)])

@@ -373,6 +373,38 @@ def test_dependent_z1_fails_validate_and_bracket(doubled_file, tmp_path,
         assert "eq_1qa" in capsys.readouterr().err
 
 
+# the toy system (chi = three copies each of q1 and p1) moved to the
+# surface q1 = 1, p1 = -2 by c, written by hand as nested lists
+SHIFTED_TOY = {
+    "n_pairs": 2,
+    "chi": {"B": [[1, 0, 0, 0]] * 3 + [[0, 0, 1, 0]] * 3,
+            "c": [-1, -1, -1, 2, 2, 2]},
+    "Z1": [[1, 0, 1, 0, 0, 0], [-1, 1, 0, 0, 0, 0], [0, -1, -1, 0, 0, 0],
+           [0, 0, 0, 1, 0, 1], [0, 0, 0, -1, 1, 0], [0, 0, 0, 0, -1, -1]],
+    "Z2": [[1, 0], [1, 0], [-1, 0], [0, 1], [0, 1], [0, -1]],
+}
+
+
+def test_shifted_toy_file_keeps_the_toy_brackets(toy_file, tmp_path,
+                                                 capsys):
+    shifted = str(tmp_path / "shifted.json")
+    Path(shifted).write_text(json.dumps(SHIFTED_TOY))
+    assert main(["validate", shifted]) == 0
+    assert main(["analyze", shifted]) == 0
+    capsys.readouterr()
+    assert main(["evolve", shifted, "--h", "0.5*q2^2 + 0.5*p2^2",
+                 "--steps", "50", "--dt", "0.01"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    final = np.array(out[out.index("final state:") + 1].split(), float)
+    assert np.abs(final[[0, 2]] - [1.0, -2.0]).max() < 1e-12
+    # the bracket matrix is constant, the same as on the toy's surface
+    for method in ("subset", "reducible", "invertible", "irreducible"):
+        assert main(["bracket", shifted, "--method", method]) == 0
+        lines = capsys.readouterr().out
+        assert main(["bracket", toy_file, "--method", method]) == 0
+        assert lines == capsys.readouterr().out
+
+
 def test_evolve_toy(toy_file, capsys):
     rc = main(["evolve", toy_file, "--h", "0.5*q2^2 + 0.5*p2^2",
                "--steps", "50", "--dt", "0.01"])

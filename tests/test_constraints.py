@@ -119,10 +119,10 @@ def test_save_load_round_trip(tmp_path):
     spec = PhaseSpec(n_pairs=6, poisson=q @ base.spec.poisson @ q.T)
     b = base.affine_matrix()[0]
     b[0, :4] = [-0.0, 5e-324, 1e308, -1e308]
-    chi = tuple(affine(row, c) for row, c in zip(b, rng.standard_normal(8)))
+    c = rng.standard_normal(8)
     path = tmp_path / "sys.json"
     for z2 in (None, base.z2):
-        cs = ConstraintSet(spec=spec, chi=chi, z1=base.z1, z2=z2)
+        cs = ConstraintSet.linear(spec, b, base.z1, z2, c=c)
         save_system(cs, path)
         back = load_system(path)
         assert (back.order, back.m0, back.m1, back.m2) == (
@@ -136,6 +136,26 @@ def test_save_load_round_trip(tmp_path):
     # a decoded field is an owned, writeable copy, as a list field is
     z1 = _array_field(json.loads(path.read_text())["Z1"], "Z1")
     assert z1.flags.owndata and z1.flags.writeable
+
+
+def test_save_refuses_function_sets_and_stacks(tmp_path):
+    toy = toy_system()
+    path = tmp_path / "sys.json"
+    # a function set is never constant, whatever its rows and Z matrices;
+    # with an array Z1 and a callable Z2 it used to end in a TypeError
+    for z2 in (toy.z2, lambda z: toy.z2):
+        fs = ConstraintSet(spec=toy.spec, chi=function_rows(toy),
+                           z1=toy.z1, z2=z2)
+        with pytest.raises(InvalidInputError, match="constant systems"):
+            save_system(fs, path)
+    # load_system reads one system: a stack's 3-D B would be refused
+    b, _ = toy.affine_matrix()
+    stack = ConstraintSet.linear(toy.spec, np.stack([b] * 3),
+                                 np.stack([toy.z1] * 3),
+                                 np.stack([toy.z2] * 3), "toys", "abc")
+    with pytest.raises(InvalidInputError, match="stack"):
+        save_system(stack, path)
+    assert not path.exists()
 
 
 def test_load_rejects_malformed_files(tmp_path):
@@ -155,21 +175,52 @@ def test_constraint_set_structure_checks():
     chi = (affine([1.0, 0.0]),)
     with pytest.raises(InvalidInputError):
         ConstraintSet(spec=spec, chi=chi, z1=np.ones((2, 1)))
+    # a function of another dimension than the phase space's
+    with pytest.raises(InvalidInputError, match="dimension"):
+        ConstraintSet(spec=spec, chi=(affine([1.0, 0.0, 0.0]),),
+                      z1=np.zeros((1, 0)))
+    # Z2 with fewer rows than Z1 has columns (it used to build, with
+    # m2 = 2, and validate then died in numpy's matmul)
+    toy = toy_system()
+    b, _ = toy.affine_matrix()
+    for z1, z2 in ((toy.z1, toy.z2[:4]), (toy.z1[:, :4], toy.z2),
+                   (toy.z1, toy.z2[:, 0])):
+        with pytest.raises(InvalidInputError,
+                           match="'Z2' must have one row per Z1 column"):
+            ConstraintSet.linear(toy.spec, b, z1, z2, "x", ())
+    # a Z1 of one axis has no rows (it used to raise a bare IndexError)
+    with pytest.raises(InvalidInputError, match="Z1 must have M0 rows"):
+        ConstraintSet.linear(toy.spec, b, toy.z1[:, 0])
 
 
-def _per_function(cs, z):
-    """Values and gradient matrix evaluated one constraint at a time."""
-    values = np.array([f(z) for f in cs.chi])
-    gradients = np.column_stack([f.gradient(z) for f in cs.chi])
-    return values, gradients
+def test_a_set_storing_b_takes_no_chi_and_no_callable_z():
+    toy = toy_system()
+    b, c = toy.affine_matrix()
+    assert toy.chi == ()
+    z1_at, z2_at = (lambda z: toy.z1), (lambda z: toy.z2)
+    for z1, z2 in ((z1_at, toy.z2), (toy.z1, z2_at), (z1_at, None)):
+        with pytest.raises(InvalidInputError, match="array Z1 and Z2"):
+            ConstraintSet.linear(toy.spec, b, z1, z2, "x")
+    # replace cannot bypass the invariant either
+    for change in ({"z1": z1_at}, {"z2": z2_at},
+                   {"chi": function_rows(toy)}):
+        with pytest.raises(InvalidInputError, match="array Z1 and Z2"):
+            dataclasses.replace(toy, **change)
+    with pytest.raises(InvalidInputError, match="one entry per row"):
+        ConstraintSet.linear(toy.spec, b, toy.z1, toy.z2, c=c[:5])
+
+
+def function_rows(cs):
+    """The constraints of a constant set as one affine function per row
+    of (B, c)."""
+    return tuple(affine(row, ci) for row, ci in zip(*cs.affine_matrix()))
 
 
 def _shifted_toy():
     """The toy system on the surface q1 = 1, p1 = -2 (nonzero c)."""
     toy = toy_system()
-    chi = tuple(affine(f.b, c=-1.0 if i < 3 else 2.0)
-                for i, f in enumerate(toy.chi))
-    return ConstraintSet(spec=toy.spec, chi=chi, z1=toy.z1, z2=toy.z2)
+    return ConstraintSet.linear(toy.spec, toy.affine_matrix()[0], toy.z1,
+                                toy.z2, c=np.repeat([-1.0, 2.0], 3))
 
 
 @pytest.mark.parametrize("cs", [
@@ -181,9 +232,12 @@ def _shifted_toy():
 def test_native_affine_arithmetic_matches_per_function_loop(cs):
     rng = np.random.default_rng(11)
     b, c = cs.affine_matrix()
+    # the same constraints as a function set, evaluated row by row
+    fs = ConstraintSet(spec=cs.spec, chi=function_rows(cs), z1=cs.z1,
+                       z2=cs.z2)
     z = sample_surface(cs, seed=2, count=1)[0]
     for at in (z, z + rng.standard_normal(cs.spec.dim), 1e3 * z):
-        vals_ref, grads_ref = _per_function(cs, at)
+        vals_ref, grads_ref = fs.values(at), fs.gradients(at)
         # B z sums in another order than the per-function dot products:
         # relative to the summed magnitudes, both are exact to 1e-12
         terms = 1.0 + np.abs(b) @ np.abs(at) + np.abs(c)
@@ -198,14 +252,15 @@ def test_native_affine_arithmetic_matches_per_function_loop(cs):
 
 def test_constant_detected_from_structure():
     toy = toy_system()
-    assert toy.is_affine and toy.is_constant
+    assert toy.is_constant
     assert duplicated_pair_system().is_constant
-    curved = curved_first_order_system()
-    assert not curved.is_affine and not curved.is_constant
-    # affine chi with a point-valued Z1 is not constant
-    mapped = ConstraintSet(spec=toy.spec, chi=toy.chi,
-                           z1=lambda z: toy.z1, z2=toy.z2)
-    assert mapped.is_affine and not mapped.is_constant
+    assert not curved_first_order_system().is_constant
+    # a function set is never constant: not with affine rows and array Z
+    # matrices, nor with a point-valued Z1
+    for z1 in (toy.z1, lambda z: toy.z1):
+        fs = ConstraintSet(spec=toy.spec, chi=function_rows(toy), z1=z1,
+                           z2=toy.z2)
+        assert not fs.is_constant and fs.m0 == toy.m0
 
 
 def test_sample_surface_factors_affine_matrix_once(monkeypatch):
@@ -273,8 +328,9 @@ def test_validate_ranks_point_valued_z_at_every_point(which):
         base = curved_first_order_system()
         cs = dataclasses.replace(base, z1=_scaled_column(base.z1_at, 1))
     else:
-        base = toy_system()
-        cs = dataclasses.replace(base, z2=_scaled_column(base.z2_at, 1))
+        toy = toy_system()
+        cs = ConstraintSet(spec=toy.spec, chi=function_rows(toy), z1=toy.z1,
+                           z2=_scaled_column(toy.z2_at, 1))
     pts = sample_surface(cs, seed=1, count=5)
     q2 = np.array([p[1] for p in pts])
     assert q2[0] > 0 and (q2 < 0).any()

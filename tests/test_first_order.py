@@ -30,12 +30,12 @@ from diracred.numerics import (
 from diracred.oracle import fundamental_matrix_oracle, independent_subset
 from diracred.phase import (
     PhaseSpec,
-    affine,
     coordinate,
     poisson_bracket,
     quadratic,
 )
 from diracred.second_order import full_artifacts, fundamental_matrix_2
+from test_constraints import function_rows
 
 
 def doubled_pair_system() -> ConstraintSet:
@@ -50,8 +50,7 @@ def doubled_pair_system() -> ConstraintSet:
         [-1.0, 0.0],
         [0.0, -1.0],
     ])
-    chi = tuple(affine(b[i], label=f"chi{i}") for i in range(4))
-    return ConstraintSet(spec=spec, chi=chi, z1=z1, name="doubled")
+    return ConstraintSet.linear(spec, b, z1, name="doubled")
 
 
 def _engine(cs, at, tol=DEFAULT_TOL):
@@ -115,10 +114,11 @@ def test_scalar_bracket_matches_matrix(name):
         f = quadratic(s + s.T, rng.standard_normal(dim))
         g = quadratic(t + t.T, rng.standard_normal(dim))
         pad = np.zeros(m.shape[0] - cs.m0)
+        chi = cs.chi or function_rows(cs)
         f_chi = np.concatenate([[poisson_bracket(f, c, at, cs.spec)
-                                 for c in cs.chi], pad])
+                                 for c in chi], pad])
         chi_g = np.concatenate([[poisson_bracket(c, g, at, cs.spec)
-                                 for c in cs.chi], pad])
+                                 for c in chi], pad])
         textbook = poisson_bracket(f, g, at, cs.spec) - f_chi @ m @ chi_g
         value = f.gradient(at) @ mat @ g.gradient(at)
         scale = 1.0 + np.abs(f.gradient(at)).max() * np.abs(
@@ -160,8 +160,7 @@ def test_constraints_are_casimirs():
     at = sample_surface(cs, seed=3, count=1)[0]
     f1 = fundamental_matrix_1(cs, at)
     f = coordinate(cs.spec.dim, 3)
-    for chi in cs.chi:
-        assert abs(chi.gradient(at) @ f1 @ f.gradient(at)) < 1e-10
+    assert np.abs(cs.gradients(at).T @ f1 @ f.gradient(at)).max() < 1e-10
 
 
 def test_lift_matches_reducible_and_oracle():
@@ -299,8 +298,7 @@ def order_one_systems(draw):
     z1 = rng.standard_normal((m0, m1))
     b = null_basis(z1.T) @ rng.standard_normal((n_ind, spec.dim))
     assert rank_tol(b @ spec.poisson @ b.T) == n_ind
-    chi = tuple(affine(row) for row in b)
-    return ConstraintSet(spec=spec, chi=chi, z1=z1, name="random order-1")
+    return ConstraintSet.linear(spec, b, z1, name="random order-1")
 
 
 @settings(max_examples=10)

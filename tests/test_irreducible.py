@@ -34,6 +34,7 @@ from diracred.numerics import (
 from diracred.oracle import fundamental_matrix_oracle
 from diracred.phase import affine, opaque, poisson_bracket, quadratic
 from diracred.second_order import full_artifacts
+from test_constraints import function_rows
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +214,7 @@ def curved_toy_system():
         return g
 
     chi = (opaque(lambda z: z[0] * np.exp(z[1]), dim, grad=grad),)
-    chi += toy.chi[1:]
+    chi += function_rows(toy)[1:]
 
     def z1_at(z):
         z1 = toy.z1.copy()
@@ -402,7 +403,7 @@ def _count_oracle_calls(monkeypatch):
 @pytest.mark.parametrize("name", sorted(AFFINE_SYSTEMS))
 def test_affine_oracle_is_one_matrix_built_once(name, monkeypatch):
     cs = AFFINE_SYSTEMS[name]()
-    assert cs.is_affine
+    assert cs.is_constant
     # the oracle is the same matrix at every point the report samples
     points = sample_surface(cs, seed=0, count=20)
     first = fundamental_matrix_oracle(cs, points[0])
@@ -417,10 +418,11 @@ def test_affine_oracle_is_one_matrix_built_once(name, monkeypatch):
 
 def test_non_affine_oracle_is_built_once(monkeypatch):
     toy = toy_system()
-    # the toy's own constraints, opaque, so nothing marks them affine
-    chi = tuple(opaque(f, f.dim, grad=f.gradient) for f in toy.chi)
+    # the toy's own constraints, opaque, on a function set
+    chi = tuple(opaque(f, f.dim, grad=f.gradient)
+                for f in function_rows(toy))
     cs = ConstraintSet(spec=toy.spec, chi=chi, z1=toy.z1, z2=toy.z2)
-    assert not cs.is_affine
+    assert not cs.is_constant
     at = sample_surface(cs, seed=0, count=1)[0]
     irs = build_irreducible(cs, full_artifacts(cs, at))
     # only the build point is valid on a non-constant base

@@ -100,3 +100,16 @@ def test_dimension_mismatch_rejected():
         poisson_bracket(f, f, np.zeros(2), spec)
     with pytest.raises(InvalidInputError):
         f(np.zeros(2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: affine([1.0, 0.0], c=c),
+    lambda c: quadratic(np.eye(2), c=c),
+    lambda c: phase.PhaseFunction(kind="opaque", dim=2,
+                                  evaluator=lambda z: 0.0, c=c),
+], ids=["affine", "quadratic", "opaque"])
+@pytest.mark.parametrize("c", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_constant_rejected(make, c):
+    with pytest.raises(InvalidInputError, match="c contains non-finite"):
+        make(c)
+    assert make(-2.5).c == -2.5
