@@ -95,6 +95,9 @@ def parse_qspec(text: str, labels: tuple) -> PhaseFunction:
 def _analyze_report(
     cs: con.ConstraintSet, points: int, seed: int, tol: Tolerance
 ) -> CheckReport:
+    """validate, then the construction at the first point and, on an
+    order-2 system, equivalence_report: the points are drawn once, and
+    validate and equivalence_report certify the same list."""
     pts = con.sample_surface(cs, seed, points, tol)
     rep = con.validate(cs, pts, tol)
     rep.seeds["points"] = seed
@@ -110,10 +113,7 @@ def _analyze_report(
             rep.take(irs.report, *(name for name in irs.report.residuals
                                    if name not in rep.residuals))
             rep.seeds.update(irs.report.seeds)
-            eq = irr.equivalence_report(
-                cs, irs, n_points=points, seed=seed, tol=tol
-            )
-            rep.merge(eq)
+            rep.merge(irr.equivalence_report(cs, irs, pts, seed, tol))
         else:
             # the noninvertible stage alone, which needs no omega pair
             art = so.second_order_artifacts(cs, pts[0], tol)

@@ -44,6 +44,7 @@ from .numerics import (
     null_basis,
     pseudoinverse,
     rank_tol,
+    require_int,
     svd_factors,
 )
 from .phase import PhaseFunction, PhaseSpec
@@ -91,7 +92,7 @@ class ConstraintSet:
     blocks: tuple = ()
     # (B, c) with chi = B z + c on a set built by linear, else None
     _affine: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # by (key, Tolerance): pinv(B), C's and Z1's factors, the last sample
+    # by (key, Tolerance): pinv(B) and the factors of C and Z1
     _cache: dict = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
@@ -366,11 +367,6 @@ def project_to_surface(
     raise ProjectionError("surface projection did not converge", residual)
 
 
-def _require_seed(seed: int) -> None:
-    if seed < 0:  # numpy's generators take no negative seed
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-
-
 def sample_surface(
     cs: ConstraintSet,
     seed: int,
@@ -381,20 +377,15 @@ def sample_surface(
 
     On a stack each point holds one per system, all projected from the
     same Gaussian draw.  Projections on affine chi read pinv(B), kept on
-    cs; a constant system keeps its last draw too, so a repeated seed and
-    count projects nothing.  Every call returns copies.
+    cs.  The points are not kept: a caller that certifies one draw twice,
+    as analyze does with validate and equivalence_report, draws once and
+    hands both the same list.
     """
-    if count < 1:
-        raise InvalidInputError("count must be >= 1")
-    _require_seed(seed)
-    last = cs._cached("points", tol, dict)
-    if (seed, count) not in last:
-        last.clear()
-        starts = np.random.default_rng(seed).standard_normal(
-            (count, cs.spec.dim))
-        last[seed, count] = [project_to_surface(
-            cs, s + np.zeros(cs.batch + s.shape), tol) for s in starts]
-    return [p.copy() for p in last[seed, count]]
+    require_int(count, "count", 1)
+    require_int(seed, "seed", 0)  # numpy's generators take no negative seed
+    starts = np.random.default_rng(seed).standard_normal((count, cs.spec.dim))
+    return [project_to_surface(cs, s + np.zeros(cs.batch + s.shape), tol)
+            for s in starts]
 
 
 def synth_linear(
@@ -412,7 +403,7 @@ def synth_linear(
     times, until the bracket matrix B J B.T has the full second-class
     rank m0 - m1 + m2.
     """
-    _require_seed(seed)
+    require_int(seed, "seed", 0)
     n_ind = m0 - m1 + m2
     if not (0 < m2 <= m1 <= m0):
         raise InvalidInputError("need 0 < m2 <= m1 <= m0")
@@ -595,11 +586,7 @@ def load_system(path: Union[str, Path]) -> ConstraintSet:
         if not isinstance(doc, dict) or key not in doc:
             raise InvalidInputError(f"system file missing field {key!r}")
     n_pairs = doc["n_pairs"]
-    if type(n_pairs) is not int or n_pairs < 1:
-        raise InvalidInputError(
-            f"system file field 'n_pairs' must be a positive integer, "
-            f"got {n_pairs!r}"
-        )
+    require_int(n_pairs, "system file field 'n_pairs'", 1)
     poisson = None
     if "poisson" in doc:
         poisson = _array_field(doc["poisson"], "poisson")

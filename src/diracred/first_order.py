@@ -27,8 +27,8 @@ from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
     Tolerance,
-    pinv_rank,
     skew_solve,
+    svd_factors,
 )
 from .phase import dirac_matrix
 
@@ -59,13 +59,14 @@ def first_order_artifacts(
     at = cs.spec.point(at)
     cs.require_on_surface(at, tol)
     z1 = cs.z1_at(at)
-    abar, rank_z1 = pinv_rank(z1, tol)
-    if rank_z1 != cs.m1:
+    f = svd_factors(z1, tol)
+    if f.rank != cs.m1:
         raise InvalidInputError(
             "Z1 columns must be independent for an order-1 system"
         )
     g = cs.gradients(at)
     c1 = g.T @ cs.spec.poisson @ g
+    abar = f.pinv
     d = np.eye(cs.m0) - z1 @ abar
     m1 = skew_solve(c1, d, tol)
     return FirstOrderArtifacts(c1=c1, abar=abar, d=d, m1=m1, point=at)

@@ -31,13 +31,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from . import oracle as oracle_mod
 from . import second_order as so
-from .constraints import ConstraintSet, sample_surface
+from .constraints import ConstraintSet
 from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
@@ -46,6 +47,7 @@ from .numerics import (
     mt,
     rank_tol,
     rel_residual,
+    require_int,
 )
 from .phase import PhaseFunction, dirac_matrix
 from .report import COUNT_TOL, CheckReport
@@ -291,7 +293,7 @@ def intermediate_bracket_matrix(
 def equivalence_report(
     cs: ConstraintSet,
     sys: IrreducibleSystem,
-    n_points: int = 20,
+    points: Sequence[np.ndarray],
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> CheckReport:
@@ -305,23 +307,27 @@ def equivalence_report(
     so the certification stays independent of what it certifies, is
     compared with each of the four.  Ten random gradient pairs, standing
     in for quadratic functions, contract every difference matrix of z
-    blocks as well.
+    blocks as well; ``seed`` + 1 seeds them.
 
-    The points are sample_surface(cs, seed, n_points): on a constant
-    system the last draw kept on cs when seed and count match.  Every
-    point is checked, before the oracle is built, to lie on the surface
-    (else OffSurfaceError) and to be one where sys holds: on a
-    non-constant base every point other than the build point raises
+    The points certified are exactly those given; an empty list or a
+    negative seed raises InvalidInputError.  Every point is checked,
+    before the oracle is built, for its shape (else InvalidInputError),
+    to lie on the surface (else OffSurfaceError) and to be one where sys
+    holds.  On a non-constant base it certifies the build point,
+    ``[sys.artifacts.point]``, and any other point raises
     BuildPointError.  The oracle reads a point only through the
     gradients, so it is built once, at the first point: on a constant
     base the gradients are the same at every point, and on any other
     base every point that passes is the build point, within
     tol.surface.
     """
+    if not len(points):
+        raise InvalidInputError("equivalence_report needs at least one point")
+    require_int(seed, "seed", 0)
     rep = CheckReport(
         system=cs.name or "constraint-system",
         tolerances=tol,
-        seeds={"points": seed, "functions": seed + 1},
+        seeds={"functions": seed + 1},
     )
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 1)
@@ -337,7 +343,6 @@ def equivalence_report(
         return max(float(np.abs(diff).max()),
                    float(np.abs(contracted).max(initial=0.0)))
 
-    points = sample_surface(cs, seed, n_points, tol)
     art = sys.artifacts
     j = cs.spec.poisson
     gz = sys.base.gradients(art.point)
@@ -352,9 +357,9 @@ def equivalence_report(
     mats = [f_non, f_inv, f_inter, f_irr]
     dev_all = max(deviation(a, b)
                   for i, a in enumerate(mats) for b in mats[i + 1:])
-    for z in points:
-        sys.require_build_point(z, tol)
+    for z in map(cs.point, points):
         cs.require_on_surface(z, tol)
+        sys.require_build_point(z, tol)
     f_oracle = oracle_mod.fundamental_matrix_oracle(cs, points[0], tol)
     dev_all = max([dev_all] + [deviation(f_oracle, m) for m in mats])
     rep.add("eq_24", float(np.abs(f_non - f_inv).max()), tol.weak_eq)
@@ -436,16 +441,15 @@ def evolve(
     eom_step adds its increment, so the constraint drift stays at
     eom_step's level.
     dt, steps, the base and the state are checked once: a dt that is not
-    finite and positive or a negative step count raises
-    InvalidInputError, as does an opaque h (use eom_step); a
+    finite and positive or a step count that is not an integer >= 0
+    raises InvalidInputError, as does an opaque h (use eom_step); a
     non-constant base raises BuildPointError.  A trajectory that
     overflows raises InvalidInputError, and so can one that eom_step
     would carry on a bounded path: once a doubled map D_m overflows,
     inf * 0 is NaN, so a start off the growing direction is refused too.
     """
     _require_dt(dt)
-    if steps < 0:
-        raise InvalidInputError(f"steps must be >= 0, got {steps}")
+    require_int(steps, "steps", 0)
     _require_constant_base(sys, "evolve")
     z, y = sys.split(at)
     n = sys.dim_z

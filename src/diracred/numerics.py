@@ -71,6 +71,15 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def require_int(value, name: str, least: int) -> None:
+    """Refuse a value that is not an integer (a bool is not one) or is
+    below ``least``, with InvalidInputError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+
+
 def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -149,20 +158,9 @@ def svd_factors(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SVDFactors:
     return SVDFactors(u * keep[..., None, :], s_inv, vt)
 
 
-def pinv_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """Pseudoinverse and numerical rank of each matrix of m from a single
-    SVD.
-
-    The rank counts singular values above rank_rel * sigma_max, as in
-    rank_tol, and the pseudoinverse inverts exactly those.
-    """
-    f = svd_factors(m, tol)
-    return f.pinv, f.rank
-
-
 def pseudoinverse(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the shared rank cutoff."""
-    return pinv_rank(m, tol)[0]
+    return svd_factors(m, tol).pinv
 
 
 def null_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -26,7 +26,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     mt,
-    pinv_rank,
+    svd_factors,
 )
 from .phase import dirac_matrix
 
@@ -116,13 +116,13 @@ def independent_subset(
     # a stack's products repeat those of each system alone bit for bit
     sub = mt(gt[b, indices]).reshape(g.shape[:-1] + (target,))
     cab = mt(sub) @ cs.spec.poisson @ sub
-    cab_inv, rank = pinv_rank(cab, tol)
+    f = svd_factors(cab, tol)
     cs.raise_first(
-        rank != target, DegenerateSystemError,
+        f.rank != target, DegenerateSystemError,
         lambda i: "selected subset is not second class: C_AB rank deficient")
     indices = indices.reshape(cs.batch + (target,))
     return SubsetSelection(indices=indices, grads=sub, cab=cab,
-                           cab_inv=cab_inv)
+                           cab_inv=f.pinv)
 
 
 def fundamental_matrix_oracle(

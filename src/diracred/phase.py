@@ -20,6 +20,7 @@ from .numerics import (
     is_antisymmetric,
     mt,
     rank_tol,
+    require_int,
     symplectic_block,
 )
 
@@ -33,7 +34,7 @@ def canonical_poisson(n_pairs: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """N canonical pairs with a constant Poisson matrix.
+    """N canonical pairs, N an integer >= 1, and a constant Poisson matrix.
 
     ``poisson`` defaults to the canonical block form; any constant
     antisymmetric invertible 2N x 2N matrix is accepted.
@@ -44,6 +45,7 @@ class PhaseSpec:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        require_int(self.n_pairs, "n_pairs", 1)
         dim = 2 * self.n_pairs
         j = self.poisson
         if j is None:

@@ -37,11 +37,12 @@ from .numerics import (
     Tolerance,
     check_finite,
     mt,
-    pinv_rank,
     rank_tol,
     rel_residual,
+    require_int,
     skew_part,
     skew_solve,
+    svd_factors,
     symplectic_block,
 )
 from .phase import dirac_matrix
@@ -177,8 +178,11 @@ def omega_tilde_pair(
     it.  A system whose seed loses rank on the range of d11, or whose
     pair is not invertible, raises SeedRankError marking it; its
     identities are not required then, so that the error names every such
-    system of a stack at once.
+    system of a stack at once.  A negative ``seed`` raises
+    InvalidInputError.
     """
+    if seed is not None:
+        require_int(seed, "seed", 0)
     m1 = art.d11.shape[-1]
     m2 = art.a12.shape[-1]
     for name, m in (("M1", m1), ("M2", m2)):
@@ -196,10 +200,10 @@ def omega_tilde_pair(
     seed2 = symplectic_block(m2)
 
     omega_bar = mt(art.d11) @ seed_low @ art.d11
-    omega_bar_pinv, rank_bar = pinv_rank(omega_bar, tol)
-    lost = rank_bar != m1 - m2
+    f = svd_factors(omega_bar, tol)
+    lost = f.rank != m1 - m2
     # enforce exact antisymmetry against rounding
-    omega_hat = skew_part(art.d11 @ omega_bar_pinv @ art.d11)
+    omega_hat = skew_part(art.d11 @ f.pinv @ art.d11)
     omega_bar = skew_part(omega_bar)
 
     p2 = art.dbar2 @ mt(art.a12)  # maps the M1 space onto the M2 labels
@@ -276,8 +280,10 @@ def full_artifacts(
     the systems that lost rank are reseeded, and the seeds record their
     indices in the stack as "omega_blocks" (certify_lattice turns them
     into the blocks' labels).  Only the rank failure reseeds; a failed
-    identity raises.
+    identity raises.  A negative ``seed`` raises InvalidInputError, even
+    when no reseed happens.
     """
+    require_int(seed, "seed", 0)
     art = second_order_artifacts(cs, at, tol)
     try:
         paired = omega_tilde_pair(art, tol=tol)

@@ -70,6 +70,7 @@ from .numerics import (
     mt,
     rank_tol,
     rel_residual,
+    require_int,
     symplectic_block,
 )
 from .phase import PhaseSpec, dirac_matrix
@@ -92,10 +93,8 @@ class LatticeSpec:
     derivative: str = "fd"
 
     def __post_init__(self):
-        if self.d < 3:
-            raise InvalidInputError("three-forms need spatial dimension >= 3")
-        if self.L < 3:
-            raise InvalidInputError("lattice size must be >= 3")
+        require_int(self.d, "the spatial dimension of a three-form", 3)
+        require_int(self.L, "the lattice size", 3)
         if self.derivative not in ("fd", "spectral"):
             raise InvalidInputError("derivative must be 'fd' or 'spectral'")
         if self.derivative == "spectral" and self.L % 2 == 0:

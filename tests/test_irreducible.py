@@ -174,7 +174,7 @@ def test_equivalence_report_passes():
     cs = synth_linear(8, 10, 6, 2, seed=4)
     at = sample_surface(cs, seed=0, count=1)[0]
     irs = build_irreducible(cs, full_artifacts(cs, at))
-    rep = equivalence_report(cs, irs, n_points=5)
+    rep = equivalence_report(cs, irs, sample_surface(cs, 0, 5))
     assert rep.passed
     for tag in ("eq_24", "eq_28", "eq_32y", "eq_32"):
         assert rep.record(tag).residual < 1e-8
@@ -243,7 +243,7 @@ def test_curved_order2_valid_only_at_build_point():
         with pytest.raises(BuildPointError):
             evaluate(irs, other)
     with pytest.raises(BuildPointError):
-        equivalence_report(cs, irs, n_points=2, seed=3)
+        equivalence_report(cs, irs, pts)
     h = quadratic(np.diag([0.0, 1.0, 0.0, 1.0]))
     for step in (lambda state: eom_step(irs, h, state, 0.01),
                  lambda state: evolve(irs, h, state, 0.01, 3)):
@@ -357,7 +357,8 @@ def test_equivalence_report_matches_per_point_rebuild(shape, seed, pseed):
     planted = replace(irs, c_delta_inv=irs.c_delta_inv + 1e-6 * (
         rng.standard_normal(irs.c_delta_inv.shape)))
     for sys in (irs, planted):
-        rep = equivalence_report(cs, sys, n_points=4, seed=pseed)
+        rep = equivalence_report(cs, sys, sample_surface(cs, pseed, 4),
+                                 seed=pseed)
         ref, scale = _per_point_report(cs, sys, 4, pseed)
         for name, value in ref.items():
             assert (abs(rep.record(name).residual - value)
@@ -367,15 +368,16 @@ def test_equivalence_report_matches_per_point_rebuild(shape, seed, pseed):
 
 def test_eq_32y_reads_the_y_rows():
     cs = synth_linear(10, 12, 8, 2, seed=7)
-    art = full_artifacts(cs, sample_surface(cs, seed=0, count=1)[0])
-    clean = equivalence_report(cs, build_irreducible(cs, art))
+    points = sample_surface(cs, seed=0, count=20)
+    art = full_artifacts(cs, points[0])
+    clean = equivalence_report(cs, build_irreducible(cs, art), points)
     irs = build_irreducible(cs, art)
     kernel = irs._irred_kernel.copy()
     dim = cs.spec.dim
     # an error in the zy block only, where no z-block record looks
     kernel[:dim, dim:] += 1e-6 * np.abs(kernel).max()
     irs.__dict__["_irred_kernel"] = kernel
-    rep = equivalence_report(cs, irs)
+    rep = equivalence_report(cs, irs, points)
     assert not rep.record("eq_32y").passed
     for name in ("eq_24", "eq_28", "eq_32"):
         assert rep.record(name) == clean.record(name), name
@@ -411,7 +413,7 @@ def test_affine_oracle_is_one_matrix_built_once(name, monkeypatch):
         assert np.array_equal(fundamental_matrix_oracle(cs, z), first)
     irs = build_irreducible(cs, full_artifacts(cs, points[0]))
     calls = _count_oracle_calls(monkeypatch)
-    equivalence_report(cs, irs, n_points=20, seed=0)
+    equivalence_report(cs, irs, points)
     assert len(calls) == 1
     assert np.array_equal(calls[0], points[0])
 
@@ -425,17 +427,15 @@ def test_non_affine_oracle_is_built_once(monkeypatch):
     assert not cs.is_constant
     at = sample_surface(cs, seed=0, count=1)[0]
     irs = build_irreducible(cs, full_artifacts(cs, at))
-    # only the build point is valid on a non-constant base
-    monkeypatch.setattr(irr_mod, "sample_surface",
-                        lambda cs, seed, count, tol: [at] * count)
     calls = _count_oracle_calls(monkeypatch)
-    rep = equivalence_report(cs, irs, n_points=3)
+    # only the build point is valid on a non-constant base
+    rep = equivalence_report(cs, irs, [at] * 3)
     # every point that passes is the build point: one oracle serves all
     assert len(calls) == 1
     assert rep.passed
 
 
-def test_equivalence_report_checks_every_point_on_the_surface(monkeypatch):
+def test_equivalence_report_checks_every_point_on_the_surface():
     cs = synth_linear(10, 12, 8, 2, seed=7)
     points = sample_surface(cs, seed=0, count=20)
     irs = build_irreducible(cs, full_artifacts(cs, points[0]))
@@ -443,10 +443,74 @@ def test_equivalence_report_checks_every_point_on_the_surface(monkeypatch):
     moved = list(points)
     moved[7] = points[7] + 1e-3 * normal / np.linalg.norm(normal)
     assert cs.surface_residual(moved[7]) > 1e-4
-    monkeypatch.setattr(irr_mod, "sample_surface",
-                        lambda cs, seed, count, tol: moved[:count])
     with pytest.raises(OffSurfaceError):
-        equivalence_report(cs, irs, n_points=20, seed=0)
+        equivalence_report(cs, irs, moved)
+
+
+@pytest.mark.parametrize("make", [toy_system, curved_toy_system],
+                         ids=["constant", "curved"])
+def test_equivalence_report_checks_the_points_it_is_given(make):
+    cs = make()
+    at = sample_surface(cs, seed=3, count=1)[0]
+    irs = build_irreducible(cs, full_artifacts(cs, at))
+    for points, seed in (([], 0), ([at], -1), ([at, np.zeros(5)], 0),
+                         ([at, np.zeros((2, 4))], 0)):
+        with pytest.raises(InvalidInputError):
+            equivalence_report(cs, irs, points, seed)
+    assert equivalence_report(cs, irs, [irs.artifacts.point]).passed
+    if not cs.is_constant:
+        # a second point of the surface is not one where irs holds
+        other = sample_surface(cs, seed=4, count=1)[0]
+        assert cs.surface_residual(other) <= DEFAULT_TOL.surface
+        with pytest.raises(BuildPointError):
+            equivalence_report(cs, irs, [at, other])
+
+
+# the records of equivalence_report that read each route; eq_28 reads
+# mu2 on both of its sides (f_inter and f_inv are two forms of one
+# product), so a planted mu2 cannot fail it
+ROUTE_RECORDS = {
+    "m2": {"eq_24", "eq_32"},
+    "mu2": {"eq_24", "eq_28", "eq_32y", "eq_32"},
+    "c_delta_inv": {"eq_32y", "eq_32"},
+    "oracle": {"eq_32"},
+}
+
+
+def _planted(irs, route, monkeypatch):
+    """irs with one route scaled by 1 + 1e-6 after the build, so that no
+    construction identity sees it; the oracle is monkeypatched."""
+    scale = 1.0 + 1e-6
+    if route == "oracle":
+        real = oracle_mod.fundamental_matrix_oracle
+        monkeypatch.setattr(oracle_mod, "fundamental_matrix_oracle",
+                            lambda *args: scale * real(*args))
+        return irs
+    if route == "c_delta_inv":
+        return replace(irs, c_delta_inv=scale * irs.c_delta_inv)
+    art = irs.artifacts
+    return replace(irs, artifacts=replace(
+        art, **{route: scale * getattr(art, route)}))
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_RECORDS))
+@pytest.mark.parametrize("name", ["toy", "synth-2N20"])
+def test_every_compared_route_can_fail(name, route, monkeypatch):
+    cs = AFFINE_SYSTEMS[name]()
+    points = sample_surface(cs, seed=0, count=5)
+    irs = build_irreducible(cs, full_artifacts(cs, points[0]))
+    clean = equivalence_report(cs, irs, points)
+    assert clean.passed
+    rep = equivalence_report(cs, _planted(irs, route, monkeypatch), points)
+    reads = ROUTE_RECORDS[route]
+    assert not rep.record("eq_32").passed
+    for r in clean.records:
+        if r.name not in reads:
+            assert rep.record(r.name) == r, r.name
+        elif r.name == "eq_28":
+            assert rep.record(r.name).passed
+        else:
+            assert not rep.record(r.name).passed, r.name
 
 
 @given(synth_shapes(), st.integers(0, 4), st.integers(0, 10_000),

@@ -11,7 +11,6 @@ from diracred.numerics import (
     frobenius,
     is_antisymmetric,
     null_basis,
-    pinv_rank,
     pseudoinverse,
     rank_tol,
     rel_residual,
@@ -20,6 +19,15 @@ from diracred.numerics import (
     svd_factors,
     symplectic_block,
 )
+from diracred.constraints import sample_surface, synth_linear, toy_system
+from diracred.irreducible import build_irreducible, evolve
+from diracred.phase import PhaseSpec, quadratic
+from diracred.second_order import (
+    full_artifacts,
+    omega_tilde_pair,
+    second_order_artifacts,
+)
+from diracred.threeform import LatticeSpec
 
 
 def range_projector(m, tol=DEFAULT_TOL):
@@ -184,8 +192,9 @@ def test_stack_is_worked_matrix_by_matrix():
     stack = np.array(stack)
     targets = np.array([range_projector(c) for c in stack])
     assert rank_tol(stack).tolist() == [6, 4, 2]
-    pinv, ranks = pinv_rank(stack)
-    assert ranks.tolist() == [6, 4, 2]
+    factors = svd_factors(stack)
+    pinv = factors.pinv
+    assert factors.rank.tolist() == [6, 4, 2]
     solved = skew_solve(stack, targets)
     noise = rng.standard_normal(stack.shape)
     residuals = rel_residual(stack, stack + noise)
@@ -212,3 +221,52 @@ def test_frobenius_stack_matches_each_matrix_norm(count):
     assert (np.abs(norms - each) <= 1e-14 * each).all()
     # one matrix keeps numpy's norm, bit for bit
     assert frobenius(stack[0]) == np.linalg.norm(stack[0])
+
+
+def _toy_at_a_point():
+    cs = toy_system()
+    return cs, sample_surface(cs, seed=0, count=1)[0]
+
+
+def _toy_evolve(steps):
+    cs, z = _toy_at_a_point()
+    irs = build_irreducible(cs, full_artifacts(cs, z))
+    return evolve(irs, quadratic(np.eye(cs.spec.dim)),
+                  irs.join(z, np.zeros(irs.dim_y)), 0.01, steps)
+
+
+# every integer and seed argument is refused with InvalidInputError, not
+# with whatever numpy or Python raises further in
+BAD_INTEGERS = {
+    "n_pairs=-1": lambda: PhaseSpec(n_pairs=-1),
+    "n_pairs=0": lambda: PhaseSpec(n_pairs=0),
+    "n_pairs=2.0": lambda: PhaseSpec(n_pairs=2.0),
+    "n_pairs=True": lambda: PhaseSpec(n_pairs=True),
+    "lattice d=3.0": lambda: LatticeSpec(3.0, 5),
+    "lattice L=5.0": lambda: LatticeSpec(3, 5.0),
+    "omega seed=-1": lambda: omega_tilde_pair(
+        second_order_artifacts(*_toy_at_a_point()), seed=-1),
+    "full_artifacts seed=-1": lambda: full_artifacts(*_toy_at_a_point(),
+                                                     seed=-1),
+    "evolve steps=2.5": lambda: _toy_evolve(2.5),
+    "evolve steps=-1": lambda: _toy_evolve(-1),
+    "sample seed=-1": lambda: sample_surface(toy_system(), -1, 1),
+    "sample seed=0.5": lambda: sample_surface(toy_system(), 0.5, 1),
+    "sample count=0": lambda: sample_surface(toy_system(), 0, 0),
+    "sample count=2.5": lambda: sample_surface(toy_system(), 0, 2.5),
+    "synth seed=-1": lambda: synth_linear(10, 12, 8, 2, seed=-1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INTEGERS))
+def test_integer_and_seed_arguments_are_refused(case):
+    with pytest.raises(InvalidInputError, match="must be"):
+        BAD_INTEGERS[case]()
+
+
+def test_numpy_integers_are_integers():
+    assert PhaseSpec(n_pairs=np.int64(2)).dim == 4
+    assert LatticeSpec(np.int32(3), np.int64(5)).sites == 125
+    cs, z = _toy_at_a_point()
+    assert full_artifacts(cs, z, seed=np.int64(3)).report.passed
+    assert _toy_evolve(np.int64(2)).shape == (4 + cs.m1,)

@@ -15,7 +15,7 @@ from diracred.constraints import (
     synth_linear,
     toy_system,
 )
-from diracred.numerics import DEFAULT_TOL, pinv_rank
+from diracred.numerics import DEFAULT_TOL, svd_factors
 from diracred.oracle import (
     DegenerateSystemError,
     fundamental_matrix_oracle,
@@ -33,7 +33,7 @@ def one_system_oracle(cs, at):
     _, piv = scipy.linalg.qr(g, mode="r", pivoting=True)
     indices = tuple(sorted(piv[:cs.n_independent].tolist()))
     sub = g[:, indices]
-    cab_inv, _ = pinv_rank(sub.T @ cs.spec.poisson @ sub, DEFAULT_TOL)
+    cab_inv = svd_factors(sub.T @ cs.spec.poisson @ sub, DEFAULT_TOL).pinv
     return dirac_matrix(cs.spec.poisson, sub, cab_inv)
 
 

@@ -1,0 +1,21 @@
+"""The README's examples run: every fenced ``python`` block of README.md
+is executed in a fresh namespace, so an API change cannot leave one
+stale."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                    re.DOTALL | re.MULTILINE)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index):
+    exec(compile(BLOCKS[index], f"README.md block {index}", "exec"), {})
