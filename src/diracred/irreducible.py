@@ -164,14 +164,14 @@ class IrreducibleSystem:
     @cached_property
     def _inter_kernel(self) -> np.ndarray:
         """Intermediate-system fundamental matrix at the build point,
-        read-only: the constraints (chi, y) with gradients
-        block_diag(grad chi, I_y) and bracket inverse
-        block_diag(mu2, omega_y^-1)."""
-        g = scipy.linalg.block_diag(
-            self.base.gradients(self.artifacts.point), np.eye(self.dim_y)
-        )
-        m = scipy.linalg.block_diag(self.artifacts.mu2, self.omega_y_inv)
-        out = dirac_matrix(self.extended_poisson(), g, m)
+        read-only: the constraints (chi, y), whose gradients
+        block_diag(grad chi, I_y) and bracket inverse block_diag(mu2,
+        omega_y^-1) make it the block_diag of the blocks' own matrices."""
+        art = self.artifacts
+        f_z = dirac_matrix(self.base.spec.poisson,
+                           self.base.gradients(art.point), art.mu2)
+        out = scipy.linalg.block_diag(f_z, dirac_matrix(
+            self.omega_y, np.eye(self.dim_y), self.omega_y_inv))
         out.setflags(write=False)
         return out
 
@@ -225,7 +225,8 @@ def assemble_irreducible(
                 rel_residual(c_delta @ c_delta_inv, np.eye(m0 + m2)),
                 tol.weak_eq)
     rep.require("rank_c_delta",
-                abs(rank_tol(c_delta, tol) - (m0 + m2)), COUNT_TOL)
+                abs(rank_tol(c_delta, tol, inverse=c_delta_inv) - (m0 + m2)),
+                COUNT_TOL)
     return IrreducibleSystem(
         base=cs, artifacts=art, omega_y=omega_y, omega_y_inv=omega_y_inv,
         ehat=ehat, ehat_inv=ehat_inv, a01=a01, c_delta=c_delta,

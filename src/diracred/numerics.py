@@ -13,6 +13,8 @@ Every matrix function here except null_basis also takes a stack
 returning one value per matrix; a single matrix gives a single value.
 One SVD (svd_factors) serves a matrix's rank, pseudoinverse and
 antisymmetric solves; ConstraintSet.factors keeps those of C and Z1.
+A matrix given with its inverse has its full rank certified by their
+residual (rank_tol), and is counted by an SVD only where that fails.
 """
 
 from __future__ import annotations
@@ -113,12 +115,35 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return frobenius(a - b) / scale
 
 
-def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Number of singular values above rank_rel * sigma_max, per matrix."""
+def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, inverse=None):
+    """Number of singular values above rank_rel * sigma_max, per matrix.
+
+    ``inverse`` holds a claimed inverse X of each square n x n matrix.
+    With r = |I - m X|_F as computed, s = |m|_F |X|_F and u = 2^-53, a
+    matrix with 1 - r - e > rank_rel s, e = 2 (n^2 + 2) u + 2 n u s, has
+    rank n, with no SVD: e bounds the rounding of m X and of r, so
+    sigma_min(m) >= (1 - r - e) / |X|_F, while sigma_max(m) <= |m|_F
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3, 6).
+    The bound is symmetric in m and X.  An SVD counts the matrices it
+    misses: a rank loss, a poor conditioning or a wrong or non-finite X.
+    """
     m = check_finite(m)
     if m.size == 0:
         return 0
-    return _rank_of(np.linalg.svd(m, compute_uv=False), tol)
+    if inverse is None:
+        return _rank_of(np.linalg.svd(m, compute_uv=False), tol)
+    x = np.asarray(inverse, dtype=float)
+    n = m.shape[-1]
+    if m.shape[-2:] != (n, n) or x.shape != m.shape:
+        raise InvalidInputError("inverse needs a square m of its shape")
+    # 2 k u >= gamma_k = k u / (1 - k u); a non-finite X certifies none
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = frobenius(m) * frobenius(x)
+        e = (n * n + 2 + n * s) * 2.0 ** -52
+        sure = 1.0 - frobenius(np.eye(n) - m @ x) - e > tol.rank_rel * s
+    ranks = np.where(sure, n, 0)
+    ranks[~sure] = rank_tol(m[~sure], tol)  # no SVD of an empty stack
+    return ranks[()]
 
 
 def _kept(s: np.ndarray, tol: Tolerance) -> np.ndarray:

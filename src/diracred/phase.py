@@ -21,6 +21,7 @@ from .numerics import (
     mt,
     rank_tol,
     require_int,
+    skew_part,
     symplectic_block,
 )
 
@@ -37,7 +38,8 @@ class PhaseSpec:
     """N canonical pairs, N an integer >= 1, and a constant Poisson matrix.
 
     ``poisson`` defaults to the canonical block form; any constant
-    antisymmetric invertible 2N x 2N matrix is accepted.
+    antisymmetric invertible 2N x 2N matrix is accepted, and stored as
+    its skew_part (bit for bit when it is exactly antisymmetric already).
     """
 
     n_pairs: int
@@ -60,6 +62,7 @@ class PhaseSpec:
             if not is_antisymmetric(j):
                 raise InvalidInputError(
                     "poisson matrix must be antisymmetric")
+            j = skew_part(j)
             if rank_tol(j) != dim:
                 raise InvalidInputError("poisson matrix must be invertible")
         object.__setattr__(self, "poisson", j)
@@ -234,5 +237,10 @@ def dirac_matrix(j: np.ndarray, g: np.ndarray, m: np.ndarray) -> np.ndarray:
     reducible m1 or m2, the invertible mu2, or c_delta^-1 on the extended
     space.  The Dirac bracket of f and g is grad f @ F @ grad g.  Stacks
     of g and m give the stack of their matrices.
+    Formed in three products as J + H M H^T, H = J G: the same matrix
+    for an exactly antisymmetric j (PhaseSpec stores its Poisson matrix
+    so), and within O(|J + J^T|) of it otherwise.
     """
-    return j - (j @ g) @ m @ (mt(g) @ j)
+    h = j @ g
+    # H^T in C order, as G^T J was: a canonical J keeps the result's bits
+    return j + h @ m @ np.ascontiguousarray(mt(h))

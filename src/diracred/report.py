@@ -95,7 +95,9 @@ class CheckReport:
                      else r.per_block, r.tolerance)
 
     def merge(self, other: "CheckReport") -> None:
+        """Add every record, seed and timing of another report."""
         self.take(other, *(r.name for r in other.records))
+        self.seeds.update(other.seeds)
         self.timings.update(other.timings)
 
     def fold(self, other: "CheckReport") -> None:

@@ -115,9 +115,12 @@ def second_order_artifacts(
     if a12.shape != cs.batch + (cs.m1, cs.m2):
         raise InvalidInputError("a12 must be M1 x M2")
     d2 = mt(z2) @ a12
-    if np.any(rank_tol(d2, tol) != cs.m2):
+    try:
+        dbar2 = np.linalg.inv(d2)
+    except np.linalg.LinAlgError:
+        dbar2 = None
+    if dbar2 is None or np.any(rank_tol(d2, tol, inverse=dbar2) != cs.m2):
         raise InvalidInputError("Z2^T a12 must have full rank M2")
-    dbar2 = np.linalg.inv(d2)
     d11 = np.eye(cs.m1) - a12 @ dbar2 @ mt(z2)
     # defining relation for the level-2 left inverse
     abar12 = a12 @ mt(dbar2)
@@ -220,8 +223,9 @@ def omega_tilde_pair(
         ("eq_a18a", rel_residual(omega_up @ omega_low, np.eye(m1))),
     ):
         rep.require(name, np.where(lost, 0.0, res), tol.weak_eq)
-    lost = lost | (rank_tol(omega_low, tol) != m1) | (
-        rank_tol(omega_up, tol) != m1)
+    # each of the pair certifies the other's rank (eq_a18a: near-inverses)
+    lost = lost | (rank_tol(omega_up, tol, inverse=omega_low) != m1) | (
+        rank_tol(omega_low, tol, inverse=omega_up) != m1)
     if np.any(lost):
         raise SeedRankError(
             "restricted seed is rank deficient or the omega pair is not "

@@ -21,8 +21,9 @@ from diracred.constraints import (
     toy_system,
 )
 from diracred.first_order import first_order_artifacts, fundamental_matrix_1
-from diracred.numerics import InvalidInputError, rel_residual
+from diracred.numerics import InvalidInputError, rel_residual, skew_part
 from diracred.oracle import fundamental_matrix_oracle
+from diracred.phase import canonical_poisson
 from diracred.report import COUNT_TOL
 from test_first_order import doubled_pair_system
 
@@ -155,6 +156,40 @@ def test_list_encoded_copy_loads_the_same_bits(synth_file, tmp_path,
         reports[-1].pop("timings")
     assert reports[0] == reports[1]
     capsys.readouterr()
+
+
+def test_nearly_antisymmetric_poisson_loads_exactly_antisymmetric(
+        synth_file, tmp_path, capsys):
+    # J + 1e-10 S, S symmetric, is antisymmetric within weak_eq; it is
+    # stored as its antisymmetric part, on which dirac_matrix's
+    # G^T J = -(J G)^T holds exactly
+    doc = json.loads(open(synth_file).read())
+    j = canonical_poisson(doc["n_pairs"])
+    s = np.random.default_rng(2).standard_normal(j.shape)
+    near = j + 1e-10 * (s + s.T)
+    paths = [tmp_path / "near.json", tmp_path / "skew.json"]
+    for path, poisson in zip(paths, (near, skew_part(near))):
+        doc["poisson"] = poisson.tolist()
+        path.write_text(json.dumps(doc))
+    loaded = load_system(paths[0]).spec.poisson
+    assert np.array_equal(loaded, -loaded.T)
+    assert np.array_equal(loaded, skew_part(near))
+    for method in ("subset", "reducible", "invertible", "irreducible"):
+        printed = []
+        for path in paths:
+            assert main(["bracket", str(path), "--method", method]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1], method
+
+
+def test_analyze_records_both_seeds(synth_file, tmp_path, capsys):
+    # the points' seed and the function pairs' seed + 1
+    out = tmp_path / "an.json"
+    assert main(["analyze", synth_file, "--seed", "3", "--json",
+                 str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["seeds"] == {"points": 3,
+                                                    "functions": 4}
 
 
 @pytest.mark.parametrize("argv", [

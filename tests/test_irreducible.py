@@ -29,6 +29,7 @@ from diracred.numerics import (
     DEFAULT_TOL,
     InvalidInputError,
     NoSolutionError,
+    Tolerance,
     rank_tol,
 )
 from diracred.oracle import fundamental_matrix_oracle
@@ -60,6 +61,24 @@ def test_c_delta_invertible_and_irreducible(toy_irr):
     # independence of the replacement constraints
     grads = irs.chi_tilde_gradients(ext)
     assert np.linalg.matrix_rank(grads) == n
+
+
+def test_planted_rank_loss_in_c_delta_fails_its_count(toy_irr, svd_args):
+    # omega_y scaled by 1e-12 and its inverse by 1e12 leave c_delta_inv an
+    # inverse of c_delta (eq_p11 passes at weak_eq 1e-3, residual 2.6e-4;
+    # c2 + 1e-12 (...) rounds the small term too much for 1e-8) while
+    # c_delta's sigma ratio falls below rank_rel: the certificate falls
+    # back to the SVD, whose count fails rank_c_delta
+    cs, _, irs = toy_irr
+    art, n, eye = irs.artifacts, cs.m0 + cs.m2, np.eye(cs.m1)
+    svd_args.clear()
+    assemble_irreducible(cs, art, eye, eye, irs.omega_y, irs.omega_y_inv)
+    assert (n, n) not in [a.shape[-2:] for a in svd_args]
+    loose = Tolerance(rank_rel=1e-10, weak_eq=1e-3)
+    with pytest.raises(NoSolutionError, match="rank_c_delta failed"):
+        assemble_irreducible(cs, art, eye, eye, irs.omega_y * 1e-12,
+                             irs.omega_y_inv * 1e12, loose)
+    assert [a.shape[-2:] for a in svd_args] == [(n, n)]
 
 
 def recover(irs, at):

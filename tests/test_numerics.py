@@ -58,6 +58,44 @@ def test_rank_tol_detects_numerical_rank():
     assert rank_tol(np.eye(5)) == 5
 
 
+def _with_singular_values(s, seed=0):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    return (u * s) @ v.T
+
+
+def test_rank_tol_certifies_a_well_conditioned_stack(svd_args):
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((7, 6, 6)) + 6.0 * np.eye(6)
+    inverse = np.linalg.inv(stack)
+    svd_args.clear()
+    assert rank_tol(stack, inverse=inverse).tolist() == [6] * 7
+    assert rank_tol(stack[0], inverse=inverse[0]) == 6
+    assert svd_args == []
+    assert rank_tol(stack).tolist() == [6] * 7
+    with pytest.raises(InvalidInputError):
+        rank_tol(stack, inverse=inverse[0])
+
+
+@pytest.mark.parametrize("ratio, rank", [(2e-10, 6), (5e-11, 5)])
+def test_rank_tol_falls_back_to_the_svd_near_the_cutoff(svd_args, ratio,
+                                                        rank):
+    # at a sigma ratio of a few rank_rel, with five singular values at
+    # sigma_max, |m|_F |X|_F exceeds 1 / rank_rel and the certificate
+    # cannot hold, nor with a wrong or non-finite inverse; the SVD then
+    # counts, on the missed blocks only
+    m = _with_singular_values([3.0] * 5 + [ratio * 3.0])
+    inverse = np.linalg.inv(m)
+    stack = np.array([np.eye(6), m, m])
+    for x in (inverse, 0.5 * inverse, np.eye(6), np.full((6, 6), np.inf)):
+        svd_args.clear()
+        assert rank_tol(m, inverse=x) == rank_tol(m) == rank
+        got = rank_tol(stack, inverse=np.array([np.eye(6), x, inverse]))
+        assert got.tolist() == [6, rank, rank]
+        assert [a.shape for a in svd_args] == [(1, 6, 6), (6, 6), (2, 6, 6)]
+
+
 def test_pseudoinverse_moore_penrose():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((6, 4))

@@ -139,6 +139,24 @@ def test_input_validation(toy_art):
         mu_pair(art, cs)  # omega pair not installed yet
 
 
+def test_singular_z2_a12_is_refused(toy_art, svd_args):
+    # an exactly singular Z2^T a12 has no inverse; a nearly singular one
+    # (sigma ratio 1e-13) has one, and one with a subnormal singular value
+    # an infinite one: the certificate falls back to the SVD, which
+    # counts the rank loss
+    cs, at, _ = toy_art
+    svd_args.clear()
+    second_order_artifacts(cs, at)
+    assert (cs.m2, cs.m2) not in [a.shape[-2:] for a in svd_args]
+    for scale, svds in ((0.0, []), (1e-13, [(cs.m2, cs.m2)]),
+                        (1e-320, [(cs.m2, cs.m2)])):
+        svd_args.clear()
+        with pytest.raises(InvalidInputError,
+                           match=r"Z2\^T a12 must have full rank M2"):
+            second_order_artifacts(cs, at, a12=cs.z2 * [1.0, scale])
+        assert [a.shape[-2:] for a in svd_args] == svds, scale
+
+
 def test_synth_systems_full_chain():
     for seed in (0, 1):
         cs = synth_linear(10, 12, 8, 2, seed=seed)
@@ -198,5 +216,6 @@ def test_isotropic_canonical_seed_reseeds(tmp_path, capsys):
     save_system(cs, path)
     out = tmp_path / "report.json"
     assert main(["analyze", str(path), "--json", str(out)]) == 0
-    assert json.loads(out.read_text())["seeds"] == {"points": 0, "omega": 0}
+    assert json.loads(out.read_text())["seeds"] == {
+        "points": 0, "omega": 0, "functions": 1}
     capsys.readouterr()

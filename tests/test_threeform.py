@@ -12,6 +12,7 @@ import diracred.threeform as tf
 import lattice_reference
 from diracred.cli import main
 from diracred.constraints import sample_surface, validate
+from diracred.phase import dirac_matrix
 from diracred.second_order import second_order_artifacts
 from diracred.numerics import (
     DEFAULT_TOL,
@@ -167,9 +168,7 @@ def _engine_bracket(sys, tol=DEFAULT_TOL, seed=0):
     cs = sys.cs
     z = sample_surface(cs, seed, 1, tol)[0]
     m2 = second_order_artifacts(cs, z, tol).m2
-    j = cs.spec.poisson
-    g = cs.gradients(z)
-    return j - (j @ g) @ m2 @ (g.T @ j)
+    return dirac_matrix(cs.spec.poisson, cs.gradients(z), m2)
 
 
 def _engine_inputs(sys, tol=DEFAULT_TOL, seed=0):
