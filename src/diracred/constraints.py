@@ -45,6 +45,7 @@ from .numerics import (
     pseudoinverse,
     rank_tol,
     require_int,
+    require_shape,
     svd_factors,
 )
 from .phase import PhaseFunction, PhaseSpec
@@ -112,23 +113,25 @@ class ConstraintSet:
             raise InvalidInputError(
                 "constraint dimension does not match the phase space"
             )
-        if (len(self.batch) > 1 or len(self.blocks) != sum(self.batch)
-                or any(isinstance(z, np.ndarray)
-                       and z.shape[:-2] != self.batch for z in zs)):
+        if len(self.batch) > 1 or len(self.blocks) != sum(self.batch):
             raise InvalidInputError(
-                "a stack has one leading axis, shared by B, Z1 and Z2, "
-                "and one label per system"
-            )
+                "a stack has one leading axis and one label per system")
+        # each message names its field as a system file does
         if isinstance(self.z1, np.ndarray):
-            z1 = check_finite(self.z1, "Z1")
-            if z1.shape[-2:-1] != (self.m0,):
-                raise InvalidInputError("Z1 must have M0 rows")
+            z1 = check_finite(self.z1, "'Z1'")
+            if z1.shape[:-1] != self.batch + (self.m0,):
+                raise InvalidInputError(
+                    "'Z1' must have one row per constraint, shape "
+                    f"{self.batch + (self.m0,)} + (M1,), got {z1.shape}")
             object.__setattr__(self, "z1", _read_only(z1))
         if isinstance(self.z2, np.ndarray):
-            z2 = check_finite(self.z2, "Z2")
-            if (isinstance(self.z1, np.ndarray)
-                    and z2.shape[-2:-1] != self.z1.shape[-1:]):
-                raise InvalidInputError("'Z2' must have one row per Z1 column")
+            z2 = check_finite(self.z2, "'Z2'")
+            lead = self.batch + (self.z1.shape[-1:] if isinstance(
+                self.z1, np.ndarray) else z2.shape[-2:-1])
+            if z2.shape[:-1] != lead:
+                raise InvalidInputError(
+                    "'Z2' must have one row per Z1 column, shape "
+                    f"{lead} + (M2,), got {z2.shape}")
             object.__setattr__(self, "z2", _read_only(z2))
 
     @classmethod
@@ -147,16 +150,20 @@ class ConstraintSet:
 
         With a leading axis on b (G x M0 x 2N), c, z1 and z2, the set is
         a stack of G systems, labelled by ``blocks``, one label each.  Its
-        chi is empty: values and gradients read B and c.
+        chi is empty: values and gradients read B and c.  This is the gate
+        of every system file: each shape or finiteness rule raises
+        InvalidInputError naming the field as a file spells it ('chi.B',
+        'chi.c', 'Z1', 'Z2').
         """
-        b = check_finite(b, "B")
+        b = check_finite(b, "'chi.B'")
         if b.ndim < 2 or b.shape[-1] != spec.dim:
             raise InvalidInputError(
-                "constraint dimension does not match the phase space"
-            )
-        c = np.zeros(b.shape[:-1]) if c is None else check_finite(c, "c")
+                f"'chi.B' must have {spec.dim} columns, one per phase-space "
+                f"coordinate, got shape {b.shape}")
+        c = np.zeros(b.shape[:-1]) if c is None else check_finite(c, "'chi.c'")
         if c.shape != b.shape[:-1]:
-            raise InvalidInputError("c must have one entry per row of B")
+            raise InvalidInputError(
+                "'chi.c' must have one entry per row of 'chi.B'")
         return cls(spec=spec, chi=(), z1=z1, z2=z2, name=name,
                    blocks=tuple(blocks), _affine=(b, c))
 
@@ -182,14 +189,9 @@ class ConstraintSet:
             raise error(where + message(i))
 
     def point(self, z) -> np.ndarray:
-        """A point, or one per system of a stack, checked for shape."""
-        z = check_finite(np.asarray(z, dtype=float), "point")
-        if z.shape != self.batch + (self.spec.dim,):
-            raise InvalidInputError(
-                f"point must have shape {self.batch + (self.spec.dim,)}, "
-                f"got {z.shape}"
-            )
-        return z
+        """A point, or one per system of a stack, checked for shape and
+        finite entries."""
+        return require_shape(z, self.batch + (self.spec.dim,), "point")
 
     @property
     def order(self) -> int:
@@ -202,19 +204,16 @@ class ConstraintSet:
 
     @property
     def m1(self) -> int:
-        z1 = self.z1 if isinstance(self.z1, np.ndarray) else self.z1(
-            np.zeros(self.spec.dim)
-        )
-        return z1.shape[-1]
+        """M1, read from a point-valued Z1 at the origin; the stages read
+        it from Z1 at their own points, where Z1 is defined."""
+        return self.z1_at(np.zeros(self.spec.dim)).shape[-1]
 
     @property
     def m2(self) -> int:
+        """M2, 0 without Z2; read like m1."""
         if self.z2 is None:
             return 0
-        z2 = self.z2 if isinstance(self.z2, np.ndarray) else self.z2(
-            np.zeros(self.spec.dim)
-        )
-        return z2.shape[-1]
+        return self.z2_at(np.zeros(self.spec.dim)).shape[-1]
 
     @property
     def n_independent(self) -> int:
@@ -285,15 +284,18 @@ class ConstraintSet:
     def surface_residual(self, at: np.ndarray) -> float:
         return _sup_norm(self.values(at))
 
-    def require_on_surface(self, at: np.ndarray, tol: Tolerance) -> None:
-        """Raise OffSurfaceError unless the point, one per system of a
-        stack, lies on the surface; on a stack the error names the first
-        block off it."""
+    def require_on_surface(self, at: np.ndarray, tol: Tolerance) -> np.ndarray:
+        """The gate of every stage that takes a point: the point, one per
+        system of a stack, checked for shape and finite entries (point,
+        else InvalidInputError) and to lie on the surface (else
+        OffSurfaceError, naming on a stack the first block off it)."""
+        at = self.point(at)
         r = np.abs(self.values(at)).max(axis=-1, initial=0.0)
         self.raise_first(
             r > tol.surface, OffSurfaceError,
             lambda i: "point violates the constraint surface: "
                       f"max |chi| = {r.flat[i]:.3e}")
+        return at
 
 
 def chain_residual(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -314,10 +316,12 @@ def validate(
     """
     if not len(points):
         raise InvalidInputError("validate needs at least one point")
-    for p in points:
-        cs.require_on_surface(p, tol)
+    points = [cs.require_on_surface(p, tol) for p in points]
 
+    # M1 and M2 as read at the points, where a point-valued Z is defined
     z1s = [cs.z1_at(p) for p in points]
+    z2s = [cs.z2_at(p) for p in points] if cs.order == 2 else []
+    m1, m2 = z1s[0].shape[-1], z2s[0].shape[-1] if z2s else 0
     # a constant set's C and Z1 are ranked once, from the factors kept on
     # cs; a function set's C and a point-valued Z1 at every point, stacked
     g = (cs.gradients(points[0]) if cs.is_constant
@@ -328,17 +332,15 @@ def validate(
     rep = CheckReport(system=cs.name, tolerances=tol)
     rep.add("eq_2", max(float(np.linalg.norm(z.T @ cs.values(p)))
                         for z, p in zip(z1s, points)), tol.weak_eq)
-    rep.add("eq_11d_rank", np.abs(rank_c - cs.n_independent).max(),
+    rep.add("eq_11d_rank", np.abs(rank_c - (cs.m0 - m1 + m2)).max(),
             COUNT_TOL)
-    if cs.order == 2:
-        z2s = [cs.z2_at(p) for p in points]
+    if z2s:
         rep.add("eq_11x", max(float(chain_residual(a, b))
                               for a, b in zip(z1s, z2s)), tol.weak_eq)
         z2 = cs.z2 if isinstance(cs.z2, np.ndarray) else np.stack(z2s)
-        rep.add("z2_rank", np.abs(rank_tol(z2, tol) - cs.m2).max(),
-                COUNT_TOL)
+        rep.add("z2_rank", np.abs(rank_tol(z2, tol) - m2).max(), COUNT_TOL)
     rep.add("z1_rank", np.abs(cs.factors("z1", z1, tol).rank
-                              - (cs.m1 - cs.m2)).max(), COUNT_TOL)
+                              - (m1 - m2)).max(), COUNT_TOL)
     return rep
 
 
@@ -577,7 +579,10 @@ def _array_field(value, field: str) -> np.ndarray:
 def load_system(path: Union[str, Path]) -> ConstraintSet:
     """Read a system from the JSON file format; order follows Z2 presence.
     Array fields may be nested lists, as in hand-written files, or encoded
-    as save_system writes them; either form gets the same checks."""
+    as save_system writes them; either form gets the same checks.  Here
+    the keys, n_pairs, each field's decoding and a 2-D chi.B (a file
+    holds one system) are checked; ConstraintSet.linear checks the
+    shapes."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -595,19 +600,11 @@ def load_system(path: Union[str, Path]) -> ConstraintSet:
     if not isinstance(chi_doc, dict) or "B" not in chi_doc:
         raise InvalidInputError("system file field 'chi' needs a 'B' array")
     b = _array_field(chi_doc["B"], "chi.B")
-    if b.ndim != 2 or b.shape[1] != spec.dim:
+    if b.ndim != 2:
         raise InvalidInputError(
-            f"'chi.B' must be M0 x {spec.dim}, got {b.shape}"
-        )
-    c = _array_field(chi_doc.get("c", np.zeros(b.shape[0])), "chi.c")
-    if c.shape != (b.shape[0],):
-        raise InvalidInputError("'chi.c' length must match the rows of B")
+            f"'chi.B' must be M0 x {spec.dim}: a file holds one system, "
+            f"not a stack, got shape {b.shape}")
+    c = None if "c" not in chi_doc else _array_field(chi_doc["c"], "chi.c")
     z1 = _array_field(doc["Z1"], "Z1")
-    if z1.ndim != 2 or z1.shape[0] != b.shape[0]:
-        raise InvalidInputError("'Z1' must have one row per constraint")
-    z2 = None
-    if "Z2" in doc and doc["Z2"] is not None:
-        z2 = _array_field(doc["Z2"], "Z2")
-        if z2.ndim != 2 or z2.shape[0] != z1.shape[1]:
-            raise InvalidInputError("'Z2' must have one row per Z1 column")
+    z2 = None if doc.get("Z2") is None else _array_field(doc["Z2"], "Z2")
     return ConstraintSet.linear(spec, b, z1, z2, Path(path).name, c=c)

@@ -27,6 +27,7 @@ from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
     Tolerance,
+    mt,
     skew_solve,
     svd_factors,
 )
@@ -56,16 +57,13 @@ def first_order_artifacts(
 ) -> FirstOrderArtifacts:
     if cs.order != 1:
         raise InvalidInputError("first-order pipeline needs an order-1 system")
-    at = cs.spec.point(at)
-    cs.require_on_surface(at, tol)
+    at = cs.require_on_surface(at, tol)
     z1 = cs.z1_at(at)
     f = svd_factors(z1, tol)
-    if f.rank != cs.m1:
-        raise InvalidInputError(
-            "Z1 columns must be independent for an order-1 system"
-        )
+    cs.raise_first(f.rank != z1.shape[-1], InvalidInputError, lambda i:
+                   "Z1 columns must be independent for an order-1 system")
     g = cs.gradients(at)
-    c1 = g.T @ cs.spec.poisson @ g
+    c1 = mt(g) @ cs.spec.poisson @ g
     abar = f.pinv
     d = np.eye(cs.m0) - z1 @ abar
     m1 = skew_solve(c1, d, tol)
@@ -77,6 +75,7 @@ def fundamental_matrix_1(
     at: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Matrix of Dirac brackets among the coordinates, 2N x 2N."""
+    """Matrix of Dirac brackets among the coordinates, 2N x 2N, or one
+    per system of a stack, each the matrix that system gets alone."""
     art = first_order_artifacts(cs, at, tol)
     return dirac_matrix(cs.spec.poisson, cs.gradients(art.point), art.m1)

@@ -38,7 +38,7 @@ import scipy.linalg
 
 from . import oracle as oracle_mod
 from . import second_order as so
-from .constraints import ConstraintSet
+from .constraints import ConstraintSet, OffSurfaceError
 from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
@@ -48,6 +48,7 @@ from .numerics import (
     rank_tol,
     rel_residual,
     require_int,
+    require_shape,
 )
 from .phase import PhaseFunction, dirac_matrix
 from .report import COUNT_TOL, CheckReport
@@ -55,10 +56,6 @@ from .report import COUNT_TOL, CheckReport
 # random gradient pairs that contract every difference matrix in
 # equivalence_report
 _FUNCTION_PAIRS = 10
-
-
-class OffSurfaceExtendedError(ValueError):
-    """Extended point violates the irreducible constraints."""
 
 
 class BuildPointError(ValueError):
@@ -95,11 +92,10 @@ class IrreducibleSystem:
         return out
 
     def split(self, at: np.ndarray) -> tuple:
-        at = check_finite(np.asarray(at, dtype=float), "extended point")
-        if at.shape != self.base.batch + (self.dim_z + self.dim_y,):
-            raise InvalidInputError(
-                f"extended point must have length {self.dim_z + self.dim_y}"
-            )
+        """(z, y) of an extended point, or of one per system of a stack,
+        checked for shape and finite entries (else InvalidInputError)."""
+        at = require_shape(at, self.base.batch + (self.dim_z + self.dim_y,),
+                           "extended point")
         return at[..., :self.dim_z], at[..., self.dim_z:]
 
     def join(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -118,7 +114,7 @@ class IrreducibleSystem:
         z, _ = self.split(at)
         gz = self.base.gradients(z)
         z2 = self.base.z2_at(z)
-        m0, m2 = self.base.m0, self.base.m2
+        m0, m2 = self.base.m0, z2.shape[-1]
         out = np.zeros(self.base.batch + (self.dim_z + self.dim_y, m0 + m2))
         out[..., :self.dim_z, :m0] = gz
         out[..., self.dim_z:, :m0] = mt(self.a01)
@@ -126,11 +122,14 @@ class IrreducibleSystem:
         return out
 
     def require_on_surface(self, at: np.ndarray, tol: Tolerance) -> None:
-        r = float(np.max(np.abs(self.chi_tilde_values(at))))
-        if r > tol.surface:
-            raise OffSurfaceExtendedError(
-                f"extended point violates chi_tilde: max residual {r:.3e}"
-            )
+        """Raise OffSurfaceError unless the extended point, checked by
+        split, lies on the surface chi_tilde = 0; on a stack the error
+        names the first block off it."""
+        r = np.abs(self.chi_tilde_values(at)).max(axis=-1, initial=0.0)
+        self.base.raise_first(
+            r > tol.surface, OffSurfaceError,
+            lambda i: "extended point violates chi_tilde: max residual "
+                      f"{r.flat[i]:.3e}")
 
     def require_build_point(self, z: np.ndarray, tol: Tolerance) -> None:
         """Refuse a base point other than the build point, unless the base
@@ -202,13 +201,13 @@ def assemble_irreducible(
     whether a congruence other than the identity preserves the d11
     projector sandwich is its caller's record (eq_27qq).
     """
-    m0, m2 = cs.m0, cs.m2
     rep = CheckReport(system=art.report.system, tolerances=tol,
                       blocks=art.report.blocks)
     a01 = mt(art.abar01) @ mt(ehat_inv)
 
     z1 = cs.z1_at(art.point)
     z2 = cs.z2_at(art.point)
+    m0, m2 = cs.m0, z2.shape[-1]
     abar12 = art.a12 @ mt(art.dbar2)
 
     c_delta = np.block([
@@ -253,7 +252,7 @@ def build_irreducible(
         raise InvalidInputError(
             "artifacts must carry the omega and mu pairs; use full_artifacts"
         )
-    eye = np.eye(cs.m1)
+    eye = np.eye(art.d11.shape[-1])
     # omega_tilde_pair certified omega_up as omega_low's inverse (eq_a18a)
     return assemble_irreducible(cs, art, eye, eye, art.omega_low,
                                 art.omega_up, tol)
@@ -311,10 +310,11 @@ def equivalence_report(
     blocks as well; ``seed`` + 1 seeds them.
 
     The points certified are exactly those given; an empty list or a
-    negative seed raises InvalidInputError.  Every point is checked,
-    before the oracle is built, for its shape (else InvalidInputError),
-    to lie on the surface (else OffSurfaceError) and to be one where sys
-    holds.  On a non-constant base it certifies the build point,
+    negative seed raises InvalidInputError.  Every point is checked at
+    entry by cs.require_on_surface, for its shape and finite entries
+    (else InvalidInputError) and to lie on the surface (else
+    OffSurfaceError), and then to be one where sys holds.  On a
+    non-constant base it certifies the build point,
     ``[sys.artifacts.point]``, and any other point raises
     BuildPointError.  The oracle reads a point only through the
     gradients, so it is built once, at the first point: on a constant
@@ -325,6 +325,8 @@ def equivalence_report(
     if not len(points):
         raise InvalidInputError("equivalence_report needs at least one point")
     require_int(seed, "seed", 0)
+    for z in points:
+        sys.require_build_point(cs.require_on_surface(z, tol), tol)
     rep = CheckReport(
         system=cs.name or "constraint-system",
         tolerances=tol,
@@ -358,9 +360,6 @@ def equivalence_report(
     mats = [f_non, f_inv, f_inter, f_irr]
     dev_all = max(deviation(a, b)
                   for i, a in enumerate(mats) for b in mats[i + 1:])
-    for z in map(cs.point, points):
-        cs.require_on_surface(z, tol)
-        sys.require_build_point(z, tol)
     f_oracle = oracle_mod.fundamental_matrix_oracle(cs, points[0], tol)
     dev_all = max([dev_all] + [deviation(f_oracle, m) for m in mats])
     rep.add("eq_24", float(np.abs(f_non - f_inv).max()), tol.weak_eq)
@@ -371,17 +370,20 @@ def equivalence_report(
     return rep
 
 
-def _require_dt(dt: float) -> None:
+def _require_stepping(sys: IrreducibleSystem, h: PhaseFunction, dt: float,
+                      caller: str) -> None:
+    """Refuse, for eom_step and evolve alike, a dt that is not finite and
+    positive, a non-constant base or an h of another dimension."""
     if not (np.isfinite(dt) and dt > 0.0):
         raise InvalidInputError(f"dt must be finite and positive, got {dt}")
-
-
-def _require_constant_base(sys: IrreducibleSystem, caller: str) -> None:
     if not sys.base.is_constant:
         raise BuildPointError(
             f"{caller} needs a constant base: the bracket kernel of a "
             "non-constant base holds only at its build point"
         )
+    if h.dim != sys.dim_z:
+        raise InvalidInputError(
+            f"h has dimension {h.dim}, the phase space {sys.dim_z}")
 
 
 def eom_step(
@@ -399,9 +401,10 @@ def eom_step(
     holds only at the build point, which the stages leave.  For a
     trajectory of an affine or quadratic h, evolve forms the map of a
     whole step once; eom_step is the path for an opaque h.
+    A dt that is not finite and positive, an h of another dimension or a
+    state that split refuses raises InvalidInputError.
     """
-    _require_dt(dt)
-    _require_constant_base(sys, "eom_step")
+    _require_stepping(sys, h, dt, "eom_step")
     z, y = sys.split(at)
     kernel = sys._irred_kernel[:sys.dim_z, :sys.dim_z]
 
@@ -441,27 +444,22 @@ def evolve(
     round at the size of D, not of S, and the result is added to z as
     eom_step adds its increment, so the constraint drift stays at
     eom_step's level.
-    dt, steps, the base and the state are checked once: a dt that is not
-    finite and positive or a step count that is not an integer >= 0
-    raises InvalidInputError, as does an opaque h (use eom_step); a
-    non-constant base raises BuildPointError.  A trajectory that
-    overflows raises InvalidInputError, and so can one that eom_step
-    would carry on a bounded path: once a doubled map D_m overflows,
-    inf * 0 is NaN, so a start off the growing direction is refused too.
+    steps, dt, the base, h and the state are checked once: besides the
+    checks shared with eom_step, a step count that is not an integer
+    >= 0 or an opaque h (use eom_step) raises InvalidInputError.  A
+    trajectory that overflows raises InvalidInputError, and so can one
+    that eom_step would carry on a bounded path: once a doubled map D_m
+    overflows, inf * 0 is NaN, so a start off the growing direction is
+    refused too.
     """
-    _require_dt(dt)
     require_int(steps, "steps", 0)
-    _require_constant_base(sys, "evolve")
+    _require_stepping(sys, h, dt, "evolve")
     z, y = sys.split(at)
     n = sys.dim_z
     if h.kind == "opaque":
         raise InvalidInputError(
             "evolve needs an affine or quadratic h; step an opaque h "
             "with eom_step"
-        )
-    if h.dim != n:
-        raise InvalidInputError(
-            f"h has dimension {h.dim}, the phase space {n}"
         )
     if steps == 0:
         return sys.join(z, y)

@@ -89,6 +89,16 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def require_shape(a, shape: tuple, name: str) -> np.ndarray:
+    """a as a float array of ``shape`` with finite entries, else
+    InvalidInputError naming it: the check of every point's shape."""
+    a = check_finite(a, name)
+    if a.shape != shape:
+        raise InvalidInputError(
+            f"{name} must have shape {shape}, got {a.shape}")
+    return a
+
+
 def mt(m: np.ndarray) -> np.ndarray:
     """Transpose of each matrix of a stack."""
     return m.swapaxes(-1, -2)

@@ -87,9 +87,9 @@ def independent_subset(
     or a rank-deficient C_AB, raises DegenerateSystemError, naming on a
     stack the first failing block.
     """
-    at = cs.point(at)
-    cs.require_on_surface(at, tol)
-    target = cs.n_independent
+    at = cs.require_on_surface(at, tol)
+    m1, m2 = cs.z2_at(at).shape[-2:]  # read at the point, M1 x M2
+    target = cs.m0 - m1 + m2
     g = cs.gradients(at)
 
     # one matrix per system: b indexes the stack's systems (one alone),

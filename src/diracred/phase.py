@@ -21,6 +21,7 @@ from .numerics import (
     mt,
     rank_tol,
     require_int,
+    require_shape,
     skew_part,
     symplectic_block,
 )
@@ -54,11 +55,7 @@ class PhaseSpec:
             # antisymmetric and orthogonal, so invertible by construction
             j = canonical_poisson(self.n_pairs)
         else:
-            j = check_finite(j, "poisson")
-            if j.shape != (dim, dim):
-                raise InvalidInputError(
-                    f"poisson matrix must be {dim}x{dim}, got {j.shape}"
-                )
+            j = require_shape(j, (dim, dim), "poisson matrix")
             if not is_antisymmetric(j):
                 raise InvalidInputError(
                     "poisson matrix must be antisymmetric")
@@ -83,14 +80,6 @@ class PhaseSpec:
         return tuple(
             [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
         )
-
-    def point(self, z: Sequence[float]) -> np.ndarray:
-        z = check_finite(np.asarray(z, dtype=float), "point")
-        if z.shape != (self.dim,):
-            raise InvalidInputError(
-                f"point must have length {self.dim}, got {z.shape}"
-            )
-        return z
 
 
 @dataclass(frozen=True)
@@ -121,16 +110,11 @@ class PhaseFunction:
             if self.evaluator is None:
                 raise InvalidInputError("opaque functions need an evaluator")
             return
-        b = np.zeros(self.dim) if self.b is None else check_finite(self.b, "b")
-        if b.shape != (self.dim,):
-            raise InvalidInputError("linear coefficient has wrong length")
-        object.__setattr__(self, "b", b)
+        b = np.zeros(self.dim) if self.b is None else self.b
+        object.__setattr__(self, "b", require_shape(b, (self.dim,), "b"))
         if self.kind == "quadratic":
-            q = check_finite(self.q, "Q") if self.q is not None else np.zeros(
-                (self.dim, self.dim)
-            )
-            if q.shape != (self.dim, self.dim):
-                raise InvalidInputError("quadratic coefficient has wrong shape")
+            q = np.zeros((self.dim,) * 2) if self.q is None else self.q
+            q = require_shape(q, (self.dim,) * 2, "Q")
             if np.linalg.norm(q - q.T) > 1e-12 * (1.0 + np.linalg.norm(q)):
                 raise InvalidInputError("quadratic coefficient must be symmetric")
             object.__setattr__(self, "q", 0.5 * (q + q.T))
@@ -223,7 +207,7 @@ def poisson_bracket(
     spec: PhaseSpec,
 ) -> float:
     """Evaluate [f, g] = grad(f) . J . grad(g) at a point."""
-    at = spec.point(at)
+    at = require_shape(at, (spec.dim,), "point")
     if f.dim != spec.dim or g.dim != spec.dim:
         raise InvalidInputError("function dimension does not match the space")
     return float(f.gradient(at) @ spec.poisson @ g.gradient(at))

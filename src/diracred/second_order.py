@@ -35,11 +35,11 @@ from .numerics import (
     InvalidInputError,
     NoSolutionError,
     Tolerance,
-    check_finite,
     mt,
     rank_tol,
     rel_residual,
     require_int,
+    require_shape,
     skew_part,
     skew_solve,
     svd_factors,
@@ -95,10 +95,10 @@ def second_order_artifacts(
     per system, a12 and abar01 one matrix per system, and every matrix
     of the bundle gains the stack's leading axis.
     """
-    at = cs.point(at)
-    cs.require_on_surface(at, tol)
+    at = cs.require_on_surface(at, tol)
     z1 = cs.z1_at(at)
     z2 = cs.z2_at(at)
+    m1, m2 = z2.shape[-2:]  # read at the point, M1 x M2
     rep = CheckReport(system=cs.name, tolerances=tol, blocks=cs.blocks)
 
     rep.require("eq_11x", chain_residual(z1, z2), tol.weak_eq)
@@ -111,21 +111,19 @@ def second_order_artifacts(
 
     if a12 is None:
         a12 = z2.copy()
-    a12 = check_finite(a12, "a12")
-    if a12.shape != cs.batch + (cs.m1, cs.m2):
-        raise InvalidInputError("a12 must be M1 x M2")
+    a12 = require_shape(a12, cs.batch + (m1, m2), "a12")
     d2 = mt(z2) @ a12
     try:
         dbar2 = np.linalg.inv(d2)
     except np.linalg.LinAlgError:
         dbar2 = None
-    if dbar2 is None or np.any(rank_tol(d2, tol, inverse=dbar2) != cs.m2):
+    if dbar2 is None or np.any(rank_tol(d2, tol, inverse=dbar2) != m2):
         raise InvalidInputError("Z2^T a12 must have full rank M2")
-    d11 = np.eye(cs.m1) - a12 @ dbar2 @ mt(z2)
+    d11 = np.eye(m1) - a12 @ dbar2 @ mt(z2)
     # defining relation for the level-2 left inverse
     abar12 = a12 @ mt(dbar2)
     rep.require(
-        "eq_a2", rel_residual(mt(z2) @ abar12, np.eye(cs.m2)), tol.weak_eq
+        "eq_a2", rel_residual(mt(z2) @ abar12, np.eye(m2)), tol.weak_eq
     )
     rep.require("eq_ay", rel_residual(d11 @ d11, d11), tol.weak_eq)
     a8 = dbar2 @ mt(a12) @ d11
@@ -133,9 +131,7 @@ def second_order_artifacts(
 
     if abar01 is None:
         abar01 = d11 @ cs.factors("z1", z1, tol).pinv
-    abar01 = check_finite(abar01, "abar01")
-    if abar01.shape != cs.batch + (cs.m1, cs.m0):
-        raise InvalidInputError("abar01 must be M1 x M0")
+    abar01 = require_shape(abar01, cs.batch + (m1, cs.m0), "abar01")
     # abar01 @ Z1 = d11 must be feasible at tolerance
     rep.require("eq_1qa", rel_residual(abar01 @ z1, d11), tol.weak_eq)
     d00 = np.eye(cs.m0) - z1 @ abar01
@@ -223,9 +219,12 @@ def omega_tilde_pair(
         ("eq_a18a", rel_residual(omega_up @ omega_low, np.eye(m1))),
     ):
         rep.require(name, np.where(lost, 0.0, res), tol.weak_eq)
-    # each of the pair certifies the other's rank (eq_a18a: near-inverses)
-    lost = lost | (rank_tol(omega_up, tol, inverse=omega_low) != m1) | (
-        rank_tol(omega_low, tol, inverse=omega_up) != m1)
+    # where omega_bar kept its rank, each of the pair certifies the other's
+    kept = np.array(~lost)
+    up, low = omega_up[kept], omega_low[kept]
+    kept[kept] = ((rank_tol(up, tol, inverse=low) == m1)
+                  & (rank_tol(low, tol, inverse=up) == m1))
+    lost = ~kept
     if np.any(lost):
         raise SeedRankError(
             "restricted seed is rank deficient or the omega pair is not "
@@ -307,13 +306,13 @@ def fundamental_matrix_2(
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
     """Matrix of Dirac brackets among the coordinates, 2N x 2N, built
-    with m2 (mode "noninvertible") or mu2 (mode "invertible")."""
-    if mode == "noninvertible":
-        m = second_order_artifacts(cs, at, tol).m2
-    elif mode == "invertible":
-        m = full_artifacts(cs, at, tol).mu2
-    else:
+    with m2 (mode "noninvertible") or mu2 (mode "invertible"), or one
+    per system of a stack, each the matrix that system gets alone."""
+    build = {"noninvertible": second_order_artifacts,
+             "invertible": full_artifacts}
+    if mode not in build:
         raise InvalidInputError(
-            f"mode must be 'noninvertible' or 'invertible', got {mode!r}"
-        )
-    return dirac_matrix(cs.spec.poisson, cs.gradients(cs.spec.point(at)), m)
+            f"mode must be 'noninvertible' or 'invertible', got {mode!r}")
+    art = build[mode](cs, at, tol)
+    m = art.m2 if mode == "noninvertible" else art.mu2
+    return dirac_matrix(cs.spec.poisson, cs.gradients(art.point), m)

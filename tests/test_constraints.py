@@ -189,7 +189,8 @@ def test_constraint_set_structure_checks():
                            match="'Z2' must have one row per Z1 column"):
             ConstraintSet.linear(toy.spec, b, z1, z2, "x", ())
     # a Z1 of one axis has no rows (it used to raise a bare IndexError)
-    with pytest.raises(InvalidInputError, match="Z1 must have M0 rows"):
+    with pytest.raises(InvalidInputError,
+                       match="'Z1' must have one row per constraint"):
         ConstraintSet.linear(toy.spec, b, toy.z1[:, 0])
 
 

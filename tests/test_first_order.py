@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -11,11 +13,12 @@ from diracred.constraints import (
     duplicated_pair_system,
     sample_surface,
     toy_system,
+    validate,
 )
 from diracred.first_order import first_order_artifacts, fundamental_matrix_1
 from diracred.irreducible import (
-    OffSurfaceExtendedError,
     build_irreducible,
+    equivalence_report,
     fundamental_matrix_irred,
     intermediate_bracket_matrix,
 )
@@ -31,6 +34,7 @@ from diracred.oracle import fundamental_matrix_oracle, independent_subset
 from diracred.phase import (
     PhaseSpec,
     coordinate,
+    opaque,
     poisson_bracket,
     quadratic,
 )
@@ -51,6 +55,29 @@ def doubled_pair_system() -> ConstraintSet:
         [0.0, -1.0],
     ])
     return ConstraintSet.linear(spec, b, z1, name="doubled")
+
+
+def log_first_order_system() -> ConstraintSet:
+    """curved_first_order_system with e^q2 replaced by log|q2|: chi = (q1,
+    q1 log|q2|, p1, p1 log|q2|), defined wherever q2 != 0, so at every
+    sampled point but not at the origin, where math.log raises."""
+    spec = PhaseSpec(n_pairs=2)
+
+    def logged(i: int, label: str):
+        def grad(z):
+            g = np.zeros(4)
+            g[i], g[1] = math.log(abs(z[1])), z[i] / z[1]
+            return g
+
+        return opaque(lambda z: z[i] * math.log(abs(z[1])), 4, grad, label)
+
+    def z1_at(z):
+        lg = math.log(abs(z[1]))
+        return np.array([[-lg, 0.0], [1.0, 0.0], [0.0, -lg], [0.0, 1.0]])
+
+    chi = (coordinate(4, 0, "q1"), logged(0, "q1*log|q2|"),
+           coordinate(4, 2, "p1"), logged(2, "p1*log|q2|"))
+    return ConstraintSet(spec=spec, chi=chi, z1=z1_at, name="log")
 
 
 def _engine(cs, at, tol=DEFAULT_TOL):
@@ -209,7 +236,7 @@ def test_lift_honours_callers_tolerance(method):
         assert value == pytest.approx(direct[1, 3], abs=1e-12)
         # a system built under the loose tolerance still checks the
         # extended point against the tolerance of each call
-        with pytest.raises(OffSurfaceExtendedError):
+        with pytest.raises(OffSurfaceError):
             fundamental_matrix_irred(_engine(cs, off, loose), ext)
 
 
@@ -318,3 +345,23 @@ def test_engine_serves_random_order_one_systems(cs, seed):
     for mat in (fundamental_matrix_2(cs, at, "invertible"),
                 fundamental_matrix_irred(irs, ext)[:dim, :dim]):
         assert np.abs(mat - oracle).max() <= bound
+
+
+def test_point_valued_z_is_read_only_at_the_certified_points():
+    # the stages read M1 from Z1 at their own point; they used to read
+    # cs.m1, which evaluates Z1 at the origin, outside this Z1's domain
+    cs = log_first_order_system()
+    with pytest.raises(ValueError, match="math domain error"):
+        cs.m1
+    points = sample_surface(cs, seed=1, count=3)
+    assert validate(cs, points).passed
+    at = points[0]
+    oracle = fundamental_matrix_oracle(cs, at)
+    irs = _engine(cs, at)
+    ext = irs.join(at, np.zeros(irs.dim_y))
+    for mat in (fundamental_matrix_1(cs, at),
+                fundamental_matrix_2(cs, at, "noninvertible"),
+                fundamental_matrix_2(cs, at, "invertible"),
+                fundamental_matrix_irred(irs, ext)[:4, :4]):
+        assert np.abs(mat - oracle).max() <= DEFAULT_TOL.weak_eq
+    assert equivalence_report(cs, irs, [irs.artifacts.point]).passed
