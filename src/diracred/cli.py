@@ -107,18 +107,17 @@ def _analyze_report(
     try:
         if cs.order == 2:
             art = so.full_artifacts(cs, pts[0], tol)
-            irs = irr.build_irreducible(cs, art, tol=tol)
+            irs = irr.build_irreducible(art, tol)
             # validate's eq_11x, taken over every point, stands for the
             # build point's
             rep.take(irs.report, *(name for name in irs.report.residuals
                                    if name not in rep.residuals))
             rep.seeds.update(irs.report.seeds)
-            rep.merge(irr.equivalence_report(cs, irs, pts, seed, tol))
+            rep.merge(irr.equivalence_report(irs, pts, seed, tol))
         else:
             # the noninvertible stage alone, which needs no omega pair
             art = so.second_order_artifacts(cs, pts[0], tol)
-            f_non = dirac_matrix(cs.spec.poisson, cs.gradients(art.point),
-                                 art.m2)
+            f_non = dirac_matrix(cs.spec.poisson, art.g, art.m2)
             f_oracle = oracle_mod.fundamental_matrix_oracle(cs, pts[0], tol)
             rep.add("eq_32", max_abs(f_non - f_oracle), tol.weak_eq)
             rep.take(art.report, "eq_15")
@@ -164,8 +163,7 @@ def _cmd_bracket(args) -> int:
     elif method == "invertible":
         mat = so.fundamental_matrix_2(cs, at, "invertible", tol)
     else:
-        art = so.full_artifacts(cs, at, tol)
-        irs = irr.build_irreducible(cs, art, tol=tol)
+        irs = irr.build_irreducible(so.full_artifacts(cs, at, tol), tol)
         ext = irs.join(at, np.zeros(irs.dim_y))
         mat = irr.fundamental_matrix_irred(irs, ext, tol)[:cs.spec.dim,
                                                           :cs.spec.dim]
@@ -206,8 +204,7 @@ def _cmd_evolve(args) -> int:
     tol = DEFAULT_TOL
     h = parse_qspec(args.hamiltonian, cs.spec.default_labels())
     z0 = con.sample_surface(cs, args.seed, 1, tol)[0]
-    art = so.full_artifacts(cs, z0, tol)
-    irs = irr.build_irreducible(cs, art, tol=tol)
+    irs = irr.build_irreducible(so.full_artifacts(cs, z0, tol), tol)
     state = irr.evolve(irs, h, irs.join(z0, np.zeros(irs.dim_y)),
                        args.dt, args.steps)
     z, y = irs.split(state)

@@ -202,18 +202,24 @@ class ConstraintSet:
     def m0(self) -> int:
         return self._affine[0].shape[-2] if self._affine else len(self.chi)
 
+    def _width_at_origin(self, z_at: Callable) -> int:
+        try:
+            return z_at(np.zeros(self.spec.dim)).shape[-1]
+        except (ValueError, ArithmeticError) as exc:
+            raise InvalidInputError(
+                f"Z is not defined at the origin ({exc}), where M1 and M2 "
+                "are read; read Z at a point with z1_at or z2_at") from exc
+
     @property
     def m1(self) -> int:
         """M1, read from a point-valued Z1 at the origin; the stages read
         it from Z1 at their own points, where Z1 is defined."""
-        return self.z1_at(np.zeros(self.spec.dim)).shape[-1]
+        return self._width_at_origin(self.z1_at)
 
     @property
     def m2(self) -> int:
         """M2, 0 without Z2; read like m1."""
-        if self.z2 is None:
-            return 0
-        return self.z2_at(np.zeros(self.spec.dim)).shape[-1]
+        return self._width_at_origin(self.z2_at) if self.z2 is not None else 0
 
     @property
     def n_independent(self) -> int:
@@ -557,9 +563,10 @@ def _array_field(value, field: str) -> np.ndarray:
     """A finite numeric array, owned and writeable, from a system file
     field in nested lists or in _encoded's form, else InvalidInputError
     naming the field."""
-    try:
-        if isinstance(value, dict):
-            shape = value.get("shape")
+    name = f"system file field {field!r}"
+    if isinstance(value, dict):
+        shape = value.get("shape")
+        try:
             if (sorted(value) != ["base64", "dtype", "shape"]
                     or value["dtype"] != "<f8" or type(shape) is not list
                     or any(type(n) is not int or n < 0 for n in shape)):
@@ -567,13 +574,10 @@ def _array_field(value, field: str) -> np.ndarray:
                                  "('<f8'), shape (integers >= 0) and base64")
             # numpy refuses a byte count other than 8 * prod(shape)
             data = base64.b64decode(value["base64"], validate=True)
-            a = np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
-        else:
-            a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"system file field {field!r} is not a "
-                                f"numeric array: {exc}")
-    return check_finite(a, f"system file field {field!r}")
+            value = np.frombuffer(data, "<f8").reshape(shape).astype(float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{name} is not a numeric array: {exc}")
+    return check_finite(value, name)
 
 
 def load_system(path: Union[str, Path]) -> ConstraintSet:

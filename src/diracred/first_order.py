@@ -40,7 +40,8 @@ class FirstOrderArtifacts:
 
     c1 is the constraint bracket matrix, abar the minimum-norm left
     inverse of Z1, d = I - Z1 abar the complementary projector, and m1
-    the antisymmetric matrix with m1 @ c1 ~= d.
+    the antisymmetric matrix with m1 @ c1 ~= d, and g the gradients at
+    ``point``, which the bracket reads.
     """
 
     c1: np.ndarray
@@ -48,6 +49,7 @@ class FirstOrderArtifacts:
     d: np.ndarray
     m1: np.ndarray
     point: np.ndarray
+    g: np.ndarray
 
 
 def first_order_artifacts(
@@ -67,7 +69,7 @@ def first_order_artifacts(
     abar = f.pinv
     d = np.eye(cs.m0) - z1 @ abar
     m1 = skew_solve(c1, d, tol)
-    return FirstOrderArtifacts(c1=c1, abar=abar, d=d, m1=m1, point=at)
+    return FirstOrderArtifacts(c1=c1, abar=abar, d=d, m1=m1, point=at, g=g)
 
 
 def fundamental_matrix_1(
@@ -78,4 +80,4 @@ def fundamental_matrix_1(
     """Matrix of Dirac brackets among the coordinates, 2N x 2N, or one
     per system of a stack, each the matrix that system gets alone."""
     art = first_order_artifacts(cs, at, tol)
-    return dirac_matrix(cs.spec.poisson, cs.gradients(art.point), art.m1)
+    return dirac_matrix(cs.spec.poisson, art.g, art.m1)

@@ -65,7 +65,6 @@ class BuildPointError(ValueError):
 
 @dataclass(frozen=True)
 class IrreducibleSystem:
-    base: ConstraintSet
     artifacts: so.SecondOrderArtifacts
     omega_y: np.ndarray
     omega_y_inv: np.ndarray
@@ -75,6 +74,10 @@ class IrreducibleSystem:
     c_delta: np.ndarray
     c_delta_inv: np.ndarray
     report: CheckReport
+
+    @property
+    def base(self) -> ConstraintSet:
+        return self.artifacts.base
 
     @property
     def dim_z(self) -> int:
@@ -112,11 +115,14 @@ class IrreducibleSystem:
     def chi_tilde_gradients(self, at: np.ndarray) -> np.ndarray:
         """Extended gradient matrix, (2N + M1) x (M0 + M2)."""
         z, _ = self.split(at)
-        gz = self.base.gradients(z)
-        z2 = self.base.z2_at(z)
-        m0, m2 = self.base.m0, z2.shape[-1]
+        return self._extended_gradients(self.base.gradients(z),
+                                        self.base.z2_at(z))
+
+    def _extended_gradients(self, g: np.ndarray, z2: np.ndarray) -> np.ndarray:
+        """chi_tilde_gradients from the base's gradients and Z2."""
+        m0, m2 = g.shape[-1], z2.shape[-1]
         out = np.zeros(self.base.batch + (self.dim_z + self.dim_y, m0 + m2))
-        out[..., :self.dim_z, :m0] = gz
+        out[..., :self.dim_z, :m0] = g
         out[..., self.dim_z:, :m0] = mt(self.a01)
         out[..., self.dim_z:, m0:] = z2
         return out
@@ -151,12 +157,12 @@ class IrreducibleSystem:
 
     @cached_property
     def _irred_kernel(self) -> np.ndarray:
-        """Irreducible fundamental matrix at the build point, read-only."""
-        out = dirac_matrix(
-            self.extended_poisson(),
-            self.chi_tilde_gradients(self.build_point),
-            self.c_delta_inv,
-        )
+        """Irreducible fundamental matrix at the build point, read-only,
+        from the gradients and Z2 the artifacts carry."""
+        art = self.artifacts
+        out = dirac_matrix(self.extended_poisson(),
+                           self._extended_gradients(art.g, art.z2),
+                           self.c_delta_inv)
         out.setflags(write=False)
         return out
 
@@ -167,8 +173,7 @@ class IrreducibleSystem:
         block_diag(grad chi, I_y) and bracket inverse block_diag(mu2,
         omega_y^-1) make it the block_diag of the blocks' own matrices."""
         art = self.artifacts
-        f_z = dirac_matrix(self.base.spec.poisson,
-                           self.base.gradients(art.point), art.mu2)
+        f_z = dirac_matrix(self.base.spec.poisson, art.g, art.mu2)
         out = scipy.linalg.block_diag(f_z, dirac_matrix(
             self.omega_y, np.eye(self.dim_y), self.omega_y_inv))
         out.setflags(write=False)
@@ -180,7 +185,6 @@ class IrreducibleSystem:
 
 
 def assemble_irreducible(
-    cs: ConstraintSet,
     art: so.SecondOrderArtifacts,
     ehat: np.ndarray,
     ehat_inv: np.ndarray,
@@ -199,15 +203,15 @@ def assemble_irreducible(
     choices with forward differences alike.  c_delta_inv must invert
     c_delta (eq_p11) at full rank (rank_c_delta), or NoSolutionError;
     whether a congruence other than the identity preserves the d11
-    projector sandwich is its caller's record (eq_27qq).
+    projector sandwich is its caller's record (eq_27qq).  The system,
+    Z1 and Z2 are those the artifacts carry.
     """
     rep = CheckReport(system=art.report.system, tolerances=tol,
                       blocks=art.report.blocks)
     a01 = mt(art.abar01) @ mt(ehat_inv)
 
-    z1 = cs.z1_at(art.point)
-    z2 = cs.z2_at(art.point)
-    m0, m2 = cs.m0, z2.shape[-1]
+    z1, z2 = art.z1, art.z2
+    m0, m2 = art.base.m0, z2.shape[-1]
     abar12 = art.a12 @ mt(art.dbar2)
 
     c_delta = np.block([
@@ -227,21 +231,20 @@ def assemble_irreducible(
                 abs(rank_tol(c_delta, tol, inverse=c_delta_inv) - (m0 + m2)),
                 COUNT_TOL)
     return IrreducibleSystem(
-        base=cs, artifacts=art, omega_y=omega_y, omega_y_inv=omega_y_inv,
+        artifacts=art, omega_y=omega_y, omega_y_inv=omega_y_inv,
         ehat=ehat, ehat_inv=ehat_inv, a01=a01, c_delta=c_delta,
         c_delta_inv=c_delta_inv, report=art.report.with_stage(rep),
     )
 
 
 def build_irreducible(
-    cs: ConstraintSet,
     art: so.SecondOrderArtifacts,
     tol: Tolerance = DEFAULT_TOL,
 ) -> IrreducibleSystem:
-    """The irreducible system with the engine's choice: the identity
-    congruence and omega_y = omega_low, so a01 = abar01^T.
-
-    The artifacts must carry the omega and mu pairs (full_artifacts).
+    """The irreducible system of the artifacts' base with the engine's
+    choice: the identity congruence and omega_y = omega_low, so a01 =
+    abar01^T.  The artifacts must carry the omega and mu pairs
+    (full_artifacts).
     c_delta_inv is the closed form of assemble_irreducible, the same one
     that certifies the lattice three-form's printed choices with forward
     differences, and its records are the report's only new ones: a
@@ -254,8 +257,8 @@ def build_irreducible(
         )
     eye = np.eye(art.d11.shape[-1])
     # omega_tilde_pair certified omega_up as omega_low's inverse (eq_a18a)
-    return assemble_irreducible(cs, art, eye, eye, art.omega_low,
-                                art.omega_up, tol)
+    return assemble_irreducible(art, eye, eye, art.omega_low, art.omega_up,
+                                tol)
 
 
 def fundamental_matrix_irred(
@@ -291,7 +294,6 @@ def intermediate_bracket_matrix(
 
 
 def equivalence_report(
-    cs: ConstraintSet,
     sys: IrreducibleSystem,
     points: Sequence[np.ndarray],
     seed: int = 0,
@@ -300,38 +302,36 @@ def equivalence_report(
     """Certify that all bracket formulations agree for z-only functions.
 
     Built once, from sys: the reducible fundamental matrices in both
-    modes (from sys.artifacts), the intermediate one and the irreducible
-    one, and their pairwise deviations; the irreducible and intermediate
-    ones are compared over all extended coordinates, y included (eq_32y),
-    the rest over z.  The oracle, built from the raw constraint gradients
-    so the certification stays independent of what it certifies, is
-    compared with each of the four.  Ten random gradient pairs, standing
-    in for quadratic functions, contract every difference matrix of z
-    blocks as well; ``seed`` + 1 seeds them.
+    modes (from sys.artifacts and the gradients they carry), the
+    intermediate one and the irreducible one, and their pairwise
+    deviations; the irreducible and intermediate ones are compared over
+    all extended coordinates, y included (eq_32y), the rest over z.  The
+    oracle, built from sys.base's own gradients so the certification
+    stays independent of what it certifies, is compared with each of
+    the four.  Ten random gradient pairs, standing in for quadratic
+    functions, contract every difference matrix of z blocks as well;
+    ``seed`` + 1 seeds them.
 
     The points certified are exactly those given; an empty list or a
     negative seed raises InvalidInputError.  Every point is checked at
-    entry by cs.require_on_surface, for its shape and finite entries
-    (else InvalidInputError) and to lie on the surface (else
-    OffSurfaceError), and then to be one where sys holds.  On a
-    non-constant base it certifies the build point,
-    ``[sys.artifacts.point]``, and any other point raises
-    BuildPointError.  The oracle reads a point only through the
-    gradients, so it is built once, at the first point: on a constant
-    base the gradients are the same at every point, and on any other
-    base every point that passes is the build point, within
-    tol.surface.
+    entry by sys.base.require_on_surface, for its shape and finite entries
+    (else InvalidInputError) and to lie on the surface of the system sys
+    was built from (else OffSurfaceError), and then to be one where sys
+    holds.  On a non-constant base it certifies the build point,
+    ``[sys.artifacts.point]``, and any other point raises BuildPointError.
+    The oracle reads a point only through the gradients, so it is built
+    once, at the first point: on a constant base the gradients are the
+    same at every point, and on any other base every point that passes is
+    the build point, within tol.surface.
     """
     if not len(points):
         raise InvalidInputError("equivalence_report needs at least one point")
     require_int(seed, "seed", 0)
+    cs = sys.base
     for z in points:
         sys.require_build_point(cs.require_on_surface(z, tol), tol)
-    rep = CheckReport(
-        system=cs.name or "constraint-system",
-        tolerances=tol,
-        seeds={"functions": seed + 1},
-    )
+    rep = CheckReport(system=cs.name or "constraint-system", tolerances=tol,
+                      seeds={"functions": seed + 1})
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 1)
     dim = cs.spec.dim
@@ -347,12 +347,9 @@ def equivalence_report(
                    float(np.abs(contracted).max(initial=0.0)))
 
     art = sys.artifacts
-    j = cs.spec.poisson
-    gz = sys.base.gradients(art.point)
-    f_non = dirac_matrix(j, gz, art.m2)
-    f_inv = dirac_matrix(j, gz, art.mu2)
-    f_inter = intermediate_bracket_matrix(sys, sys.build_point, tol)
-    f_irr = fundamental_matrix_irred(sys, sys.build_point, tol)
+    f_non = dirac_matrix(cs.spec.poisson, art.g, art.m2)
+    f_inv = dirac_matrix(cs.spec.poisson, art.g, art.mu2)
+    f_inter, f_irr = sys._inter_kernel, sys._irred_kernel  # at build point
     # the y rows and columns are where the two extended matrices are
     # formed differently; the z blocks are the same products
     dev_extended = float(np.abs(f_irr - f_inter).max())

@@ -83,7 +83,10 @@ def require_int(value, name: str, least: int) -> None:
 
 
 def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    try:
+        m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} is not a numeric array: {exc}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m

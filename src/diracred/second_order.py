@@ -61,6 +61,10 @@ class SeedRankError(NoSolutionError):
 
 @dataclass(frozen=True)
 class SecondOrderArtifacts:
+    """The chain's matrices at ``point`` of the system ``base``, and
+    base's gradients ``g``, Z1 and Z2 there for every later stage to
+    read; the omega and mu pairs are None until they are installed."""
+
     c2: np.ndarray
     a12: np.ndarray
     dbar2: np.ndarray
@@ -68,7 +72,11 @@ class SecondOrderArtifacts:
     abar01: np.ndarray
     d00: np.ndarray
     m2: np.ndarray
+    base: ConstraintSet
     point: np.ndarray
+    g: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
     report: CheckReport
     omega_low: Optional[np.ndarray] = None
     omega_up: Optional[np.ndarray] = None
@@ -96,8 +104,7 @@ def second_order_artifacts(
     of the bundle gains the stack's leading axis.
     """
     at = cs.require_on_surface(at, tol)
-    z1 = cs.z1_at(at)
-    z2 = cs.z2_at(at)
+    z1, z2 = cs.z1_at(at), cs.z2_at(at)
     m1, m2 = z2.shape[-2:]  # read at the point, M1 x M2
     rep = CheckReport(system=cs.name, tolerances=tol, blocks=cs.blocks)
 
@@ -153,7 +160,7 @@ def second_order_artifacts(
 
     return SecondOrderArtifacts(
         c2=c2, a12=a12, dbar2=dbar2, d11=d11, abar01=abar01, d00=d00,
-        m2=m2, point=at, report=rep,
+        m2=m2, base=cs, point=at, g=g, z1=z1, z2=z2, report=rep,
     )
 
 
@@ -206,10 +213,10 @@ def omega_tilde_pair(
     omega_bar = skew_part(omega_bar)
 
     p2 = art.dbar2 @ mt(art.a12)  # maps the M1 space onto the M2 labels
-    z2 = art.a12  # with the default choice a12 is Z2 itself
     omega_low = omega_bar + mt(p2) @ seed2 @ p2
-    # the symplectic block is orthogonal: its inverse is its transpose
-    omega_up = omega_hat + z2 @ seed2.T @ mt(z2)
+    # the symplectic block is orthogonal, so its inverse is its transpose;
+    # the inverse's completion is on Z2 itself; a12 need only share its span
+    omega_up = omega_hat + art.z2 @ seed2.T @ mt(art.z2)
 
     rep = CheckReport(system=art.report.system, tolerances=tol,
                       blocks=art.report.blocks)
@@ -233,21 +240,20 @@ def omega_tilde_pair(
                    report=art.report.with_stage(rep))
 
 
-def mu_matrices(art: SecondOrderArtifacts, z1: np.ndarray,
-                omega_up: np.ndarray, omega_low: np.ndarray) -> tuple:
-    """mu2 = m2 + Z1 omega_up Z1^T and its explicit inverse
+def mu_matrices(art: SecondOrderArtifacts, omega_up: np.ndarray,
+                omega_low: np.ndarray) -> tuple:
+    """mu2 = m2 + Z1 omega_up Z1^T (the artifacts' Z1) and its inverse
     mu2_inv = c2 + abar01^T omega_low abar01, for an omega pair."""
-    mu2 = art.m2 + z1 @ omega_up @ mt(z1)
+    mu2 = art.m2 + art.z1 @ omega_up @ mt(art.z1)
     mu2_inv = art.c2 + mt(art.abar01) @ omega_low @ art.abar01
     return mu2, mu2_inv
 
 
 def mu_pair(
     art: SecondOrderArtifacts,
-    cs: ConstraintSet,
     tol: Tolerance = DEFAULT_TOL,
 ) -> SecondOrderArtifacts:
-    """Invertible mu matrix and its explicit inverse.
+    """Invertible mu matrix and its explicit inverse from the artifacts.
 
     mu2 adds an invertible completion on the Z1 directions to m2;
     mu2_inv adds the matching completion to the constraint bracket
@@ -255,11 +261,10 @@ def mu_pair(
     """
     if art.omega_up is None or art.omega_low is None:
         raise InvalidInputError("omega pair must be installed before mu_pair")
-    mu2, mu2_inv = mu_matrices(art, cs.z1_at(art.point), art.omega_up,
-                               art.omega_low)
+    mu2, mu2_inv = mu_matrices(art, art.omega_up, art.omega_low)
     rep = CheckReport(system=art.report.system, tolerances=tol,
                       blocks=art.report.blocks)
-    rep.require("eq_21q", rel_residual(mu2 @ mu2_inv, np.eye(cs.m0)),
+    rep.require("eq_21q", rel_residual(mu2 @ mu2_inv, np.eye(art.base.m0)),
                 tol.weak_eq)
     rep.add("eq_20", rel_residual(art.m2, art.d00 @ mu2 @ mt(art.d00)),
             tol.weak_eq)
@@ -296,7 +301,7 @@ def full_artifacts(
         if cs.batch:
             paired.report.seeds["omega_blocks"] = (
                 np.flatnonzero(exc.blocks).tolist())
-    return mu_pair(paired, cs, tol)
+    return mu_pair(paired, tol)
 
 
 def fundamental_matrix_2(
@@ -315,4 +320,4 @@ def fundamental_matrix_2(
             f"mode must be 'noninvertible' or 'invertible', got {mode!r}")
     art = build[mode](cs, at, tol)
     m = art.m2 if mode == "noninvertible" else art.mu2
-    return dirac_matrix(cs.spec.poisson, cs.gradients(art.point), m)
+    return dirac_matrix(cs.spec.poisson, art.g, m)

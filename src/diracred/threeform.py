@@ -511,7 +511,7 @@ def run_threeform_checks(
                     - cs.n_independent), COUNT_TOL)
 
     art = so.full_artifacts(cs, z, tol, seed)
-    irs = irr.build_irreducible(cs, art, tol)
+    irs = irr.build_irreducible(art, tol)
     rep.take(irs.report, "eq_21q", "eq_p11")
     rep.seeds.update(irs.report.seeds)
 
@@ -662,7 +662,7 @@ def _printed_closed_forms(
     rep.add("eq_q31", rel_residual(om_up @ art.d11 @ om_low, art.d11),
             tol.weak_eq)
 
-    mu2, _ = so.mu_matrices(art, sys.cs.z1_at(art.point), om_up, om_low)
+    mu2, _ = so.mu_matrices(art, om_up, om_low)
     rep.add("eq_q30", max_abs(mu2 - q30), tol.weak_eq)
     return rep
 
@@ -706,8 +706,8 @@ def paper_choices_artifacts(
     ehat, ehat_inv = _paper_ehat(sys)
     # canonical pairing of the y fields: [A^l, pi_k] = delta_kl
     omega_y = -symplectic_block(cs.m1)
-    irs = irr.assemble_irreducible(cs, art, ehat, ehat_inv, omega_y,
-                                   -omega_y, tol)
+    irs = irr.assemble_irreducible(art, ehat, ehat_inv, omega_y, -omega_y,
+                                   tol)
     # recorded, not required: a bad printed congruence still yields a
     # full report, and the closed-form inverse it breaks is eq_p11
     rep.add("eq_27qq", rel_residual(ehat_inv @ art.d11 @ ehat, art.d11),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from diracred.constraints import ConstraintSet
 from diracred.numerics import DEFAULT_TOL
 from diracred.threeform import paper_choices_artifacts, run_threeform_checks
 from lattice_reference import dense_threeform
@@ -48,4 +49,18 @@ def svd_args(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return seen
+
+
+@pytest.fixture
+def gradient_points(monkeypatch):
+    """Every point ConstraintSet.gradients is evaluated at, in call order."""
+    seen = []
+    gradients = ConstraintSet.gradients
+
+    def counting(self, at):
+        seen.append(at)
+        return gradients(self, at)
+
+    monkeypatch.setattr(ConstraintSet, "gradients", counting)
     return seen

@@ -333,6 +333,15 @@ def test_analyze_order_one_builds_artifacts_once(tmp_path, capsys,
     capsys.readouterr()
 
 
+def test_analyze_evaluates_the_gradients_once_per_stage(synth_file, capsys,
+                                                        gradient_points):
+    assert main(["analyze", synth_file, "--points", "20"]) == 0
+    # surface projection, validate, the artifacts and the oracle: every
+    # later stage reads the gradients the artifacts carry
+    assert len(gradient_points) == 4
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("system", [duplicated_pair_system,
                                     doubled_pair_system])
 def test_analyze_order_one_matches_the_lean_route(system, tmp_path, capsys):

@@ -82,7 +82,7 @@ def log_first_order_system() -> ConstraintSet:
 
 def _engine(cs, at, tol=DEFAULT_TOL):
     """The irreducible system the second-order engine builds at ``at``."""
-    return build_irreducible(cs, full_artifacts(cs, at, tol), tol)
+    return build_irreducible(full_artifacts(cs, at, tol), tol)
 
 
 def _scalar_case(name):
@@ -335,7 +335,7 @@ def test_engine_serves_random_order_one_systems(cs, seed):
     assert np.array_equal(fundamental_matrix_1(cs, at),
                           fundamental_matrix_2(cs, at, "noninvertible"))
     art = full_artifacts(cs, at)
-    irs = build_irreducible(cs, art)
+    irs = build_irreducible(art)
     failed = [r.name for r in irs.report.records if not r.passed]
     assert not failed
     oracle = fundamental_matrix_oracle(cs, at)
@@ -351,8 +351,9 @@ def test_point_valued_z_is_read_only_at_the_certified_points():
     # the stages read M1 from Z1 at their own point; they used to read
     # cs.m1, which evaluates Z1 at the origin, outside this Z1's domain
     cs = log_first_order_system()
-    with pytest.raises(ValueError, match="math domain error"):
-        cs.m1
+    for width in ("m1", "n_independent"):
+        with pytest.raises(InvalidInputError, match="math domain error"):
+            getattr(cs, width)
     points = sample_surface(cs, seed=1, count=3)
     assert validate(cs, points).passed
     at = points[0]
@@ -364,4 +365,20 @@ def test_point_valued_z_is_read_only_at_the_certified_points():
                 fundamental_matrix_2(cs, at, "invertible"),
                 fundamental_matrix_irred(irs, ext)[:4, :4]):
         assert np.abs(mat - oracle).max() <= DEFAULT_TOL.weak_eq
-    assert equivalence_report(cs, irs, [irs.artifacts.point]).passed
+    assert equivalence_report(irs, [irs.artifacts.point]).passed
+
+
+@pytest.mark.parametrize("route", [
+    fundamental_matrix_1,
+    lambda cs, at: fundamental_matrix_2(cs, at, "noninvertible"),
+    lambda cs, at: fundamental_matrix_2(cs, at, "invertible"),
+], ids=["fm1", "fm2-noninvertible", "fm2-invertible"])
+def test_each_route_evaluates_the_gradients_once(route, gradient_points):
+    # the bracket reads the gradients its artifacts were built with; on
+    # the curved system each evaluation calls the opaque gradients again
+    cs = curved_first_order_system()
+    at = sample_surface(cs, seed=0, count=1)[0]
+    gradient_points.clear()
+    route(cs, at)
+    assert len(gradient_points) == 1
+    assert np.array_equal(gradient_points[0], at)

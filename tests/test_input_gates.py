@@ -40,7 +40,7 @@ from test_oracle_stack import stack_of
 TOY = toy_system()
 DUP = duplicated_pair_system()
 AT = {cs.name: sample_surface(cs, seed=0, count=1)[0] for cs in (TOY, DUP)}
-IRS = build_irreducible(TOY, full_artifacts(TOY, AT["toy"]))
+IRS = build_irreducible(full_artifacts(TOY, AT["toy"]))
 EXT = IRS.join(AT["toy"], np.zeros(IRS.dim_y))
 
 # entry point -> (system, call on a point); the off-surface case applies
@@ -64,7 +64,7 @@ POINT_ENTRIES = {
     "fundamental_matrix_2 invertible":
         (TOY, lambda cs, z: fundamental_matrix_2(cs, z, "invertible")),
     "equivalence_report":
-        (TOY, lambda cs, z: equivalence_report(cs, IRS, [z])),
+        (TOY, lambda cs, z: equivalence_report(IRS, [z])),
     "first_order_artifacts": (DUP, first_order_artifacts),
     "fundamental_matrix_1": (DUP, fundamental_matrix_1),
 }
@@ -92,9 +92,18 @@ ON_CHI_TILDE = {"IrreducibleSystem.require_on_surface",
                 "fundamental_matrix_irred", "intermediate_bracket_matrix"}
 
 
+# inputs that are no array of numbers at all: numpy used to raise its own
+# ValueError or TypeError on them
+NOT_NUMERIC = {"text": "abc", "ragged": [[1.0, 2.0], [3.0]],
+               "mapping": {"a": 1}}
+
+
 def _bad(point, case):
     """The point made bad in one way: a coordinate dropped, a NaN entry,
-    or q1 moved off the surface (every system here constrains q1)."""
+    q1 moved off the surface (every system here constrains q1), or no
+    numeric array at all (NOT_NUMERIC)."""
+    if case in NOT_NUMERIC:
+        return NOT_NUMERIC[case]
     if case == "shape":
         return point[:-1]
     bad = point.copy()
@@ -103,7 +112,8 @@ def _bad(point, case):
 
 
 ERRORS = {"shape": InvalidInputError, "nan": InvalidInputError,
-          "off": OffSurfaceError}
+          "off": OffSurfaceError,
+          **dict.fromkeys(NOT_NUMERIC, InvalidInputError)}
 
 
 @pytest.mark.parametrize("entry,case", [

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ def toy_irr():
     cs = toy_system()
     at = sample_surface(cs, seed=0, count=1)[0]
     art = full_artifacts(cs, at)
-    return cs, at, build_irreducible(cs, art)
+    return cs, at, build_irreducible(art)
 
 
 def test_c_delta_invertible_and_irreducible(toy_irr):
@@ -72,11 +72,11 @@ def test_planted_rank_loss_in_c_delta_fails_its_count(toy_irr, svd_args):
     cs, _, irs = toy_irr
     art, n, eye = irs.artifacts, cs.m0 + cs.m2, np.eye(cs.m1)
     svd_args.clear()
-    assemble_irreducible(cs, art, eye, eye, irs.omega_y, irs.omega_y_inv)
+    assemble_irreducible(art, eye, eye, irs.omega_y, irs.omega_y_inv)
     assert (n, n) not in [a.shape[-2:] for a in svd_args]
     loose = Tolerance(rank_rel=1e-10, weak_eq=1e-3)
     with pytest.raises(NoSolutionError, match="rank_c_delta failed"):
-        assemble_irreducible(cs, art, eye, eye, irs.omega_y * 1e-12,
+        assemble_irreducible(art, eye, eye, irs.omega_y * 1e-12,
                              irs.omega_y_inv * 1e12, loose)
     assert [a.shape[-2:] for a in svd_args] == [(n, n)]
 
@@ -165,13 +165,13 @@ def test_congruence_choice_preserves_bracket():
     cs = toy_system()
     at = sample_surface(cs, seed=1, count=1)[0]
     art = full_artifacts(cs, at)
-    base = build_irreducible(cs, art)
+    base = build_irreducible(art)
 
     def congruent(ehat_inv):
         # the y-space bracket carried along by the congruence
         ehat = np.linalg.inv(ehat_inv)
         return assemble_irreducible(
-            cs, art, ehat, ehat_inv, ehat.T @ base.omega_y @ ehat,
+            art, ehat, ehat_inv, ehat.T @ base.omega_y @ ehat,
             ehat_inv @ base.omega_y_inv @ ehat_inv.T)
 
     scaled = congruent(0.5 * np.eye(cs.m1))
@@ -192,8 +192,8 @@ def test_congruence_choice_preserves_bracket():
 def test_equivalence_report_passes():
     cs = synth_linear(8, 10, 6, 2, seed=4)
     at = sample_surface(cs, seed=0, count=1)[0]
-    irs = build_irreducible(cs, full_artifacts(cs, at))
-    rep = equivalence_report(cs, irs, sample_surface(cs, 0, 5))
+    irs = build_irreducible(full_artifacts(cs, at))
+    rep = equivalence_report(irs, sample_surface(cs, 0, 5))
     assert rep.passed
     for tag in ("eq_24", "eq_28", "eq_32y", "eq_32"):
         assert rep.record(tag).residual < 1e-8
@@ -202,7 +202,7 @@ def test_equivalence_report_passes():
 def test_eom_step_preserves_surface_and_y():
     cs = toy_system()
     z0 = np.array([0.0, 1.0, 0.0, 0.0])  # on-surface: q1 = p1 = 0
-    irs = build_irreducible(cs, full_artifacts(cs, z0))
+    irs = build_irreducible(full_artifacts(cs, z0))
     h = quadratic(np.diag([0.0, 1.0, 0.0, 1.0]))
     y0 = np.full(irs.dim_y, 0.25)
     state = irs.join(z0, y0)
@@ -251,7 +251,7 @@ def test_curved_order2_valid_only_at_build_point():
     for p in pts:
         assert np.abs(cs.z1_at(p) @ cs.z2_at(p)).max() < 1e-12
         assert np.abs(cs.z1_at(p).T @ cs.values(p)).max() < 1e-12
-    irs = build_irreducible(cs, full_artifacts(cs, pts[0]))
+    irs = build_irreducible(full_artifacts(cs, pts[0]))
     nz = irs.dim_z
     f0 = fundamental_matrix_irred(irs, irs.build_point)[:nz, :nz]
     assert np.abs(f0 - fundamental_matrix_oracle(cs, pts[0])).max() < 1e-9
@@ -262,14 +262,14 @@ def test_curved_order2_valid_only_at_build_point():
         with pytest.raises(BuildPointError):
             evaluate(irs, other)
     with pytest.raises(BuildPointError):
-        equivalence_report(cs, irs, pts)
+        equivalence_report(irs, pts)
     h = quadratic(np.diag([0.0, 1.0, 0.0, 1.0]))
     for step in (lambda state: eom_step(irs, h, state, 0.01),
                  lambda state: evolve(irs, h, state, 0.01, 3)):
         with pytest.raises(BuildPointError):
             step(irs.build_point)
     # rebuilt at the second point, the system is right there
-    irs1 = build_irreducible(cs, full_artifacts(cs, pts[1]))
+    irs1 = build_irreducible(full_artifacts(cs, pts[1]))
     f1 = fundamental_matrix_irred(irs1, other)[:nz, :nz]
     assert np.abs(f1 - fundamental_matrix_oracle(cs, pts[1])).max() < 1e-9
 
@@ -287,7 +287,7 @@ def test_bracket_matrices_are_fresh_copies(toy_irr):
 def test_eom_step_constant_kernel_matches_per_stage_rebuild():
     cs = toy_system()
     z0 = sample_surface(cs, seed=2, count=1)[0]
-    irs = build_irreducible(cs, full_artifacts(cs, z0))
+    irs = build_irreducible(full_artifacts(cs, z0))
     nz = irs.dim_z
     rng = np.random.default_rng(8)
     s = rng.standard_normal((nz, nz))
@@ -370,13 +370,13 @@ def synth_shapes(draw):
 def test_equivalence_report_matches_per_point_rebuild(shape, seed, pseed):
     cs = synth_linear(*shape, seed=seed)
     at = sample_surface(cs, seed=pseed + 7, count=1)[0]
-    irs = build_irreducible(cs, full_artifacts(cs, at))
+    irs = build_irreducible(full_artifacts(cs, at))
     # a planted 1e-6 error in c_delta_inv must read the same both ways
     rng = np.random.default_rng(seed)
     planted = replace(irs, c_delta_inv=irs.c_delta_inv + 1e-6 * (
         rng.standard_normal(irs.c_delta_inv.shape)))
     for sys in (irs, planted):
-        rep = equivalence_report(cs, sys, sample_surface(cs, pseed, 4),
+        rep = equivalence_report(sys, sample_surface(cs, pseed, 4),
                                  seed=pseed)
         ref, scale = _per_point_report(cs, sys, 4, pseed)
         for name, value in ref.items():
@@ -389,14 +389,14 @@ def test_eq_32y_reads_the_y_rows():
     cs = synth_linear(10, 12, 8, 2, seed=7)
     points = sample_surface(cs, seed=0, count=20)
     art = full_artifacts(cs, points[0])
-    clean = equivalence_report(cs, build_irreducible(cs, art), points)
-    irs = build_irreducible(cs, art)
+    clean = equivalence_report(build_irreducible(art), points)
+    irs = build_irreducible(art)
     kernel = irs._irred_kernel.copy()
     dim = cs.spec.dim
     # an error in the zy block only, where no z-block record looks
     kernel[:dim, dim:] += 1e-6 * np.abs(kernel).max()
     irs.__dict__["_irred_kernel"] = kernel
-    rep = equivalence_report(cs, irs, points)
+    rep = equivalence_report(irs, points)
     assert not rep.record("eq_32y").passed
     for name in ("eq_24", "eq_28", "eq_32"):
         assert rep.record(name) == clean.record(name), name
@@ -430,9 +430,9 @@ def test_affine_oracle_is_one_matrix_built_once(name, monkeypatch):
     first = fundamental_matrix_oracle(cs, points[0])
     for z in points[1:]:
         assert np.array_equal(fundamental_matrix_oracle(cs, z), first)
-    irs = build_irreducible(cs, full_artifacts(cs, points[0]))
+    irs = build_irreducible(full_artifacts(cs, points[0]))
     calls = _count_oracle_calls(monkeypatch)
-    equivalence_report(cs, irs, points)
+    equivalence_report(irs, points)
     assert len(calls) == 1
     assert np.array_equal(calls[0], points[0])
 
@@ -445,10 +445,10 @@ def test_non_affine_oracle_is_built_once(monkeypatch):
     cs = ConstraintSet(spec=toy.spec, chi=chi, z1=toy.z1, z2=toy.z2)
     assert not cs.is_constant
     at = sample_surface(cs, seed=0, count=1)[0]
-    irs = build_irreducible(cs, full_artifacts(cs, at))
+    irs = build_irreducible(full_artifacts(cs, at))
     calls = _count_oracle_calls(monkeypatch)
     # only the build point is valid on a non-constant base
-    rep = equivalence_report(cs, irs, [at] * 3)
+    rep = equivalence_report(irs, [at] * 3)
     # every point that passes is the build point: one oracle serves all
     assert len(calls) == 1
     assert rep.passed
@@ -457,13 +457,38 @@ def test_non_affine_oracle_is_built_once(monkeypatch):
 def test_equivalence_report_checks_every_point_on_the_surface():
     cs = synth_linear(10, 12, 8, 2, seed=7)
     points = sample_surface(cs, seed=0, count=20)
-    irs = build_irreducible(cs, full_artifacts(cs, points[0]))
+    irs = build_irreducible(full_artifacts(cs, points[0]))
     normal = cs.gradients(points[7])[:, 0]
     moved = list(points)
     moved[7] = points[7] + 1e-3 * normal / np.linalg.norm(normal)
     assert cs.surface_residual(moved[7]) > 1e-4
     with pytest.raises(OffSurfaceError):
-        equivalence_report(cs, irs, moved)
+        equivalence_report(irs, moved)
+
+
+def test_equivalence_report_refuses_points_of_another_system():
+    # irs is the toy's; the shifted toy (q1 = 1, p1 = -2) has the same
+    # gradients and Z, so its points used to pass when handed in with
+    # its own constraint set next to the toy's irs
+    toy = toy_system()
+    irs = build_irreducible(full_artifacts(toy, sample_surface(toy, 0, 1)[0]))
+    shifted = ConstraintSet.linear(toy.spec, toy.affine_matrix()[0], toy.z1,
+                                   toy.z2, c=np.repeat([-1.0, 2.0], 3))
+    points = sample_surface(shifted, seed=0, count=5)
+    assert toy.surface_residual(points[0]) == pytest.approx(2.0)
+    with pytest.raises(OffSurfaceError):
+        equivalence_report(irs, points)
+
+
+def test_stages_read_the_artifacts_system_and_point(toy_irr):
+    cs, at, irs = toy_irr
+    art = irs.artifacts
+    assert irs.base is art.base is cs
+    assert np.array_equal(art.point, at)
+    assert np.array_equal(art.g, cs.gradients(at))
+    assert np.array_equal(art.z1, cs.z1_at(at))
+    assert np.array_equal(art.z2, cs.z2_at(at))
+    assert "base" not in {f.name for f in fields(irs)}
 
 
 @pytest.mark.parametrize("make", [toy_system, curved_toy_system],
@@ -471,18 +496,18 @@ def test_equivalence_report_checks_every_point_on_the_surface():
 def test_equivalence_report_checks_the_points_it_is_given(make):
     cs = make()
     at = sample_surface(cs, seed=3, count=1)[0]
-    irs = build_irreducible(cs, full_artifacts(cs, at))
+    irs = build_irreducible(full_artifacts(cs, at))
     for points, seed in (([], 0), ([at], -1), ([at, np.zeros(5)], 0),
                          ([at, np.zeros((2, 4))], 0)):
         with pytest.raises(InvalidInputError):
-            equivalence_report(cs, irs, points, seed)
-    assert equivalence_report(cs, irs, [irs.artifacts.point]).passed
+            equivalence_report(irs, points, seed)
+    assert equivalence_report(irs, [irs.artifacts.point]).passed
     if not cs.is_constant:
         # a second point of the surface is not one where irs holds
         other = sample_surface(cs, seed=4, count=1)[0]
         assert cs.surface_residual(other) <= DEFAULT_TOL.surface
         with pytest.raises(BuildPointError):
-            equivalence_report(cs, irs, [at, other])
+            equivalence_report(irs, [at, other])
 
 
 # the records of equivalence_report that read each route; eq_28 reads
@@ -526,10 +551,10 @@ def _planted(irs, route, monkeypatch):
 def test_every_compared_route_can_fail(name, route, monkeypatch):
     cs = AFFINE_SYSTEMS[name]()
     points = sample_surface(cs, seed=0, count=5)
-    irs = build_irreducible(cs, full_artifacts(cs, points[0]))
-    clean = equivalence_report(cs, irs, points)
+    irs = build_irreducible(full_artifacts(cs, points[0]))
+    clean = equivalence_report(irs, points)
     assert clean.passed
-    rep = equivalence_report(cs, _planted(irs, route, monkeypatch), points)
+    rep = equivalence_report(_planted(irs, route, monkeypatch), points)
     reads = ROUTE_RECORDS[route]
     assert not rep.record("eq_32").passed
     for r in clean.records:
@@ -547,7 +572,7 @@ def test_evolve_matches_eom_step(shape, extra_pairs, seed, dt, steps):
     n_pairs, m0, m1, m2 = shape
     cs = synth_linear(n_pairs + extra_pairs, m0, m1, m2, seed=seed)
     at = sample_surface(cs, seed=seed, count=1)[0]
-    irs = build_irreducible(cs, full_artifacts(cs, at))
+    irs = build_irreducible(full_artifacts(cs, at))
     n = irs.dim_z
     assert n <= 24
     rng = np.random.default_rng(seed)
@@ -570,7 +595,7 @@ def test_evolve_matches_eom_step(shape, extra_pairs, seed, dt, steps):
 def synth_irr():
     cs = synth_linear(10, 12, 8, 2, seed=7)
     at = sample_surface(cs, seed=0, count=1)[0]
-    return cs, at, build_irreducible(cs, full_artifacts(cs, at))
+    return cs, at, build_irreducible(full_artifacts(cs, at))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 9, 255, 256, 257,
@@ -610,7 +635,7 @@ def test_evolve_affine_h_drifts_linearly(synth_irr):
 def test_long_trajectory_stays_on_the_surface(seed):
     cs = synth_linear(10, 12, 8, 2, seed=seed)
     points = sample_surface(cs, seed=seed, count=5)
-    irs = build_irreducible(cs, full_artifacts(cs, points[0]))
+    irs = build_irreducible(full_artifacts(cs, points[0]))
     h = quadratic(np.eye(irs.dim_z))
     for z0 in points:
         got = evolve(irs, h, irs.join(z0, np.zeros(irs.dim_y)), 1e-3, 10**5)

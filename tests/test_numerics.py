@@ -268,7 +268,7 @@ def _toy_at_a_point():
 
 def _toy_evolve(steps):
     cs, z = _toy_at_a_point()
-    irs = build_irreducible(cs, full_artifacts(cs, z))
+    irs = build_irreducible(full_artifacts(cs, z))
     return evolve(irs, quadratic(np.eye(cs.spec.dim)),
                   irs.join(z, np.zeros(irs.dim_y)), 0.01, steps)
 

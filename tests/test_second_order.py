@@ -93,6 +93,11 @@ def test_representative_choices_leave_bracket_unchanged():
     g = cs.gradients(at)
     alt = j - (j @ g) @ art.m2 @ (g.T @ j)
     assert np.abs(alt - base).max() < 1e-8
+    # the omega pair completes on Z2 itself, not on the rescaled a12
+    paired = mu_pair(omega_tilde_pair(art))
+    assert paired.report.residuals["eq_a18a"] < 1e-12
+    alt = j - (j @ g) @ paired.mu2 @ (g.T @ j)
+    assert np.abs(alt - base).max() < 1e-8
 
 
 def test_ambiguity_shifts(toy_art):
@@ -113,7 +118,7 @@ def test_ambiguity_shifts(toy_art):
         hat_shift = replace(
             art, omega_up=art.omega_up + cs.z2 @ q2 @ cs.z2.T,
         )
-        shifted = mu_pair(hat_shift, cs)
+        shifted = mu_pair(hat_shift)
         alt2 = j - (j @ g) @ shifted.mu2 @ (g.T @ j)
         assert np.abs(alt2 - base).max() < 1e-8
 
@@ -123,7 +128,7 @@ def test_custom_seeds_accepted_and_checked(toy_art):
     art = omega_tilde_pair(second_order_artifacts(cs, at), seed=13)
     # a random seed installs another pair, which passes the same checks
     assert np.abs(art.omega_low - canonical.omega_low).max() > 1e-3
-    art = mu_pair(art, cs)
+    art = mu_pair(art)
     for key in ("eq_a3", "eq_a18", "eq_a18a", "eq_21q"):
         assert art.report.residuals[key] < 1e-9, key
 
@@ -136,7 +141,7 @@ def test_input_validation(toy_art):
         second_order_artifacts(cs, at, a12=np.zeros((cs.m1, cs.m2)))
     art = second_order_artifacts(cs, at)
     with pytest.raises(InvalidInputError):
-        mu_pair(art, cs)  # omega pair not installed yet
+        mu_pair(art)  # omega pair not installed yet
 
 
 def test_singular_z2_a12_is_refused(toy_art, svd_args):
@@ -173,7 +178,7 @@ def test_rerun_stage_replaces_its_records(toy_art):
     s = rng.standard_normal((cs.m1, cs.m1))
     # a small non-ambiguity shift, still within tolerance, moves eq_21q
     bumped = replace(art, omega_up=art.omega_up + 1e-10 * (s - s.T))
-    again = mu_pair(bumped, cs)
+    again = mu_pair(bumped)
     assert [r.name for r in again.report.records] == names
     eq_21q = rel_residual(again.mu2 @ again.mu2_inv, np.eye(cs.m0))
     eq_20 = rel_residual(again.m2, again.d00 @ again.mu2 @ again.d00.T)
