@@ -68,7 +68,7 @@ def parse_qspec(text: str, labels: tuple) -> PhaseFunction:
                 power = int(m.group(2) or 1)
                 if power not in (1, 2):
                     raise InvalidInputError(
-                        f"power {power} exceeds degree 2 in {piece!r}"
+                        f"power {power} in {piece!r}: a power must be 1 or 2"
                     )
                 vars_.extend([index[m.group(1)]] * power)
             else:

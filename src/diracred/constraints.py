@@ -44,6 +44,7 @@ from .numerics import (
     null_basis,
     pseudoinverse,
     rank_tol,
+    rel_residual,
     require_int,
     require_shape,
     svd_factors,
@@ -317,8 +318,10 @@ def validate(
 ) -> CheckReport:
     """Check reducibility relations and second-class rank counts.
 
-    Points must already lie on the surface; off-surface input is refused,
-    and so is an empty list of points.
+    Reducibility is checked in its gradient form Z1^T G^T = 0 (eq_2),
+    relative to 1 + |Z1^T G^T|, once on a constant set and at every point
+    otherwise.  Points must already lie on the surface; off-surface input
+    is refused, and so is an empty list of points.
     """
     if not len(points):
         raise InvalidInputError("validate needs at least one point")
@@ -336,8 +339,11 @@ def validate(
     z1 = cs.z1 if isinstance(cs.z1, np.ndarray) else np.stack(z1s)
 
     rep = CheckReport(system=cs.name, tolerances=tol)
-    rep.add("eq_2", max(float(np.linalg.norm(z.T @ cs.values(p)))
-                        for z, p in zip(z1s, points)), tol.weak_eq)
+    # the gradient form of Z1^T chi = 0, Z1^T G^T = 0, holds at every
+    # surface point, where Z1^T chi itself reads 0 whatever Z1 is
+    z1_g = mt(z1) @ mt(g)
+    rep.add("eq_2", np.max(rel_residual(z1_g, np.zeros_like(z1_g))),
+            tol.weak_eq)
     rep.add("eq_11d_rank", np.abs(rank_c - (cs.m0 - m1 + m2)).max(),
             COUNT_TOL)
     if z2s:

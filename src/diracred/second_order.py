@@ -46,7 +46,7 @@ from .numerics import (
     symplectic_block,
 )
 from .phase import dirac_matrix
-from .report import CheckReport
+from .report import COUNT_TOL, CheckReport
 
 
 class SeedRankError(NoSolutionError):
@@ -97,7 +97,11 @@ def second_order_artifacts(
     symmetric positive definite) and abar01 the minimum-norm solution of
     abar01 @ Z1 = d11, under which d11 and d00 are orthogonal projectors.
     Every defining identity is recorded in the bundle's report and a
-    failure raises rather than returning a silently broken bundle.
+    failure raises rather than returning a silently broken bundle.  The
+    first is the chain Z1 Z2 = 0 (eq_11x), the second the rank of C =
+    G^T J G against M0 - M1 + M2 (eq_11d_rank), taken from the factors
+    of C that later solve for m2: a C that lost rank is refused before
+    anything is built on it.
 
     On a stack of systems (ConstraintSet.linear) ``at`` holds one point
     per system, a12 and abar01 one matrix per system, and every matrix
@@ -112,6 +116,9 @@ def second_order_artifacts(
 
     g = cs.gradients(at)
     c2 = mt(g) @ cs.spec.poisson @ g
+    # C's factors are cached on cs; a rank-deficient C cannot be built on
+    fc = cs.factors("c", c2, tol)
+    rep.require("eq_11d_rank", abs(fc.rank - (cs.m0 - m1 + m2)), COUNT_TOL)
     z1_c2 = mt(z1) @ c2
     rep.require("eq_11e", rel_residual(z1_c2, np.zeros_like(z1_c2)),
                 tol.weak_eq)
@@ -153,9 +160,8 @@ def second_order_artifacts(
         tol.weak_eq,
     )
 
-    # solved with the factors of C cached on cs, checked with C itself
-    m2, m2_c2 = skew_solve(c2, d00, tol, with_product=True,
-                           factors=cs.factors("c", c2, tol))
+    # solved with C's factors, checked with C itself
+    m2, m2_c2 = skew_solve(c2, d00, tol, with_product=True, factors=fc)
     rep.require("eq_11c", rel_residual(m2_c2, d00), tol.weak_eq)
 
     return SecondOrderArtifacts(

@@ -488,12 +488,17 @@ def run_threeform_checks(
 ) -> EngineReport:
     """Generic pipeline on the lattice system against the closed forms.
 
-    On a stack of Fourier blocks every stage, the oracle that eq_32
-    checks the routes against included, runs once over the stack, and
-    each record takes one residual per block.  The report's point,
-    projectors and f_engine carry the stack's leading axis, and its seeds
-    take the irreducible build's (an omega reseed and, on a stack, the
-    indices of the reseeded blocks).
+    The report holds every record of the stages it ran (the artifacts,
+    the omega and mu pairs and the irreducible build), then the routes'
+    and the closed forms' records.  A block whose chain or whose C fails
+    (eq_11x, eq_11d_rank) stops the run in second_order_artifacts, which
+    names it; G is evaluated and C formed there alone.  On a stack of
+    Fourier blocks every stage, the oracle that eq_32 checks the routes
+    against included, runs once over the stack, and each record takes
+    one residual per block.  The report's point, projectors and f_engine
+    carry the stack's leading axis, and its seeds take the irreducible
+    build's (an omega reseed and, on a stack, the indices of the
+    reseeded blocks).
     """
     cs = sys.cs
     rep = EngineReport(system=cs.name, tolerances=tol,
@@ -501,22 +506,13 @@ def run_threeform_checks(
     t0 = time.perf_counter()
     nf = sys.n_field
     z = con.sample_surface(cs, seed, 1, tol)[0]
-    j = cs.spec.poisson
-    g = cs.gradients(z)
-    # a rank-deficient block cannot be built further; its error names it
-    rep.require("eq_11x", con.chain_residual(cs.z1_at(z), cs.z2_at(z)),
-                tol.weak_eq)
-    rep.require("eq_11d_rank",
-                abs(cs.factors("c", mt(g) @ j @ g, tol).rank
-                    - cs.n_independent), COUNT_TOL)
-
     art = so.full_artifacts(cs, z, tol, seed)
     irs = irr.build_irreducible(art, tol)
-    rep.take(irs.report, "eq_21q", "eq_p11")
-    rep.seeds.update(irs.report.seeds)
+    rep.merge(irs.report)
 
-    f_non = dirac_matrix(j, g, art.m2)
-    f_inv = dirac_matrix(j, g, art.mu2)
+    j = cs.spec.poisson
+    f_non = dirac_matrix(j, art.g, art.m2)
+    f_inv = dirac_matrix(j, art.g, art.mu2)
     dim = cs.spec.dim
     f_irr = irr.fundamental_matrix_irred(irs, irs.build_point,
                                          tol)[..., :dim, :dim]
@@ -676,7 +672,9 @@ def paper_choices_artifacts(
     """Second-order artifacts and irreducible system with the printed
     choices installed instead of the engine defaults.
 
-    Returns (artifacts, irreducible_system, report).  The printed a12,
+    Returns (artifacts, irreducible_system, report).  The report holds
+    every record of second_order_artifacts and assemble_irreducible (from
+    eq_11x to rank_c_delta), then the route's own.  The printed a12,
     abar01 and congruence ehat, with the canonical vector-field pairing
     as the y-space bracket, go through irreducible.assemble_irreducible:
     the mixing matrix a01 = abar01^T ehat^-T is derived there, the
@@ -708,11 +706,11 @@ def paper_choices_artifacts(
     omega_y = -symplectic_block(cs.m1)
     irs = irr.assemble_irreducible(art, ehat, ehat_inv, omega_y, -omega_y,
                                    tol)
+    rep.merge(irs.report)
     # recorded, not required: a bad printed congruence still yields a
     # full report, and the closed-form inverse it breaks is eq_p11
     rep.add("eq_27qq", rel_residual(ehat_inv @ art.d11 @ ehat, art.d11),
             tol.weak_eq)
-    rep.take(irs.report, "eq_p11")
 
     # row-for-row match of the assembled constraints against the
     # independently transcribed printed forms
@@ -975,7 +973,8 @@ def certify_lattice(
     The representatives, in stacks of one shape (as many blocks each as
     _STACK_ENTRIES allows at their size), are then built and go through
     run_threeform_checks, and with ``paper_choices`` also
-    paper_choices_artifacts, one stack at a time.
+    paper_choices_artifacts, one stack at a time.  Each route's report
+    holds every record its stages made, eq_20 included.
     Each record keeps its worst residual, in one report per route under
     the lattice's name; its per-block residuals cover every block, each
     block carrying its representative's.  Each report's ``blocks`` labels

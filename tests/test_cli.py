@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 
 import diracred
 from diracred import cli, irreducible
+from diracred import second_order as so
+from diracred import threeform as tf
 from diracred.cli import main, parse_qspec
 from diracred.constraints import (
     duplicated_pair_system,
@@ -21,10 +24,15 @@ from diracred.constraints import (
     toy_system,
 )
 from diracred.first_order import first_order_artifacts, fundamental_matrix_1
-from diracred.numerics import InvalidInputError, rel_residual, skew_part
+from diracred.numerics import (
+    DEFAULT_TOL,
+    InvalidInputError,
+    rel_residual,
+    skew_part,
+)
 from diracred.oracle import fundamental_matrix_oracle
 from diracred.phase import canonical_poisson
-from diracred.report import COUNT_TOL
+from diracred.report import COUNT_TOL, CheckReport
 from test_first_order import doubled_pair_system
 
 
@@ -51,8 +59,9 @@ def test_qspec_parser():
     mixed = parse_qspec("q1*p2 - 2*q2 + 1.5", labels)
     z = np.array([1.0, 1.0, 0.0, 4.0])
     assert mixed(z) == pytest.approx(4.0 - 2.0 + 1.5)
-    with pytest.raises(InvalidInputError):
-        parse_qspec("q1^3", labels)
+    for power in (0, 3):
+        with pytest.raises(InvalidInputError, match="must be 1 or 2"):
+            parse_qspec(f"q1^{power}", labels)
     with pytest.raises(InvalidInputError):
         parse_qspec("q1*q2*p1", labels)
     with pytest.raises(InvalidInputError):
@@ -315,7 +324,6 @@ def test_analyze_order_one_system(tmp_path, capsys):
 def test_analyze_order_one_builds_artifacts_once(tmp_path, capsys,
                                                  monkeypatch):
     import diracred.first_order as fo
-    import diracred.second_order as so
 
     path = tmp_path / "first.json"
     save_system(duplicated_pair_system(), path)
@@ -503,16 +511,24 @@ def test_evolve_order_one(doubled_file, tmp_path, capsys):
         assert "M1 = 1" in err and "omega pair" in err
 
 
-THREEFORM_ENGINE_CHECKS = [
-    "eq_11x", "eq_11d_rank", "eq_21q", "eq_p11", "eq_32", "eq_v23", "eq_29",
-    "eq_30", "eq_12a", "eq_30_trace", "eq_w23", "eq_x23",
+# the records of second_order_artifacts, in order
+ARTIFACT_CHECKS = [
+    "eq_11x", "eq_11d_rank", "eq_11e", "eq_a2", "eq_ay", "eq_a8", "eq_1qa",
+    "eq_15", "eq_17", "eq_12k", "eq_12b", "eq_11c",
+]
+THREEFORM_ENGINE_CHECKS = ARTIFACT_CHECKS + [
+    "eq_a3", "eq_a18", "eq_a18a", "eq_21q", "eq_20", "eq_p11",
+    "rank_c_delta", "eq_32", "eq_v23", "eq_29", "eq_30", "eq_12a",
+    "eq_30_trace", "eq_w23", "eq_x23",
 ]
 PAPER_CHOICES_CHECKS = {
-    "fd": ["eq_27qq", "eq_p11", "eq_58", "eq_59", "eq_72", "locality",
-           "eq_27ww", "eq_27qw", "eq_14r", "eq_v23"],
-    "spectral": ["eq_27qq", "eq_p11", "eq_58", "eq_59", "eq_72", "locality",
-                 "eq_27ww", "eq_27qw", "eq_y23", "eq_q31", "eq_q30",
-                 "eq_14r", "eq_v23"],
+    "fd": ARTIFACT_CHECKS + [
+        "eq_p11", "rank_c_delta", "eq_27qq", "eq_58", "eq_59", "eq_72",
+        "locality", "eq_27ww", "eq_27qw", "eq_14r", "eq_v23"],
+    "spectral": ARTIFACT_CHECKS + [
+        "eq_p11", "rank_c_delta", "eq_27qq", "eq_58", "eq_59", "eq_72",
+        "locality", "eq_27ww", "eq_27qw", "eq_y23", "eq_q31", "eq_q30",
+        "eq_14r", "eq_v23"],
 }
 ANALYZE_CHECKS = [
     "eq_2", "eq_11d_rank", "eq_11x", "z2_rank", "z1_rank", "eq_11e", "eq_a2",
@@ -534,6 +550,38 @@ def test_threeform_check_names_fixed(tmp_path, capsys, derivative):
     paper = [c["name"] for c in doc["paper_choices"]["checks"]]
     assert engine == THREEFORM_ENGINE_CHECKS
     assert paper == PAPER_CHOICES_CHECKS[derivative]
+    capsys.readouterr()
+
+
+def test_threeform_reports_a_failing_eq_20(capsys, monkeypatch):
+    # eq_20 is recorded, not required, so only the report can show it
+    real = so.mu_pair
+
+    def planted(art, tol=DEFAULT_TOL):
+        out = real(art, tol)
+        rep = CheckReport(system=art.report.system, tolerances=tol,
+                          blocks=art.report.blocks)
+        rep.add("eq_20", np.ones(art.base.batch), tol.weak_eq)
+        return dataclasses.replace(out, report=out.report.with_stage(rep))
+
+    monkeypatch.setattr(so, "mu_pair", planted)
+    assert main(["threeform", "--dim", "4", "--lattice", "5"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"eq_20 +residual +1\.0000e\+00 .* FAIL", out)
+
+
+def test_threeform_evaluates_the_gradients_three_times_per_stack(
+        capsys, monkeypatch, gradient_points):
+    stacks = []
+    real = tf._stack_system
+    monkeypatch.setattr(tf, "_stack_system",
+                        lambda *a: stacks.append(a) or real(*a))
+    # two stacks: the generic blocks and the self-conjugate ones
+    assert main(["threeform", "--dim", "3", "--lattice", "8"]) == 0
+    # surface projection, the artifacts and the oracle: the routes and
+    # the closed forms read the gradients the artifacts carry
+    assert len(stacks) == 2
+    assert len(gradient_points) == 3 * len(stacks)
     capsys.readouterr()
 
 

@@ -23,6 +23,7 @@ from diracred.numerics import (
     InvalidInputError,
     pseudoinverse,
     rank_tol,
+    rel_residual,
 )
 from diracred.phase import PhaseSpec, affine
 from diracred.report import CheckReport
@@ -39,6 +40,23 @@ def test_toy_system_counts_and_validation():
     assert rep.residuals["eq_2"] < 1e-10
     assert rep.residuals["eq_11x"] < 1e-10
     assert rep.residuals["eq_11d_rank"] == 0.0
+
+
+def test_eq_2_fails_a_planted_z1():
+    # one column of Z1 off by 1e-3 N(0, 1): Z1^T chi still reads ~1e-15
+    # at the surface points, where chi ~ 0, but Z1^T B does not vanish
+    cs = synth_linear(10, 12, 8, 2, seed=7)
+    b = cs.affine_matrix()[0]
+    z1 = cs.z1.copy()
+    z1[:, 0] += 1e-3 * np.random.default_rng(0).standard_normal(cs.m0)
+    bad = ConstraintSet.linear(cs.spec, b, z1, cs.z2, "planted", ())
+    pts = sample_surface(bad, seed=0, count=5)
+    assert max(np.linalg.norm(z1.T @ bad.values(p)) for p in pts) < 1e-12
+    rep = validate(bad, pts)
+    assert rep.residuals["eq_2"] == pytest.approx(
+        float(rel_residual(z1.T @ b, np.zeros_like(z1.T @ b))))
+    assert rep.residuals["eq_2"] > 1e-3 and not rep.checks["eq_2"]
+    assert validate(cs, pts).residuals["eq_2"] < 1e-13
 
 
 def test_validate_needs_a_point():
