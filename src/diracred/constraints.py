@@ -415,8 +415,11 @@ def synth_linear(
     Z2, then Z1 with null space spanned by Z2, then a constraint matrix B
     whose rows live in null(Z1.T).  Resampled, at most _SYNTH_DRAWS
     times, until the bracket matrix B J B.T has the full second-class
-    rank m0 - m1 + m2.
+    rank m0 - m1 + m2.  n_pairs, m0, m1 and m2 must be integers >= 1.
     """
+    require_int(n_pairs, "n_pairs", 1)
+    for name, value in (("m0", m0), ("m1", m1), ("m2", m2)):
+        require_int(value, name, 1)
     require_int(seed, "seed", 0)
     n_ind = m0 - m1 + m2
     if not (0 < m2 <= m1 <= m0):

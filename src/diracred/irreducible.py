@@ -18,9 +18,10 @@ are available only at the build point, and any other point raises
 BuildPointError.
 
 Built on a stack of systems (ConstraintSet.linear), the assembly, the
-extended constraints and the irreducible fundamental matrix broadcast
-over its leading axis; the intermediate system and evolution take one
-system.  On a constant base, evolve forms the RK4 map of an
+extended constraints and the irreducible and intermediate fundamental
+matrices broadcast over its leading axis.  equivalence_report, eom_step
+and evolve take one system and refuse a stack with InvalidInputError.
+On a constant base, evolve forms the RK4 map of an
 affine or quadratic Hamiltonian once and composes ``steps`` of it by
 doubling, in O(dim_z^3 log steps); eom_step takes one step of any
 Hamiltonian.
@@ -155,13 +156,17 @@ class IrreducibleSystem:
         return self.join(self.artifacts.point,
                          np.zeros(self.base.batch + (self.dim_y,)))
 
+    @property
+    def build_gradients(self) -> np.ndarray:
+        """chi_tilde_gradients at the build point, from the gradients and
+        Z2 the artifacts carry, with no evaluation of the base."""
+        return self._extended_gradients(self.artifacts.g, self.artifacts.z2)
+
     @cached_property
     def _irred_kernel(self) -> np.ndarray:
         """Irreducible fundamental matrix at the build point, read-only,
-        from the gradients and Z2 the artifacts carry."""
-        art = self.artifacts
-        out = dirac_matrix(self.extended_poisson(),
-                           self._extended_gradients(art.g, art.z2),
+        from build_gradients."""
+        out = dirac_matrix(self.extended_poisson(), self.build_gradients,
                            self.c_delta_inv)
         out.setflags(write=False)
         return out
@@ -312,18 +317,29 @@ def equivalence_report(
     functions, contract every difference matrix of z blocks as well;
     ``seed`` + 1 seeds them.
 
-    The points certified are exactly those given; an empty list or a
-    negative seed raises InvalidInputError.  Every point is checked at
-    entry by sys.base.require_on_surface, for its shape and finite entries
-    (else InvalidInputError) and to lie on the surface of the system sys
-    was built from (else OffSurfaceError), and then to be one where sys
-    holds.  On a non-constant base it certifies the build point,
+    The points certified are exactly those given; an empty list, a
+    negative seed or a stack of systems raises InvalidInputError.  Every
+    point is checked at entry by sys.base.require_on_surface, for its
+    shape and finite entries (else InvalidInputError) and to lie on the
+    surface of the system sys was built from (else OffSurfaceError), and
+    then to be one where sys holds.  On a non-constant base it certifies the build point,
     ``[sys.artifacts.point]``, and any other point raises BuildPointError.
     The oracle reads a point only through the gradients, so it is built
     once, at the first point: on a constant base the gradients are the
     same at every point, and on any other base every point that passes is
     the build point, within tol.surface.
+
+    At the engine's choice (build_irreducible: ehat = I, omega_y =
+    omega_low) the z block of the irreducible kernel is the invertible
+    bracket formed with the same arithmetic; the two were equal bit for
+    bit on the toy, synth_linear(10, 12, 8, 2) seed 7 and 2N = 200 seeds
+    5 and 31.  There eq_32's irreducible-invertible pair carries no
+    independent evidence: eq_32y, eq_p11 and the lattice's
+    paper-choices route are what test the irreducible construction.
     """
+    if sys.base.batch:
+        raise InvalidInputError("equivalence_report takes one system, "
+                                "not a stack")
     if not len(points):
         raise InvalidInputError("equivalence_report needs at least one point")
     require_int(seed, "seed", 0)
@@ -369,8 +385,11 @@ def equivalence_report(
 
 def _require_stepping(sys: IrreducibleSystem, h: PhaseFunction, dt: float,
                       caller: str) -> None:
-    """Refuse, for eom_step and evolve alike, a dt that is not finite and
-    positive, a non-constant base or an h of another dimension."""
+    """Refuse, for eom_step and evolve alike, a stack of systems, a dt
+    that is not finite and positive, a non-constant base or an h of
+    another dimension."""
+    if sys.base.batch:
+        raise InvalidInputError(f"{caller} takes one system, not a stack")
     if not (np.isfinite(dt) and dt > 0.0):
         raise InvalidInputError(f"dt must be finite and positive, got {dt}")
     if not sys.base.is_constant:
@@ -398,8 +417,9 @@ def eom_step(
     holds only at the build point, which the stages leave.  For a
     trajectory of an affine or quadratic h, evolve forms the map of a
     whole step once; eom_step is the path for an opaque h.
-    A dt that is not finite and positive, an h of another dimension or a
-    state that split refuses raises InvalidInputError.
+    A stack of systems, a dt that is not finite and positive, an h of
+    another dimension or a state that split refuses raises
+    InvalidInputError.
     """
     _require_stepping(sys, h, dt, "eom_step")
     z, y = sys.split(at)

@@ -19,6 +19,7 @@ residual (rank_tol), and is counted by an SVD only where that fails.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,8 +62,9 @@ class Tolerance:
     def __post_init__(self):
         for name in ("rank_rel", "weak_eq", "surface"):
             v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise InvalidInputError(f"{name} must lie in (0, 1), got {v}")
+            if not (isinstance(v, numbers.Real) and 0.0 < v < 1.0):
+                raise InvalidInputError(
+                    f"{name} must be a real number in (0, 1), got {v!r}")
         if self.rank_rel > self.weak_eq:
             raise InvalidInputError(
                 "rank_rel must not exceed weak_eq "
@@ -227,8 +229,10 @@ def is_antisymmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 def symplectic_block(n: int) -> np.ndarray:
     """Canonical antisymmetric invertible matrix [[0, I], [-I, 0]] of size n.
 
-    Requires even n: odd-dimensional antisymmetric matrices are singular.
+    Requires an integer n >= 0, and even: odd-dimensional antisymmetric
+    matrices are singular.
     """
+    require_int(n, "n", 0)
     if n % 2 != 0:
         raise InvalidInputError(
             f"no invertible antisymmetric matrix exists in odd dimension {n}"

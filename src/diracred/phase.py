@@ -30,7 +30,8 @@ FD_STEP = 1e-5
 
 
 def canonical_poisson(n_pairs: int) -> np.ndarray:
-    """The canonical block matrix [[0, I_N], [-I_N, 0]]."""
+    """The canonical block matrix [[0, I_N], [-I_N, 0]], N >= 1."""
+    require_int(n_pairs, "n_pairs", 1)
     return symplectic_block(2 * n_pairs)
 
 
@@ -176,7 +177,12 @@ def opaque(
 
 
 def coordinate(spec_dim: int, index: int, label: str = "") -> PhaseFunction:
-    """The coordinate function z^index."""
+    """The coordinate function z^index, 0 <= index < spec_dim."""
+    require_int(spec_dim, "spec_dim", 1)
+    require_int(index, "index", 0)
+    if index >= spec_dim:
+        raise InvalidInputError(
+            f"index must be < spec_dim ({spec_dim}), got {index}")
     b = np.zeros(spec_dim)
     b[index] = 1.0
     return affine(b, label=label or f"z{index}")

@@ -47,13 +47,11 @@ absorbed.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -289,6 +287,12 @@ def _lattice_name(lat: LatticeSpec) -> str:
 
 @dataclass(frozen=True)
 class ThreeFormSystem:
+    """The lattice three-form as a constraint system, one or a stack of
+    Fourier blocks, with the derivatives and Laplacian it was built from.
+    Its closed-form projectors, ``d30`` and ``dpair``, are formed on first
+    use and kept, read-only, so that both routes of a stack read one
+    product."""
+
     lattice: LatticeSpec
     cs: con.ConstraintSet
     ell: tuple          # del_i as m x m matrices (G x m x m on a stack)
@@ -302,6 +306,20 @@ class ThreeFormSystem:
     @property
     def n_field(self) -> int:
         return len(self.triples) * self.m
+
+    @functools.cached_property
+    def d30(self) -> np.ndarray:
+        """closed_form_projector of this system, read-only."""
+        out = closed_form_projector(self)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def dpair(self) -> np.ndarray:
+        """pair_projector of this system, read-only."""
+        out = pair_projector(self)
+        out.setflags(write=False)
+        return out
 
 
 def _sorting(d: int, tuples: np.ndarray) -> tuple:
@@ -463,46 +481,30 @@ def pair_projector(sys: ThreeFormSystem) -> np.ndarray:
                       sys.ell + sys.u, sys.u + sys.ell, sys.delta_inv)
 
 
-def _unserialised():
-    return dataclasses.field(default=None, repr=False, compare=False)
-
-
-@dataclass
-class EngineReport(CheckReport):
-    """Report of run_threeform_checks.  It also carries what
-    paper_choices_artifacts reuses on the same system, none of it
-    serialised: the sampled ``point``, the closed-form projectors ``d30``
-    and ``dpair``, and ``f_engine``, the 2N x 2N fundamental matrix of the
-    engine's noninvertible route at the point (compared in eq_14r)."""
-
-    point: Optional[np.ndarray] = _unserialised()
-    d30: Optional[np.ndarray] = _unserialised()
-    dpair: Optional[np.ndarray] = _unserialised()
-    f_engine: Optional[np.ndarray] = _unserialised()
-
-
 def run_threeform_checks(
     sys: ThreeFormSystem,
     tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
-) -> EngineReport:
+) -> tuple:
     """Generic pipeline on the lattice system against the closed forms.
 
-    The report holds every record of the stages it ran (the artifacts,
-    the omega and mu pairs and the irreducible build), then the routes'
-    and the closed forms' records.  A block whose chain or whose C fails
-    (eq_11x, eq_11d_rank) stops the run in second_order_artifacts, which
-    names it; G is evaluated and C formed there alone.  On a stack of
-    Fourier blocks every stage, the oracle that eq_32 checks the routes
-    against included, runs once over the stack, and each record takes
-    one residual per block.  The report's point, projectors and f_engine
-    carry the stack's leading axis, and its seeds take the irreducible
-    build's (an omega reseed and, on a stack, the indices of the
-    reseeded blocks).
+    Returns (irreducible_system, report): the engine's irreducible system
+    at the point sampled from ``seed``, which paper_choices_artifacts
+    takes as its engine, and the report.  The report holds every record
+    of the stages it ran (the artifacts, the omega and mu pairs and the
+    irreducible build), then the routes' and the closed forms' records,
+    which read the system's projectors (d30, dpair).  A block whose chain
+    or whose C fails (eq_11x, eq_11d_rank) stops the run in
+    second_order_artifacts, which names it; G is evaluated and C formed
+    there alone.  On a stack of Fourier blocks every stage, the oracle
+    that eq_32 checks the routes against included, runs once over the
+    stack, and each record takes one residual per block.  The report's
+    seeds take the irreducible build's (an omega reseed and, on a stack,
+    the indices of the reseeded blocks).
     """
     cs = sys.cs
-    rep = EngineReport(system=cs.name, tolerances=tol,
-                       seeds={"points": seed}, blocks=cs.blocks)
+    rep = CheckReport(system=cs.name, tolerances=tol,
+                      seeds={"points": seed}, blocks=cs.blocks)
     t0 = time.perf_counter()
     nf = sys.n_field
     z = con.sample_surface(cs, seed, 1, tol)[0]
@@ -521,7 +523,7 @@ def run_threeform_checks(
     rep.add("eq_32", np.max([max_abs(a - b) for i, a in enumerate(mats)
                              for b in mats[i + 1:]], axis=0), tol.weak_eq)
 
-    d30 = closed_form_projector(sys)
+    d30 = sys.d30
     if _printed_forms_apply(sys):
         rep.add("eq_v23", max_abs(f_non[..., :nf, nf:] - d30), tol.weak_eq)
     rep.add("eq_29", np.maximum(max_abs(f_non[..., :nf, :nf]),
@@ -534,12 +536,11 @@ def run_threeform_checks(
     rep.add("eq_30_trace",
             abs(np.trace(d30, axis1=-2, axis2=-1) - n_phys), 1e-6)
 
-    dpair = pair_projector(sys)
+    dpair = sys.dpair
     rep.add("eq_w23", rel_residual(art.d00, dpair), tol.weak_eq)
     rep.add("eq_x23", rel_residual(dpair @ dpair, dpair), tol.weak_eq)
-    rep.point, rep.d30, rep.dpair, rep.f_engine = z, d30, dpair, f_non
     rep.timings["engine_checks"] = time.perf_counter() - t0
-    return rep
+    return irs, rep
 
 
 def _paper_a12(sys: ThreeFormSystem) -> np.ndarray:
@@ -633,8 +634,7 @@ def _site_stencil_ok(lat: LatticeSpec) -> float:
 
 
 def _printed_closed_forms(
-    sys: ThreeFormSystem, art: so.SecondOrderArtifacts, dpair: np.ndarray,
-    tol: Tolerance,
+    sys: ThreeFormSystem, art: so.SecondOrderArtifacts, tol: Tolerance,
 ) -> CheckReport:
     """Printed noninvertible/invertible bracket matrices and omega pair.
 
@@ -651,7 +651,7 @@ def _printed_closed_forms(
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     # the printed mu matrix; the printed M matrix is dpair times it
     q30 = np.kron(np.kron(-j, np.eye(len(sys.pairs))), dinv) / 3.0
-    rep.add("eq_y23", max_abs(art.m2 - dpair @ q30), tol.weak_eq)
+    rep.add("eq_y23", max_abs(art.m2 - sys.dpair @ q30), tol.weak_eq)
 
     om_up = np.kron(np.kron(j, np.eye(sys.lattice.d)), dinv @ dinv) / 3.0
     om_low = np.linalg.inv(om_up)
@@ -667,19 +667,21 @@ def paper_choices_artifacts(
     sys: ThreeFormSystem,
     tol: Tolerance = DEFAULT_TOL,
     *,
-    engine: EngineReport,
+    engine: irr.IrreducibleSystem,
 ) -> tuple:
     """Second-order artifacts and irreducible system with the printed
     choices installed instead of the engine defaults.
 
-    Returns (artifacts, irreducible_system, report).  The report holds
+    Returns (irreducible_system, report), the system's artifacts being
+    the printed choices' second_order_artifacts.  The report holds
     every record of second_order_artifacts and assemble_irreducible (from
     eq_11x to rank_c_delta), then the route's own.  The printed a12,
     abar01 and congruence ehat, with the canonical vector-field pairing
     as the y-space bracket, go through irreducible.assemble_irreducible:
     the mixing matrix a01 = abar01^T ehat^-T is derived there, the
-    gradient rows of the assembled chi_tilde are checked row by row
-    against the printed irreducible constraints (eq_58, eq_59, eq_72)
+    gradient rows of the assembled chi_tilde, read from the G and Z2 the
+    artifacts carry (build_gradients), are checked row by row against
+    the printed irreducible constraints (eq_58, eq_59, eq_72)
     and a01 against their sigma factorization (eq_27qw), and eq_p11
     certifies the paper's closed-form inverse of c_delta.  This is the
     one route whose congruence is not the identity, so it records
@@ -688,19 +690,22 @@ def paper_choices_artifacts(
     spectral derivative.  On a stack of Fourier blocks everything is
     built once over the stack, with one residual per block.
 
-    ``engine`` is the report of run_threeform_checks on the same system:
-    its point, point seed and closed-form projectors are reused, and its
-    ``f_engine`` is the fundamental matrix that eq_14r compares against.
+    ``engine`` is the irreducible system of run_threeform_checks on the
+    same system, or one built as it builds it: the route is built at its
+    artifacts' point, and eq_14r compares the route's fundamental matrix
+    with the engine's noninvertible one, formed from its artifacts' G
+    and m2 as run_threeform_checks forms it.  The closed-form
+    projectors are the system's own (d30, dpair), formed once for both
+    routes.  The route samples no point, so its report records no point
+    seed.
     """
     t0 = time.perf_counter()
     cs = sys.cs
     rep = CheckReport(system=cs.name + " [paper choices]", tolerances=tol,
-                      seeds={"points": engine.seeds["points"]},
                       blocks=cs.blocks)
-    z = engine.point
     a12 = _paper_a12(sys)
-    art = so.second_order_artifacts(cs, z, tol, a12=a12,
-                                    abar01=_paper_abar01(sys))
+    art = so.second_order_artifacts(cs, engine.artifacts.point, tol,
+                                    a12=a12, abar01=_paper_abar01(sys))
     ehat, ehat_inv = _paper_ehat(sys)
     # canonical pairing of the y fields: [A^l, pi_k] = delta_kl
     omega_y = -symplectic_block(cs.m1)
@@ -715,8 +720,7 @@ def paper_choices_artifacts(
     # row-for-row match of the assembled constraints against the
     # independently transcribed printed forms
     dim, m0 = cs.spec.dim, cs.m0
-    diff = (mt(irs.chi_tilde_gradients(irs.build_point))
-            - chi_tilde_printed(sys))
+    diff = mt(irs.build_gradients) - chi_tilde_printed(sys)
     npair_rows = len(sys.pairs) * sys.m
     rep.add("eq_58", max_abs(diff[..., :npair_rows, :]), tol.weak_eq)
     rep.add("eq_59", max_abs(diff[..., npair_rows:m0, :]), tol.weak_eq)
@@ -728,18 +732,20 @@ def paper_choices_artifacts(
     rep.add("eq_27qw", res_27qw, tol.weak_eq)
 
     if sys.lattice.derivative == "spectral":
-        rep.merge(_printed_closed_forms(sys, art, engine.dpair, tol))
+        rep.merge(_printed_closed_forms(sys, art, tol))
 
     # the printed route must reproduce the engine's fundamental brackets
     f_paper = irr.fundamental_matrix_irred(irs, irs.build_point,
                                            tol)[..., :dim, :dim]
-    rep.add("eq_14r", max_abs(f_paper - engine.f_engine), tol.weak_eq)
+    f_engine = dirac_matrix(cs.spec.poisson, engine.artifacts.g,
+                            engine.artifacts.m2)
+    rep.add("eq_14r", max_abs(f_paper - f_engine), tol.weak_eq)
     if _printed_forms_apply(sys):
         nf = sys.n_field
-        rep.add("eq_v23", max_abs(f_paper[..., :nf, nf:] - engine.d30),
+        rep.add("eq_v23", max_abs(f_paper[..., :nf, nf:] - sys.d30),
                 tol.weak_eq)
     rep.timings["paper_choices"] = time.perf_counter() - t0
-    return art, irs, rep
+    return irs, rep
 
 
 def _stack_system(lat: LatticeSpec, ks: tuple) -> ThreeFormSystem:
@@ -973,8 +979,11 @@ def certify_lattice(
     The representatives, in stacks of one shape (as many blocks each as
     _STACK_ENTRIES allows at their size), are then built and go through
     run_threeform_checks, and with ``paper_choices`` also
-    paper_choices_artifacts, one stack at a time.  Each route's report
-    holds every record its stages made, eq_20 included.
+    paper_choices_artifacts, one stack at a time: the paper route takes
+    the engine's irreducible system of its stack, and both read the
+    stack's projectors, formed once.  Each route's report holds every
+    record its stages made, eq_20 included.  Both reports record the
+    point seed.
     Each record keeps its worst residual, in one report per route under
     the lattice's name; its per-block residuals cover every block, each
     block carrying its representative's.  Each report's ``blocks`` labels
@@ -1001,14 +1010,14 @@ def certify_lattice(
     reseeded = set()
     for stack in _stacks(lat, [ks[i] for i in certified]):
         sys = _stack_system(lat, stack)
-        part = run_threeform_checks(sys, tol, seed)
+        irs, part = run_threeform_checks(sys, tol, seed)
         engine.fold(part)
         if "omega" in part.seeds:
             engine.seeds["omega"] = seed
             reseeded.update(part.blocks[i]
                             for i in part.seeds["omega_blocks"])
         if paper is not None:
-            paper.fold(paper_choices_artifacts(sys, tol, engine=part)[2])
+            paper.fold(paper_choices_artifacts(sys, tol, engine=irs)[1])
     labels = tuple(f"mode k={k}" for k in ks)
     for report in (engine, paper):
         if report is not None:

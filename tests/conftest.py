@@ -17,15 +17,16 @@ settings.load_profile("diracred")
 
 class DenseThreeforms(dict):
     """Dense full-lattice three-form references, keyed by lattice:
-    (system, engine report, paper-choices report).  They are the slowest
-    objects the suite builds, so one session builds each once."""
+    (system, engine irreducible system, engine report, paper-choices
+    report).  They are the slowest objects the suite builds, so one
+    session builds each once."""
 
     def build(self, lat):
         """Build the reference afresh and keep it, whatever is cached."""
         sys = dense_threeform(lat)
-        rep = run_threeform_checks(sys, DEFAULT_TOL)
-        _, _, prep = paper_choices_artifacts(sys, DEFAULT_TOL, engine=rep)
-        self[lat] = (sys, rep, prep)
+        irs, rep = run_threeform_checks(sys, DEFAULT_TOL)
+        _, prep = paper_choices_artifacts(sys, DEFAULT_TOL, engine=irs)
+        self[lat] = (sys, irs, rep, prep)
         return self[lat]
 
     def __call__(self, lat):

@@ -118,12 +118,12 @@ def certify_every_block(lat, tol=DEFAULT_TOL, seed=0, paper_choices=False):
                          seeds={"points": seed}) if paper_choices else None)
     for ks in block_stacks(lat):
         sys = stack_threeform(lat, ks)
-        rep = tf.run_threeform_checks(sys, tol, seed)
+        irs, rep = tf.run_threeform_checks(sys, tol, seed)
         engine.fold(rep)
         if "omega" in rep.seeds:
             engine.seeds["omega"] = seed
             engine.seeds.setdefault("omega_blocks", []).extend(
                 rep.blocks[i] for i in rep.seeds["omega_blocks"])
         if paper is not None:
-            paper.fold(tf.paper_choices_artifacts(sys, tol, engine=rep)[2])
+            paper.fold(tf.paper_choices_artifacts(sys, tol, engine=irs)[1])
     return engine, paper

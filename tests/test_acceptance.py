@@ -155,7 +155,7 @@ def test_7_threeform_example(dense):
     for spec in configs:
         # built afresh so the bound times real builds in any test order;
         # the build is left in the session cache for later tests
-        _, rep, prep = dense.build(spec)
+        _, _, rep, prep = dense.build(spec)
         assert rep.passed
         assert rep.record("eq_v23").residual < 1e-8
         assert rep.record("eq_29").residual < 1e-8

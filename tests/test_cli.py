@@ -585,6 +585,27 @@ def test_threeform_evaluates_the_gradients_three_times_per_stack(
     capsys.readouterr()
 
 
+def test_threeform_paper_choices_evaluates_the_gradients_four_times_per_stack(
+        capsys, monkeypatch, gradient_points):
+    calls = []
+    for name in ("_stack_system", "closed_form_projector", "pair_projector"):
+        real = getattr(tf, name)
+        monkeypatch.setattr(tf, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    assert main(["threeform", "--dim", "3", "--lattice", "8",
+                 "--paper-choices"]) == 0
+    # the engine's three, and the printed choices' artifacts: the paper
+    # route reads the engine's point and bracket from its irreducible
+    # system, its own chi_tilde rows from the G its artifacts carry, and
+    # the projectors the stack formed once for both routes
+    stacks = calls.count("_stack_system")
+    assert stacks == 2
+    assert len(gradient_points) == 4 * stacks
+    assert calls.count("closed_form_projector") == stacks
+    assert calls.count("pair_projector") == stacks
+    capsys.readouterr()
+
+
 def test_threeform_rank_deficient_block_is_named(capsys):
     # the forward-difference symbol has sum_i lambda(k_i)^2 = 0 at
     # k = (0, 0, 1, 3) on L = 4, where the constraint bracket matrix

@@ -26,9 +26,19 @@ from diracred.irreducible import (
     fundamental_matrix_irred,
     intermediate_bracket_matrix,
 )
-from diracred.numerics import DEFAULT_TOL, InvalidInputError
+from diracred.numerics import (
+    DEFAULT_TOL,
+    InvalidInputError,
+    Tolerance,
+    symplectic_block,
+)
 from diracred.oracle import fundamental_matrix_oracle, independent_subset
-from diracred.phase import coordinate, poisson_bracket, quadratic
+from diracred.phase import (
+    canonical_poisson,
+    coordinate,
+    poisson_bracket,
+    quadratic,
+)
 from diracred.second_order import (
     full_artifacts,
     fundamental_matrix_2,
@@ -126,6 +136,53 @@ def test_point_entries_refuse_bad_points(entry, case):
         call(cs, _bad(AT[cs.name], case))
 
 
+# builders called with good arguments, and with bad ones that name the
+# argument they refuse; these used to raise a builtin TypeError or
+# IndexError, blame another argument, or wrap a negative index
+GOOD_ARGUMENTS = {
+    "synth_linear": lambda: synth_linear(10, 12, 8, 2, seed=np.int64(0)),
+    "synth_linear smallest": lambda: synth_linear(1, 2, 2, 2, seed=0),
+    "symplectic_block(0)": lambda: symplectic_block(0),
+    "symplectic_block": lambda: symplectic_block(np.int64(4)),
+    "canonical_poisson": lambda: canonical_poisson(1),
+    "coordinate first": lambda: coordinate(4, 0),
+    "coordinate last": lambda: coordinate(4, np.int64(3)),
+    "Tolerance": lambda: Tolerance(rank_rel=1e-11, weak_eq=np.float64(1e-7),
+                                   surface=1e-9),
+}
+BAD_ARGUMENTS = [
+    ("synth_linear", lambda: synth_linear(10, 12.0, 8, 2, seed=0), "m0"),
+    ("synth_linear", lambda: synth_linear(10, 12, 0, 2, seed=0), "m1"),
+    ("synth_linear", lambda: synth_linear(10, 12, 8, True, seed=0), "m2"),
+    ("synth_linear", lambda: synth_linear(0, 4, 2, 2, seed=0), "n_pairs"),
+    ("synth_linear", lambda: synth_linear(1.5, 4, 2, 2, seed=0), "n_pairs"),
+    ("symplectic_block", lambda: symplectic_block(4.0), "n"),
+    ("symplectic_block", lambda: symplectic_block(-2), "n"),
+    ("canonical_poisson", lambda: canonical_poisson(1.0), "n_pairs"),
+    ("canonical_poisson", lambda: canonical_poisson(0), "n_pairs"),
+    ("coordinate", lambda: coordinate(4, 7), "index"),
+    ("coordinate", lambda: coordinate(4, 4), "index"),
+    ("coordinate", lambda: coordinate(4, -1), "index"),
+    ("coordinate", lambda: coordinate(4.0, 1), "spec_dim"),
+    ("coordinate", lambda: coordinate(0, 0), "spec_dim"),
+    ("Tolerance", lambda: Tolerance(rank_rel="a"), "rank_rel"),
+    ("Tolerance", lambda: Tolerance(surface=None), "surface"),
+]
+
+
+@pytest.mark.parametrize("entry", GOOD_ARGUMENTS)
+def test_builders_take_good_arguments(entry):
+    GOOD_ARGUMENTS[entry]()
+
+
+@pytest.mark.parametrize("entry,call,argument", BAD_ARGUMENTS,
+                         ids=[f"{e}-{a}-{i}" for i, (e, _, a)
+                              in enumerate(BAD_ARGUMENTS)])
+def test_builders_refuse_bad_arguments(entry, call, argument):
+    with pytest.raises(InvalidInputError, match=f"^{argument} must"):
+        call()
+
+
 @pytest.mark.parametrize("entry,case", [
     (entry, case) for entry in STATE_ENTRIES
     for case in (*ERRORS, "hamiltonian")
@@ -166,3 +223,28 @@ def test_stack_point_gives_each_block_its_own_matrix(entry):
     # a point for one system is not a stack's point
     with pytest.raises(InvalidInputError):
         call(stack, at[0])
+
+
+STACK = stack_of([synth_linear(4, 8, 4, 2, s) for s in (1, 2, 3)])
+STACK_AT = sample_surface(STACK, seed=2, count=1)[0]
+STACK_IRS = build_irreducible(full_artifacts(STACK, STACK_AT))
+ONE_SYSTEM = {
+    "equivalence_report": lambda irs, h: equivalence_report(irs, [STACK_AT]),
+    "eom_step": lambda irs, h: eom_step(irs, h, irs.build_point, 0.01),
+    "evolve": lambda irs, h: evolve(irs, h, irs.build_point, 0.01, 3),
+}
+
+
+@pytest.mark.parametrize("entry", ONE_SYSTEM)
+def test_one_system_entries_refuse_a_stack(entry):
+    # these used to end in numpy's einsum or matmul ValueError
+    with pytest.raises(InvalidInputError, match=f"{entry} takes one system"):
+        ONE_SYSTEM[entry](STACK_IRS, quadratic(np.eye(STACK.spec.dim)))
+
+
+def test_stack_intermediate_matrix_gives_each_block_its_own():
+    got = intermediate_bracket_matrix(STACK_IRS, STACK_IRS.build_point)
+    for i, at in enumerate(STACK_AT):
+        one = build_irreducible(full_artifacts(block(STACK, i), at))
+        assert np.array_equal(
+            got[i], intermediate_bracket_matrix(one, one.build_point))

@@ -13,7 +13,8 @@ import lattice_reference
 from diracred.cli import main
 from diracred.constraints import sample_surface, validate
 from diracred.phase import dirac_matrix
-from diracred.second_order import second_order_artifacts
+from diracred.irreducible import build_irreducible
+from diracred.second_order import full_artifacts, second_order_artifacts
 from diracred.numerics import (
     DEFAULT_TOL,
     InvalidInputError,
@@ -125,7 +126,7 @@ def test_pair_projector_idempotent():
 
 def test_engine_checks_fd():
     sys = dense_threeform(LatticeSpec(d=3, L=4))
-    rep = run_threeform_checks(sys, DEFAULT_TOL)
+    _, rep = run_threeform_checks(sys, DEFAULT_TOL)
     assert rep.passed
     for tag in ("eq_v23", "eq_29", "eq_21q", "eq_p11", "eq_32",
                 "eq_w23", "eq_x23", "eq_12a", "eq_30_trace"):
@@ -146,7 +147,7 @@ def test_engine_checks_fd_d4():
 
 
 def test_engine_checks_spectral_d4(dense):
-    _, rep, _ = dense(LatticeSpec(d=4, L=3, derivative="spectral"))
+    _, _, rep, _ = dense(LatticeSpec(d=4, L=3, derivative="spectral"))
     assert rep.passed
     assert rep.record("eq_v23").residual < 1e-8
     assert rep.record("eq_29").residual < 1e-8
@@ -156,7 +157,7 @@ def test_fd_d4_closed_forms_not_claimed(dense):
     # with one-sided differences at d >= 4 the printed projector form
     # presupposes an anti-self-adjoint derivative, so the engine report
     # must not claim it
-    _, rep, _ = dense(LatticeSpec(d=4, L=3))
+    _, _, rep, _ = dense(LatticeSpec(d=4, L=3))
     assert rep.passed
     with pytest.raises(KeyError):
         rep.record("eq_v23")
@@ -171,21 +172,24 @@ def _engine_bracket(sys, tol=DEFAULT_TOL, seed=0):
     return dirac_matrix(cs.spec.poisson, cs.gradients(z), m2)
 
 
-def _engine_inputs(sys, tol=DEFAULT_TOL, seed=0):
-    """An engine report holding only what paper_choices_artifacts reuses,
-    each part rebuilt apart from run_threeform_checks."""
-    return tf.EngineReport(
-        system=sys.cs.name, tolerances=tol, seeds={"points": seed},
-        point=sample_surface(sys.cs, seed, 1, tol)[0],
-        d30=closed_form_projector(sys), dpair=pair_projector(sys),
-        f_engine=_engine_bracket(sys, tol, seed),
-    )
+def _engine(sys, tol=DEFAULT_TOL, seed=0):
+    """The engine's irreducible system, built apart from
+    run_threeform_checks at the point it samples."""
+    z = sample_surface(sys.cs, seed, 1, tol)[0]
+    return build_irreducible(full_artifacts(sys.cs, z, tol, seed), tol)
+
+
+def _noninvertible(irs):
+    """The engine's fundamental matrix that eq_14r compares against,
+    formed from the artifacts of its irreducible system."""
+    art = irs.artifacts
+    return dirac_matrix(art.base.spec.poisson, art.g, art.m2)
 
 
 def test_paper_choices_chi_tilde_rows():
     sys = dense_threeform(LatticeSpec(d=3, L=4))
-    art, irs, rep = paper_choices_artifacts(sys, DEFAULT_TOL,
-                                            engine=_engine_inputs(sys))
+    irs, rep = paper_choices_artifacts(sys, DEFAULT_TOL,
+                                       engine=_engine(sys))
     assert rep.passed
     for tag in ("eq_58", "eq_59", "eq_72", "eq_27qq", "eq_p11",
                 "locality", "eq_14r"):
@@ -206,9 +210,9 @@ def test_paper_choices_chi_tilde_rows_d4():
 
 
 def test_paper_choices_spectral_closed_forms(dense):
-    # the engine report's f_engine equals _engine_bracket bit for bit
+    # the engine's bracket equals _engine_bracket bit for bit
     # (test_paper_choices_reuse_engine_artifacts)
-    _, _, rep = dense(LatticeSpec(d=4, L=3, derivative="spectral"))
+    _, _, _, rep = dense(LatticeSpec(d=4, L=3, derivative="spectral"))
     assert rep.passed
     for tag in ("eq_y23", "eq_q30", "eq_q31"):
         assert rep.record(tag).residual < 1e-8, tag
@@ -219,13 +223,14 @@ def test_paper_choices_reuse_engine_artifacts(derivative, monkeypatch):
     import diracred.threeform as tf
 
     sys = dense_threeform(LatticeSpec(d=3, L=3, derivative=derivative))
-    rep = run_threeform_checks(sys, DEFAULT_TOL)
-    assert np.array_equal(rep.f_engine, _engine_bracket(sys))
-    inputs = _engine_inputs(sys)
-    for part in ("point", "d30", "dpair"):
-        assert np.array_equal(getattr(rep, part), getattr(inputs, part)), part
+    irs, rep = run_threeform_checks(sys, DEFAULT_TOL)
+    assert np.array_equal(_noninvertible(irs), _engine_bracket(sys))
+    apart = _engine(sys)
+    assert np.array_equal(irs.artifacts.point, apart.artifacts.point)
+    assert np.array_equal(sys.d30, closed_form_projector(sys))
+    assert np.array_equal(sys.dpair, pair_projector(sys))
     assert not {"point", "d30", "dpair", "f_engine"} & set(rep.to_dict())
-    _, _, own = paper_choices_artifacts(sys, DEFAULT_TOL, engine=inputs)
+    _, own = paper_choices_artifacts(sys, DEFAULT_TOL, engine=apart)
     calls = []
 
     def count(owner, name):
@@ -237,11 +242,51 @@ def test_paper_choices_reuse_engine_artifacts(derivative, monkeypatch):
     for name in ("closed_form_projector", "pair_projector"):
         count(tf, name)
     count(tf.con, "sample_surface")
-    _, _, shared = paper_choices_artifacts(sys, DEFAULT_TOL, engine=rep)
-    # only the printed-choice build runs: the point and the projectors
-    # come from the engine report, and every record keeps its value
+    _, shared = paper_choices_artifacts(sys, DEFAULT_TOL, engine=irs)
+    # only the printed-choice build runs: the point comes from the
+    # engine's artifacts and the projectors from the system, formed once,
+    # and every record keeps its value
     assert calls == ["second_order_artifacts"]
     assert shared.to_dict()["checks"] == own.to_dict()["checks"]
+
+
+def test_planted_engine_bracket_fails_eq_14r_alone():
+    # the paper route compares its bracket with the bracket formed from
+    # the engine's artifacts: an engine m2 off by 1 + 1e-6 fails eq_14r,
+    # and no other record moves
+    lat = LatticeSpec(d=4, L=5)
+    sys = stack_threeform(lat, block_stacks(lat)[0][:8])
+    irs, _ = run_threeform_checks(sys, DEFAULT_TOL)
+    _, good = paper_choices_artifacts(sys, DEFAULT_TOL, engine=irs)
+    art = dataclasses.replace(irs.artifacts,
+                              m2=irs.artifacts.m2 * (1 + 1e-6))
+    _, bad = paper_choices_artifacts(
+        sys, DEFAULT_TOL, engine=dataclasses.replace(irs, artifacts=art))
+    assert good.passed
+    assert [r.name for r in bad.records if not r.passed] == ["eq_14r"]
+    assert [r.name for r in bad.records] == [r.name for r in good.records]
+    for r, g in zip(bad.records, good.records):
+        if r.name != "eq_14r":
+            assert r.residual == g.residual, r.name
+            assert np.array_equal(r.per_block, g.per_block), r.name
+
+
+def test_planted_projector_fails_eq_v23_in_both_reports(monkeypatch):
+    # both routes read the stack's closed-form projector: one off by
+    # 1 + 1e-6 fails the engine's eq_v23, eq_30 and eq_30_trace and the
+    # paper route's eq_v23
+    lat = LatticeSpec(d=4, L=3, derivative="spectral")
+    want = [
+        {r.name for r in rep.records if not r.passed}
+        for rep in certify_lattice(lat, paper_choices=True)]
+    real = tf.closed_form_projector
+    monkeypatch.setattr(tf, "closed_form_projector",
+                        lambda sys: real(sys) * (1 + 1e-6))
+    got = [{r.name for r in rep.records if not r.passed}
+           for rep in certify_lattice(lat, paper_choices=True)]
+    assert got[0] - want[0] == {"eq_v23", "eq_30", "eq_30_trace"}
+    assert got[1] - want[1] == {"eq_v23"}
+    assert want[0] <= got[0] and want[1] <= got[1]
 
 
 def _stencil_ops(lat):
@@ -362,7 +407,7 @@ def _verdicts(rep):
 
 @pytest.mark.parametrize("lat", REFERENCE_LATTICES, ids=str)
 def test_per_mode_matches_dense(lat, dense):
-    sys, rep, prep = dense(lat)
+    sys, irs, rep, prep = dense(lat)
     engine, paper = certify_lattice(lat, DEFAULT_TOL, paper_choices=True)
     assert engine.system == sys.cs.name
     assert paper.system == prep.system
@@ -371,15 +416,15 @@ def test_per_mode_matches_dense(lat, dense):
     # each block's bracket in the stacks is its diagonal block of the
     # dense bracket, and the dense bracket couples no two blocks; the
     # dense basis takes the blocks in orbit order
-    f = rep.f_engine
+    f = _noninvertible(irs)
     scale = 1.0 + np.abs(f).max()
     nt, m = len(sys.triples), sys.m
     widths = {k: q.shape[1] for k, q in fourier_bases(lat).items()}
     starts = dict(zip(widths, np.cumsum([0, *widths.values()])))
     label = np.full(f.shape[0], -1)
     for ks in block_stacks(lat):
-        stacked = run_threeform_checks(stack_threeform(lat, ks),
-                                       DEFAULT_TOL).f_engine
+        stacked = _noninvertible(run_threeform_checks(
+            stack_threeform(lat, ks), DEFAULT_TOL)[0])
         for g, k in enumerate(ks):
             cols = [t * m + starts[k] + c for t in range(nt)
                     for c in range(widths[k])]
@@ -953,7 +998,7 @@ def test_stacked_pass_matches_each_block_alone(d, size, derivative, start,
         ks = ks[lo:lo + WINDOW]
         sys = stack_threeform(lat, ks)
         try:
-            rep = run_threeform_checks(sys, DEFAULT_TOL)
+            irs, rep = run_threeform_checks(sys, DEFAULT_TOL)
         except NoSolutionError as exc:
             k = str(exc).split("mode k=")[1].split(":")[0]
             g = [str(kk) for kk in ks].index(k)
@@ -961,17 +1006,18 @@ def test_stacked_pass_matches_each_block_alone(d, size, derivative, start,
                 run_threeform_checks(_block_alone(sys, g), DEFAULT_TOL)
             assert str(alone.value) == str(exc)
             continue
-        _, _, prep = paper_choices_artifacts(sys, DEFAULT_TOL, engine=rep)
-        omega, reseeded = _omega_pair(sys.cs, rep.point)
+        _, prep = paper_choices_artifacts(sys, DEFAULT_TOL, engine=irs)
+        omega, reseeded = _omega_pair(sys.cs, irs.artifacts.point)
+        f = _noninvertible(irs)
         for g in sorted(set(reseeded) | {p % len(ks) for p in picks}):
             one = _block_alone(sys, g)
-            rep1 = run_threeform_checks(one, DEFAULT_TOL)
-            _, _, prep1 = paper_choices_artifacts(one, DEFAULT_TOL,
-                                                  engine=rep1)
-            omega1, reseeded1 = _omega_pair(one.cs, rep1.point)
+            irs1, rep1 = run_threeform_checks(one, DEFAULT_TOL)
+            _, prep1 = paper_choices_artifacts(one, DEFAULT_TOL,
+                                               engine=irs1)
+            omega1, reseeded1 = _omega_pair(one.cs, irs1.artifacts.point)
             assert (g in reseeded) == bool(reseeded1)
             assert np.abs(omega[g] - omega1).max() < 1e-13
-            assert np.abs(rep.f_engine[g] - rep1.f_engine).max() < 1e-13
+            assert np.abs(f[g] - _noninvertible(irs1)).max() < 1e-13
             for stacked, alone in ((rep, rep1), (prep, prep1)):
                 assert [r.name for r in stacked.records] == [
                     r.name for r in alone.records]
