@@ -163,7 +163,8 @@ def _cmd_bracket(args) -> int:
     elif method == "invertible":
         mat = so.fundamental_matrix_2(cs, at, "invertible", tol)
     else:
-        irs = irr.build_irreducible(so.full_artifacts(cs, at, tol), tol)
+        irs = irr.build_irreducible(so.second_order_artifacts(cs, at, tol),
+                                    tol)
         ext = irs.join(at, np.zeros(irs.dim_y))
         mat = irr.fundamental_matrix_irred(irs, ext, tol)[:cs.spec.dim,
                                                           :cs.spec.dim]
@@ -204,7 +205,8 @@ def _cmd_evolve(args) -> int:
     tol = DEFAULT_TOL
     h = parse_qspec(args.hamiltonian, cs.spec.default_labels())
     z0 = con.sample_surface(cs, args.seed, 1, tol)[0]
-    irs = irr.build_irreducible(so.full_artifacts(cs, z0, tol), tol)
+    irs = irr.build_irreducible(so.second_order_artifacts(cs, z0, tol),
+                                tol)
     state = irr.evolve(irs, h, irs.join(z0, np.zeros(irs.dim_y)),
                        args.dt, args.steps)
     z, y = irs.split(state)

@@ -319,9 +319,11 @@ def validate(
     """Check reducibility relations and second-class rank counts.
 
     Reducibility is checked in its gradient form Z1^T G^T = 0 (eq_2),
-    relative to 1 + |Z1^T G^T|, once on a constant set and at every point
-    otherwise.  Points must already lie on the surface; off-surface input
-    is refused, and so is an empty list of points.
+    relative to 1 + |Z1^T G^T|, and the chain Z1 Z2 = 0 (eq_11x), once on
+    a constant set and at every point otherwise.  On a stack of systems
+    each record holds one residual per system.  Points must already lie
+    on the surface; off-surface input is refused, and so is an empty list
+    of points.
     """
     if not len(points):
         raise InvalidInputError("validate needs at least one point")
@@ -337,22 +339,24 @@ def validate(
          else np.stack([cs.gradients(p) for p in points]))
     rank_c = cs.factors("c", mt(g) @ cs.spec.poisson @ g, tol).rank
     z1 = cs.z1 if isinstance(cs.z1, np.ndarray) else np.stack(z1s)
+    # a constant set's records are taken once, one residual per system of
+    # a stack; a function set's are the worst over its points
+    worst = np.asarray if cs.is_constant else np.max
 
-    rep = CheckReport(system=cs.name, tolerances=tol)
+    rep = CheckReport(system=cs.name, tolerances=tol, blocks=cs.blocks)
     # the gradient form of Z1^T chi = 0, Z1^T G^T = 0, holds at every
     # surface point, where Z1^T chi itself reads 0 whatever Z1 is
     z1_g = mt(z1) @ mt(g)
-    rep.add("eq_2", np.max(rel_residual(z1_g, np.zeros_like(z1_g))),
+    rep.add("eq_2", worst(rel_residual(z1_g, np.zeros_like(z1_g))),
             tol.weak_eq)
-    rep.add("eq_11d_rank", np.abs(rank_c - (cs.m0 - m1 + m2)).max(),
+    rep.add("eq_11d_rank", worst(np.abs(rank_c - (cs.m0 - m1 + m2))),
             COUNT_TOL)
     if z2s:
-        rep.add("eq_11x", max(float(chain_residual(a, b))
-                              for a, b in zip(z1s, z2s)), tol.weak_eq)
         z2 = cs.z2 if isinstance(cs.z2, np.ndarray) else np.stack(z2s)
-        rep.add("z2_rank", np.abs(rank_tol(z2, tol) - m2).max(), COUNT_TOL)
-    rep.add("z1_rank", np.abs(cs.factors("z1", z1, tol).rank
-                              - (m1 - m2)).max(), COUNT_TOL)
+        rep.add("eq_11x", worst(chain_residual(z1, z2)), tol.weak_eq)
+        rep.add("z2_rank", worst(np.abs(rank_tol(z2, tol) - m2)), COUNT_TOL)
+    rep.add("z1_rank", worst(np.abs(cs.factors("z1", z1, tol).rank
+                                    - (m1 - m2))), COUNT_TOL)
     return rep
 
 
@@ -594,8 +598,9 @@ def load_system(path: Union[str, Path]) -> ConstraintSet:
     Array fields may be nested lists, as in hand-written files, or encoded
     as save_system writes them; either form gets the same checks.  Here
     the keys, n_pairs, each field's decoding and a 2-D chi.B (a file
-    holds one system) are checked; ConstraintSet.linear checks the
-    shapes."""
+    holds one system) with 2 n_pairs columns are checked, the last before
+    any 2N x 2N matrix is allocated; ConstraintSet.linear checks the
+    other shapes."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -605,18 +610,20 @@ def load_system(path: Union[str, Path]) -> ConstraintSet:
             raise InvalidInputError(f"system file missing field {key!r}")
     n_pairs = doc["n_pairs"]
     require_int(n_pairs, "system file field 'n_pairs'", 1)
-    poisson = None
-    if "poisson" in doc:
-        poisson = _array_field(doc["poisson"], "poisson")
-    spec = PhaseSpec(n_pairs=n_pairs, poisson=poisson)
     chi_doc = doc["chi"]
     if not isinstance(chi_doc, dict) or "B" not in chi_doc:
         raise InvalidInputError("system file field 'chi' needs a 'B' array")
     b = _array_field(chi_doc["B"], "chi.B")
-    if b.ndim != 2:
+    # before PhaseSpec allocates its 2N x 2N matrix
+    if b.ndim != 2 or b.shape[1] != 2 * n_pairs:
         raise InvalidInputError(
-            f"'chi.B' must be M0 x {spec.dim}: a file holds one system, "
+            f"'chi.B' must be M0 x {2 * n_pairs} (2 'n_pairs' columns, "
+            "one per phase-space coordinate): a file holds one system, "
             f"not a stack, got shape {b.shape}")
+    poisson = None
+    if "poisson" in doc:
+        poisson = _array_field(doc["poisson"], "poisson")
+    spec = PhaseSpec(n_pairs=n_pairs, poisson=poisson)
     c = None if "c" not in chi_doc else _array_field(chi_doc["c"], "chi.c")
     z1 = _array_field(doc["Z1"], "Z1")
     z2 = None if doc.get("Z2") is None else _array_field(doc["Z2"], "Z2")

@@ -12,8 +12,9 @@ matrix as its m2, with every defining identity checked; ``analyze``
 certifies order-1 files that way, and no CLI subcommand uses this
 module.  It forms only what the bracket needs, at a fraction of the
 cost.  The invertible and irreducible brackets of an order-1 system come
-from the one second-order engine (full_artifacts, then
-irreducible.build_irreducible), whose omega pair needs an even M1.
+from the one second-order engine (full_artifacts, and
+second_order_artifacts then irreducible.build_irreducible), and both
+need an even M1: the omega pair and the canonical y pairing alike.
 """
 
 from __future__ import annotations

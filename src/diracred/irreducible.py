@@ -1,7 +1,8 @@
 """Irreducible replacement of a second-order reducible system.
 
 The phase space is extended by M1 variables y with an invertible
-antisymmetric bracket omega_y; the reducible constraints chi are traded
+antisymmetric bracket omega_y, the canonical pairing -J_{M1} on every
+route (so M1 must be even); the reducible constraints chi are traded
 for the independent set
 
     chi_tilde_a0 = chi_a0 + a01 y,    chi_tilde_a2 = Z2^T y,
@@ -50,6 +51,7 @@ from .numerics import (
     rel_residual,
     require_int,
     require_shape,
+    symplectic_block,
 )
 from .phase import PhaseFunction, dirac_matrix
 from .report import COUNT_TOL, CheckReport
@@ -176,8 +178,14 @@ class IrreducibleSystem:
         """Intermediate-system fundamental matrix at the build point,
         read-only: the constraints (chi, y), whose gradients
         block_diag(grad chi, I_y) and bracket inverse block_diag(mu2,
-        omega_y^-1) make it the block_diag of the blocks' own matrices."""
+        omega_y^-1) make it the block_diag of the blocks' own matrices.
+        Artifacts without the mu pair (not from full_artifacts) raise
+        InvalidInputError."""
         art = self.artifacts
+        if art.mu2 is None:
+            raise InvalidInputError(
+                "the intermediate system needs the mu pair; build the "
+                "artifacts with full_artifacts")
         f_z = dirac_matrix(self.base.spec.poisson, art.g, art.mu2)
         out = scipy.linalg.block_diag(f_z, dirac_matrix(
             self.omega_y, np.eye(self.dim_y), self.omega_y_inv))
@@ -193,24 +201,34 @@ def assemble_irreducible(
     art: so.SecondOrderArtifacts,
     ehat: np.ndarray,
     ehat_inv: np.ndarray,
-    omega_y: np.ndarray,
-    omega_y_inv: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> IrreducibleSystem:
-    """Assemble the irreducible system from artifacts, a congruence
-    (ehat, ehat_inv) and a y-space bracket (omega_y, omega_y_inv).
+    """Assemble the irreducible system from any second_order_artifacts
+    and a congruence (ehat, ehat_inv).
 
-    The mixing matrix is a01 = abar01^T ehat^-T.  c_delta is the bracket
-    matrix of chi_tilde and c_delta_inv its closed-form block inverse,
-    built from m2, the congruence and omega_y_inv; no matrix is inverted
-    here.  The closed form needs no self-adjoint derivative: it holds
-    for the engine's choice and for the lattice three-form's printed
-    choices with forward differences alike.  c_delta_inv must invert
+    The y fields are paired canonically, omega_y = -J_{M1} and
+    omega_y_inv = J_{M1} (the three-form's [A^l, pi_k] = delta_kl); an
+    odd M1 admits no such pairing and raises InvalidInputError naming
+    it.  No omega or mu pair is read.  The mixing matrix is a01 =
+    abar01^T ehat^-T.  c_delta is the bracket matrix of chi_tilde and
+    c_delta_inv its closed-form block inverse, built from m2, the
+    congruence and omega_y_inv; no matrix is inverted here.  The closed
+    form needs no self-adjoint derivative: it holds for the engine's
+    choice and for the lattice three-form's printed choices with forward
+    differences alike.  c_delta_inv must invert
     c_delta (eq_p11) at full rank (rank_c_delta), or NoSolutionError;
     whether a congruence other than the identity preserves the d11
     projector sandwich is its caller's record (eq_27qq).  The system,
     Z1 and Z2 are those the artifacts carry.
     """
+    m1 = art.d11.shape[-1]
+    if m1 % 2:
+        raise InvalidInputError(
+            f"M1 = {m1}: the y fields need an invertible antisymmetric "
+            f"bracket, and none exists in odd dimension {m1}")
+    # canonical pairing of the y fields: [A^l, pi_k] = delta_kl
+    omega_y = -symplectic_block(m1)
+    omega_y_inv = -omega_y
     rep = CheckReport(system=art.report.system, tolerances=tol,
                       blocks=art.report.blocks)
     a01 = mt(art.abar01) @ mt(ehat_inv)
@@ -247,23 +265,16 @@ def build_irreducible(
     tol: Tolerance = DEFAULT_TOL,
 ) -> IrreducibleSystem:
     """The irreducible system of the artifacts' base with the engine's
-    choice: the identity congruence and omega_y = omega_low, so a01 =
-    abar01^T.  The artifacts must carry the omega and mu pairs
-    (full_artifacts).
+    choice: the identity congruence, so a01 = abar01^T, and the
+    canonical y pairing of assemble_irreducible.  Any
+    second_order_artifacts serve; no omega or mu pair is read.
     c_delta_inv is the closed form of assemble_irreducible, the same one
     that certifies the lattice three-form's printed choices with forward
-    differences, and its records are the report's only new ones: a
-    defect in the omega pair already fails eq_a18/eq_a18a, one in the
-    mu pair eq_21q, and one in c_delta or its inverse eq_p11.
+    differences, and its records (eq_p11, rank_c_delta) are the report's
+    only new ones.
     """
-    if art.omega_low is None or art.mu2 is None:
-        raise InvalidInputError(
-            "artifacts must carry the omega and mu pairs; use full_artifacts"
-        )
     eye = np.eye(art.d11.shape[-1])
-    # omega_tilde_pair certified omega_up as omega_low's inverse (eq_a18a)
-    return assemble_irreducible(art, eye, eye, art.omega_low, art.omega_up,
-                                tol)
+    return assemble_irreducible(art, eye, eye, tol)
 
 
 def fundamental_matrix_irred(
@@ -292,7 +303,8 @@ def intermediate_bracket_matrix(
 
     Built once per system and copied at each call, like
     fundamental_matrix_irred, and refused likewise away from the build
-    point of a non-constant base.
+    point of a non-constant base.  It reads mu2, so a system built
+    without the mu pair raises InvalidInputError.
     """
     sys._valid_at(at, tol)
     return sys._inter_kernel.copy()
@@ -329,13 +341,17 @@ def equivalence_report(
     same at every point, and on any other base every point that passes is
     the build point, within tol.surface.
 
-    At the engine's choice (build_irreducible: ehat = I, omega_y =
-    omega_low) the z block of the irreducible kernel is the invertible
-    bracket formed with the same arithmetic; the two were equal bit for
-    bit on the toy, synth_linear(10, 12, 8, 2) seed 7 and 2N = 200 seeds
-    5 and 31.  There eq_32's irreducible-invertible pair carries no
-    independent evidence: eq_32y, eq_p11 and the lattice's
-    paper-choices route are what test the irreducible construction.
+    The intermediate kernel reads mu2 and is read first, so artifacts
+    without the mu pair raise InvalidInputError before any bracket is
+    formed.  At the engine's choice (build_irreducible: ehat = I and the
+    canonical y pairing) the z block of the irreducible kernel is
+    J - JG (m2 + Z1 J_{M1} Z1^T) G^T J: it differs from the noninvertible
+    bracket by (JG Z1) J_{M1} (JG Z1)^T, which vanishes weakly, and reads
+    no mu2.  Its max-abs distance to the noninvertible and invertible
+    brackets measured 5.6e-16 and 6.7e-16 on the toy, 6.1e-15 and
+    1.2e-14 on synth_linear(10, 12, 8, 2) seed 7, 1.0e-12 and 2.3e-12 at
+    2N = 200 seed 5, and 2.8e-11 and 4.4e-10 at 2N = 1000 seed 5, where
+    the invertible route carries kappa(mu2) = 1.6e8.
     """
     if sys.base.batch:
         raise InvalidInputError("equivalence_report takes one system, "
@@ -362,12 +378,13 @@ def equivalence_report(
         return max(float(np.abs(diff).max()),
                    float(np.abs(contracted).max(initial=0.0)))
 
+    # at the build point; the intermediate kernel refuses artifacts
+    # without the mu pair, which f_inv reads too
+    f_inter, f_irr = sys._inter_kernel, sys._irred_kernel
     art = sys.artifacts
     f_non = dirac_matrix(cs.spec.poisson, art.g, art.m2)
     f_inv = dirac_matrix(cs.spec.poisson, art.g, art.mu2)
-    f_inter, f_irr = sys._inter_kernel, sys._irred_kernel  # at build point
-    # the y rows and columns are where the two extended matrices are
-    # formed differently; the z blocks are the same products
+    # the two extended matrices, y rows and columns included
     dev_extended = float(np.abs(f_irr - f_inter).max())
     f_inter, f_irr = f_inter[:dim, :dim], f_irr[:dim, :dim]
     mats = [f_non, f_inv, f_inter, f_irr]

@@ -46,7 +46,6 @@ class PhaseSpec:
 
     n_pairs: int
     poisson: np.ndarray = None  # type: ignore[assignment]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         require_int(self.n_pairs, "n_pairs", 1)
@@ -64,19 +63,13 @@ class PhaseSpec:
             if rank_tol(j) != dim:
                 raise InvalidInputError("poisson matrix must be invertible")
         object.__setattr__(self, "poisson", j)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != dim:
-                raise InvalidInputError("one label per coordinate required")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return 2 * self.n_pairs
 
     def default_labels(self) -> tuple[str, ...]:
-        if self.labels is not None:
-            return self.labels
+        """The coordinate names q1..qN, p1..pN."""
         n = self.n_pairs
         return tuple(
             [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]

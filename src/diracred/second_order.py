@@ -284,7 +284,9 @@ def full_artifacts(
     tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
 ) -> SecondOrderArtifacts:
-    """Artifacts with the omega pair and mu pair installed.
+    """Artifacts with the omega pair and mu pair installed, which only
+    the invertible and intermediate brackets read: build_irreducible
+    takes second_order_artifacts alone.
 
     The canonical omega seed can lose rank on the range of d11 (on the
     forward-difference lattice three-form it does for a few {k, -k}

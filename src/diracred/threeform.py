@@ -498,9 +498,11 @@ def run_threeform_checks(
     second_order_artifacts, which names it; G is evaluated and C formed
     there alone.  On a stack of Fourier blocks every stage, the oracle
     that eq_32 checks the routes against included, runs once over the
-    stack, and each record takes one residual per block.  The report's
-    seeds take the irreducible build's (an omega reseed and, on a stack,
-    the indices of the reseeded blocks).
+    stack, and each record takes one residual per block.  The omega and
+    mu pairs serve the invertible route alone; the irreducible build
+    pairs the y fields canonically.  The report's seeds take the
+    artifacts' (an omega reseed and, on a stack, the indices of the
+    reseeded blocks).
     """
     cs = sys.cs
     rep = CheckReport(system=cs.name, tolerances=tol,
@@ -676,8 +678,9 @@ def paper_choices_artifacts(
     the printed choices' second_order_artifacts.  The report holds
     every record of second_order_artifacts and assemble_irreducible (from
     eq_11x to rank_c_delta), then the route's own.  The printed a12,
-    abar01 and congruence ehat, with the canonical vector-field pairing
-    as the y-space bracket, go through irreducible.assemble_irreducible:
+    abar01 and congruence ehat go through
+    irreducible.assemble_irreducible, which pairs the y fields
+    canonically, [A^l, pi_k] = delta_kl, as the engine's route does:
     the mixing matrix a01 = abar01^T ehat^-T is derived there, the
     gradient rows of the assembled chi_tilde, read from the G and Z2 the
     artifacts carry (build_gradients), are checked row by row against
@@ -707,10 +710,7 @@ def paper_choices_artifacts(
     art = so.second_order_artifacts(cs, engine.artifacts.point, tol,
                                     a12=a12, abar01=_paper_abar01(sys))
     ehat, ehat_inv = _paper_ehat(sys)
-    # canonical pairing of the y fields: [A^l, pi_k] = delta_kl
-    omega_y = -symplectic_block(cs.m1)
-    irs = irr.assemble_irreducible(art, ehat, ehat_inv, omega_y, -omega_y,
-                                   tol)
+    irs = irr.assemble_irreducible(art, ehat, ehat_inv, tol)
     rep.merge(irs.report)
     # recorded, not required: a bad printed congruence still yields a
     # full report, and the closed-form inverse it breaks is eq_p11

@@ -119,7 +119,10 @@ def test_missing_and_malformed_files_exit_2(synth_file, tmp_path, capsys):
     inf_c = [np.inf] + [0.0] * 11
     inf_bytes = base64.b64encode(np.array(inf_c, "<f8").tobytes()).decode()
     bad = tmp_path / "bad.json"
+    # an n_pairs that disagrees with chi.B is named before PhaseSpec is
+    # built: 2N = 2e8 once ended in numpy's ArrayMemoryError (284 PiB)
     for field, value in (("n_pairs", "two"), ("n_pairs", -1),
+                         ("n_pairs", 100000000), ("n_pairs", 3),
                          ("chi.B", [[1, "x"]]), ("Z1", [["a"]]),
                          ("chi.c", inf_c), ("chi.c", [np.nan] * 12),
                          ("chi.c", {**saved["chi"]["c"],
@@ -350,6 +353,31 @@ def test_analyze_evaluates_the_gradients_once_per_stage(synth_file, capsys,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, omega, mu", [
+    (["evolve", "FILE", "--h", "0.5*q1^2 + 0.5*p1^2", "--steps", "3",
+      "--dt", "0.01"], 0, 0),
+    (["bracket", "FILE", "--method", "irreducible"], 0, 0),
+    (["analyze", "FILE", "--points", "4"], 1, 1),
+    # one pair per stack (the generic blocks and the self-conjugate ones),
+    # and one reseed of the stack whose canonical omega seed loses rank
+    (["threeform", "--dim", "3", "--lattice", "4"], 3, 2),
+])
+def test_only_the_invertible_route_builds_the_omega_and_mu_pairs(
+        synth_file, capsys, monkeypatch, argv, omega, mu):
+    calls = {"omega_tilde_pair": 0, "mu_pair": 0}
+    for name in calls:
+        real = getattr(so, name)
+
+        def counting(*a, _name=name, _real=real, **k):
+            calls[_name] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(so, name, counting)
+    assert main([synth_file if a == "FILE" else a for a in argv]) == 0
+    assert calls == {"omega_tilde_pair": omega, "mu_pair": mu}
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("system", [duplicated_pair_system,
                                     doubled_pair_system])
 def test_analyze_order_one_matches_the_lean_route(system, tmp_path, capsys):
@@ -498,17 +526,18 @@ def test_evolve_order_one(doubled_file, tmp_path, capsys):
         k4 = kernel @ h @ (state + 0.01 * k3)
         state = state + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert np.abs(z - state).max() <= 1e-9
-    # M1 = 1 admits no omega pair, so no irreducible system to evolve and
-    # no invertible or irreducible bracket; the error names M1
+    # M1 = 1 admits no canonical pairing of the y fields, so no
+    # irreducible system to evolve and no irreducible bracket, and no
+    # omega pair, so no invertible bracket; the error names M1
     dup = str(tmp_path / "dup.json")
     save_system(duplicated_pair_system(), dup)
-    for argv in (["evolve", dup, "--h", "0.5*q2^2", "--steps", "1",
-                  "--dt", "0.01"],
-                 ["bracket", dup, "--method", "invertible"],
-                 ["bracket", dup, "--method", "irreducible"]):
+    for argv, pair in ((["evolve", dup, "--h", "0.5*q2^2", "--steps", "1",
+                         "--dt", "0.01"], False),
+                       (["bracket", dup, "--method", "invertible"], True),
+                       (["bracket", dup, "--method", "irreducible"], False)):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "M1 = 1" in err and "omega pair" in err
+        assert "M1 = 1" in err and ("omega pair" in err) == pair
 
 
 # the records of second_order_artifacts, in order

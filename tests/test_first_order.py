@@ -38,7 +38,11 @@ from diracred.phase import (
     poisson_bracket,
     quadratic,
 )
-from diracred.second_order import full_artifacts, fundamental_matrix_2
+from diracred.second_order import (
+    full_artifacts,
+    fundamental_matrix_2,
+    second_order_artifacts,
+)
 from test_constraints import function_rows
 
 
@@ -259,6 +263,10 @@ def test_lift_rank_condition_enforced():
     with pytest.raises(InvalidInputError, match="odd dimension 1"):
         # odd M1 has no invertible antisymmetric omega pair
         full_artifacts(duplicated_pair_system(), np.zeros(4))
+    with pytest.raises(InvalidInputError, match="M1 = 1"):
+        # nor a canonical pairing of the y fields
+        build_irreducible(second_order_artifacts(duplicated_pair_system(),
+                                                 np.zeros(4)))
     cs = doubled_pair_system()
     at = sample_surface(cs, seed=5, count=1)[0]
     # dependent Z1 columns admit no abar01 with abar01 Z1 = d11 = I

@@ -44,6 +44,7 @@ from diracred.second_order import (
     fundamental_matrix_2,
     second_order_artifacts,
 )
+from diracred.report import COUNT_TOL
 from lattice_reference import block
 from test_oracle_stack import stack_of
 
@@ -228,6 +229,24 @@ def test_stack_point_gives_each_block_its_own_matrix(entry):
 STACK = stack_of([synth_linear(4, 8, 4, 2, s) for s in (1, 2, 3)])
 STACK_AT = sample_surface(STACK, seed=2, count=1)[0]
 STACK_IRS = build_irreducible(full_artifacts(STACK, STACK_AT))
+
+
+def test_validate_on_a_stack_gives_each_block_its_own_records():
+    # this used to end in a builtin TypeError, from float() of eq_11x's
+    # per-block residuals
+    points = sample_surface(STACK, seed=0, count=2)
+    rep = validate(STACK, points)
+    assert rep.blocks == STACK.blocks
+    for i in range(len(STACK.blocks)):
+        one = validate(block(STACK, i), [p[i] for p in points])
+        assert [r.name for r in one.records] == [r.name for r in rep.records]
+        for r, mine in zip(rep.records, one.records):
+            if r.tolerance == COUNT_TOL:
+                assert r.per_block[i] == mine.residual
+            else:
+                assert abs(r.per_block[i] - mine.residual) <= 1e-14
+
+
 ONE_SYSTEM = {
     "equivalence_report": lambda irs, h: equivalence_report(irs, [STACK_AT]),
     "eom_step": lambda irs, h: eom_step(irs, h, irs.build_point, 0.01),

@@ -10,6 +10,7 @@ import diracred.oracle as oracle_mod
 from diracred.constraints import (
     ConstraintSet,
     OffSurfaceError,
+    curved_first_order_system,
     project_to_surface,
     sample_surface,
     synth_linear,
@@ -34,8 +35,9 @@ from diracred.numerics import (
 )
 from diracred.oracle import fundamental_matrix_oracle
 from diracred.phase import affine, opaque, poisson_bracket, quadratic
-from diracred.second_order import full_artifacts
+from diracred.second_order import full_artifacts, second_order_artifacts
 from test_constraints import function_rows
+from test_second_order import isotropic_system
 
 
 @pytest.fixture(scope="module")
@@ -64,21 +66,22 @@ def test_c_delta_invertible_and_irreducible(toy_irr):
 
 
 def test_planted_rank_loss_in_c_delta_fails_its_count(toy_irr, svd_args):
-    # omega_y scaled by 1e-12 and its inverse by 1e12 leave c_delta_inv an
-    # inverse of c_delta (eq_p11 passes at weak_eq 1e-3, residual 2.6e-4;
-    # c2 + 1e-12 (...) rounds the small term too much for 1e-8) while
-    # c_delta's sigma ratio falls below rank_rel: the certificate falls
-    # back to the SVD, whose count fails rank_c_delta
+    # the congruence ehat = s I scales the y part of c_delta by 1/s^2 and
+    # that of c_delta_inv by s^2: at s = 1e5 and 1e6 c_delta_inv is still
+    # an inverse of c_delta (eq_p11 passes at weak_eq 1e-3) while
+    # c_delta's sigma ratio falls below rank_rel, so the certificate
+    # falls back to the SVD, whose count fails rank_c_delta
     cs, _, irs = toy_irr
     art, n, eye = irs.artifacts, cs.m0 + cs.m2, np.eye(cs.m1)
     svd_args.clear()
-    assemble_irreducible(art, eye, eye, irs.omega_y, irs.omega_y_inv)
+    assemble_irreducible(art, eye, eye)
     assert (n, n) not in [a.shape[-2:] for a in svd_args]
     loose = Tolerance(rank_rel=1e-10, weak_eq=1e-3)
-    with pytest.raises(NoSolutionError, match="rank_c_delta failed"):
-        assemble_irreducible(art, eye, eye, irs.omega_y * 1e-12,
-                             irs.omega_y_inv * 1e12, loose)
-    assert [a.shape[-2:] for a in svd_args] == [(n, n)]
+    for s in (1e5, 1e6):
+        svd_args.clear()
+        with pytest.raises(NoSolutionError, match="rank_c_delta failed"):
+            assemble_irreducible(art, s * eye, eye / s, loose)
+        assert [a.shape[-2:] for a in svd_args] == [(n, n)]
 
 
 def recover(irs, at):
@@ -168,11 +171,7 @@ def test_congruence_choice_preserves_bracket():
     base = build_irreducible(art)
 
     def congruent(ehat_inv):
-        # the y-space bracket carried along by the congruence
-        ehat = np.linalg.inv(ehat_inv)
-        return assemble_irreducible(
-            art, ehat, ehat_inv, ehat.T @ base.omega_y @ ehat,
-            ehat_inv @ base.omega_y_inv @ ehat_inv.T)
+        return assemble_irreducible(art, np.linalg.inv(ehat_inv), ehat_inv)
 
     scaled = congruent(0.5 * np.eye(cs.m1))
     assert np.abs(scaled.a01 - 0.5 * base.a01).max() < 1e-15
@@ -187,6 +186,25 @@ def test_congruence_choice_preserves_bracket():
         rng = np.random.default_rng(6)
         bad = np.eye(cs.m1) + 0.5 * rng.standard_normal((cs.m1, cs.m1))
         congruent(bad)
+
+
+# the isotropic system's canonical omega seed vanishes on the range of d11
+@pytest.mark.parametrize("make", [
+    isotropic_system, toy_system, lambda: synth_linear(10, 12, 8, 2, seed=7),
+    curved_first_order_system])
+def test_build_needs_no_omega_or_mu_pair(make):
+    cs = make()
+    at = sample_surface(cs, seed=0, count=1)[0]
+    irs = build_irreducible(second_order_artifacts(cs, at))
+    assert irs.report.passed and "omega" not in irs.report.seeds
+    dim = cs.spec.dim
+    f = fundamental_matrix_irred(irs, irs.build_point)[:dim, :dim]
+    assert np.abs(f - fundamental_matrix_oracle(cs, at)).max() < 1e-10
+    # only the intermediate system, and so equivalence_report, reads mu2
+    with pytest.raises(InvalidInputError, match="mu pair"):
+        intermediate_bracket_matrix(irs, irs.build_point)
+    with pytest.raises(InvalidInputError, match="mu pair"):
+        equivalence_report(irs, [at])
 
 
 def test_equivalence_report_passes():

@@ -20,8 +20,6 @@ def test_phase_spec_defaults_and_labels():
     assert spec.dim == 4
     assert np.allclose(spec.poisson, canonical_poisson(2))
     assert spec.default_labels() == ("q1", "q2", "p1", "p2")
-    named = PhaseSpec(n_pairs=1, labels=("x", "px"))
-    assert named.default_labels() == ("x", "px")
 
 
 def test_phase_spec_rejects_bad_poisson():

@@ -200,15 +200,19 @@ def test_violated_identity_raises_naming_its_record(toy_art):
     assert info.value.residual > DEFAULT_TOL.weak_eq
 
 
-def test_isotropic_canonical_seed_reseeds(tmp_path, capsys):
-    # Z2 spans the second half of the M1 space, so d11 projects onto
-    # (e1, e2), on which the canonical seed [[0, I], [-I, 0]] vanishes
+def isotropic_system():
+    """Z2 spans the second half of the M1 space, so d11 projects onto
+    (e1, e2), on which the canonical seed [[0, I], [-I, 0]] vanishes."""
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
     z1 = np.zeros((4, 4))
     z1[:, :2] = q[:, :2]
     b = q[:, 2:] @ np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    cs = ConstraintSet.linear(PhaseSpec(n_pairs=2), b, z1, np.eye(4)[:, 2:],
-                              "isotropic")
+    return ConstraintSet.linear(PhaseSpec(n_pairs=2), b, z1,
+                                np.eye(4)[:, 2:], "isotropic")
+
+
+def test_isotropic_canonical_seed_reseeds(tmp_path, capsys):
+    cs = isotropic_system()
     at = sample_surface(cs, seed=0, count=1)[0]
     art = second_order_artifacts(cs, at)
     with pytest.raises(SeedRankError):
