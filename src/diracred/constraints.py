@@ -397,11 +397,17 @@ def sample_surface(
     same Gaussian draw.  Projections on affine chi read pinv(B), kept on
     cs.  The points are not kept: a caller that certifies one draw twice,
     as analyze does with validate and equivalence_report, draws once and
-    hands both the same list.
+    hands both the same list.  A ``count`` too large to draw raises
+    InvalidInputError naming it.
     """
     require_int(count, "count", 1)
     require_int(seed, "seed", 0)  # numpy's generators take no negative seed
-    starts = np.random.default_rng(seed).standard_normal((count, cs.spec.dim))
+    try:
+        starts = np.random.default_rng(seed).standard_normal(
+            (count, cs.spec.dim))
+    except (ValueError, MemoryError) as exc:
+        raise InvalidInputError(f"count must be small enough to draw, got "
+                                f"{count} ({exc})") from None
     return [project_to_surface(cs, s + np.zeros(cs.batch + s.shape), tol)
             for s in starts]
 

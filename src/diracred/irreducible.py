@@ -69,8 +69,6 @@ class BuildPointError(ValueError):
 @dataclass(frozen=True)
 class IrreducibleSystem:
     artifacts: so.SecondOrderArtifacts
-    omega_y: np.ndarray
-    omega_y_inv: np.ndarray
     ehat: np.ndarray
     ehat_inv: np.ndarray
     a01: np.ndarray
@@ -88,13 +86,13 @@ class IrreducibleSystem:
 
     @property
     def dim_y(self) -> int:
-        return self.omega_y.shape[-1]
+        return self.a01.shape[-1]
 
     def extended_poisson(self) -> np.ndarray:
         n = self.dim_z
         out = np.zeros(self.base.batch + (n + self.dim_y,) * 2)
         out[..., :n, :n] = self.base.spec.poisson
-        out[..., n:, n:] = self.omega_y
+        out[..., n:, n:] = -symplectic_block(self.dim_y)
         return out
 
     def split(self, at: np.ndarray) -> tuple:
@@ -178,7 +176,8 @@ class IrreducibleSystem:
         """Intermediate-system fundamental matrix at the build point,
         read-only: the constraints (chi, y), whose gradients
         block_diag(grad chi, I_y) and bracket inverse block_diag(mu2,
-        omega_y^-1) make it the block_diag of the blocks' own matrices.
+        omega_y^-1) make it the block_diag of the blocks' own matrices;
+        the y block, omega_y - omega_y omega_y^-1 omega_y, is zero.
         Artifacts without the mu pair (not from full_artifacts) raise
         InvalidInputError."""
         art = self.artifacts
@@ -187,8 +186,7 @@ class IrreducibleSystem:
                 "the intermediate system needs the mu pair; build the "
                 "artifacts with full_artifacts")
         f_z = dirac_matrix(self.base.spec.poisson, art.g, art.mu2)
-        out = scipy.linalg.block_diag(f_z, dirac_matrix(
-            self.omega_y, np.eye(self.dim_y), self.omega_y_inv))
+        out = scipy.linalg.block_diag(f_z, np.zeros((self.dim_y,) * 2))
         out.setflags(write=False)
         return out
 
@@ -254,9 +252,9 @@ def assemble_irreducible(
                 abs(rank_tol(c_delta, tol, inverse=c_delta_inv) - (m0 + m2)),
                 COUNT_TOL)
     return IrreducibleSystem(
-        artifacts=art, omega_y=omega_y, omega_y_inv=omega_y_inv,
-        ehat=ehat, ehat_inv=ehat_inv, a01=a01, c_delta=c_delta,
-        c_delta_inv=c_delta_inv, report=art.report.with_stage(rep),
+        artifacts=art, ehat=ehat, ehat_inv=ehat_inv, a01=a01,
+        c_delta=c_delta, c_delta_inv=c_delta_inv,
+        report=art.report.with_stage(rep),
     )
 
 
@@ -499,13 +497,15 @@ def evolve(
         return sys.join(z, y)
     kernel = sys._irred_kernel[:n, :n]
     eye = np.eye(n)
-    a = dt * (kernel @ h.q) if h.kind == "quadratic" else np.zeros((n, n))
-    phi = eye + a / 2.0 @ (eye + a / 3.0 @ (eye + a / 4.0))
-    d, r = a @ phi, dt * (phi @ (kernel @ h.b))
     # (d, r) is the map of 2^k steps and (d_acc, r_acc) that of the low
-    # k bits of steps; an overflow is refused by check_finite below
+    # k bits of steps; an overflow, of the one-step map included, is
+    # refused by check_finite below
     d_acc = r_acc = None
     with np.errstate(over="ignore", invalid="ignore"):
+        a = (dt * (kernel @ h.q) if h.kind == "quadratic"
+             else np.zeros((n, n)))
+        phi = eye + a / 2.0 @ (eye + a / 3.0 @ (eye + a / 4.0))
+        d, r = a @ phi, dt * (phi @ (kernel @ h.b))
         while True:
             if steps & 1:
                 if d_acc is None:

@@ -143,11 +143,13 @@ class CheckReport:
         self.blocks = tuple(blocks)
 
     def with_stage(self, stage: "CheckReport") -> "CheckReport":
-        """A copy of this report with a stage's records added.  A record
-        left by an earlier run of the same stage is replaced in place."""
+        """A copy of this report with a stage's records and seeds added.
+        A record left by an earlier run of the same stage is replaced in
+        place."""
         fresh = {r.name: r for r in stage.records}
         out = dataclasses.replace(
-            self, seeds=dict(self.seeds), timings=dict(self.timings),
+            self, seeds={**self.seeds, **stage.seeds},
+            timings=dict(self.timings),
             records=[fresh.pop(r.name, r) for r in self.records],
         )
         out.records.extend(fresh.values())

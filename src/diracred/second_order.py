@@ -19,7 +19,10 @@ An order-1 system runs through the same construction with M2 = 0 (its
 z2_at is M1 x 0): d11 = I, abar01 is a left inverse of Z1, d00 is the
 projector complementary to Z1 and mu2 = m2 + Z1 omega_up Z1^T.  The
 omega pair needs even M1 and M2; omega_tilde_pair raises
-InvalidInputError naming an odd one.
+InvalidInputError naming an odd one.  omega_tilde_pair alone decides
+each system's omega seed, the canonical J_{M1} or, where that loses
+rank, one drawn from its ``seed``, and records the choice in its
+report's seeds.
 """
 
 from __future__ import annotations
@@ -47,16 +50,6 @@ from .numerics import (
 )
 from .phase import dirac_matrix
 from .report import COUNT_TOL, CheckReport
-
-
-class SeedRankError(NoSolutionError):
-    """The omega seed loses rank on the range of d11, where a different
-    seed need not.  ``blocks`` marks the systems of a stack that lost it
-    (a single True for one system)."""
-
-    def __init__(self, message: str, residual: float, blocks: np.ndarray):
-        super().__init__(message, residual)
-        self.blocks = blocks
 
 
 @dataclass(frozen=True)
@@ -170,50 +163,15 @@ def second_order_artifacts(
     )
 
 
-def omega_tilde_pair(
-    art: SecondOrderArtifacts,
-    seed: Optional[int] = None,
-    tol: Tolerance = DEFAULT_TOL,
-    where: np.ndarray = True,
-) -> SecondOrderArtifacts:
-    """Install the mutually inverse antisymmetric pair on the M1 space.
-
-    omega_low restricts an invertible antisymmetric seed to the range of
-    d11 and fills the complementary Z2 block with the canonical
-    symplectic block; omega_up does the same with the pseudoinverse
-    restriction and the inverse block, making the two weakly inverse to
-    each other.  The seed is the canonical symplectic block, or with an
-    integer ``seed`` a random antisymmetric matrix drawn from it, on the
-    systems of a stack that the mask ``where`` selects (all by default).
-
-    An odd M1 or M2 admits no pair and raises InvalidInputError naming
-    it.  A system whose seed loses rank on the range of d11, or whose
-    pair is not invertible, raises SeedRankError marking it; its
-    identities are not required then, so that the error names every such
-    system of a stack at once.  A negative ``seed`` raises
-    InvalidInputError.
-    """
-    if seed is not None:
-        require_int(seed, "seed", 0)
-    m1 = art.d11.shape[-1]
-    m2 = art.a12.shape[-1]
-    for name, m in (("M1", m1), ("M2", m2)):
-        if m % 2:
-            raise InvalidInputError(
-                f"{name} = {m}: the omega pair needs an invertible "
-                f"antisymmetric {name} x {name} seed, and none exists in "
-                f"odd dimension {m}"
-            )
-    seed_low = symplectic_block(m1)
-    if seed is not None:
-        s = np.random.default_rng(seed).standard_normal((m1, m1))
-        seed_low = np.where(np.asarray(where)[..., None, None], s - s.T,
-                            seed_low)
+def _omega_candidates(art: SecondOrderArtifacts, seed_low: np.ndarray,
+                      tol: Tolerance) -> tuple:
+    """(omega_bar, omega_hat, omega_low, omega_up, lost) from one seed
+    per system: ``lost`` marks the systems whose restricted seed loses
+    rank on the range of d11 or whose pair is not invertible."""
+    m1, m2 = art.a12.shape[-2:]
     seed2 = symplectic_block(m2)
-
     omega_bar = mt(art.d11) @ seed_low @ art.d11
     f = svd_factors(omega_bar, tol)
-    lost = f.rank != m1 - m2
     # enforce exact antisymmetry against rounding
     omega_hat = skew_part(art.d11 @ f.pinv @ art.d11)
     omega_bar = skew_part(omega_bar)
@@ -224,24 +182,72 @@ def omega_tilde_pair(
     # the inverse's completion is on Z2 itself; a12 need only share its span
     omega_up = omega_hat + art.z2 @ seed2.T @ mt(art.z2)
 
+    # where omega_bar kept its rank, each of the pair certifies the other's
+    kept = np.array(f.rank == m1 - m2)
+    up, low = omega_up[kept], omega_low[kept]
+    kept[kept] = ((rank_tol(up, tol, inverse=low) == m1)
+                  & (rank_tol(low, tol, inverse=up) == m1))
+    return omega_bar, omega_hat, omega_low, omega_up, ~kept
+
+
+def omega_tilde_pair(
+    art: SecondOrderArtifacts,
+    seed: int = 0,
+    tol: Tolerance = DEFAULT_TOL,
+) -> SecondOrderArtifacts:
+    """Install the mutually inverse antisymmetric pair on the M1 space.
+
+    omega_low restricts an invertible antisymmetric seed to the range of
+    d11 and fills the complementary Z2 block with the canonical
+    symplectic block; omega_up does the same with the pseudoinverse
+    restriction and the inverse block, making the two weakly inverse to
+    each other.  The seed is the canonical symplectic block J_{M1}.  It
+    can lose rank on the range of d11 (on the forward-difference lattice
+    three-form it does for a few {k, -k} blocks, such as k = (0, 1, 3)
+    and its permutations at d = 3, L = 4), or give a pair that is not
+    invertible; the systems where it does are rebuilt, in the same call,
+    from s - s^T with s drawn from ``seed``, and the report's seeds
+    record "omega" and, on a stack, the labels of the rebuilt blocks as
+    "omega_blocks".  The identities are required of the final pair.
+
+    An odd M1 or M2 admits no pair and raises InvalidInputError naming
+    it; so does a negative ``seed``, even when no system is rebuilt.  A
+    system that loses rank with the drawn seed as well raises
+    NoSolutionError naming it.
+    """
+    require_int(seed, "seed", 0)
+    m1, m2 = art.a12.shape[-2:]
+    for name, m in (("M1", m1), ("M2", m2)):
+        if m % 2:
+            raise InvalidInputError(
+                f"{name} = {m}: the omega pair needs an invertible "
+                f"antisymmetric {name} x {name} seed, and none exists in "
+                f"odd dimension {m}"
+            )
     rep = CheckReport(system=art.report.system, tolerances=tol,
                       blocks=art.report.blocks)
+    canonical = symplectic_block(m1)
+    *pair, lost = _omega_candidates(art, canonical, tol)
+    if np.any(lost):
+        s = np.random.default_rng(seed).standard_normal((m1, m1))
+        *pair, still = _omega_candidates(
+            art, np.where(lost[..., None, None], s - s.T, canonical), tol)
+        rep.seeds["omega"] = seed
+        if art.base.batch:
+            rep.seeds["omega_blocks"] = [
+                rep.blocks[i] for i in np.flatnonzero(lost)]
+        art.base.raise_first(
+            still, lambda message: NoSolutionError(
+                message, float(np.sum(still))),
+            lambda i: f"the omega seed loses rank on the range of d11, "
+                      f"the canonical one and the one drawn from {seed}")
+    omega_bar, omega_hat, omega_low, omega_up = pair
     for name, res in (
         ("eq_a3", rel_residual(omega_hat @ omega_bar, art.d11)),
         ("eq_a18", rel_residual(omega_up @ art.d11 @ omega_low, art.d11)),
         ("eq_a18a", rel_residual(omega_up @ omega_low, np.eye(m1))),
     ):
-        rep.require(name, np.where(lost, 0.0, res), tol.weak_eq)
-    # where omega_bar kept its rank, each of the pair certifies the other's
-    kept = np.array(~lost)
-    up, low = omega_up[kept], omega_low[kept]
-    kept[kept] = ((rank_tol(up, tol, inverse=low) == m1)
-                  & (rank_tol(low, tol, inverse=up) == m1))
-    lost = ~kept
-    if np.any(lost):
-        raise SeedRankError(
-            "restricted seed is rank deficient or the omega pair is not "
-            "invertible, reseed required", float(np.sum(lost)), lost)
+        rep.require(name, res, tol.weak_eq)
     return replace(art, omega_low=omega_low, omega_up=omega_up,
                    report=art.report.with_stage(rep))
 
@@ -286,30 +292,11 @@ def full_artifacts(
 ) -> SecondOrderArtifacts:
     """Artifacts with the omega pair and mu pair installed, which only
     the invertible and intermediate brackets read: build_irreducible
-    takes second_order_artifacts alone.
-
-    The canonical omega seed can lose rank on the range of d11 (on the
-    forward-difference lattice three-form it does for a few {k, -k}
-    blocks, such as k = (0, 1, 3) and its permutations at d = 3, L = 4);
-    the pair is then rebuilt from the random seed drawn from ``seed``,
-    which the report's seeds then record as "omega".  On a stack only
-    the systems that lost rank are reseeded, and the seeds record their
-    indices in the stack as "omega_blocks" (certify_lattice turns them
-    into the blocks' labels).  Only the rank failure reseeds; a failed
-    identity raises.  A negative ``seed`` raises InvalidInputError, even
-    when no reseed happens.
+    takes second_order_artifacts alone.  ``seed`` is omega_tilde_pair's,
+    drawn only for the systems whose canonical omega seed loses rank.
     """
-    require_int(seed, "seed", 0)
-    art = second_order_artifacts(cs, at, tol)
-    try:
-        paired = omega_tilde_pair(art, tol=tol)
-    except SeedRankError as exc:
-        paired = omega_tilde_pair(art, seed, tol, where=exc.blocks)
-        paired.report.seeds["omega"] = seed
-        if cs.batch:
-            paired.report.seeds["omega_blocks"] = (
-                np.flatnonzero(exc.blocks).tolist())
-    return mu_pair(paired, tol)
+    return mu_pair(omega_tilde_pair(second_order_artifacts(cs, at, tol),
+                                    seed, tol), tol)
 
 
 def fundamental_matrix_2(

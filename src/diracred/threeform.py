@@ -489,11 +489,14 @@ def run_threeform_checks(
     """Generic pipeline on the lattice system against the closed forms.
 
     Returns (irreducible_system, report): the engine's irreducible system
-    at the point sampled from ``seed``, which paper_choices_artifacts
-    takes as its engine, and the report.  The report holds every record
-    of the stages it ran (the artifacts, the omega and mu pairs and the
-    irreducible build), then the routes' and the closed forms' records,
-    which read the system's projectors (d30, dpair).  A block whose chain
+    at the origin, which paper_choices_artifacts takes as its engine,
+    and the report.  chi = B z is homogeneous, so the origin lies on the
+    surface, and on the constant base every artifact is the same at
+    every point: no point is sampled, and ``seed`` is the omega pair's
+    reseed alone.  The report holds every record of the stages it ran
+    (the artifacts, the omega and mu pairs and the irreducible build),
+    then the routes' and the closed forms' records, which read the
+    system's projectors (d30, dpair).  A block whose chain
     or whose C fails (eq_11x, eq_11d_rank) stops the run in
     second_order_artifacts, which names it; G is evaluated and C formed
     there alone.  On a stack of Fourier blocks every stage, the oracle
@@ -501,15 +504,14 @@ def run_threeform_checks(
     stack, and each record takes one residual per block.  The omega and
     mu pairs serve the invertible route alone; the irreducible build
     pairs the y fields canonically.  The report's seeds take the
-    artifacts' (an omega reseed and, on a stack, the indices of the
+    artifacts' (an omega reseed and, on a stack, the labels of the
     reseeded blocks).
     """
     cs = sys.cs
-    rep = CheckReport(system=cs.name, tolerances=tol,
-                      seeds={"points": seed}, blocks=cs.blocks)
+    rep = CheckReport(system=cs.name, tolerances=tol, blocks=cs.blocks)
     t0 = time.perf_counter()
     nf = sys.n_field
-    z = con.sample_surface(cs, seed, 1, tol)[0]
+    z = np.zeros(cs.batch + (cs.spec.dim,))
     art = so.full_artifacts(cs, z, tol, seed)
     irs = irr.build_irreducible(art, tol)
     rep.merge(irs.report)
@@ -982,23 +984,24 @@ def certify_lattice(
     paper_choices_artifacts, one stack at a time: the paper route takes
     the engine's irreducible system of its stack, and both read the
     stack's projectors, formed once.  Each route's report holds every
-    record its stages made, eq_20 included.  Both reports record the
-    point seed.
+    record its stages made, eq_20 included.  Both routes certify the
+    origin, so neither report records a point seed; ``seed`` is the
+    omega pair's reseed.
     Each record keeps its worst residual, in one report per route under
     the lattice's name; its per-block residuals cover every block, each
     block carrying its representative's.  Each report's ``blocks`` labels
     every block, and ``filled`` counts those that are not
     representatives.  The engine report's seeds list the blocks whose
-    omega pair was reseeded, by label, as "omega_blocks": a reseeded
-    representative lists its whole orbit.  A failed construction
-    identity raises, naming the first failing block, which is a
-    representative.  Returns (engine report, paper-choices report or
-    None).
+    omega pair was reseeded, by the labels omega_tilde_pair records, as
+    "omega_blocks": a reseeded representative lists its whole orbit.  A
+    failed construction identity raises, naming the first failing block,
+    which is a representative.  Returns (engine report, paper-choices
+    report or None).
     """
     name = _lattice_name(lat)
-    engine = CheckReport(system=name, tolerances=tol, seeds={"points": seed})
-    paper = (CheckReport(system=name + " [paper choices]", tolerances=tol,
-                         seeds={"points": seed}) if paper_choices else None)
+    engine = CheckReport(system=name, tolerances=tol)
+    paper = (CheckReport(system=name + " [paper choices]", tolerances=tol)
+             if paper_choices else None)
     t0 = time.perf_counter()
     orbits = axis_orbits(lat)
     ks, rep = orbits[:2]
@@ -1012,10 +1015,7 @@ def certify_lattice(
         sys = _stack_system(lat, stack)
         irs, part = run_threeform_checks(sys, tol, seed)
         engine.fold(part)
-        if "omega" in part.seeds:
-            engine.seeds["omega"] = seed
-            reseeded.update(part.blocks[i]
-                            for i in part.seeds["omega_blocks"])
+        reseeded.update(part.seeds.get("omega_blocks", ()))
         if paper is not None:
             paper.fold(paper_choices_artifacts(sys, tol, engine=irs)[1])
     labels = tuple(f"mode k={k}" for k in ks)
@@ -1023,6 +1023,7 @@ def certify_lattice(
         if report is not None:
             report.spread(labels, source)
     if reseeded:
+        engine.seeds["omega"] = seed
         engine.seeds["omega_blocks"] = [
             label for label, r in zip(labels, rep) if labels[r] in reseeded]
     return engine, paper

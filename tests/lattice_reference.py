@@ -113,9 +113,9 @@ def certify_every_block(lat, tol=DEFAULT_TOL, seed=0, paper_choices=False):
     ``paper_choices`` through paper_choices_artifacts, and no block takes
     the residuals of another.  The reference for the orbit route."""
     name = tf._lattice_name(lat)
-    engine = CheckReport(system=name, tolerances=tol, seeds={"points": seed})
-    paper = (CheckReport(system=name + " [paper choices]", tolerances=tol,
-                         seeds={"points": seed}) if paper_choices else None)
+    engine = CheckReport(system=name, tolerances=tol)
+    paper = (CheckReport(system=name + " [paper choices]", tolerances=tol)
+             if paper_choices else None)
     for ks in block_stacks(lat):
         sys = stack_threeform(lat, ks)
         irs, rep = tf.run_threeform_checks(sys, tol, seed)
@@ -123,7 +123,7 @@ def certify_every_block(lat, tol=DEFAULT_TOL, seed=0, paper_choices=False):
         if "omega" in rep.seeds:
             engine.seeds["omega"] = seed
             engine.seeds.setdefault("omega_blocks", []).extend(
-                rep.blocks[i] for i in rep.seeds["omega_blocks"])
+                rep.seeds["omega_blocks"])
         if paper is not None:
             paper.fold(tf.paper_choices_artifacts(sys, tol, engine=irs)[1])
     return engine, paper

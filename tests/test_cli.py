@@ -219,6 +219,8 @@ def test_analyze_records_both_seeds(synth_file, tmp_path, capsys):
      "--drift-tol", "-1"],
     ["evolve", "{file}", "--h", "0.5*q1^2", "--steps", "2", "--dt", "0.1",
      "--drift-tol", "nan"],
+    # too many to draw, refused before anything is allocated
+    ["validate", "{file}", "--points", "100000000000000000000"],
 ])
 def test_input_errors_exit_2(argv, toy_file, tmp_path, capsys):
     out = tmp_path / "out.json"
@@ -358,9 +360,9 @@ def test_analyze_evaluates_the_gradients_once_per_stage(synth_file, capsys,
       "--dt", "0.01"], 0, 0),
     (["bracket", "FILE", "--method", "irreducible"], 0, 0),
     (["analyze", "FILE", "--points", "4"], 1, 1),
-    # one pair per stack (the generic blocks and the self-conjugate ones),
-    # and one reseed of the stack whose canonical omega seed loses rank
-    (["threeform", "--dim", "3", "--lattice", "4"], 3, 2),
+    # one pair per stack (the generic blocks and the self-conjugate ones);
+    # the stack whose canonical omega seed loses rank reseeds in its call
+    (["threeform", "--dim", "3", "--lattice", "4"], 2, 2),
 ])
 def test_only_the_invertible_route_builds_the_omega_and_mu_pairs(
         synth_file, capsys, monkeypatch, argv, omega, mu):
@@ -498,6 +500,7 @@ def test_evolve_toy(toy_file, capsys):
     # a bad step count or step size is refused whatever the other one is
     for steps, dt, message in (("0", "-1", "dt must be finite and positive"),
                                ("3", "nan", "dt must be finite and positive"),
+                               ("5", "1e308", "non-finite"),
                                ("-5", "0.01", "steps must be >= 0")):
         rc = main(["evolve", toy_file, "--h", "0.5*q2^2",
                    "--steps", steps, "--dt", dt])
@@ -599,7 +602,7 @@ def test_threeform_reports_a_failing_eq_20(capsys, monkeypatch):
     assert re.search(r"eq_20 +residual +1\.0000e\+00 .* FAIL", out)
 
 
-def test_threeform_evaluates_the_gradients_three_times_per_stack(
+def test_threeform_evaluates_the_gradients_twice_per_stack(
         capsys, monkeypatch, gradient_points):
     stacks = []
     real = tf._stack_system
@@ -607,14 +610,14 @@ def test_threeform_evaluates_the_gradients_three_times_per_stack(
                         lambda *a: stacks.append(a) or real(*a))
     # two stacks: the generic blocks and the self-conjugate ones
     assert main(["threeform", "--dim", "3", "--lattice", "8"]) == 0
-    # surface projection, the artifacts and the oracle: the routes and
-    # the closed forms read the gradients the artifacts carry
+    # the artifacts and the oracle, at the origin: the routes and the
+    # closed forms read the gradients the artifacts carry
     assert len(stacks) == 2
-    assert len(gradient_points) == 3 * len(stacks)
+    assert len(gradient_points) == 2 * len(stacks)
     capsys.readouterr()
 
 
-def test_threeform_paper_choices_evaluates_the_gradients_four_times_per_stack(
+def test_threeform_paper_choices_evaluates_the_gradients_three_times_per_stack(
         capsys, monkeypatch, gradient_points):
     calls = []
     for name in ("_stack_system", "closed_form_projector", "pair_projector"):
@@ -623,13 +626,13 @@ def test_threeform_paper_choices_evaluates_the_gradients_four_times_per_stack(
                             calls.append(name) or real(*a))
     assert main(["threeform", "--dim", "3", "--lattice", "8",
                  "--paper-choices"]) == 0
-    # the engine's three, and the printed choices' artifacts: the paper
+    # the engine's two, and the printed choices' artifacts: the paper
     # route reads the engine's point and bracket from its irreducible
     # system, its own chi_tilde rows from the G its artifacts carry, and
     # the projectors the stack formed once for both routes
     stacks = calls.count("_stack_system")
     assert stacks == 2
-    assert len(gradient_points) == 4 * stacks
+    assert len(gradient_points) == 3 * stacks
     assert calls.count("closed_form_projector") == stacks
     assert calls.count("pair_projector") == stacks
     capsys.readouterr()

@@ -32,6 +32,7 @@ from diracred.numerics import (
     NoSolutionError,
     Tolerance,
     rank_tol,
+    symplectic_block,
 )
 from diracred.oracle import fundamental_matrix_oracle
 from diracred.phase import affine, opaque, poisson_bracket, quadratic
@@ -356,8 +357,10 @@ def _per_point_report(cs, irs, n_points, seed):
         gchi = np.zeros((dim + irs.dim_y, cs.m0))
         gchi[:dim] = gz
         f_inter = jext - (jext @ gchi) @ art.mu2 @ (gchi.T @ jext)
-        # the y constraints: gradients I_y, bracket inverse omega_y^-1
-        f_inter[dim:, dim:] -= irs.omega_y @ irs.omega_y_inv @ irs.omega_y
+        # the y constraints: gradients I_y, bracket inverse omega_y^-1,
+        # with the canonical pairing omega_y = -J_{M1}
+        omega_y = -symplectic_block(irs.dim_y)
+        f_inter[dim:, dim:] -= omega_y @ -omega_y @ omega_y
         dev["eq_32y"] = max(dev["eq_32y"], np.abs(f_irr - f_inter).max())
         f_irr, f_inter = f_irr[:dim, :dim], f_inter[:dim, :dim]
         mats = [fundamental_matrix_oracle(cs, z), f_non, f_inv, f_inter,
@@ -707,8 +710,10 @@ def test_evolve_refuses_bad_input(toy_irr):
         evolve(irs, opaque(lambda z: float(z @ z), n), start, 0.01, 3)
     with pytest.raises(InvalidInputError, match="dimension"):
         evolve(irs, quadratic(np.eye(n + 2)), start, 0.01, 3)
+    # at dt = 1e100 and beyond the one-step map itself overflows, and
+    # numpy's overflow warning (an error in the tests) must not escape
     for dt, steps in ((0.0, 3), (-1.0, 0), (np.nan, 3), (np.inf, 3),
-                      (0.01, -1)):
+                      (0.01, -1), (1e100, 5), (1e200, 5), (1e308, 5)):
         with pytest.raises(InvalidInputError):
             evolve(irs, h, start, dt, steps)
     for dt in (0.0, np.nan):

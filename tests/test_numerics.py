@@ -292,6 +292,8 @@ BAD_INTEGERS = {
     "sample seed=0.5": lambda: sample_surface(toy_system(), 0.5, 1),
     "sample count=0": lambda: sample_surface(toy_system(), 0, 0),
     "sample count=2.5": lambda: sample_surface(toy_system(), 0, 2.5),
+    "sample count=2**63-1": lambda: sample_surface(toy_system(), 0,
+                                                   2 ** 63 - 1),
     "synth seed=-1": lambda: synth_linear(10, 12, 8, 2, seed=-1),
 }
 

@@ -21,7 +21,6 @@ from diracred.numerics import (
 from diracred.oracle import fundamental_matrix_oracle
 from diracred.phase import PhaseSpec, affine
 from diracred.second_order import (
-    SeedRankError,
     full_artifacts,
     fundamental_matrix_2,
     mu_pair,
@@ -123,16 +122,6 @@ def test_ambiguity_shifts(toy_art):
         assert np.abs(alt2 - base).max() < 1e-8
 
 
-def test_custom_seeds_accepted_and_checked(toy_art):
-    cs, at, canonical = toy_art
-    art = omega_tilde_pair(second_order_artifacts(cs, at), seed=13)
-    # a random seed installs another pair, which passes the same checks
-    assert np.abs(art.omega_low - canonical.omega_low).max() > 1e-3
-    art = mu_pair(art)
-    for key in ("eq_a3", "eq_a18", "eq_a18a", "eq_21q"):
-        assert art.report.residuals[key] < 1e-9, key
-
-
 def test_input_validation(toy_art):
     cs, at, _ = toy_art
     with pytest.raises(InvalidInputError):
@@ -215,11 +204,13 @@ def test_isotropic_canonical_seed_reseeds(tmp_path, capsys):
     cs = isotropic_system()
     at = sample_surface(cs, seed=0, count=1)[0]
     art = second_order_artifacts(cs, at)
-    with pytest.raises(SeedRankError):
-        omega_tilde_pair(art)
-    full = full_artifacts(cs, at, seed=5)
-    assert np.array_equal(full.omega_low, omega_tilde_pair(art, 5).omega_low)
-    assert full.report.passed and full.report.seeds == {"omega": 5}
+    # one call rebuilds the pair from seed 0 and records the seed
+    paired = omega_tilde_pair(art)
+    assert paired.report.seeds == {"omega": 0}
+    full = full_artifacts(cs, at, seed=0)
+    assert np.array_equal(full.omega_low, paired.omega_low)
+    assert np.array_equal(full.omega_up, paired.omega_up)
+    assert full.report.passed and full.report.seeds == {"omega": 0}
     # analyze builds on the fallback seed and says so
     path = tmp_path / "isotropic.json"
     save_system(cs, path)
@@ -228,3 +219,33 @@ def test_isotropic_canonical_seed_reseeds(tmp_path, capsys):
     assert json.loads(out.read_text())["seeds"] == {
         "points": 0, "omega": 0, "functions": 1}
     capsys.readouterr()
+
+
+def test_custom_seeds_accepted_and_checked():
+    # on the isotropic system every pair comes from the drawn seed:
+    # seeds 5 and 13 install different pairs, each passing the same checks
+    cs = isotropic_system()
+    art = second_order_artifacts(cs, sample_surface(cs, seed=0, count=1)[0])
+    pairs = [mu_pair(omega_tilde_pair(art, seed)) for seed in (5, 13)]
+    assert np.abs(pairs[0].omega_low - pairs[1].omega_low).max() > 1e-3
+    for seed, paired in zip((5, 13), pairs):
+        assert paired.report.seeds == {"omega": seed}
+        for key in ("eq_a3", "eq_a18", "eq_a18a", "eq_21q"):
+            assert paired.report.residuals[key] < 1e-9, key
+
+
+def test_seed_lost_twice_raises(monkeypatch):
+    # a drawn seed of zeros loses rank where the canonical one did
+    cs = isotropic_system()
+    art = second_order_artifacts(cs, sample_surface(cs, seed=0, count=1)[0])
+
+    class Zeros:
+        def __init__(self, seed):
+            pass
+
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", Zeros)
+    with pytest.raises(NoSolutionError, match="omega seed loses rank"):
+        omega_tilde_pair(art, 3)

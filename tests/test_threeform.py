@@ -163,20 +163,26 @@ def test_fd_d4_closed_forms_not_claimed(dense):
         rep.record("eq_v23")
 
 
-def _engine_bracket(sys, tol=DEFAULT_TOL, seed=0):
+def _origin(cs):
+    """The point run_threeform_checks certifies: chi = B z is
+    homogeneous, so the origin lies on the surface."""
+    return np.zeros(cs.batch + (cs.spec.dim,))
+
+
+def _engine_bracket(sys, tol=DEFAULT_TOL):
     """The engine's fundamental matrix rebuilt from its own
-    second_order_artifacts at the point paper_choices_artifacts samples."""
+    second_order_artifacts at the origin."""
     cs = sys.cs
-    z = sample_surface(cs, seed, 1, tol)[0]
+    z = _origin(cs)
     m2 = second_order_artifacts(cs, z, tol).m2
     return dirac_matrix(cs.spec.poisson, cs.gradients(z), m2)
 
 
 def _engine(sys, tol=DEFAULT_TOL, seed=0):
     """The engine's irreducible system, built apart from
-    run_threeform_checks at the point it samples."""
-    z = sample_surface(sys.cs, seed, 1, tol)[0]
-    return build_irreducible(full_artifacts(sys.cs, z, tol, seed), tol)
+    run_threeform_checks at the origin."""
+    return build_irreducible(full_artifacts(sys.cs, _origin(sys.cs), tol,
+                                            seed), tol)
 
 
 def _noninvertible(irs):
@@ -638,14 +644,15 @@ def test_lattice_reports_name_reseeded_blocks():
     # at d3 L4 fd the canonical omega seed loses rank on three {k, -k}
     # blocks of the first stack; the engine report names them, over all
     # stacks, and the paper route, which installs its own pair, does not
+    # (both routes certify the origin, so no point seed is recorded)
     engine, paper = certify_lattice(LatticeSpec(3, 4), paper_choices=True)
-    assert engine.seeds == {"points": 0, "omega": 0, "omega_blocks": [
+    assert engine.seeds == {"omega": 0, "omega_blocks": [
         "mode k=(0, 1, 3)", "mode k=(1, 0, 3)", "mode k=(1, 3, 0)"]}
-    assert paper.seeds == {"points": 0}
+    assert paper.seeds == {}
     assert engine.to_dict()["seeds"] == engine.seeds
     engine, paper = certify_lattice(LatticeSpec(3, 5), seed=4,
                                     paper_choices=True)
-    assert engine.seeds == paper.seeds == {"points": 4}
+    assert engine.seeds == paper.seeds == {}
 
 
 @pytest.mark.parametrize("lat,blocks,orbits", [
@@ -966,11 +973,12 @@ def _block_alone(sys, g):
 
 
 def _omega_pair(cs, point):
-    """The engine's omega_low and the blocks it reseeded."""
+    """The engine's omega_low and the labels of the blocks it reseeded
+    (on one system, its name when it was reseeded)."""
     art = tf.so.full_artifacts(cs, point, DEFAULT_TOL, 0)
     seeds = art.report.seeds
     return art.omega_low, seeds.get("omega_blocks",
-                                    [0] if "omega" in seeds else [])
+                                    [cs.name] if "omega" in seeds else [])
 
 
 # blocks of a stack that the stacked-pass property runs at most; the
@@ -1008,14 +1016,16 @@ def test_stacked_pass_matches_each_block_alone(d, size, derivative, start,
             continue
         _, prep = paper_choices_artifacts(sys, DEFAULT_TOL, engine=irs)
         omega, reseeded = _omega_pair(sys.cs, irs.artifacts.point)
+        labels = sys.cs.blocks
         f = _noninvertible(irs)
-        for g in sorted(set(reseeded) | {p % len(ks) for p in picks}):
+        for g in sorted({labels.index(label) for label in reseeded}
+                        | {p % len(ks) for p in picks}):
             one = _block_alone(sys, g)
             irs1, rep1 = run_threeform_checks(one, DEFAULT_TOL)
             _, prep1 = paper_choices_artifacts(one, DEFAULT_TOL,
                                                engine=irs1)
             omega1, reseeded1 = _omega_pair(one.cs, irs1.artifacts.point)
-            assert (g in reseeded) == bool(reseeded1)
+            assert (labels[g] in reseeded) == bool(reseeded1)
             assert np.abs(omega[g] - omega1).max() < 1e-13
             assert np.abs(f[g] - _noninvertible(irs1)).max() < 1e-13
             for stacked, alone in ((rep, rep1), (prep, prep1)):
