@@ -4,7 +4,7 @@ Field content per lattice mode: A with one component per increasing index
 triple and its conjugate momentum pi.  The Gauss-type constraints
 
     chi(1)_{i1 i2} = -3 del^{i3} pi_{i3 i1 i2}
-    chi(2)^{j1 j2} = -del_{j3} A^{j3 j1 j2}
+    chi(2)^{j1 j2} = -del^{j3} A^{j3 j1 j2}
 
 are second-class and second-order reducible.  In each family B, Z1 and
 Z2 are the divergence complex on antisymmetric tensors, three-forms to
@@ -29,11 +29,15 @@ relabellings.  It stacks the representatives by shape on a leading axis
 and runs every stage once per stack.
 
 Operator conventions: del_i is the forward difference ell_i; del^i is
-u_i = -ell_i^T (the adjoint rule that replaces integration by parts on
-the lattice).  In spectral mode (odd lattice sizes) the derivative is
-antisymmetric, u_i = ell_i, and every printed closed form holds verbatim;
-in forward-difference mode some closed forms pair an operator with its
-adjoint, which the transcriptions below track explicitly.
+u_i = -ell_i^T, the backward divergence (the adjoint rule that replaces
+integration by parts on the lattice).  Both constraint families take
+del^i, as lattice gauge fixing takes the backward divergence of A
+(Montvay and Muenster, Quantum Fields on a Lattice, 1994), so the Gauss
+law and the gauge pair u with u^T and C has full rank at every nonzero
+wavevector.  ell appears only in the printed choices, where the paper's
+del_i stands, and every printed closed form holds for both derivatives.
+In spectral mode (odd lattice sizes) the derivative is antisymmetric,
+u_i = ell_i, and the two readings coincide.
 
 Index normalization: the printed equations sum repeated pair and triple
 indices over their full antisymmetric range, while this module uses
@@ -167,7 +171,12 @@ def _orbits(lat: LatticeSpec) -> np.ndarray:
     come first, then at even L the self-conjugate k = -k, each group in
     lexicographic order."""
     shape = (lat.L,) * lat.d
-    k = np.indices(shape).reshape(lat.d, -1)
+    try:
+        k = np.indices(shape).reshape(lat.d, -1)
+    except (ValueError, MemoryError) as exc:
+        raise InvalidInputError(
+            f"a lattice of D={lat.d}, L={lat.L} is too large to enumerate "
+            f"({exc})") from None
     # lexicographic order is the order of the flat index
     flat = np.arange(k.shape[1])
     first = flat <= np.ravel_multi_index(-k % lat.L, shape)
@@ -424,9 +433,9 @@ def build_threeform(lat: LatticeSpec, ell, blocks: tuple = ()
     up = -mt(down)
     delta, delta_inv = _laplacian(down)
 
-    # the divergences of three-, two- and one-forms, del^i on the pi
-    # family and del_i on the A family
-    ops = np.concatenate([up, down])
+    # the divergences of three-, two- and one-forms, del^i on both
+    # families
+    ops = np.concatenate([up, up])
     b = _blocks(_families(d, 2, -3.0, -1.0, swap=True), ops)
     z1 = _blocks(mt(_families(d, 1, -1.0, -1.0)), mt(ops))
     z2 = _blocks(mt(_families(d, 0)), mt(ops))
@@ -465,7 +474,7 @@ def closed_form_projector(sys: ThreeFormSystem) -> np.ndarray:
     triple sum, leaving 1/(2 Delta) on the derivative term summed over
     ordered pairs, which is 1/Delta over the increasing pairs.
     """
-    return _projector(_incidence(sys.lattice.d, 2), sys.u, sys.ell,
+    return _projector(_incidence(sys.lattice.d, 2), sys.ell, sys.u,
                       sys.delta_inv)
 
 
@@ -473,12 +482,12 @@ def pair_projector(sys: ThreeFormSystem) -> np.ndarray:
     """Block-diagonal pair-index projector matching the engine's d00.
 
     Each family block is the printed pair projector with the ordered-pair
-    normalization (factor 2 absorbed into the leading 1/2); the second
-    family is the adjoint transcription, as its constraints carry the
-    opposite derivative type.
+    normalization (factor 2 absorbed into the leading 1/2), one and the
+    same transcription for both families, whose constraints carry the
+    same derivative del^i.
     """
     return _projector(_families(sys.lattice.d, 1),
-                      sys.ell + sys.u, sys.u + sys.ell, sys.delta_inv)
+                      sys.ell + sys.ell, sys.u + sys.u, sys.delta_inv)
 
 
 def run_threeform_checks(
@@ -528,8 +537,7 @@ def run_threeform_checks(
                              for b in mats[i + 1:]], axis=0), tol.weak_eq)
 
     d30 = sys.d30
-    if _printed_forms_apply(sys):
-        rep.add("eq_v23", max_abs(f_non[..., :nf, nf:] - d30), tol.weak_eq)
+    rep.add("eq_v23", max_abs(f_non[..., :nf, nf:] - d30), tol.weak_eq)
     rep.add("eq_29", np.maximum(max_abs(f_non[..., :nf, :nf]),
                                 max_abs(f_non[..., nf:, nf:])), tol.weak_eq)
     rep.add("eq_30", rel_residual(d30 @ d30, d30), tol.weak_eq)
@@ -548,15 +556,14 @@ def run_threeform_checks(
 
 
 def _paper_a12(sys: ThreeFormSystem) -> np.ndarray:
-    return _blocks(mt(_families(sys.lattice.d, 0)),
-                   sys.ell + sys.u)
+    return _blocks(mt(_families(sys.lattice.d, 0)), sys.ell + sys.ell)
 
 
 def _paper_abar01(sys: ThreeFormSystem) -> np.ndarray:
     """Printed pair left inverse with the ordered-pair factor (1/Delta)."""
     # each block is one product 1/Delta del^T, as an exact relabelling
     # of the blocks needs
-    ops = sys.delta_inv @ mt(np.asarray(sys.ell + sys.u))
+    ops = sys.delta_inv @ mt(np.asarray(sys.ell + sys.ell))
     return _blocks(_families(sys.lattice.d, 1, -1.0, -1.0), ops)
 
 
@@ -572,22 +579,13 @@ def _sigma_factorizations(sys: ThreeFormSystem, a12: np.ndarray,
     """Residuals of the sigma-matrix factorizations of a12 and a01.
 
     Both choice matrices factor through the reducibility operators via a
-    family-swapping symmetric sigma pair: each is its Z matrix with every
-    m x m block transposed and the two families of rows and of columns
-    exchanged.  The pair-index sigma carries the ordered-pair
+    sigma pair: the printed choices take del_i = ell_i where Z takes
+    del^i = -ell_i^T, so a12 = -Z2 and a01 = -sigma Z1, exactly, for both
+    derivatives.  The pair-index sigma carries the ordered-pair
     normalization (+1, +1/2 per family block).
     """
-    m = sys.m
-
-    def swapped(z):
-        r, c = z.shape[-2:]
-        t = (z.reshape(z.shape[:-2] + (r // m, m, c // m, m))
-             .swapaxes(-1, -3).reshape(z.shape))
-        return np.roll(t, (r // 2, c // 2), axis=(-2, -1))
-
-    half = np.repeat([1.0, 0.5], len(sys.pairs) * m)[:, None]
-    return (max_abs(a12 - swapped(np.asarray(sys.cs.z2))),
-            max_abs(a01 - half * swapped(np.asarray(sys.cs.z1))))
+    half = np.repeat([1.0, 0.5], len(sys.pairs) * sys.m)[:, None]
+    return (max_abs(a12 + sys.cs.z2), max_abs(a01 + half * sys.cs.z1))
 
 
 def chi_tilde_printed(sys: ThreeFormSystem) -> np.ndarray:
@@ -597,27 +595,18 @@ def chi_tilde_printed(sys: ThreeFormSystem) -> np.ndarray:
     over (A, pi, y) followed by the M2 divergence constraints on y alone,
     where y holds pi_k in its first d blocks and A^l in its last d.
     Assembled independently from the printed formulas: the mixed rows add
-    -del_[i1 pi_i2] and -(1/2) del^[j1 A^j2] to B, and the divergence
-    rows are del^k pi_k and del_l A^l.
+    -del_[i1 pi_i2] and -(1/2) del_[j1 A^j2] to B, and the divergence
+    rows are del^k pi_k and del^l A^l, with del_ = ell and del^ = u on
+    both families.
     """
     d, cs = sys.lattice.d, sys.cs
     dim = cs.spec.dim
     rows = np.zeros(cs.batch + (cs.m0 + cs.m2, dim + cs.m1))
     rows[..., :cs.m0, :dim] = cs.affine_matrix()[0]
     rows[..., :cs.m0, dim:] = _blocks(
-        mt(_families(d, 1, -1.0, -0.5)), sys.ell + sys.u)
-    rows[..., cs.m0:, dim:] = _blocks(_families(d, 0), sys.u + sys.ell)
+        mt(_families(d, 1, -1.0, -0.5)), sys.ell + sys.ell)
+    rows[..., cs.m0:, dim:] = _blocks(_families(d, 0), sys.u + sys.u)
     return rows
-
-
-def _printed_forms_apply(sys: ThreeFormSystem) -> bool:
-    """Whether the printed bracket closed forms hold in this representation.
-
-    The printed forms contract a derivative with itself through 1/Delta,
-    which requires the anti-self-adjoint (spectral) derivative; at d = 3
-    the projector is forced to zero and representation independent.
-    """
-    return sys.lattice.derivative == "spectral" or sys.lattice.d == 3
 
 
 def _site_stencil_ok(lat: LatticeSpec) -> float:
@@ -642,12 +631,13 @@ def _printed_closed_forms(
 ) -> CheckReport:
     """Printed noninvertible/invertible bracket matrices and omega pair.
 
-    These closed forms pair a derivative with itself through 1/Delta, so
-    they hold only in the anti-self-adjoint (spectral, u = ell)
-    representation.  The ordered-index normalization makes the effective
-    prefactors 1/(3 Delta) on the M matrix, 1/(3 Delta^2) on the omega
-    pair and 1/(3 Delta) on the mu matrix (printed: 1/Delta,
-    1/(2 Delta^2), 1/(2 Delta)).
+    These closed forms pair del_i with del^i through 1/Delta, which both
+    families transcribe alike, so they hold for both derivatives: with
+    a12 = -Z2, d11 is one and the same projector in both families and
+    commutes with the printed omega pair.  The ordered-index
+    normalization makes the effective prefactors 1/(3 Delta) on the M
+    matrix, 1/(3 Delta^2) on the omega pair and 1/(3 Delta) on the mu
+    matrix (printed: 1/Delta, 1/(2 Delta^2), 1/(2 Delta)).
     """
     rep = CheckReport(system=sys.cs.name + " [printed closed forms]",
                       tolerances=tol)
@@ -691,9 +681,11 @@ def paper_choices_artifacts(
     certifies the paper's closed-form inverse of c_delta.  This is the
     one route whose congruence is not the identity, so it records
     whether ehat preserves the d11 projector sandwich (eq_27qq).  The
-    closed form holds for the forward difference as well as for the
-    spectral derivative.  On a stack of Fourier blocks everything is
-    built once over the stack, with one residual per block.
+    printed bracket, mu matrix and omega pair (_printed_closed_forms) and
+    the printed projector (eq_v23) are checked on every lattice: they
+    hold for the forward difference as well as for the spectral
+    derivative.  On a stack of Fourier blocks everything is built once
+    over the stack, with one residual per block.
 
     ``engine`` is the irreducible system of run_threeform_checks on the
     same system, or one built as it builds it: the route is built at its
@@ -733,8 +725,7 @@ def paper_choices_artifacts(
     rep.add("eq_27ww", res_27ww, tol.weak_eq)
     rep.add("eq_27qw", res_27qw, tol.weak_eq)
 
-    if sys.lattice.derivative == "spectral":
-        rep.merge(_printed_closed_forms(sys, art, tol))
+    rep.merge(_printed_closed_forms(sys, art, tol))
 
     # the printed route must reproduce the engine's fundamental brackets
     f_paper = irr.fundamental_matrix_irred(irs, irs.build_point,
@@ -742,10 +733,8 @@ def paper_choices_artifacts(
     f_engine = dirac_matrix(cs.spec.poisson, engine.artifacts.g,
                             engine.artifacts.m2)
     rep.add("eq_14r", max_abs(f_paper - f_engine), tol.weak_eq)
-    if _printed_forms_apply(sys):
-        nf = sys.n_field
-        rep.add("eq_v23", max_abs(f_paper[..., :nf, nf:] - sys.d30),
-                tol.weak_eq)
+    nf = sys.n_field
+    rep.add("eq_v23", max_abs(f_paper[..., :nf, nf:] - sys.d30), tol.weak_eq)
     rep.timings["paper_choices"] = time.perf_counter() - t0
     return irs, rep
 
@@ -984,9 +973,13 @@ def certify_lattice(
     paper_choices_artifacts, one stack at a time: the paper route takes
     the engine's irreducible system of its stack, and both read the
     stack's projectors, formed once.  Each route's report holds every
-    record its stages made, eq_20 included.  Both routes certify the
-    origin, so neither report records a point seed; ``seed`` is the
-    omega pair's reseed.
+    record its stages made, eq_20 included, and eq_v23 on every
+    lattice.  Both routes certify the origin, so neither report records
+    a point seed; ``seed`` is the omega pair's reseed.  No lattice block
+    needs one: the gauge takes the backward divergence, so C keeps rank
+    at every nonzero wavevector, and with a12 = Z2, d11 is one and the
+    same projector P in both families, on whose range the canonical
+    seed's omega_bar, [[0, P], [-P, 0]], keeps rank.
     Each record keeps its worst residual, in one report per route under
     the lattice's name; its per-block residuals cover every block, each
     block carrying its representative's.  Each report's ``blocks`` labels

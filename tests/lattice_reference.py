@@ -8,11 +8,13 @@ derivatives applied to the basis, and the dense full-lattice system
 assembled from every block at once.
 """
 
+import dataclasses
+
 import numpy as np
 
 import diracred.threeform as tf
 from diracred.constraints import ConstraintSet
-from diracred.numerics import DEFAULT_TOL, NoSolutionError
+from diracred.numerics import DEFAULT_TOL, NoSolutionError, mt
 from diracred.report import CheckReport
 
 
@@ -87,6 +89,33 @@ def dense_threeform(lat):
 def stack_threeform(lat, ks):
     """The stack of the blocks of ks as certify_lattice builds it."""
     return tf._stack_system(lat, ks)
+
+
+def adjoint_gauge_threeform(lat, ell, blocks=()):
+    """build_threeform with the gauge taking the forward divergence
+    -del_i A^{i..} (del_i = ell_i) where the package takes the backward
+    one, -del^i A^{i..} (del^i = -ell_i^T): the Gauss law and the gauge
+    then pair an operator with its adjoint.  The chain still holds, one
+    derivative per family, but C loses rank wherever
+    sum_i lambda(k_i)^2 = 0 (fd at k = (0, 0, 1, 3) on L = 4), and the
+    engine's canonical omega seed loses rank on three blocks of d3 L4 and
+    d3 L8 fd, so the tests of rank-loss naming and of reseeding run on
+    it.  The system's projectors and printed choices are the package's."""
+    sys = tf.build_threeform(lat, ell, blocks)
+    d, ops = lat.d, np.concatenate([sys.u, sys.ell])
+    b = tf._blocks(tf._families(d, 2, -3.0, -1.0, swap=True), ops)
+    z1 = tf._blocks(mt(tf._families(d, 1, -1.0, -1.0)), mt(ops))
+    z2 = tf._blocks(mt(tf._families(d, 0)), mt(ops))
+    cs = ConstraintSet.linear(sys.cs.spec, b, z1, z2, sys.cs.name, blocks)
+    return dataclasses.replace(sys, cs=cs)
+
+
+def adjoint_gauge_stack(lat, ks):
+    """tf._stack_system with the adjoint gauge (adjoint_gauge_threeform):
+    monkeypatched in, certify_lattice and certify_every_block certify
+    it."""
+    return adjoint_gauge_threeform(lat, tf._symbol_blocks(lat, ks),
+                                   tuple(f"mode k={k}" for k in ks))
 
 
 def block_stacks(lat):

@@ -33,6 +33,7 @@ from diracred.numerics import (
 from diracred.oracle import fundamental_matrix_oracle
 from diracred.phase import canonical_poisson
 from diracred.report import COUNT_TOL, CheckReport
+import lattice_reference
 from test_first_order import doubled_pair_system
 
 
@@ -221,6 +222,9 @@ def test_analyze_records_both_seeds(synth_file, tmp_path, capsys):
      "--drift-tol", "nan"],
     # too many to draw, refused before anything is allocated
     ["validate", "{file}", "--points", "100000000000000000000"],
+    # lattices too large to enumerate, refused before anything is allocated
+    ["threeform", "--dim", "40", "--lattice", "3"],
+    ["threeform", "--dim", "3", "--lattice", "3000000"],
 ])
 def test_input_errors_exit_2(argv, toy_file, tmp_path, capsys):
     out = tmp_path / "out.json"
@@ -360,8 +364,7 @@ def test_analyze_evaluates_the_gradients_once_per_stage(synth_file, capsys,
       "--dt", "0.01"], 0, 0),
     (["bracket", "FILE", "--method", "irreducible"], 0, 0),
     (["analyze", "FILE", "--points", "4"], 1, 1),
-    # one pair per stack (the generic blocks and the self-conjugate ones);
-    # the stack whose canonical omega seed loses rank reseeds in its call
+    # one pair per stack (the generic blocks and the self-conjugate ones)
     (["threeform", "--dim", "3", "--lattice", "4"], 2, 2),
 ])
 def test_only_the_invertible_route_builds_the_omega_and_mu_pairs(
@@ -553,15 +556,11 @@ THREEFORM_ENGINE_CHECKS = ARTIFACT_CHECKS + [
     "rank_c_delta", "eq_32", "eq_v23", "eq_29", "eq_30", "eq_12a",
     "eq_30_trace", "eq_w23", "eq_x23",
 ]
-PAPER_CHOICES_CHECKS = {
-    "fd": ARTIFACT_CHECKS + [
-        "eq_p11", "rank_c_delta", "eq_27qq", "eq_58", "eq_59", "eq_72",
-        "locality", "eq_27ww", "eq_27qw", "eq_14r", "eq_v23"],
-    "spectral": ARTIFACT_CHECKS + [
-        "eq_p11", "rank_c_delta", "eq_27qq", "eq_58", "eq_59", "eq_72",
-        "locality", "eq_27ww", "eq_27qw", "eq_y23", "eq_q31", "eq_q30",
-        "eq_14r", "eq_v23"],
-}
+# one list for both derivatives: every printed closed form holds for both
+PAPER_CHOICES_CHECKS = ARTIFACT_CHECKS + [
+    "eq_p11", "rank_c_delta", "eq_27qq", "eq_58", "eq_59", "eq_72",
+    "locality", "eq_27ww", "eq_27qw", "eq_y23", "eq_q31", "eq_q30",
+    "eq_14r", "eq_v23"]
 ANALYZE_CHECKS = [
     "eq_2", "eq_11d_rank", "eq_11x", "z2_rank", "z1_rank", "eq_11e", "eq_a2",
     "eq_ay", "eq_a8", "eq_1qa", "eq_15", "eq_17", "eq_12k", "eq_12b",
@@ -581,7 +580,7 @@ def test_threeform_check_names_fixed(tmp_path, capsys, derivative):
     engine = [c["name"] for c in doc["engine"]["checks"]]
     paper = [c["name"] for c in doc["paper_choices"]["checks"]]
     assert engine == THREEFORM_ENGINE_CHECKS
-    assert paper == PAPER_CHOICES_CHECKS[derivative]
+    assert paper == PAPER_CHOICES_CHECKS
     capsys.readouterr()
 
 
@@ -638,14 +637,35 @@ def test_threeform_paper_choices_evaluates_the_gradients_three_times_per_stack(
     capsys.readouterr()
 
 
-def test_threeform_rank_deficient_block_is_named(capsys):
-    # the forward-difference symbol has sum_i lambda(k_i)^2 = 0 at
-    # k = (0, 0, 1, 3) on L = 4, where the constraint bracket matrix
-    # loses rank; the run stops there and says which block it was
+def test_threeform_rank_deficient_block_is_named(capsys, monkeypatch):
+    # with the gauge on the forward divergence (the adjoint of the Gauss
+    # law's derivative) the forward-difference symbol has
+    # sum_i lambda(k_i)^2 = 0 at k = (0, 0, 1, 3) on L = 4, where the
+    # constraint bracket matrix loses rank; the run stops there and says
+    # which block it was
+    monkeypatch.setattr(tf, "_stack_system",
+                        lattice_reference.adjoint_gauge_stack)
     assert main(["threeform", "--dim", "4", "--lattice", "4"]) == 1
     err = capsys.readouterr().err
     assert "eq_11d_rank" in err
     assert "k=(0, 0, 1, 3)" in err
+
+
+@pytest.mark.parametrize("dim,size", [(4, 4), (4, 6), (5, 4), (6, 4)])
+def test_threeform_fd_keeps_rank_where_the_adjoint_gauge_lost_it(
+        dim, size, tmp_path, capsys):
+    # the gauge takes the backward divergence, as the Gauss law does, so
+    # C's gauge-Gauss symbol is sum_i |lambda(k_i)|^2, zero at k = 0 alone:
+    # the lattices where sum_i lambda(k_i)^2 vanishes pass, and no block
+    # reseeds its omega pair
+    argv = ["threeform", "--dim", str(dim), "--lattice", str(size)]
+    assert main(argv) == 0
+    out = tmp_path / "tf.json"
+    assert main([*argv, "--paper-choices", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["engine"]["seeds"] == doc["paper_choices"]["seeds"] == {}
+    assert "eq_v23" in {c["name"] for c in doc["engine"]["checks"]}
+    capsys.readouterr()
 
 
 def test_threeform_beyond_dense_sizes(tmp_path, capsys):

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import diracred.threeform as tf
@@ -134,16 +134,14 @@ def test_engine_checks_fd():
 
 
 def test_engine_checks_fd_d4():
-    # at d = 3 every bracket is zero; at d4 L5 it is not, so eq_32
-    # compares brackets that a wrong route would miss.  The printed
-    # closed form eq_v23 is not claimed for fd at d4
+    # at d = 3 every bracket is zero; at d4 L5 it is not, so eq_32 and
+    # the printed closed form eq_v23 compare brackets that a wrong route
+    # would miss
     engine, _ = certify_lattice(LatticeSpec(d=4, L=5))
     assert engine.passed
-    for tag in ("eq_29", "eq_21q", "eq_p11", "eq_32", "eq_w23", "eq_x23",
-                "eq_12a", "eq_30_trace"):
+    for tag in ("eq_v23", "eq_29", "eq_21q", "eq_p11", "eq_32", "eq_w23",
+                "eq_x23", "eq_12a", "eq_30_trace"):
         assert engine.record(tag).passed, tag
-    with pytest.raises(KeyError):
-        engine.record("eq_v23")
 
 
 def test_engine_checks_spectral_d4(dense):
@@ -153,14 +151,15 @@ def test_engine_checks_spectral_d4(dense):
     assert rep.record("eq_29").residual < 1e-8
 
 
-def test_fd_d4_closed_forms_not_claimed(dense):
-    # with one-sided differences at d >= 4 the printed projector form
-    # presupposes an anti-self-adjoint derivative, so the engine report
-    # must not claim it
-    _, _, rep, _ = dense(LatticeSpec(d=4, L=3))
-    assert rep.passed
-    with pytest.raises(KeyError):
-        rep.record("eq_v23")
+def test_fd_d4_closed_forms_hold(dense):
+    # both constraint families take the backward divergence, so the
+    # printed projector holds with one-sided differences at d >= 4, where
+    # the bracket is not zero
+    _, _, rep, prep = dense(LatticeSpec(d=4, L=3))
+    assert rep.passed and prep.passed
+    assert rep.record("eq_v23").residual < 1e-8
+    for tag in ("eq_v23", "eq_y23", "eq_q30", "eq_q31"):
+        assert prep.record(tag).residual < 1e-8, tag
 
 
 def _origin(cs):
@@ -277,22 +276,53 @@ def test_planted_engine_bracket_fails_eq_14r_alone():
             assert np.array_equal(r.per_block, g.per_block), r.name
 
 
+PRINTED_FORM_LATTICES = [LatticeSpec(d=4, L=3, derivative="spectral"),
+                         LatticeSpec(d=4, L=5)]
+
+
 def test_planted_projector_fails_eq_v23_in_both_reports(monkeypatch):
     # both routes read the stack's closed-form projector: one off by
     # 1 + 1e-6 fails the engine's eq_v23, eq_30 and eq_30_trace and the
-    # paper route's eq_v23
-    lat = LatticeSpec(d=4, L=3, derivative="spectral")
-    want = [
-        {r.name for r in rep.records if not r.passed}
-        for rep in certify_lattice(lat, paper_choices=True)]
+    # paper route's eq_v23, with either derivative
     real = tf.closed_form_projector
-    monkeypatch.setattr(tf, "closed_form_projector",
-                        lambda sys: real(sys) * (1 + 1e-6))
-    got = [{r.name for r in rep.records if not r.passed}
-           for rep in certify_lattice(lat, paper_choices=True)]
-    assert got[0] - want[0] == {"eq_v23", "eq_30", "eq_30_trace"}
-    assert got[1] - want[1] == {"eq_v23"}
-    assert want[0] <= got[0] and want[1] <= got[1]
+    for lat in PRINTED_FORM_LATTICES:
+        want = [{r.name for r in rep.records if not r.passed}
+                for rep in certify_lattice(lat, paper_choices=True)]
+        with monkeypatch.context() as patch:
+            patch.setattr(tf, "closed_form_projector",
+                          lambda sys: real(sys) * (1 + 1e-6))
+            got = [{r.name for r in rep.records if not r.passed}
+                   for rep in certify_lattice(lat, paper_choices=True)]
+        assert got[0] - want[0] == {"eq_v23", "eq_30", "eq_30_trace"}
+        assert got[1] - want[1] == {"eq_v23"}
+        assert want[0] <= got[0] and want[1] <= got[1]
+
+
+@pytest.mark.parametrize("lat", PRINTED_FORM_LATTICES, ids=str)
+@pytest.mark.parametrize("field,failing", [
+    ("m2", {"eq_y23", "eq_q30"}), ("d11", {"eq_q31"})])
+def test_planted_artifact_fails_its_printed_forms(lat, field, failing):
+    # the printed bracket, mu matrix and omega pair hold for both
+    # derivatives; an artifact off by a relative 1e-6 fails the records
+    # that read it, and no other.  At d3 L4 fd eq_q31 reads exactly 0.0,
+    # so d4 is where a defect must show
+    sys = stack_threeform(lat, block_stacks(lat)[0][:8])
+    irs, _ = run_threeform_checks(sys, DEFAULT_TOL)
+    art = paper_choices_artifacts(sys, DEFAULT_TOL, engine=irs)[0].artifacts
+    good = tf._printed_closed_forms(sys, art, DEFAULT_TOL)
+    assert good.passed
+    noise = np.random.default_rng(0).standard_normal(getattr(art, field).shape)
+    bad = tf._printed_closed_forms(sys, dataclasses.replace(
+        art, **{field: getattr(art, field) * (1 + 1e-6 * noise)}),
+        DEFAULT_TOL)
+    assert {r.name for r in bad.records if not r.passed} == failing
+
+
+def test_printed_omega_pair_reads_zero_at_d3_fd():
+    # why the planted defects run at d4: at d3 L4 fd the printed omega
+    # pair commutes with d11 to the last bit on every block
+    _, paper = certify_lattice(LatticeSpec(3, 4), paper_choices=True)
+    assert paper.record("eq_q31").residual == 0.0
 
 
 def _stencil_ops(lat):
@@ -640,19 +670,40 @@ def test_symbol_blocks_refuse_bad_wavevectors():
             tf._symbol_blocks(lat, ks)
 
 
-def test_lattice_reports_name_reseeded_blocks():
-    # at d3 L4 fd the canonical omega seed loses rank on three {k, -k}
-    # blocks of the first stack; the engine report names them, over all
-    # stacks, and the paper route, which installs its own pair, does not
-    # (both routes certify the origin, so no point seed is recorded)
-    engine, paper = certify_lattice(LatticeSpec(3, 4), paper_choices=True)
+def test_lattice_reports_name_reseeded_blocks(monkeypatch):
+    # with the adjoint gauge, at d3 L4 fd the canonical omega seed loses
+    # rank on three {k, -k} blocks of the first stack; the engine report
+    # names them, over all stacks (the engine certifies the origin, so no
+    # point seed is recorded)
+    with monkeypatch.context() as patch:
+        patch.setattr(tf, "_stack_system",
+                      lattice_reference.adjoint_gauge_stack)
+        engine, _ = certify_lattice(LatticeSpec(3, 4))
     assert engine.seeds == {"omega": 0, "omega_blocks": [
         "mode k=(0, 1, 3)", "mode k=(1, 0, 3)", "mode k=(1, 3, 0)"]}
-    assert paper.seeds == {}
     assert engine.to_dict()["seeds"] == engine.seeds
     engine, paper = certify_lattice(LatticeSpec(3, 5), seed=4,
                                     paper_choices=True)
     assert engine.seeds == paper.seeds == {}
+
+
+@pytest.mark.parametrize("lat", [
+    LatticeSpec(3, 4), LatticeSpec(3, 8), LatticeSpec(4, 5),
+    LatticeSpec(4, 8), LatticeSpec(4, 12), LatticeSpec(5, 5),
+    LatticeSpec(3, 5, "spectral"), LatticeSpec(4, 5, "spectral"),
+], ids=str)
+def test_no_lattice_block_reseeds(lat):
+    # a12 = Z2 makes d11 one and the same projector P in both families,
+    # and omega_bar [[0, P], [-P, 0]] keeps rank on every block: the
+    # canonical omega seed serves every block, and no report records a
+    # seed (d4 L4 and L6, d5 L4 and d6 L4 are in
+    # test_cli::test_threeform_fd_keeps_rank_where_the_adjoint_gauge_lost_it)
+    engine, paper = certify_lattice(lat, seed=7, paper_choices=True)
+    assert engine.seeds == paper.seeds == {}
+    failed = {r.name for rep in (engine, paper) for r in rep.records
+              if not r.passed}
+    assert failed == ({"locality"} if lat.derivative == "spectral"
+                      else set())
 
 
 @pytest.mark.parametrize("lat,blocks,orbits", [
@@ -737,7 +788,10 @@ def test_orbit_route_matches_every_block_certified(lat, tmp_path, capsys):
 
 @pytest.mark.parametrize("lat", [LatticeSpec(3, 4), LatticeSpec(3, 8)],
                          ids=str)
-def test_orbit_route_reseeds_the_blocks_a_full_run_does(lat):
+def test_orbit_route_reseeds_the_blocks_a_full_run_does(lat, monkeypatch):
+    # the adjoint gauge reseeds three blocks of each
+    monkeypatch.setattr(tf, "_stack_system",
+                        lattice_reference.adjoint_gauge_stack)
     engine, _ = certify_lattice(lat)
     full, _ = certify_every_block(lat)
     assert engine.seeds["omega_blocks"] == full.seeds["omega_blocks"]
@@ -987,20 +1041,13 @@ def _omega_pair(cs, point):
 WINDOW = 48
 
 
-@given(d=st.sampled_from([3, 4]), size=st.integers(3, 7),
-       derivative=st.sampled_from(["fd", "spectral"]),
-       start=st.integers(0, 2 ** 16),
-       picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3))
-@example(d=3, size=4, derivative="fd", start=0, picks=[0])  # 3 reseeds
-@example(d=4, size=4, derivative="fd", start=0, picks=[0])  # k=(0,0,1,3)
-def test_stacked_pass_matches_each_block_alone(d, size, derivative, start,
-                                               picks):
-    # every stage runs once over a stack of blocks; each block's records,
-    # reseed and bracket must be those of the same stages run on that
-    # block alone.  The blocks checked alone are the reseeded ones and a
-    # drawn few; a stack that fails must fail as its first failing block
-    assume(derivative == "fd" or size % 2 == 1)
-    lat = LatticeSpec(d=d, L=size, derivative=derivative)
+def _check_stacked_pass(lat, start, picks, paper=True):
+    """Every stage runs once over a stack of blocks; each block's records,
+    reseed and bracket must be those of the same stages run on that
+    block alone.  The blocks checked alone are the reseeded ones and a
+    drawn few; a stack that fails must fail as its first failing block.
+    Returns the labels of the reseeded blocks and of the failing ones."""
+    seen = []
     for ks in block_stacks(lat):
         lo = start % max(1, len(ks) - WINDOW + 1)
         ks = ks[lo:lo + WINDOW]
@@ -1013,25 +1060,63 @@ def test_stacked_pass_matches_each_block_alone(d, size, derivative, start,
             with pytest.raises(NoSolutionError) as alone:
                 run_threeform_checks(_block_alone(sys, g), DEFAULT_TOL)
             assert str(alone.value) == str(exc)
+            seen.append(f"mode k={k}")
             continue
-        _, prep = paper_choices_artifacts(sys, DEFAULT_TOL, engine=irs)
+        reports = [rep]
+        if paper:
+            reports.append(paper_choices_artifacts(sys, DEFAULT_TOL,
+                                                   engine=irs)[1])
         omega, reseeded = _omega_pair(sys.cs, irs.artifacts.point)
+        seen += reseeded
         labels = sys.cs.blocks
         f = _noninvertible(irs)
         for g in sorted({labels.index(label) for label in reseeded}
                         | {p % len(ks) for p in picks}):
             one = _block_alone(sys, g)
             irs1, rep1 = run_threeform_checks(one, DEFAULT_TOL)
-            _, prep1 = paper_choices_artifacts(one, DEFAULT_TOL,
-                                               engine=irs1)
+            singles = [rep1]
+            if paper:
+                singles.append(paper_choices_artifacts(one, DEFAULT_TOL,
+                                                       engine=irs1)[1])
             omega1, reseeded1 = _omega_pair(one.cs, irs1.artifacts.point)
             assert (labels[g] in reseeded) == bool(reseeded1)
             assert np.abs(omega[g] - omega1).max() < 1e-13
             assert np.abs(f[g] - _noninvertible(irs1)).max() < 1e-13
-            for stacked, alone in ((rep, rep1), (prep, prep1)):
+            for stacked, single in zip(reports, singles):
                 assert [r.name for r in stacked.records] == [
-                    r.name for r in alone.records]
-                for r, r1 in zip(stacked.records, alone.records):
+                    r.name for r in single.records]
+                for r, r1 in zip(stacked.records, single.records):
                     value = r.residual if r.per_block is None \
                         else r.per_block[g]
                     assert abs(value - r1.residual) <= 1e-13, r.name
+    return seen
+
+
+@given(d=st.sampled_from([3, 4]), size=st.integers(3, 7),
+       derivative=st.sampled_from(["fd", "spectral"]),
+       start=st.integers(0, 2 ** 16),
+       picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3))
+def test_stacked_pass_matches_each_block_alone(d, size, derivative, start,
+                                               picks):
+    # no block reseeds or loses rank (test_no_lattice_block_reseeds), so
+    # the stacked pass matches the drawn blocks alone
+    assume(derivative == "fd" or size % 2 == 1)
+    lat = LatticeSpec(d=d, L=size, derivative=derivative)
+    assert _check_stacked_pass(lat, start, picks) == []
+
+
+@pytest.mark.parametrize("d,seen", [
+    # three blocks reseed in the first stack
+    (3, ["mode k=(0, 1, 3)", "mode k=(1, 0, 3)", "mode k=(1, 3, 0)"]),
+    # C loses rank in the first stack
+    (4, ["mode k=(0, 0, 1, 3)"]),
+])
+def test_stacked_pass_matches_each_block_alone_adjoint_gauge(d, seen,
+                                                             monkeypatch):
+    # stacked reseeding and stacked rank-loss naming, on the adjoint gauge
+    # at L = 4 fd, which has both; its engine route alone, as the paper's
+    # printed choices are transcribed for the backward-divergence gauge
+    monkeypatch.setattr(tf, "_stack_system",
+                        lattice_reference.adjoint_gauge_stack)
+    assert _check_stacked_pass(LatticeSpec(d=d, L=4), 0, [0],
+                               paper=False) == seen
