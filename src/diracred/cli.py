@@ -113,6 +113,7 @@ def _analyze_report(
             rep.take(irs.report, *(name for name in irs.report.residuals
                                    if name not in rep.residuals))
             rep.seeds.update(irs.report.seeds)
+            rep.routes.update(irs.report.routes)
             rep.merge(irr.equivalence_report(irs, pts, seed, tol))
         else:
             # the noninvertible stage alone, which needs no omega pair

@@ -36,10 +36,12 @@ import numpy as np
 from . import phase
 from .numerics import (
     DEFAULT_TOL,
+    Factors,
     InvalidInputError,
     Tolerance,
     check_finite,
     frobenius,
+    kernel_factors,
     mt,
     null_basis,
     pseudoinverse,
@@ -47,7 +49,7 @@ from .numerics import (
     rel_residual,
     require_int,
     require_shape,
-    svd_factors,
+    svd_route,
 )
 from .phase import PhaseFunction, PhaseSpec
 from .report import COUNT_TOL, CheckReport
@@ -94,7 +96,8 @@ class ConstraintSet:
     blocks: tuple = ()
     # (B, c) with chi = B z + c on a set built by linear, else None
     _affine: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # by (key, Tolerance): pinv(B) and the factors of C and Z1
+    # by (key, Tolerance): the factors of B ("jacobian_pinv") and Z1, and
+    # C with its factors ("c")
     _cache: dict = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
@@ -278,15 +281,59 @@ class ConstraintSet:
             kept = self._cache[key, tol] = make()
         return kept
 
-    def factors(self, name: str, m: np.ndarray, tol: Tolerance):
-        """svd_factors(m, tol) of C = G^T J G (name "c") or Z1 ("z1")."""
-        return self._cached(name, tol, lambda: svd_factors(m, tol))
+    def _chain_factors(self, m: np.ndarray, tol: Tolerance,
+                       skew: bool = False) -> Factors:
+        """kernel_factors of m, whose right kernel Z1 spans."""
+        return kernel_factors(m, self.z1, self.z1_factors(self.z1, tol), tol,
+                              skew=skew)
+
+    def z1_factors(self, z1: np.ndarray, tol: Tolerance) -> Factors:
+        """Factors of Z1, the given z1 (one per point, stacked, when Z1 is
+        point-valued).  On a constant set they are kept per tolerance and
+        come from the chain: kernel_factors of Z1 on the kernel Z2 spans,
+        with Z2's own rank certified from the inverse of Z2^T Z2 (no
+        kernel; an order-1 set has no Z2, and Z1 full column rank).  On
+        a function set they come from the SVD at each call."""
+        if not self.is_constant:
+            return svd_route(z1, tol)
+
+        def make():
+            # a constant set's Z2 is an array, read at no point
+            z2 = self.z2_at(None)
+            return kernel_factors(
+                z1, z2, kernel_factors(z2, z2[..., :0], None, tol), tol)
+        return self._cached("z1", tol, make)
+
+    def bracket(self, g: np.ndarray, tol: Tolerance) -> tuple:
+        """(C, its factors) for C = G^T J G from the gradients g (stacked
+        over points on a function set), with C's range projector.  A
+        constant set forms C once per tolerance, from the first g, factors
+        it on the kernel Z1 spans (kernel_factors, skew) and keeps both,
+        C read-only; a function set forms and factors C by SVD at each
+        call."""
+        def make():
+            c = mt(g) @ self.spec.poisson @ g
+            if not self.is_constant:
+                return c, svd_route(c, tol, proj=True)
+            c.setflags(write=False)
+            return c, self._chain_factors(c, tol, skew=True)
+        return self._cached("c", tol, make)
 
     def _jacobian_pinv(self, at: np.ndarray, tol: Tolerance) -> np.ndarray:
-        """Pseudoinverse of the M0 x 2N constraint Jacobian at a point:
-        pinv(B) on a constant set."""
-        return self._cached("jacobian_pinv", tol, lambda: pseudoinverse(
-            mt(self.gradients(at)), tol))
+        """Pseudoinverse of the M0 x 2N constraint Jacobian at a point.  On
+        a constant set it is pinv(B), kept per tolerance, from B B^T
+        completed on Z1 (kernel_factors of B^T, whose kernel Z1 spans)."""
+        if not self.is_constant:
+            return pseudoinverse(mt(self.gradients(at)), tol)
+        f = self._cached("jacobian_pinv", tol, lambda: self._chain_factors(
+            mt(self._affine[0]), tol))
+        return mt(f.pinv)
+
+    def routes(self, tol: Tolerance) -> dict:
+        """The ``svd`` mask (Factors) of each factorisation kept for tol,
+        by its key ("c", "z1", "jacobian_pinv"); none on a function set."""
+        return {key: (kept[1] if key == "c" else kept).svd
+                for (key, t), kept in self._cache.items() if t == tol}
 
     def surface_residual(self, at: np.ndarray) -> float:
         return _sup_norm(self.values(at))
@@ -337,7 +384,7 @@ def validate(
     # cs; a function set's C and a point-valued Z1 at every point, stacked
     g = (cs.gradients(points[0]) if cs.is_constant
          else np.stack([cs.gradients(p) for p in points]))
-    rank_c = cs.factors("c", mt(g) @ cs.spec.poisson @ g, tol).rank
+    rank_c = cs.bracket(g, tol)[1].rank
     z1 = cs.z1 if isinstance(cs.z1, np.ndarray) else np.stack(z1s)
     # a constant set's records are taken once, one residual per system of
     # a stack; a function set's are the worst over its points
@@ -355,8 +402,9 @@ def validate(
         z2 = cs.z2 if isinstance(cs.z2, np.ndarray) else np.stack(z2s)
         rep.add("eq_11x", worst(chain_residual(z1, z2)), tol.weak_eq)
         rep.add("z2_rank", worst(np.abs(rank_tol(z2, tol) - m2)), COUNT_TOL)
-    rep.add("z1_rank", worst(np.abs(cs.factors("z1", z1, tol).rank
+    rep.add("z1_rank", worst(np.abs(cs.z1_factors(z1, tol).rank
                                     - (m1 - m2))), COUNT_TOL)
+    rep.routes.update(cs.routes(tol))
     return rep
 
 

@@ -11,8 +11,10 @@ abar01 is abar and d00 is d, and second_order_artifacts builds the same
 matrix as its m2, with every defining identity checked; ``analyze``
 certifies order-1 files that way, and no CLI subcommand uses this
 module.  It forms only what the bracket needs, at a fraction of the
-cost.  The invertible and irreducible brackets of an order-1 system come
-from the one second-order engine (full_artifacts, and
+cost, from the factors of Z1 and C the set gives the engine too
+(ConstraintSet.z1_factors and bracket), so both build one bracket.
+The invertible and irreducible brackets of an order-1 system come from
+the one second-order engine (full_artifacts, and
 second_order_artifacts then irreducible.build_irreducible), and both
 need an even M1: the omega pair and the canonical y pairing alike.
 """
@@ -28,9 +30,7 @@ from .numerics import (
     DEFAULT_TOL,
     InvalidInputError,
     Tolerance,
-    mt,
     skew_solve,
-    svd_factors,
 )
 from .phase import dirac_matrix
 
@@ -62,14 +62,14 @@ def first_order_artifacts(
         raise InvalidInputError("first-order pipeline needs an order-1 system")
     at = cs.require_on_surface(at, tol)
     z1 = cs.z1_at(at)
-    f = svd_factors(z1, tol)
+    f = cs.z1_factors(z1, tol)
     cs.raise_first(f.rank != z1.shape[-1], InvalidInputError, lambda i:
                    "Z1 columns must be independent for an order-1 system")
     g = cs.gradients(at)
-    c1 = mt(g) @ cs.spec.poisson @ g
+    c1, fc = cs.bracket(g, tol)
     abar = f.pinv
     d = np.eye(cs.m0) - z1 @ abar
-    m1 = skew_solve(c1, d, tol)
+    m1 = skew_solve(c1, d, tol, factors=(fc.pinv, fc.proj))
     return FirstOrderArtifacts(c1=c1, abar=abar, d=d, m1=m1, point=at, g=g)
 
 

@@ -195,6 +195,13 @@ class IrreducibleSystem:
         self.require_build_point(self.split(at)[0], tol)
 
 
+def _block2(a, b, c, d) -> np.ndarray:
+    """The matrix [[a, b], [c, d]] of each system of a stack: np.block's
+    result, without its checks."""
+    return np.concatenate([np.concatenate([a, b], axis=-1),
+                           np.concatenate([c, d], axis=-1)], axis=-2)
+
+
 def assemble_irreducible(
     art: so.SecondOrderArtifacts,
     ehat: np.ndarray,
@@ -235,16 +242,14 @@ def assemble_irreducible(
     m0, m2 = art.base.m0, z2.shape[-1]
     abar12 = art.a12 @ mt(art.dbar2)
 
-    c_delta = np.block([
-        [art.c2 + a01 @ omega_y @ mt(a01), a01 @ omega_y @ z2],
-        [mt(z2) @ omega_y @ mt(a01), mt(z2) @ omega_y @ z2],
-    ])
-    c_delta_inv = np.block([
-        [art.m2 + z1 @ ehat @ omega_y_inv @ mt(ehat) @ mt(z1),
-         z1 @ ehat @ omega_y_inv @ abar12],
-        [mt(abar12) @ omega_y_inv @ mt(ehat) @ mt(z1),
-         mt(abar12) @ omega_y_inv @ abar12],
-    ])
+    c_delta = _block2(
+        art.c2 + a01 @ omega_y @ mt(a01), a01 @ omega_y @ z2,
+        mt(z2) @ omega_y @ mt(a01), mt(z2) @ omega_y @ z2)
+    c_delta_inv = _block2(
+        art.m2 + z1 @ ehat @ omega_y_inv @ mt(ehat) @ mt(z1),
+        z1 @ ehat @ omega_y_inv @ abar12,
+        mt(abar12) @ omega_y_inv @ mt(ehat) @ mt(z1),
+        mt(abar12) @ omega_y_inv @ abar12)
     rep.require("eq_p11",
                 rel_residual(c_delta @ c_delta_inv, np.eye(m0 + m2)),
                 tol.weak_eq)

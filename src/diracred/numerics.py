@@ -11,17 +11,22 @@ contractions become left-to-right matrix products.
 Every matrix function here except null_basis also takes a stack
 (..., m, n) of matrices of one shape and works on each matrix of it,
 returning one value per matrix; a single matrix gives a single value.
-One SVD (svd_factors) serves a matrix's rank, pseudoinverse and
-antisymmetric solves; ConstraintSet.factors keeps those of C and Z1.
+A matrix's rank, pseudoinverse and range projector come as one Factors:
+from one inverse of the matrix completed on the kernel the reducibility
+chain names (kernel_factors), its rank certified from both sides, or
+from one SVD (svd_route) where a certificate fails or no chain names
+the kernel.  skew_solve reads the pair (pinv, range projector) either
+way; ConstraintSet keeps the Factors of B, C and Z1 of a constant set.
 A matrix given with its inverse has its full rank certified by their
-residual (rank_tol), and is counted by an SVD only where that fails.
+residual (rank_tol, sigma_floor), and is counted by an SVD only where
+that fails.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -89,7 +94,7 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
         m = np.asarray(m, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} is not a numeric array: {exc}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
 
@@ -112,7 +117,9 @@ def mt(m: np.ndarray) -> np.ndarray:
 def frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack."""
     if m.ndim == 2:
-        return np.linalg.norm(m)
+        # numpy.linalg.norm's own sum for a real matrix, without its checks
+        x = m.ravel(order="K")
+        return np.sqrt(x.dot(x))
     return np.sqrt(np.einsum("...ij,...ij->...", m, m))
 
 
@@ -133,14 +140,11 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, inverse=None):
     """Number of singular values above rank_rel * sigma_max, per matrix.
 
-    ``inverse`` holds a claimed inverse X of each square n x n matrix.
-    With r = |I - m X|_F as computed, s = |m|_F |X|_F and u = 2^-53, a
-    matrix with 1 - r - e > rank_rel s, e = 2 (n^2 + 2) u + 2 n u s, has
-    rank n, with no SVD: e bounds the rounding of m X and of r, so
-    sigma_min(m) >= (1 - r - e) / |X|_F, while sigma_max(m) <= |m|_F
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3, 6).
-    The bound is symmetric in m and X.  An SVD counts the matrices it
-    misses: a rank loss, a poor conditioning or a wrong or non-finite X.
+    ``inverse`` holds a claimed inverse X of each square n x n matrix,
+    which certifies rank n with no SVD where sigma_floor(m, X) >
+    rank_rel |m|_F, since sigma_max(m) <= |m|_F.  The bound is symmetric
+    in m and X.  An SVD counts the matrices it misses: a rank loss, a
+    poor conditioning or a wrong or non-finite X.
     """
     m = check_finite(m)
     if m.size == 0:
@@ -151,14 +155,29 @@ def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, inverse=None):
     n = m.shape[-1]
     if m.shape[-2:] != (n, n) or x.shape != m.shape:
         raise InvalidInputError("inverse needs a square m of its shape")
-    # 2 k u >= gamma_k = k u / (1 - k u); a non-finite X certifies none
-    with np.errstate(invalid="ignore", over="ignore"):
-        s = frobenius(m) * frobenius(x)
-        e = (n * n + 2 + n * s) * 2.0 ** -52
-        sure = 1.0 - frobenius(np.eye(n) - m @ x) - e > tol.rank_rel * s
+    sure = sigma_floor(m, x) > tol.rank_rel * frobenius(m)
     ranks = np.where(sure, n, 0)
     ranks[~sure] = rank_tol(m[~sure], tol)  # no SVD of an empty stack
     return ranks[()]
+
+
+def sigma_floor(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A proved lower bound on sigma_min of each square n x n matrix m of
+    a stack, from a claimed inverse x; 0 where it proves nothing.
+
+    With r = |I - m x|_F as computed and e = 2 (n^2 + 2) u + 2 n u
+    |m|_F |x|_F, u = 2^-53, which bounds the rounding of m x and of r,
+    sigma_min(m) >= (1 - r - e) / |x|_F (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 3 and 6).  A non-finite x
+    proves nothing.
+    """
+    n = m.shape[-1]
+    # 2 k u >= gamma_k = k u / (1 - k u)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        nx = frobenius(x)
+        e = (n * n + 2 + n * frobenius(m) * nx) * 2.0 ** -52
+        low = (1.0 - frobenius(np.eye(n) - m @ x) - e) / nx
+    return np.fmax(low, 0.0)  # and 0 for a NaN
 
 
 def _kept(s: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -196,6 +215,154 @@ def svd_factors(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SVDFactors:
     # a dropped value may be 0; the floor keeps its 0 / s finite
     s_inv = keep / np.maximum(s, np.finfo(float).tiny)
     return SVDFactors(u * keep[..., None, :], s_inv, vt)
+
+
+class Factors(NamedTuple):
+    """The pseudoinverse and rank of each matrix of a stack, with the
+    orthogonal projector onto its range where a solve reads it (else
+    None).  ``svd`` marks the matrices an SVD counted; each other one has
+    low <= sigma_rank and sigma_{rank+1} <= high proved by the inverse of
+    its completion (kernel_factors).  An SVD-counted one has low 0 and
+    high inf: no bound, so no certificate builds on it."""
+
+    pinv: np.ndarray
+    rank: np.ndarray
+    proj: Optional[np.ndarray]
+    low: np.ndarray
+    high: np.ndarray
+    svd: np.ndarray
+
+
+def svd_route(m: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+              proj: bool = False) -> Factors:
+    """Factors of each matrix of m from its SVD, the range projector
+    formed only with ``proj``."""
+    f = svd_factors(m, tol)
+    batch = m.shape[:-2]
+    return Factors(f.pinv, f.rank, f.u @ mt(f.u) if proj else None,
+                   np.zeros(batch), np.full(batch, np.inf),
+                   np.ones(batch, bool))
+
+
+def _gamma(k: int) -> float:
+    """2 (k + 2) u, u = 2^-53: bounds the relative rounding of a product
+    of inner dimension k and of the sums after it (Higham, ch. 3)."""
+    return (k + 2) * 2.0 ** -52
+
+
+def kernel_factors(m: np.ndarray, w: np.ndarray, wf: Optional[Factors],
+                   tol: Tolerance = DEFAULT_TOL, *,
+                   skew: bool = False) -> Factors:
+    """Factors of each matrix m of a stack whose right kernel the
+    reducibility chain names: the columns of w span it, rank(w) =
+    wf.rank, so rank(m) = cols(m) - rank(w) (cols(m) when w has no
+    columns; wf is then not read).  One inverse of m completed on that
+    kernel replaces the SVD:
+
+    - skew (m square and antisymmetric, so its range is the kernel's
+      complement): K = m + a w w^T, a ~ |m|_F / |w|_F^2, pinv(m) =
+      K^-1 - pinv(w)^T pinv(w) / a, and the range projector is
+      I - w pinv(w);
+    - otherwise: K = m^T m + a w w^T, a ~ |m|_F^2 / |w|_F^2, and
+      pinv(m) = K^-1 m^T;
+
+    a being the power of 2 nearest the ratio.
+
+    The rank is certified from both sides (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 6 and 12).  Below:
+    by Weyl, removing the rank(w) leading terms of a w w^T leaves
+    sigma_rank(m) (its square for the Gram form) at least
+    sigma_floor(K, K^-1), less K's rounding and a times w's trailing
+    singular values squared (wf.high^2).  Above: by Courant-Fischer on
+    the span of w's leading left singular vectors, sigma_{rank+1}(m) <=
+    |m w| / sigma_rank(w) <= (|m w|_F + m w's rounding) / wf.low, the
+    rounding at most gamma_n |m|_F |w|_F (gamma_n ||m| |w||_F where that
+    is too weak).  With sigma_max(m) at most |m|_F and at least
+    |m|_F / sqrt(min dim) (or _sigma_max_floor where that is too weak),
+    a low above rank_rel |m|_F and a high below rank_rel times the lower
+    bound of sigma_max prove that an SVD would count this rank.  The
+    matrices that miss either bound, or whose K ``inv`` refuses, are
+    counted by svd_route, and ``svd`` marks them; where every one misses
+    the upper bound, no K is inverted.
+    """
+    n, k = m.shape[-1], w.shape[-1]
+    batch = m.shape[:-2]
+    if not min(m.shape[-2:]):
+        return Factors(np.zeros(batch + m.shape[:-3:-1]),
+                       np.zeros(batch, int), np.zeros(m.shape) if skew
+                       else None, np.full(batch, np.inf), np.zeros(batch),
+                       np.zeros(batch, bool))
+    norm = frobenius(m)
+    rank, high = np.full(batch, n), np.zeros(batch)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if k:
+            wn, mw = frobenius(w), frobenius(m @ w)
+            rank = rank - wf.rank
+            high = (mw + _gamma(n) * norm * wn) / wf.low
+        fits = high < tol.rank_rel * norm / np.sqrt(min(m.shape[-2:]))
+        if not fits.all():
+            # the sharper bounds: of m w's rounding, by |m| |w|, and of
+            # sigma_max
+            if k:
+                high = (mw + _gamma(n) * frobenius(np.abs(m) @ np.abs(w))
+                        ) / wf.low
+            fits = high < tol.rank_rel * _sigma_max_floor(m)
+            if not fits.any():
+                return svd_route(m, tol, proj=skew)
+        comp = m if skew else mt(m) @ m
+        size = norm if skew else norm * norm
+        # K's rounding: m^T m's, a w w^T's and their sum's
+        slack = 0.0 if skew else _gamma(m.shape[-2]) * size
+        if k:
+            # a power of 2 scales exactly, so a stack and each of its
+            # systems alone complete their matrices alike, bit for bit
+            coef = np.asarray(np.exp2(np.round(np.log2(size / (wn * wn)))))
+            comp = comp + coef[..., None, None] * (w @ mt(w))
+            slack = slack + 2.0 * _gamma(k) * size + coef * wf.high ** 2
+        try:
+            x = np.linalg.inv(comp)
+        except np.linalg.LinAlgError:
+            x = np.full(comp.shape, np.nan)
+        low = sigma_floor(comp, x) - slack
+        if not skew:
+            low = np.sqrt(low)
+        if skew:
+            pinv, proj = x, np.eye(n)
+            if k:
+                pinv = x - mt(wf.pinv) @ wf.pinv / coef[..., None, None]
+                proj = proj - w @ wf.pinv
+        else:
+            pinv, proj = x @ mt(m), None
+    sure = fits & (low > tol.rank_rel * norm)
+    f = Factors(pinv, rank, proj, low, high, np.zeros(batch, bool))
+    if sure.all():
+        return f
+    # numpy indexes a single matrix by a 0-d mask as a stack of one
+    fell = svd_route(m[~sure], tol, proj=skew)
+    return Factors(*(None if a is None else _put(a, ~sure, b)
+                     for a, b in zip(f, fell)))
+
+
+def _sigma_max_floor(m: np.ndarray) -> np.ndarray:
+    """A lower bound on sigma_max of each matrix of a stack, at least
+    |m|_F / sqrt(min dim) and often near sigma_max: |m t| / |t| for
+    t = m^T m r, r a fixed vector, less the rounding of m t and of the
+    norms (2 gamma_n |m|_F)."""
+    def length(v):
+        return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+    n = m.shape[-1]
+    t = (mt(m) @ (m @ np.cos(np.arange(n)))[..., None])[..., 0]
+    power = (length((m @ t[..., None])[..., 0]) / length(t)
+             - 2.0 * _gamma(n) * frobenius(m))
+    return np.fmax(frobenius(m) / np.sqrt(min(m.shape[-2:])), power)
+
+
+def _put(a, where: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a, spread over the stack of the mask ``where``, with b at it."""
+    a = np.array(np.broadcast_to(a, where.shape + np.shape(b)[1:]))
+    a[where] = b
+    return a
 
 
 def pseudoinverse(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -250,25 +417,26 @@ def skew_solve(
     tol: Tolerance = DEFAULT_TOL,
     *,
     with_product: bool = False,
-    factors: SVDFactors | None = None,
+    factors: Optional[tuple] = None,
 ):
     """Minimum-norm antisymmetric solution M of ``M @ c ~= target``.
 
-    ``c`` must be square and antisymmetric within weak_eq.  Its SVD, or
-    the ``factors`` given, gives X = target @ pinv(c) and the projector
-    P_ker onto ker(c); M is the antisymmetric part of X - (P_ker X)^T,
-    which is skew_part(target @ pinv(c)) when range(target) lies in range(c).
+    ``c`` must be square and antisymmetric within weak_eq.  ``factors``
+    is the pair (pinv(c), P) with P the orthogonal projector onto
+    range(c), from the chain (kernel_factors) or the SVD (svd_route, the
+    default): with X = target @ pinv(c), M is the antisymmetric part of
+    X - ((I - P) X)^T, which is skew_part(target @ pinv(c)) when
+    range(target) lies in range(c).
 
     Precondition: some antisymmetric M solves the equation, i.e. target
-    vanishes on ker(c) and P target pinv(c) P is antisymmetric for P the
-    projector onto range(c).  Oblique targets I - Z Abar with Z spanning
-    ker(c) and Abar Z = I qualify.  Otherwise NoSolutionError is raised,
-    as |M c - target| exceeds ``weak_eq * (1 + |target|)``.  The result
-    is exactly antisymmetric.  With ``with_product`` the pair
-    (M, M @ c) is returned unchecked, the product formed with c itself,
-    so that the caller records the residual of M @ c = target as its own
-    check.  On a stack every matrix is solved, and one that fails raises
-    with the worst residual.
+    vanishes on ker(c) and P target pinv(c) P is antisymmetric.  Oblique
+    targets I - Z Abar with Z spanning ker(c) and Abar Z = I qualify.
+    Otherwise NoSolutionError is raised, as |M c - target| exceeds
+    ``weak_eq * (1 + |target|)``.  The result is exactly antisymmetric.
+    With ``with_product`` the pair (M, M @ c) is returned unchecked, the
+    product formed with c itself, so that the caller records the
+    residual of M @ c = target as its own check.  On a stack every
+    matrix is solved, and one that fails raises with the worst residual.
     """
     c = check_finite(c, "c")
     target = check_finite(target, "target")
@@ -278,12 +446,14 @@ def skew_solve(
     if not is_antisymmetric(c, tol):
         raise InvalidInputError("c is not antisymmetric within weak_eq")
 
-    u, s_inv, vt = svd_factors(c, tol) if factors is None else factors
-    y = target @ (mt(vt) * s_inv[..., None, :])  # X = target @ pinv(c)
-    # P_ker X is the block of M mapping range(c) into ker(c); X lacks its
-    # mirrored block -(P_ker X)^T
-    y_ker = y - u @ (mt(u) @ y)
-    m = skew_part(y @ mt(u) - u @ mt(y_ker))
+    if factors is None:
+        f = svd_route(c, tol, proj=True)
+        factors = f.pinv, f.proj
+    pinv, proj = factors
+    x = target @ pinv
+    # (I - P) X is the block of M mapping range(c) into ker(c); X lacks
+    # its mirrored block -((I - P) X)^T
+    m = skew_part(x - mt(x - proj @ x))
     mc = m @ c
     if with_product:
         return m, mc

@@ -57,6 +57,10 @@ class CheckReport:
     # how many of the blocks carry the residuals of another, certified
     # block (see spread) rather than their own
     filled: int = 0
+    # by factorisation ("c", "z1", "jacobian_pinv", "omega_bar"): whether
+    # an SVD counted its matrix, one flag per factored block of a stack,
+    # rather than the inverse of its completion (numerics.Factors)
+    routes: dict = field(default_factory=dict)
 
     def add(self, name: str, residual, tolerance: float) -> None:
         """Record a residual, or an array of them, one per block of a
@@ -95,17 +99,19 @@ class CheckReport:
                      else r.per_block, r.tolerance)
 
     def merge(self, other: "CheckReport") -> None:
-        """Add every record, seed and timing of another report."""
+        """Add every record, seed, route and timing of another report."""
         self.take(other, *(r.name for r in other.records))
         self.seeds.update(other.seeds)
+        self.routes.update(other.routes)
         self.timings.update(other.timings)
 
     def fold(self, other: "CheckReport") -> None:
         """Fold in the report of another part of the same system, such as
         one stack of a lattice's Fourier blocks.  Both must hold the same
         records (names, order, tolerances); each keeps the worse
-        residual, a NaN included, the per-block residuals and the block
-        labels of both parts, in order, and timings add up."""
+        residual, a NaN included, the per-block residuals, the block
+        labels and the route flags of both parts, in order, and timings
+        add up."""
         if self.records and ([(r.name, r.tolerance) for r in self.records]
                              != [(r.name, r.tolerance)
                                  for r in other.records]):
@@ -121,6 +127,9 @@ class CheckReport:
         else:
             self.records = list(other.records)
         self.blocks += other.blocks
+        for key, flags in other.routes.items():
+            self.routes[key] = np.append(
+                self.routes.get(key, np.zeros(0, bool)), flags)
         for key, value in other.timings.items():
             self.timings[key] = self.timings.get(key, 0.0) + value
 
@@ -143,12 +152,14 @@ class CheckReport:
         self.blocks = tuple(blocks)
 
     def with_stage(self, stage: "CheckReport") -> "CheckReport":
-        """A copy of this report with a stage's records and seeds added.
+        """A copy of this report with a stage's records, seeds and routes
+        added.
         A record left by an earlier run of the same stage is replaced in
         place."""
         fresh = {r.name: r for r in stage.records}
         out = dataclasses.replace(
             self, seeds={**self.seeds, **stage.seeds},
+            routes={**self.routes, **stage.routes},
             timings=dict(self.timings),
             records=[fresh.pop(r.name, r) for r in self.records],
         )
@@ -188,6 +199,12 @@ class CheckReport:
             **({"blocks": {"total": len(self.blocks),
                            "certified": len(self.blocks) - self.filled}}
                if self.blocks else {}),
+            # each factorisation's route; on a stack, the number of its
+            # factored blocks an SVD counted
+            "factorizations": {
+                key: int(np.sum(flags)) if np.ndim(flags)
+                else ("svd" if flags else "inverse")
+                for key, flags in self.routes.items()},
             "checks": [
                 {
                     "name": r.name,

@@ -38,6 +38,7 @@ from .numerics import (
     InvalidInputError,
     NoSolutionError,
     Tolerance,
+    kernel_factors,
     mt,
     rank_tol,
     rel_residual,
@@ -45,7 +46,6 @@ from .numerics import (
     require_shape,
     skew_part,
     skew_solve,
-    svd_factors,
     symplectic_block,
 )
 from .phase import dirac_matrix
@@ -108,9 +108,9 @@ def second_order_artifacts(
     rep.require("eq_11x", chain_residual(z1, z2), tol.weak_eq)
 
     g = cs.gradients(at)
-    c2 = mt(g) @ cs.spec.poisson @ g
-    # C's factors are cached on cs; a rank-deficient C cannot be built on
-    fc = cs.factors("c", c2, tol)
+    # C and its factors are kept on a constant cs; a rank-deficient C
+    # cannot be built on
+    c2, fc = cs.bracket(g, tol)
     rep.require("eq_11d_rank", abs(fc.rank - (cs.m0 - m1 + m2)), COUNT_TOL)
     z1_c2 = mt(z1) @ c2
     rep.require("eq_11e", rel_residual(z1_c2, np.zeros_like(z1_c2)),
@@ -137,7 +137,7 @@ def second_order_artifacts(
     rep.require("eq_a8", rel_residual(a8, np.zeros_like(a8)), tol.weak_eq)
 
     if abar01 is None:
-        abar01 = d11 @ cs.factors("z1", z1, tol).pinv
+        abar01 = d11 @ cs.z1_factors(z1, tol).pinv
     abar01 = require_shape(abar01, cs.batch + (m1, cs.m0), "abar01")
     # abar01 @ Z1 = d11 must be feasible at tolerance
     rep.require("eq_1qa", rel_residual(abar01 @ z1, d11), tol.weak_eq)
@@ -154,8 +154,10 @@ def second_order_artifacts(
     )
 
     # solved with C's factors, checked with C itself
-    m2, m2_c2 = skew_solve(c2, d00, tol, with_product=True, factors=fc)
+    m2, m2_c2 = skew_solve(c2, d00, tol, with_product=True,
+                           factors=(fc.pinv, fc.proj))
     rep.require("eq_11c", rel_residual(m2_c2, d00), tol.weak_eq)
+    rep.routes.update(cs.routes(tol))
 
     return SecondOrderArtifacts(
         c2=c2, a12=a12, dbar2=dbar2, d11=d11, abar01=abar01, d00=d00,
@@ -165,16 +167,21 @@ def second_order_artifacts(
 
 def _omega_candidates(art: SecondOrderArtifacts, seed_low: np.ndarray,
                       tol: Tolerance) -> tuple:
-    """(omega_bar, omega_hat, omega_low, omega_up, lost) from one seed
-    per system: ``lost`` marks the systems whose restricted seed loses
-    rank on the range of d11 or whose pair is not invertible."""
+    """(omega_bar, omega_hat, omega_low, omega_up, lost, svd) from one
+    seed per system: ``lost`` marks the systems whose restricted seed
+    loses rank on the range of d11 or whose pair is not invertible, and
+    ``svd`` those whose omega_bar an SVD counted.  omega_bar's kernel is
+    range(a12) (d11 a12 = 0), so it is factored completed on a12
+    (kernel_factors), a12's own rank certified from a12^T a12."""
     m1, m2 = art.a12.shape[-2:]
     seed2 = symplectic_block(m2)
-    omega_bar = mt(art.d11) @ seed_low @ art.d11
-    f = svd_factors(omega_bar, tol)
     # enforce exact antisymmetry against rounding
+    omega_bar = skew_part(mt(art.d11) @ seed_low @ art.d11)
+    a12 = art.a12
+    f = kernel_factors(omega_bar, a12,
+                       kernel_factors(a12, a12[..., :0], None, tol), tol,
+                       skew=True)
     omega_hat = skew_part(art.d11 @ f.pinv @ art.d11)
-    omega_bar = skew_part(omega_bar)
 
     p2 = art.dbar2 @ mt(art.a12)  # maps the M1 space onto the M2 labels
     omega_low = omega_bar + mt(p2) @ seed2 @ p2
@@ -187,7 +194,7 @@ def _omega_candidates(art: SecondOrderArtifacts, seed_low: np.ndarray,
     up, low = omega_up[kept], omega_low[kept]
     kept[kept] = ((rank_tol(up, tol, inverse=low) == m1)
                   & (rank_tol(low, tol, inverse=up) == m1))
-    return omega_bar, omega_hat, omega_low, omega_up, ~kept
+    return omega_bar, omega_hat, omega_low, omega_up, ~kept, f.svd
 
 
 def omega_tilde_pair(
@@ -227,10 +234,10 @@ def omega_tilde_pair(
     rep = CheckReport(system=art.report.system, tolerances=tol,
                       blocks=art.report.blocks)
     canonical = symplectic_block(m1)
-    *pair, lost = _omega_candidates(art, canonical, tol)
+    *pair, lost, svd = _omega_candidates(art, canonical, tol)
     if np.any(lost):
         s = np.random.default_rng(seed).standard_normal((m1, m1))
-        *pair, still = _omega_candidates(
+        *pair, still, svd = _omega_candidates(
             art, np.where(lost[..., None, None], s - s.T, canonical), tol)
         rep.seeds["omega"] = seed
         if art.base.batch:
@@ -242,6 +249,7 @@ def omega_tilde_pair(
             lambda i: f"the omega seed loses rank on the range of d11, "
                       f"the canonical one and the one drawn from {seed}")
     omega_bar, omega_hat, omega_low, omega_up = pair
+    rep.routes["omega_bar"] = svd
     for name, res in (
         ("eq_a3", rel_residual(omega_hat @ omega_bar, art.d11)),
         ("eq_a18", rel_residual(omega_up @ art.d11 @ omega_low, art.d11)),

@@ -54,6 +54,21 @@ def svd_args(monkeypatch):
 
 
 @pytest.fixture
+def inv_args(monkeypatch):
+    """Every matrix or stack numpy.linalg.inv is called on, in call order:
+    the completions the chain inverts, counted by shape or value."""
+    seen = []
+    inv = np.linalg.inv
+
+    def counting(a, *args, **kwargs):
+        seen.append(np.asarray(a))
+        return inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return seen
+
+
+@pytest.fixture
 def gradient_points(monkeypatch):
     """Every point ConstraintSet.gradients is evaluated at, in call order."""
     seen = []

@@ -353,9 +353,10 @@ def test_analyze_order_one_builds_artifacts_once(tmp_path, capsys,
 def test_analyze_evaluates_the_gradients_once_per_stage(synth_file, capsys,
                                                         gradient_points):
     assert main(["analyze", synth_file, "--points", "20"]) == 0
-    # surface projection, validate, the artifacts and the oracle: every
-    # later stage reads the gradients the artifacts carry
-    assert len(gradient_points) == 4
+    # validate, the artifacts and the oracle: the surface projection
+    # reads B itself, and every later stage reads the gradients the
+    # artifacts carry
+    assert len(gradient_points) == 3
     capsys.readouterr()
 
 

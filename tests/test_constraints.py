@@ -282,7 +282,8 @@ def test_constant_detected_from_structure():
         assert not fs.is_constant and fs.m0 == toy.m0
 
 
-def test_sample_surface_factors_affine_matrix_once(monkeypatch):
+def test_sample_surface_factors_affine_matrix_once(monkeypatch, inv_args,
+                                                   svd_args):
     import diracred.constraints as con
 
     calls = []
@@ -293,9 +294,13 @@ def test_sample_surface_factors_affine_matrix_once(monkeypatch):
 
     monkeypatch.setattr(con, "pseudoinverse", counting)
     cs = synth_linear(10, 12, 8, 2, seed=1)
+    inv_args.clear()
+    svd_args.clear()
     pts = sample_surface(cs, seed=0, count=6)
     pts += [project_to_surface(cs, 3.0 * pts[0] + 1.0)]
-    assert calls == [(cs.m0, cs.spec.dim)]
+    # pinv(B) from one inverse of B B^T completed on Z1, with no SVD
+    assert calls == [] and svd_args == []
+    assert [a.shape for a in inv_args].count((cs.m0, cs.m0)) == 1
     assert max(cs.surface_residual(p) for p in pts) <= DEFAULT_TOL.surface
     # opaque constraints still take a Gauss-Newton step per iterate
     calls.clear()
@@ -307,7 +312,8 @@ def test_sample_surface_factors_affine_matrix_once(monkeypatch):
     (lambda: synth_linear(10, 12, 8, 2, seed=3), False),
     (curved_first_order_system, True),
 ], ids=["synth_linear", "curved"])
-def test_validate_ranks_c_once_on_affine_system(svd_args, make, per_point):
+def test_validate_ranks_c_once_on_affine_system(svd_args, inv_args, make,
+                                                per_point):
     cs = make()
     pts = sample_surface(cs, seed=0, count=4)
     # the per-point rank deviation, as validate took it at every point
@@ -315,18 +321,23 @@ def test_validate_ranks_c_once_on_affine_system(svd_args, make, per_point):
             for p in pts]
     expected = max(abs(rank_tol(c) - cs.n_independent) for c in c_at)
     svd_args.clear()
+    inv_args.clear()
     rep = validate(cs, pts)
-    # C is factored once on affine chi, else at every point (in one stack)
+    # C is completed on Z1 and inverted once on affine chi, with no SVD;
+    # else factored by SVD at every point (in one stack)
     c_factored = sum(a.size // cs.m0 ** 2 for a in svd_args
                      if a.shape[-2:] == (cs.m0, cs.m0))
-    assert c_factored == (len(pts) if per_point else 1)
+    assert c_factored == (len(pts) if per_point else 0)
+    assert ([a.shape for a in inv_args].count((cs.m0, cs.m0))
+            == (0 if per_point else 1))
     assert rep.residuals["eq_11d_rank"] == expected
     assert rep.passed
     # a second validate on the same system factors no C afresh
     svd_args.clear()
+    inv_args.clear()
     validate(cs, pts)
     assert any(a.shape[-2:] == (cs.m0, cs.m0)
-               for a in svd_args) == per_point
+               for a in svd_args + inv_args) == per_point
 
 
 def _scaled_column(z_at, column):
@@ -378,7 +389,7 @@ def test_stored_arrays_are_read_only_and_the_cache_per_set():
     assert {key for key, _ in cs._cache} == {"jacobian_pinv", "c", "z1"}
     other = dataclasses.replace(cs, z1=2.0 * cs.z1)
     assert other._cache == {}
-    assert other.factors("z1", other.z1, DEFAULT_TOL).rank == cs.m1 - cs.m2
+    assert other.z1_factors(other.z1, DEFAULT_TOL).rank == cs.m1 - cs.m2
 
 
 @pytest.mark.parametrize("make", [toy_system, duplicated_pair_system])
